@@ -20,8 +20,8 @@ from .moments import (OscillatorMoments, RateDecomposition, SpinMoments,
 from .ode import IntegrationError, IntegratorConfig, integrate
 from .lindblad import (CutoffError, DegenerateSteadyStateError, Liouvillian,
                        Trajectory, annihilation_operator, dissipator, evolve,
-                       liouvillian_apply, oscillator_liouvillian,
-                       oscillator_oracle, spin_liouvillian, steady_state)
+                       oscillator_liouvillian, oscillator_oracle,
+                       spin_liouvillian, steady_state)
 from .figures import (FigureDataset, fig3a_vector_field, fig3b_ellipses,
                       fig4a_rates, fig4b_variance_derivatives, max_hilbert_dim)
 from .verification import verify

@@ -1,7 +1,7 @@
 """Command-line interface: figure datasets, scenario runs and verification.
 
 Exit codes: 0 success, 2 configuration error, 3 verification failure,
-4 integrator or truncation failure.
+4 integrator, truncation or steady-state solver failure.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import numpy as np
 
 from .figures import (FigureDataset, fig3a_vector_field, fig3b_ellipses,
                       fig4a_rates, fig4b_variance_derivatives, max_hilbert_dim)
-from .lindblad import (CutoffError, evolve, spin_liouvillian, steady_state)
+from .lindblad import (CutoffError, DegenerateSteadyStateError, evolve,
+                       spin_liouvillian, steady_state)
 from .moments import (OscillatorMoments, SpinMoments, SqueezingParams,
                       gardiner_rhs, minimal_m, oscillator_cov_rhs,
                       oscillator_mean_rhs)
@@ -102,7 +103,8 @@ def _add_common(parser, default_n: float, default_theta: str):
                         help="azimuthal angle (radians); default is a grid")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--jobs", type=int, default=1, help="worker pool size")
+    # deprecated no-op, accepted so that existing scripts keep running
+    parser.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
 
 
 def _phi_grid(args, points: int) -> list[float]:
@@ -124,7 +126,7 @@ def cmd_fig3a(args) -> int:
     n_list = _spins_list(args.spins)
     thetas = [t * math.pi for t in _parse_floats(args.theta)]
     dataset = fig3a_vector_field(n_list, args.squeezing_n, thetas,
-                                 _phi_grid(args, 16), jobs=args.jobs)
+                                 _phi_grid(args, 16))
     _emit(dataset, args)
     return EXIT_OK
 
@@ -133,7 +135,7 @@ def cmd_fig3b(args) -> int:
     n_list = _spins_list(args.spins)
     thetas = [t * math.pi for t in _parse_floats(args.theta)]
     dataset = fig3b_ellipses(n_list, args.squeezing_n, thetas,
-                             _phi_grid(args, 12), rtol=args.rtol, jobs=args.jobs)
+                             _phi_grid(args, 12), rtol=args.rtol)
     _emit(dataset, args)
     return EXIT_OK
 
@@ -151,7 +153,7 @@ def cmd_fig4b(args) -> int:
     thetas = [t * math.pi for t in _parse_floats(args.theta)]
     phi = args.phi if args.phi is not None else 0.0
     dataset = fig4b_variance_derivatives(n_values, args.squeezing_n, thetas,
-                                         phi=phi, jobs=args.jobs)
+                                         phi=phi)
     _emit(dataset, args)
     return EXIT_OK
 
@@ -297,6 +299,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (DegenerateSteadyStateError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, so it is caught before the config branch
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTEGRATOR
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -10,16 +10,16 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .lindblad import evolve, spin_liouvillian
-from .moments import (SqueezingParams, decay_rates, input_field_variances,
-                      spin_moments_from_state)
-from .spin_algebra import BlochAngles, DickeSpace, build_collective_ops, spin_coherent_state
+from .moments import (SqueezingParams, collective_cov_rhs, decay_rates,
+                      input_field_variances, spin_moments_from_state)
+from .spin_algebra import (BlochAngles, DickeSpace, QuantumState, build_collective_ops,
+                           spin_coherent_state)
 
 __all__ = [
     "FigureDataset",
@@ -92,14 +92,6 @@ class FigureDataset:
             handle.write(text)
 
 
-def _pmap(fn, items, jobs: int):
-    """Order-preserving map, optionally on a thread pool."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _base_metadata(params: SqueezingParams, **extra) -> dict:
     meta = {
         "version": __version__,
@@ -112,7 +104,7 @@ def _base_metadata(params: SqueezingParams, **extra) -> dict:
 
 
 def fig3a_vector_field(n_list, nbar: float, theta_grid, phi_grid,
-                       gamma_p: float = 1.0, jobs: int = 1) -> FigureDataset:
+                       gamma_p: float = 1.0) -> FigureDataset:
     """Decay arrows of spin coherent states on the lower Bloch hemisphere.
 
     Per grid point: transverse means and their time derivatives from the
@@ -163,7 +155,7 @@ def _ellipse(var_x: float, var_y: float, cov_xy: float) -> tuple[float, float, f
 def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid,
                    scale_map: dict | None = None, dt_factor: float = 0.008,
                    oscillator_dt: float = 0.1, gamma_p: float = 1.0,
-                   rtol: float = 1e-10, jobs: int = 1) -> FigureDataset:
+                   rtol: float = 1e-10) -> FigureDataset:
     """Uncertainty ellipses of spin coherent states before and after a short evolution.
 
     The exact state is evolved under the master equation for
@@ -199,7 +191,6 @@ def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid,
         liouv = spin_liouvillian(ops, params)
         traj = evolve(liouv, state, dt_factor * n / gamma_p, rtol=rtol,
                       record_every=10 ** 9)
-        from .spin_algebra import QuantumState
         post_state = QuantumState(traj.final_state, "matrix")
         post = spin_moments_from_state(post_state, ops)
         out = []
@@ -209,7 +200,7 @@ def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid,
                         m.var_x, m.var_y, m.cov_xy, major, minor, tilt, scale))
         return out
 
-    rows = [row for chunk in _pmap(run, tasks, jobs) for row in chunk]
+    rows = [row for task in tasks for row in run(task)]
 
     # oscillator panel: coherent state at unit radius, closed-form evolution
     vx_in, vy_in = input_field_variances(params)
@@ -248,16 +239,13 @@ def fig4a_rates(n_values, nbar: float, theta_list,
 
 
 def fig4b_variance_derivatives(n_values, nbar: float, theta_list,
-                               phi: float = 0.0, gamma_p: float = 1.0,
-                               jobs: int = 1) -> FigureDataset:
+                               phi: float = 0.0, gamma_p: float = 1.0) -> FigureDataset:
     """Covariance derivatives of spin coherent states versus spin count.
 
     Evaluated exactly on the coherent state (no closure); oscillator
     reference rows give the quadrature variance derivatives of a coherent
     state (V = 1) under the same bath.
     """
-    from .moments import collective_cov_rhs
-
     params = SqueezingParams.minimal(nbar, gamma_p=gamma_p)
     theta_list = [float(t) for t in theta_list]
     columns = ["system", "n", "theta", "phi", "dvar_x", "dvar_y", "dcov_xy"]
@@ -274,7 +262,7 @@ def fig4b_variance_derivatives(n_values, nbar: float, theta_list,
         dvx, dvy, dcxy = collective_cov_rhs(state, ops, params)
         return ("spins", n, theta, phi, dvx, dvy, dcxy)
 
-    rows = _pmap(run, tasks, jobs)
+    rows = [run(task) for task in tasks]
 
     vx_in, vy_in = input_field_variances(params)
     for theta in theta_list:

@@ -10,6 +10,17 @@ lowering operator (S- for spins, a truncated annihilation operator for the
 oscillator check). This overall prefactor reproduces the single-spin
 transverse decay rates gamma_p (nbar +- m + 1/2) and the oscillator
 covariance relaxation at rate gamma_p.
+
+The four channels are the jump term sum_ab G_ab L_a rho L_b+ with
+L = (d, d+) and bath matrix G = [[nbar+1, -m], [-m, nbar]] (Gardiner,
+PRL 56, 1917 (1986)). Collecting the right-hand factors gives the normal
+form that ``Liouvillian`` evaluates,
+
+    drho/dt = gamma_p [ d rho P + d+ rho Q - (1/2)(K rho + rho K) ],
+    P = (nbar+1) d+ - m d,    Q = nbar d - m d+,
+    K = (nbar+1) d+ d + nbar d d+ - m (d+ d+ + d d).
+
+``dissipator`` keeps the four-channel form as an independent reference.
 """
 
 from __future__ import annotations
@@ -29,7 +40,6 @@ __all__ = [
     "DegenerateSteadyStateError",
     "CutoffError",
     "dissipator",
-    "liouvillian_apply",
     "spin_liouvillian",
     "oscillator_liouvillian",
     "annihilation_operator",
@@ -68,13 +78,13 @@ class Liouvillian:
         self.op = np.asarray(self.op, dtype=complex)
         if self.op.ndim != 2 or self.op.shape[0] != self.op.shape[1]:
             raise ValueError("system operator must be a square matrix")
-        # precomputed products reused on every application
+        p = self.params
         d, dag = self.op, self.op.conj().T
         self._dag = dag
-        self._dag_d = dag @ d
-        self._d_dag = d @ dag
-        self._dag_dag = dag @ dag
-        self._d_d = d @ d
+        self._p = (p.nbar + 1.0) * dag - p.m_corr * d
+        self._q = p.nbar * d - p.m_corr * dag
+        self._k = ((p.nbar + 1.0) * (dag @ d) + p.nbar * (d @ dag)
+                   - p.m_corr * (dag @ dag + d @ d))
 
     @property
     def dim(self) -> int:
@@ -85,37 +95,19 @@ class Liouvillian:
         rho = np.asarray(rho)
         if rho.shape != self.op.shape:
             raise ValueError("density matrix shape does not match the generator")
-        p = self.params
-        d, dag = self.op, self._dag
-        out = (p.nbar + 1.0) * (d @ rho @ dag - 0.5 * (self._dag_d @ rho + rho @ self._dag_d))
-        out += p.nbar * (dag @ rho @ d - 0.5 * (self._d_dag @ rho + rho @ self._d_dag))
-        if p.m_corr != 0.0:
-            out -= p.m_corr * (dag @ rho @ dag
-                               - 0.5 * (self._dag_dag @ rho + rho @ self._dag_dag))
-            out -= p.m_corr * (d @ rho @ d - 0.5 * (self._d_d @ rho + rho @ self._d_d))
-        return p.gamma_p * out
+        k = self._k
+        return self.params.gamma_p * (self.op @ rho @ self._p + self._dag @ rho @ self._q
+                                      - 0.5 * (k @ rho + rho @ k))
 
     def superoperator(self) -> np.ndarray:
         """Dense dim^2 x dim^2 matrix acting on row-major vectorized rho."""
         if self._super is None:
-            dim = self.dim
-            eye = np.eye(dim)
-            d, dag = self.op, self._dag
-
-            def channel(u, v):
-                uv = u @ v
-                return (np.kron(v, u.T)
-                        - 0.5 * (np.kron(uv, eye) + np.kron(eye, uv.T)))
-
-            p = self.params
-            sup = (p.nbar + 1.0) * channel(dag, d) + p.nbar * channel(d, dag)
-            sup -= p.m_corr * (channel(dag, dag) + channel(d, d))
-            self._super = p.gamma_p * sup
+            eye = np.eye(self.dim)
+            k = self._k
+            self._super = self.params.gamma_p * (
+                np.kron(self.op, self._p.T) + np.kron(self._dag, self._q.T)
+                - 0.5 * (np.kron(k, eye) + np.kron(eye, k.T)))
         return self._super
-
-
-def liouvillian_apply(liouv: Liouvillian, rho: np.ndarray) -> np.ndarray:
-    return liouv.apply(rho)
 
 
 def spin_liouvillian(ops: CollectiveOps, params: SqueezingParams) -> Liouvillian:
@@ -155,7 +147,8 @@ class Trajectory:
 
     @property
     def final_state(self) -> np.ndarray:
-        return self.states[-1]
+        """A copy of the last state, so holding it does not keep ``states`` alive."""
+        return self.states[-1].copy()
 
 
 def _state_diagnostics(states: np.ndarray) -> dict:

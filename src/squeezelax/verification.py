@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from .lindblad import (evolve, oscillator_oracle, spin_liouvillian, steady_state)
+from .lindblad import (annihilation_operator, evolve, oscillator_oracle,
+                       spin_liouvillian, steady_state)
 from .moments import (SqueezingParams, SpinMoments, collective_cov_rhs,
                       collective_mean_rhs, decay_rates, gardiner_rhs,
                       input_field_variances, rate_decomposition)
@@ -186,7 +187,6 @@ def _lindblad_checks(rng) -> list[dict]:
     # oscillator quadratures equilibrate with the squeezed input
     posc = SqueezingParams.minimal(0.5)
     traj = oscillator_oracle(posc, 20.0, record_every=10 ** 9)
-    from .lindblad import annihilation_operator
     a = annihilation_operator(traj.states.shape[1])
     x = a + a.conj().T
     y = 1j * (a.conj().T - a)

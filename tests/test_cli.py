@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from squeezelax import cli
 from squeezelax.cli import (EXIT_CONFIG, EXIT_INTEGRATOR, EXIT_OK, EXIT_VERIFY,
                             main)
 
@@ -25,6 +27,20 @@ class TestExitCodes:
         assert main(["fig3a", "--spins", "1,20", "--theta", "0.75",
                      "--phi", "0.0"]) == EXIT_CONFIG
         capsys.readouterr()
+
+    def test_degenerate_steady_state_is_solver_failure(self, capsys):
+        # at nbar = 1e6 the SVD null-space test finds two null vectors
+        assert main(["steady-state", "--spins", "1",
+                     "--squeezing-n", "1e6"]) == EXIT_INTEGRATOR
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_linalg_error_is_solver_failure(self, capsys, monkeypatch):
+        def broken(_liouv):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli, "steady_state", broken)
+        assert main(["steady-state", "--spins", "1"]) == EXIT_INTEGRATOR
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_subcommand_exits_argparse(self):
         with pytest.raises(SystemExit):
@@ -65,6 +81,13 @@ class TestFigureCommands:
         assert main(["fig3b", "--spins", "1,5", "--theta", "0.75",
                      "--phi", "1.1", "--out", str(out)]) == EXIT_OK
         assert "axis_major" in out.read_text()
+
+    def test_jobs_is_a_deprecated_noop(self, tmp_path):
+        args = ["fig3b", "--spins", "1,5", "--theta", "0.75", "--phi", "1.1"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(args + ["--out", str(a)]) == EXIT_OK
+        assert main(args + ["--jobs", "2", "--out", str(b)]) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["fig4b", "--spins", "6", "--theta", "0.55,0.87"]

@@ -98,12 +98,12 @@ class TestFig3a:
 
 @pytest.fixture(scope="module")
 def fig3b_dataset():
-    return fig3b_ellipses([1, 5, 15], 5.0, THETAS, PHIS, jobs=2)
+    return fig3b_ellipses([1, 5, 15], 5.0, THETAS, PHIS)
 
 
 @pytest.fixture(scope="module")
 def fig4b_dataset():
-    return fig4b_variance_derivatives(range(1, 31), 0.05, THETAS, jobs=2)
+    return fig4b_variance_derivatives(range(1, 31), 0.05, THETAS)
 
 
 class TestFig3b:
@@ -202,9 +202,9 @@ class TestDeterminism:
         b = fig3a_vector_field([1, 5], 0.5, THETAS, PHIS).to_csv()
         assert a == b
 
-    def test_fig3b_byte_identical_across_job_counts(self):
-        a = fig3b_ellipses([1, 5], 5.0, THETAS, PHIS[:2], jobs=1).to_csv()
-        b = fig3b_ellipses([1, 5], 5.0, THETAS, PHIS[:2], jobs=3).to_csv()
+    def test_fig3b_byte_identical(self):
+        a = fig3b_ellipses([1, 5], 5.0, THETAS, PHIS[:2]).to_csv()
+        b = fig3b_ellipses([1, 5], 5.0, THETAS, PHIS[:2]).to_csv()
         assert a == b
 
     def test_fig4_byte_identical(self):

@@ -21,6 +21,14 @@ def random_pure(rng, dim):
     return QuantumState.from_vector(psi / np.linalg.norm(psi))
 
 
+# vacuum, a mixed (non-minimal) bath and the minimum-uncertainty bath
+BATHS = {
+    "vacuum": SqueezingParams(0.0, 0.0, gamma_p=1.4),
+    "mixed": SqueezingParams(1.0, 0.3, gamma_p=1.4),
+    "minimal": SqueezingParams.minimal(0.5, gamma_p=1.4),
+}
+
+
 def fit_decay_rate(times, values):
     """Weighted log-linear fit of an exponential decay (weights ~ value^2)."""
     logs = np.log(np.abs(values))
@@ -118,10 +126,28 @@ class TestLiouvillianApply:
             for a, b in zip(oracle, got):
                 assert a == pytest.approx(b, abs=1e-9)
 
-    def test_superoperator_matches_direct_application(self):
+    @pytest.mark.parametrize("kind, size", [("spins", 1), ("spins", 6), ("oscillator", 20)])
+    @pytest.mark.parametrize("bath", BATHS)
+    def test_normal_form_matches_four_channel_form(self, kind, size, bath):
+        p = BATHS[bath]
+        if kind == "oscillator":
+            liouv = oscillator_liouvillian(size, p)
+        else:
+            liouv = spin_liouvillian(build_collective_ops(DickeSpace(size)), p)
+        d = liouv.op
+        dag = d.conj().T
+        rho = random_pure(np.random.default_rng(31), liouv.dim).density()
+        ref = p.gamma_p * ((p.nbar + 1.0) * dissipator(dag, d, rho)
+                           + p.nbar * dissipator(d, dag, rho)
+                           - p.m_corr * dissipator(dag, dag, rho)
+                           - p.m_corr * dissipator(d, d, rho))
+        assert np.max(np.abs(liouv.apply(rho) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("bath", BATHS)
+    def test_superoperator_matches_direct_application(self, bath):
         rng = np.random.default_rng(17)
         ops = build_collective_ops(DickeSpace(4))
-        liouv = spin_liouvillian(ops, SqueezingParams.minimal(0.8))
+        liouv = spin_liouvillian(ops, BATHS[bath])
         rho = random_pure(rng, 5).density()
         via_super = (liouv.superoperator() @ rho.ravel()).reshape(5, 5)
         assert np.max(np.abs(via_super - liouv.apply(rho))) < 1e-12
@@ -146,6 +172,14 @@ class TestEvolve:
         expected = np.zeros((6, 6))
         expected[0, 0] = 1.0
         assert np.max(np.abs(traj.final_state - expected)) < 1e-6
+
+    def test_final_state_does_not_pin_the_trajectory(self):
+        ops = build_collective_ops(DickeSpace(2))
+        liouv = spin_liouvillian(ops, SqueezingParams.minimal(0.5))
+        traj = evolve(liouv, np.eye(3, dtype=complex) / 3, 0.5)
+        final = traj.final_state
+        assert np.array_equal(final, traj.states[-1])
+        assert not np.shares_memory(final, traj.states)
 
     def test_trajectory_sanity_diagnostics(self):
         space = DickeSpace(8)
