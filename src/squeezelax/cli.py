@@ -10,12 +10,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .figures import (FigureDataset, fig3a_vector_field, fig3b_ellipses,
-                      fig4a_rates, fig4b_variance_derivatives, max_hilbert_dim)
+from .figures import (FigureDataset, check_dim, fig3a_vector_field, fig3b_ellipses,
+                      fig4a_rates, fig4b_variance_derivatives)
 from .lindblad import (CutoffError, DegenerateSteadyStateError, evolve,
                        spin_liouvillian, steady_state)
 from .moments import (OscillatorMoments, SpinMoments, SqueezingParams,
@@ -33,24 +32,6 @@ EXIT_INTEGRATOR = 4
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class Scenario:
-    """A single configured run (used by the non-figure subcommands)."""
-
-    system: str                  # "single-spin" | "collective" | "oscillator"
-    params: SqueezingParams
-    n: int = 1
-    theta: float = 0.5 * math.pi
-    phi: float = 0.0
-    t_final: float = 3.0
-    rtol: float = 1e-10
-
-    def check_limits(self):
-        cap = max_hilbert_dim()
-        if self.n + 1 > cap:
-            raise ConfigError(f"n={self.n} exceeds the Hilbert-dimension cap {cap}")
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -83,13 +64,16 @@ def _squeezing(args) -> SqueezingParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _emit(dataset: FigureDataset, args):
-    text = dataset.to_csv() if args.format == "csv" else dataset.to_json()
-    if args.out:
-        with open(args.out, "w") as handle:
+def _write(text: str, out: str | None):
+    if out:
+        with open(out, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(dataset: FigureDataset, args):
+    _write(dataset.to_csv() if args.format == "csv" else dataset.to_json(), args.out)
 
 
 def _add_common(parser, default_n: float, default_theta: str):
@@ -162,9 +146,6 @@ def cmd_single_spin(args) -> int:
     params = _squeezing(args)
     theta = _parse_floats(args.theta)[0] * math.pi
     phi = args.phi if args.phi is not None else 0.0
-    scenario = Scenario("single-spin", params, n=1, theta=theta, phi=phi,
-                        t_final=args.t_final, rtol=args.rtol)
-    scenario.check_limits()
     y0 = np.array([math.sin(theta) * math.cos(phi),
                    math.sin(theta) * math.sin(phi), math.cos(theta)])
 
@@ -172,7 +153,7 @@ def cmd_single_spin(args) -> int:
         d = gardiner_rhs(SpinMoments(*y), params)
         return np.array([d.mean_x, d.mean_y, d.mean_z])
 
-    cfg = IntegratorConfig(method="rk45", rtol=args.rtol, atol=1e-14)
+    cfg = IntegratorConfig(rtol=args.rtol, atol=1e-14)
     result = integrate(rhs, y0, (0.0, args.t_final), cfg)
     rows = [(t,) + tuple(state) for t, state in zip(result.times, result.states)]
     dataset = FigureDataset("single-spin", ["t", "mean_x", "mean_y", "mean_z"],
@@ -192,7 +173,7 @@ def cmd_oscillator(args) -> int:
         m = OscillatorMoments(*y)
         return np.array(oscillator_mean_rhs(m, params) + oscillator_cov_rhs(m, params))
 
-    cfg = IntegratorConfig(method="rk45", rtol=args.rtol, atol=1e-14)
+    cfg = IntegratorConfig(rtol=args.rtol, atol=1e-14)
     result = integrate(rhs, y0, (0.0, args.t_final), cfg)
     rows = [(t,) + tuple(state) for t, state in zip(result.times, result.states)]
     dataset = FigureDataset("oscillator",
@@ -208,12 +189,12 @@ def cmd_steady_state(args) -> int:
     n_list = _spins_list(args.spins)
     if len(n_list) != 1:
         raise ConfigError("steady-state expects a single --spins value")
-    scenario = Scenario("collective", params, n=n_list[0])
-    scenario.check_limits()
-    ops = build_collective_ops(DickeSpace(scenario.n))
+    n = n_list[0]
+    check_dim(n + 1)
+    ops = build_collective_ops(DickeSpace(n))
     rho = steady_state(spin_liouvillian(ops, params))
     payload = {
-        "n": scenario.n,
+        "n": n,
         "squeezing_nbar": params.nbar,
         "squeezing_m": params.m_corr,
         "mean_x": float(np.trace(ops.sx @ rho).real),
@@ -221,23 +202,13 @@ def cmd_steady_state(args) -> int:
         "mean_z": float(np.trace(ops.sz @ rho).real),
         "purity": float(np.trace(rho @ rho).real),
     }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     report = verify(scope=args.scope, seed=args.seed)
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK if report["passed"] else EXIT_VERIFY
 
 

@@ -24,6 +24,7 @@ from .spin_algebra import (BlochAngles, DickeSpace, QuantumState, build_collecti
 __all__ = [
     "FigureDataset",
     "max_hilbert_dim",
+    "check_dim",
     "fig3a_vector_field",
     "fig3b_ellipses",
     "fig4a_rates",
@@ -38,7 +39,8 @@ def max_hilbert_dim() -> int:
     return int(os.environ.get("SQUEEZELAX_MAX_DIM", "512"))
 
 
-def _check_dim(dim: int):
+def check_dim(dim: int):
+    """Refuse a Hilbert dimension above max_hilbert_dim() with a ValueError."""
     cap = max_hilbert_dim()
     if dim > cap:
         raise ValueError(f"Hilbert dimension {dim} exceeds the cap {cap} "
@@ -86,11 +88,6 @@ class FigureDataset:
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
-    def write(self, path: str, fmt: str = "csv"):
-        text = self.to_csv() if fmt == "csv" else self.to_json()
-        with open(path, "w") as handle:
-            handle.write(text)
-
 
 def _base_metadata(params: SqueezingParams, **extra) -> dict:
     meta = {
@@ -122,7 +119,7 @@ def fig3a_vector_field(n_list, nbar: float, theta_grid, phi_grid,
                "dmean_x", "dmean_y", "rate_x", "rate_y"]
     rows = []
     for n in n_list:
-        _check_dim(n + 1)
+        check_dim(n + 1)
         for theta in theta_grid:
             gx, gy = decay_rates(n, theta, params)
             for phi in phi_grid:
@@ -177,7 +174,7 @@ def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid,
     tasks = [(n, theta, phi) for n in n_list for theta in theta_list
              for phi in phi_grid]
     for n in n_list:
-        _check_dim(n + 1)
+        check_dim(n + 1)
 
     spaces = {n: DickeSpace(n) for n in set(n_list)}
     all_ops = {n: build_collective_ops(spaces[n]) for n in set(n_list)}
@@ -252,7 +249,7 @@ def fig4b_variance_derivatives(n_values, nbar: float, theta_list,
 
     tasks = [(n, theta) for n in n_values for theta in theta_list]
     for n in n_values:
-        _check_dim(n + 1)
+        check_dim(n + 1)
 
     def run(task):
         n, theta = task

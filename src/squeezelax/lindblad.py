@@ -184,7 +184,7 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, t_final: float,
     def rhs(y, _t):
         return liouv.apply(y.reshape(dim, dim)).ravel()
 
-    cfg = IntegratorConfig(method="rk45", dt=min(1e-2 / liouv.params.gamma_p, t_final),
+    cfg = IntegratorConfig(dt=min(1e-2 / liouv.params.gamma_p, t_final),
                            rtol=rtol, atol=atol, record_every=record_every)
     result: IntegrationResult = integrate(rhs, rho0.ravel(), (0.0, t_final), cfg)
     states = result.states.reshape(-1, dim, dim)

@@ -1,9 +1,12 @@
-"""Deterministic ODE integration over flat real or complex state arrays.
+"""Deterministic adaptive ODE integration over flat real or complex state arrays.
 
-Two steppers are provided: a fixed-step classical RK4 and an adaptive
-Dormand-Prince 5(4) pair with an embedded error estimate. Complex states
-are integrated as interleaved real arrays so a single stepping loop serves
-both the real moment systems and vectorized density matrices.
+One stepper: the Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput.
+Appl. Math. 6, 19 (1980); Hairer, Norsett & Wanner, Solving ODEs I, II.5).
+Its last stage is the derivative at the step's 5th-order endpoint, so on an
+accepted step it is reused as the next step's first stage (first same as
+last) and every attempted step costs six RHS evaluations. Complex states
+are integrated as interleaved real arrays so one stepping loop serves both
+the real moment systems and vectorized density matrices.
 """
 
 from __future__ import annotations
@@ -12,6 +15,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# Smallest step size before the integrator gives up on a rejected step.
+_DT_MIN = 1e-13
 
 
 class IntegrationError(RuntimeError):
@@ -27,27 +33,19 @@ class IntegrationError(RuntimeError):
 
 @dataclass
 class IntegratorConfig:
-    """Stepper selection and error control.
+    """Initial step size and error control.
 
-    method: "rk4" (fixed step of size dt) or "rk45" (adaptive).
     record_every: keep every k-th accepted step; the endpoint is always kept.
     """
 
-    method: str = "rk45"
     dt: float = 1e-3
     rtol: float = 1e-8
     atol: float = 1e-10
-    dt_min: float = 1e-13
-    dt_max: float = math.inf
     record_every: int = 1
 
     def __post_init__(self):
-        if self.method not in ("rk4", "rk45"):
-            raise ValueError(f"unknown method {self.method!r}")
         if self.dt <= 0 or self.rtol <= 0 or self.atol <= 0:
             raise ValueError("dt, rtol and atol must be positive")
-        if self.dt_min > self.dt_max:
-            raise ValueError("dt_min must not exceed dt_max")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -59,26 +57,23 @@ class IntegrationResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-# Dormand-Prince 5(4) tableau. The propagated solution is 5th order; the
-# difference to the embedded 4th order solution estimates the local error.
+# Dormand-Prince 5(4) tableau. Row i of _DP_A weights the stages that enter
+# stage i; the last row equals the 5th-order weights, which is what makes the
+# last stage the derivative at the propagated solution. _DP_E holds the
+# 5th-minus-4th-order weights, so h * (_DP_E @ k) is the local error estimate.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
-
-
-def _check_finite(dy, t, dt):
-    if not np.all(np.isfinite(dy)):
-        raise IntegrationError("non-finite derivative returned by RHS", t=t, dt=dt)
+])
+_DP_B5 = _DP_A[6]
+_DP_E = np.append(_DP_B5, 0.0) - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+                                           -92097 / 339200, 187 / 2100, 1 / 40])
 
 
 def integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None) -> IntegrationResult:
@@ -91,91 +86,59 @@ def integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None) -> Integrati
     y0 = np.asarray(y0)
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state contains non-finite values")
-
-    if np.iscomplexobj(y0):
-        yr0 = np.ascontiguousarray(y0, dtype=complex).view(np.float64)
-
-        def real_rhs(y, t):
-            return np.asarray(rhs(y.view(complex), t), dtype=complex).view(np.float64)
-
-        result = integrate(real_rhs, yr0, t_span, cfg)
-        return IntegrationResult(
-            times=result.times,
-            states=np.ascontiguousarray(result.states).view(complex),
-            diagnostics=result.diagnostics,
-        )
-
-    y0 = y0.astype(np.float64)
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must satisfy t1 > t0")
 
-    if cfg.method == "rk4":
-        return _integrate_rk4(rhs, y0, t0, t1, cfg)
-    return _integrate_rk45(rhs, y0, t0, t1, cfg)
+    is_complex = np.iscomplexobj(y0)
+    if is_complex:
+        y0 = np.ascontiguousarray(y0, dtype=complex).view(np.float64)
 
+        def f(y, t):
+            return np.asarray(rhs(y.view(complex), t), dtype=complex).view(np.float64)
+    else:
+        y0 = y0.astype(np.float64)
+        f = rhs
 
-def _integrate_rk4(rhs, y0, t0, t1, cfg):
-    n_steps = max(1, math.ceil((t1 - t0) / cfg.dt - 1e-12))
+    t, y = t0, y0
+    h = min(cfg.dt, t1 - t0)
     times = [t0]
-    states = [y0.copy()]
-    t, y = t0, y0.copy()
-    evals = 0
-    for step in range(n_steps):
-        h = min(cfg.dt, t1 - t)
-        k1 = np.asarray(rhs(y, t))
-        k2 = np.asarray(rhs(y + 0.5 * h * k1, t + 0.5 * h))
-        k3 = np.asarray(rhs(y + 0.5 * h * k2, t + 0.5 * h))
-        k4 = np.asarray(rhs(y + h * k3, t + h))
-        evals += 4
-        _check_finite(k4, t, h)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t0 + (step + 1) * cfg.dt if step + 1 < n_steps else t1
-        if (step + 1) % cfg.record_every == 0 or step + 1 == n_steps:
-            times.append(t)
-            states.append(y.copy())
-    diagnostics = {"accepted": n_steps, "rejected": 0, "rhs_evals": evals}
-    return IntegrationResult(np.array(times), np.array(states), diagnostics)
-
-
-def _integrate_rk45(rhs, y0, t0, t1, cfg):
-    t, y = t0, y0.copy()
-    h = min(cfg.dt, t1 - t0, cfg.dt_max)
-    times = [t0]
-    states = [y0.copy()]
-    accepted = rejected = evals = 0
-    k = [None] * 7
+    states = [y0]
+    accepted = rejected = 0
+    k = np.empty((7, y0.size))
+    k[0] = f(y, t)
     while t < t1:
         h = min(h, t1 - t)
-        k[0] = np.asarray(rhs(y, t))
-        for i in range(1, 7):
-            yi = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
-            k[i] = np.asarray(rhs(yi, t + _DP_C[i] * h))
-        evals += 7
-        _check_finite(k[6], t, h)
+        for i in range(1, 6):
+            k[i] = f(y + h * (_DP_A[i, :i] @ k[:i]), t + _DP_C[i] * h)
+        y5 = y + h * (_DP_B5 @ k[:6])
+        k[6] = f(y5, t + h)
+        if not np.all(np.isfinite(k[6])):
+            raise IntegrationError("non-finite derivative returned by RHS", t=t, dt=h)
 
-        y5 = y + h * sum(b * ki for b, ki in zip(_DP_B5, k) if b != 0.0)
-        y4 = y + h * sum(b * ki for b, ki in zip(_DP_B4, k))
         scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = math.sqrt(float(np.mean(((y5 - y4) / scale) ** 2)))
+        err = math.sqrt(float(np.mean((h * (_DP_E @ k) / scale) ** 2)))
 
         if err <= 1.0:
             t = t + h
             y = y5
+            k[0] = k[6]
             accepted += 1
             if accepted % cfg.record_every == 0 or t >= t1:
                 times.append(t)
-                states.append(y.copy())
+                states.append(y)
         else:
             rejected += 1
 
         factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
         h = h * min(5.0, max(0.2, factor))
-        h = min(h, cfg.dt_max)
-        if h < cfg.dt_min:
+        if h < _DT_MIN:
             if err > 1.0:
                 raise IntegrationError("step size underflow", t=t, dt=h)
-            h = cfg.dt_min
+            h = _DT_MIN
 
-    diagnostics = {"accepted": accepted, "rejected": rejected, "rhs_evals": evals}
-    return IntegrationResult(np.array(times), np.array(states), diagnostics)
+    states = np.array(states)
+    diagnostics = {"accepted": accepted, "rejected": rejected,
+                   "rhs_evals": 1 + 6 * (accepted + rejected)}
+    return IntegrationResult(np.array(times), states.view(complex) if is_complex else states,
+                             diagnostics)

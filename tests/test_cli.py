@@ -28,6 +28,11 @@ class TestExitCodes:
                      "--phi", "0.0"]) == EXIT_CONFIG
         capsys.readouterr()
 
+    def test_steady_state_dimension_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("SQUEEZELAX_MAX_DIM", "8")
+        assert main(["steady-state", "--spins", "20"]) == EXIT_CONFIG
+        assert "exceeds the cap 8" in capsys.readouterr().err
+
     def test_degenerate_steady_state_is_solver_failure(self, capsys):
         # at nbar = 1e6 the SVD null-space test finds two null vectors
         assert main(["steady-state", "--spins", "1",
