@@ -142,6 +142,16 @@ def cmd_fig4b(args) -> int:
     return EXIT_OK
 
 
+def _emit_trajectory(figure: str, columns: list[str], rhs, y0, metadata: dict,
+                     args) -> int:
+    """Integrate a moment system from t = 0 to --t-final and emit one row per record."""
+    result = integrate(rhs, y0, (0.0, args.t_final),
+                       IntegratorConfig(rtol=args.rtol, atol=1e-14))
+    rows = [(t,) + tuple(state) for t, state in zip(result.times, result.states)]
+    _emit(FigureDataset(figure, ["t"] + columns, rows, metadata), args)
+    return EXIT_OK
+
+
 def cmd_single_spin(args) -> int:
     params = _squeezing(args)
     theta = _parse_floats(args.theta)[0] * math.pi
@@ -153,15 +163,9 @@ def cmd_single_spin(args) -> int:
         d = gardiner_rhs(SpinMoments(*y), params)
         return np.array([d.mean_x, d.mean_y, d.mean_z])
 
-    cfg = IntegratorConfig(rtol=args.rtol, atol=1e-14)
-    result = integrate(rhs, y0, (0.0, args.t_final), cfg)
-    rows = [(t,) + tuple(state) for t, state in zip(result.times, result.states)]
-    dataset = FigureDataset("single-spin", ["t", "mean_x", "mean_y", "mean_z"],
-                            rows, {"squeezing_nbar": params.nbar,
-                                   "squeezing_m": params.m_corr,
-                                   "theta": theta, "phi": phi})
-    _emit(dataset, args)
-    return EXIT_OK
+    return _emit_trajectory("single-spin", ["mean_x", "mean_y", "mean_z"], rhs, y0,
+                            {"squeezing_nbar": params.nbar, "squeezing_m": params.m_corr,
+                             "theta": theta, "phi": phi}, args)
 
 
 def cmd_oscillator(args) -> int:
@@ -173,15 +177,9 @@ def cmd_oscillator(args) -> int:
         m = OscillatorMoments(*y)
         return np.array(oscillator_mean_rhs(m, params) + oscillator_cov_rhs(m, params))
 
-    cfg = IntegratorConfig(rtol=args.rtol, atol=1e-14)
-    result = integrate(rhs, y0, (0.0, args.t_final), cfg)
-    rows = [(t,) + tuple(state) for t, state in zip(result.times, result.states)]
-    dataset = FigureDataset("oscillator",
-                            ["t", "mean_x", "mean_y", "var_x", "var_y", "cov_xy"],
-                            rows, {"squeezing_nbar": params.nbar,
-                                   "squeezing_m": params.m_corr, "phi": phi})
-    _emit(dataset, args)
-    return EXIT_OK
+    return _emit_trajectory("oscillator", ["mean_x", "mean_y", "var_x", "var_y", "cov_xy"],
+                            rhs, y0, {"squeezing_nbar": params.nbar,
+                                      "squeezing_m": params.m_corr, "phi": phi}, args)
 
 
 def cmd_steady_state(args) -> int:

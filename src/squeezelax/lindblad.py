@@ -170,7 +170,10 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, t_final: float,
 
     The density matrix is vectorized and stepped with the adaptive RK45
     engine; no trace renormalization is applied, so trace drift stays a
-    genuine global-error witness in the diagnostics.
+    genuine global-error witness in the diagnostics. The trace, hermiticity
+    and eigenvalue witnesses are taken on the recorded states only: the
+    initial state, every record_every-th accepted step and the endpoint
+    (with a huge record_every, just t = 0 and t_final).
     """
     if isinstance(rho0, QuantumState):
         rho0 = rho0.density()
@@ -193,17 +196,20 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, t_final: float,
     return Trajectory(times=result.times, states=states, diagnostics=diagnostics)
 
 
-def steady_state(liouv: Liouvillian, null_tol: float = 1e-10,
-                 residual_tol: float = 1e-10) -> np.ndarray:
+def steady_state(liouv: Liouvillian) -> np.ndarray:
     """Unique stationary density matrix via the superoperator null space.
 
-    Raises DegenerateSteadyStateError if more than one singular value falls
-    below null_tol (relative to the largest); degeneracy is reported, never
-    silently resolved.
+    Both thresholds come from the superoperator, with s0 its largest
+    singular value and eps the float64 machine epsilon: a singular value
+    is null at or below numpy's rank tolerance s0 * dim^2 * eps, and the
+    steady state must satisfy max |L rho| <= max(1e-10, dim * eps * s0).
+    Raises DegenerateSteadyStateError unless exactly one singular value is
+    null; degeneracy is reported, never silently resolved.
     """
     sup = liouv.superoperator()
     _u, s, vh = np.linalg.svd(sup)
-    null_count = int(np.sum(s < null_tol * s[0]))
+    eps = np.finfo(float).eps
+    null_count = int(np.sum(s <= s[0] * sup.shape[0] * eps))
     if null_count == 0:
         raise DegenerateSteadyStateError(
             f"no null vector found (smallest singular value {s[-1]:.3e})")
@@ -218,6 +224,7 @@ def steady_state(liouv: Liouvillian, null_tol: float = 1e-10,
         raise DegenerateSteadyStateError("null vector is traceless, not a state")
     rho = rho / trace
     residual = float(np.max(np.abs(liouv.apply(rho))))
+    residual_tol = max(1e-10, dim * eps * s[0])
     if residual > residual_tol:
         raise DegenerateSteadyStateError(
             f"steady-state residual {residual:.3e} exceeds {residual_tol:.1e}")
@@ -250,7 +257,10 @@ def oscillator_oracle(params: SqueezingParams, t_final: float,
     """Master-equation trajectory for the oscillator limit (d = a).
 
     Starts from a (possibly displaced) vacuum and doubles the Fock cutoff
-    until the top-level population stays below top_pop_tol throughout.
+    until the top-level population stays below top_pop_tol on every
+    recorded state. Like ``evolve``'s witnesses, that population is read
+    only at the recorded times, so with a huge record_every it is checked
+    at t = 0 and t_final alone.
     """
     cut = cutoff if cutoff is not None else default_oscillator_cutoff(params)
     while True:

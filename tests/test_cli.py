@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from squeezelax import cli
+from squeezelax import cli, verification
 from squeezelax.cli import (EXIT_CONFIG, EXIT_INTEGRATOR, EXIT_OK, EXIT_VERIFY,
                             main)
+from squeezelax.lindblad import DegenerateSteadyStateError
 
 
 class TestExitCodes:
@@ -33,10 +34,12 @@ class TestExitCodes:
         assert main(["steady-state", "--spins", "20"]) == EXIT_CONFIG
         assert "exceeds the cap 8" in capsys.readouterr().err
 
-    def test_degenerate_steady_state_is_solver_failure(self, capsys):
-        # at nbar = 1e6 the SVD null-space test finds two null vectors
-        assert main(["steady-state", "--spins", "1",
-                     "--squeezing-n", "1e6"]) == EXIT_INTEGRATOR
+    def test_degenerate_steady_state_is_solver_failure(self, capsys, monkeypatch):
+        def degenerate(_liouv):
+            raise DegenerateSteadyStateError("steady state is degenerate: 2 null vectors")
+
+        monkeypatch.setattr(cli, "steady_state", degenerate)
+        assert main(["steady-state", "--spins", "1"]) == EXIT_INTEGRATOR
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_linalg_error_is_solver_failure(self, capsys, monkeypatch):
@@ -136,6 +139,14 @@ class TestScenarioCommands:
         payload = json.loads(out.read_text())
         assert payload["mean_z"] == pytest.approx(-0.5, abs=1e-9)
 
+    def test_steady_state_with_a_slow_squeezed_mode(self, tmp_path):
+        # the squeezed transverse rate is 6e-14 of the largest singular value
+        out = tmp_path / "ss.json"
+        assert main(["steady-state", "--spins", "1", "--squeezing-n", "1e6",
+                     "--out", str(out)]) == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["mean_z"] == pytest.approx(-1.0 / (2e6 + 1), abs=2e-15)
+
     def test_pair_steady_state_is_pure(self, tmp_path):
         out = tmp_path / "ss2.json"
         assert main(["steady-state", "--spins", "2", "--squeezing-n", "2.0",
@@ -151,9 +162,22 @@ class TestVerifyCommand:
         report = json.loads(out.read_text())
         assert report["passed"] is True
         assert all(check["passed"] for check in report["checks"])
+        assert all(check["wall_s"] >= 0.0 for check in report["checks"])
         assert report["max_positivity_violation"] < 1e-7
 
     def test_module_scope(self, capsys):
         assert main(["verify", "--scope", "moments"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["scope"] == "moments"
+
+    def test_scopes_filter_the_check_table(self, monkeypatch):
+        names = [check.name for check in verification.CHECKS]
+        assert len(set(names)) == len(names)
+        assert set(verification.SCOPES) == {"all"} | {name.split("/")[0] for name in names}
+        stub = tuple(verification.Check(check.name, check.tolerance, lambda rng: 0.0)
+                     for check in verification.CHECKS)
+        monkeypatch.setattr(verification, "CHECKS", stub)
+        for scope in verification.SCOPES:
+            got = [check["name"] for check in verification.verify(scope)["checks"]]
+            assert got == [name for name in names
+                           if scope == "all" or name.startswith(scope + "/")]

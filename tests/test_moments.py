@@ -13,6 +13,7 @@ from squeezelax.moments import (OscillatorMoments, SpinMoments, SqueezingParams,
 from squeezelax.spin_algebra import (BlochAngles, DickeSpace, QuantumState,
                                      build_collective_ops, expectation,
                                      spin_coherent_state)
+from squeezelax.verification import random_pure
 
 
 class TestSqueezingParams:
@@ -157,8 +158,7 @@ class TestCollectiveCovRhs:
         ops = build_collective_ops(DickeSpace(1))
         p = SqueezingParams.minimal(0.6)
         for _ in range(20):
-            psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-            state = QuantumState.from_vector(psi / np.linalg.norm(psi))
+            state = random_pure(rng, 2)
             dvx, dvy, _ = collective_cov_rhs(state, ops, p)
             mx = expectation(ops.sx, state).real
             my = expectation(ops.sy, state).real

@@ -9,6 +9,7 @@ from squeezelax.spin_algebra import (BlochAngles, DickeSpace, QuantumState,
                                      build_collective_ops, expectation,
                                      hpa_residual, spin_coherent_state,
                                      sym_covariance, third_moment)
+from squeezelax.verification import random_pure
 
 
 def basis_state(dim: int, k: int) -> QuantumState:
@@ -154,8 +155,7 @@ class TestSymCovariance:
     def test_variance_nonnegative(self, n, seed):
         rng = np.random.default_rng(seed)
         dim = n + 1
-        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        state = QuantumState.from_vector(psi / np.linalg.norm(psi))
+        state = random_pure(rng, dim)
         h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         h = h + h.conj().T
         assert sym_covariance(h, h, state) >= -1e-10
@@ -199,8 +199,7 @@ class TestThirdMoment:
     def test_symmetric_in_last_two_arguments(self, n, seed):
         rng = np.random.default_rng(seed)
         dim = n + 1
-        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        state = QuantumState.from_vector(psi / np.linalg.norm(psi))
+        state = random_pure(rng, dim)
         ops = build_collective_ops(DickeSpace(n))
         forward = third_moment(ops.sx, ops.sy, ops.sz, state)
         swapped = third_moment(ops.sx, ops.sz, ops.sy, state)
