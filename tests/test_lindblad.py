@@ -8,9 +8,11 @@ from squeezelax.lindblad import (CutoffError, DegenerateSteadyStateError,
                                  evolve, oscillator_liouvillian,
                                  oscillator_oracle, spin_liouvillian,
                                  steady_state)
-from squeezelax.moments import SqueezingParams, SpinMoments, gardiner_rhs
-from squeezelax.spin_algebra import (BlochAngles, DickeSpace,
-                                     build_collective_ops, spin_coherent_state)
+from squeezelax.moments import (SqueezingParams, SpinMoments, collective_cov_rhs,
+                                collective_mean_rhs, gardiner_rhs)
+from squeezelax.spin_algebra import (BlochAngles, DickeSpace, QuantumState,
+                                     build_collective_ops, spin_coherent_state,
+                                     sym_covariance)
 from squeezelax.verification import fit_decay_rate, random_pure
 
 
@@ -80,6 +82,37 @@ class TestLiouvillianApply:
         assert np.max(np.abs(out - out.conj().T)) < 1e-12 * np.max(np.abs(out))
         assert abs(np.trace(out)) < 1e-12 * 7
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_mean_and_cov_rhs_equivalence(self, n):
+        rng = np.random.default_rng(100 + n)
+        space = DickeSpace(n)
+        ops = build_collective_ops(space)
+        p = SqueezingParams.minimal(0.4)
+        liouv = spin_liouvillian(ops, p)
+        for _ in range(20):
+            state = random_pure(rng, space.dim)
+            rho = state.density()
+            ldot = liouv.apply(rho)
+            dx, dy, dz = collective_mean_rhs(state, ops, p)
+            assert np.trace(ops.sx @ ldot).real == pytest.approx(dx, abs=1e-10)
+            assert np.trace(ops.sy @ ldot).real == pytest.approx(dy, abs=1e-10)
+            assert np.trace(ops.sz @ ldot).real == pytest.approx(dz, abs=1e-10)
+
+            means = {op: np.trace(m @ rho).real for op, m in
+                     (("x", ops.sx), ("y", ops.sy))}
+            dmeans = {op: np.trace(m @ ldot).real for op, m in
+                      (("x", ops.sx), ("y", ops.sy))}
+            sxy = 0.5 * (ops.sx @ ops.sy + ops.sy @ ops.sx)
+            oracle = (
+                np.trace(ops.sx @ ops.sx @ ldot).real - 2 * means["x"] * dmeans["x"],
+                np.trace(ops.sy @ ops.sy @ ldot).real - 2 * means["y"] * dmeans["y"],
+                np.trace(sxy @ ldot).real
+                - means["x"] * dmeans["y"] - means["y"] * dmeans["x"],
+            )
+            got = collective_cov_rhs(state, ops, p)
+            for a, b in zip(oracle, got):
+                assert a == pytest.approx(b, abs=1e-9)
+
     @pytest.mark.parametrize("kind, size", [("spins", 1), ("spins", 6), ("oscillator", 20)])
     @pytest.mark.parametrize("bath", BATHS)
     def test_normal_form_matches_four_channel_form(self, kind, size, bath):
@@ -135,6 +168,36 @@ class TestEvolve:
         assert np.array_equal(final, traj.states[-1])
         assert not np.shares_memory(final, traj.states)
 
+    def test_trajectory_sanity_diagnostics(self):
+        space = DickeSpace(8)
+        ops = build_collective_ops(space)
+        liouv = spin_liouvillian(ops, SqueezingParams.minimal(0.5))
+        state = spin_coherent_state(space, BlochAngles(0.75 * math.pi, 0.6))
+        traj = evolve(liouv, state, 2.0, record_every=10)
+        assert traj.diagnostics["max_trace_drift"] < 1e-8
+        assert traj.diagnostics["max_hermiticity_residual"] < 1e-8
+        assert traj.diagnostics["min_eigenvalue"] > -1e-7
+
+    def test_cov_rhs_consistent_with_trajectory_difference(self):
+        # difference quotient over dt vs the RHS at the step midpoint
+        dt = 1e-5
+        p = SqueezingParams.minimal(0.05)
+        rng = np.random.default_rng(23)
+        for n in (3, 10):
+            space = DickeSpace(n)
+            ops = build_collective_ops(space)
+            liouv = spin_liouvillian(ops, p)
+            state = random_pure(rng, space.dim)
+            traj = evolve(liouv, state, dt, rtol=1e-12, atol=1e-14,
+                          record_every=10 ** 9)
+            half = evolve(liouv, state, dt / 2, rtol=1e-12, atol=1e-14,
+                          record_every=10 ** 9)
+            fd = (sym_covariance(ops.sx, ops.sx, QuantumState(traj.final_state, "matrix"))
+                  - sym_covariance(ops.sx, ops.sx, state)) / dt
+            mid = QuantumState(half.final_state, "matrix")
+            dvx_mid, _, _ = collective_cov_rhs(mid, ops, p)
+            assert fd == pytest.approx(dvx_mid, abs=1e-3)
+
     def test_rejects_bad_inputs(self):
         ops = build_collective_ops(DickeSpace(2))
         liouv = spin_liouvillian(ops, SqueezingParams(0.0, 0.0))
@@ -145,6 +208,23 @@ class TestEvolve:
 
 
 class TestSteadyState:
+    @pytest.mark.parametrize("nbar", [0.0, 0.5, 5.0])
+    def test_single_spin_inversion_and_unit_variances(self, nbar):
+        p = SqueezingParams.minimal(nbar)
+        ops = build_collective_ops(DickeSpace(1))
+        rho = steady_state(spin_liouvillian(ops, p))
+        state = QuantumState.from_matrix(rho)
+        assert np.trace(ops.sz @ rho).real == pytest.approx(-1.0 / (2 * nbar + 1),
+                                                            abs=1e-9)
+        assert sym_covariance(ops.sx, ops.sx, state) == pytest.approx(1.0, abs=1e-9)
+        assert sym_covariance(ops.sy, ops.sy, state) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("nbar", [0.5, 2.0])
+    def test_pure_pair_steady_state(self, nbar):
+        ops = build_collective_ops(DickeSpace(2))
+        rho = steady_state(spin_liouvillian(ops, SqueezingParams.minimal(nbar)))
+        assert np.trace(rho @ rho).real >= 1.0 - 1e-6
+
     def test_vacuum_ground_state(self):
         ops = build_collective_ops(DickeSpace(4))
         rho = steady_state(spin_liouvillian(ops, SqueezingParams(0.0, 0.0)))
@@ -173,6 +253,18 @@ class TestOscillatorOracle:
         a = annihilation_operator(8)
         x = a + a.conj().T
         assert traj.sym_covariances(x, x)[-1] == pytest.approx(1.0, abs=1e-9)
+
+    def test_mean_decay_rate_independent_of_squeezing(self):
+        # cutoff well above the default so truncation stays below the tolerance
+        rates = []
+        for p in (SqueezingParams(1.0, 0.0), SqueezingParams.minimal(1.0)):
+            traj = oscillator_oracle(p, 2.0, alpha=1.0, cutoff=80,
+                                     rtol=1e-11, atol=1e-13)
+            cut = traj.states.shape[1]
+            a = annihilation_operator(cut)
+            rates.append(fit_decay_rate(traj.times, traj.expectations(a + a.conj().T)))
+        assert rates[0] == pytest.approx(0.5, abs=1e-8)
+        assert rates[0] == pytest.approx(rates[1], abs=1e-8)
 
     def test_insufficient_cutoff_reported(self):
         with pytest.raises(CutoffError):
