@@ -21,11 +21,25 @@ form that ``Liouvillian`` evaluates,
     K = (nbar+1) d+ d + nbar d d+ - m (d+ d+ + d d).
 
 ``dissipator`` keeps the four-channel form as an independent reference.
+
+Parity sectors. When ``op`` is parity-odd (op[i, k] = 0 whenever i - k is
+even; S- in the Dicke basis and the truncated ``a`` have only a
+superdiagonal, so they are), d, d+, P and Q flip the parity of a basis
+index and K keeps it. Each term of the generator then moves the coherence
+rho[i, j] only to coherences of the same parity of i - j, so the dim^2 x
+dim^2 superoperator splits exactly into an even-(i - j) and an odd-(i - j)
+block with nothing between them. ``sectors`` lists them and
+``sector_superoperator`` builds one block directly from op, d+, P, Q and K,
+without the full superoperator; an op that is not parity-odd gets a single
+sector holding every coherence.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +63,8 @@ __all__ = [
     "default_oscillator_cutoff",
 ]
 
+logger = logging.getLogger(__name__)
+
 
 class DegenerateSteadyStateError(RuntimeError):
     """The generator has more than one (numerical) null vector."""
@@ -56,6 +72,14 @@ class DegenerateSteadyStateError(RuntimeError):
 
 class CutoffError(RuntimeError):
     """Fock-space truncation too small: population reached the top level."""
+
+
+def _check_memory(nbytes: int, what: str):
+    """Refuse, before allocating, work that needs more bytes than physical memory."""
+    total = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > total:
+        raise ValueError(f"{what} needs about {nbytes / 2 ** 30:.3g} GiB, more than "
+                         f"the {total / 2 ** 30:.3g} GiB of physical memory")
 
 
 def dissipator(u: np.ndarray, v: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -100,14 +124,61 @@ class Liouvillian:
                                       - 0.5 * (k @ rho + rho @ k))
 
     def superoperator(self) -> np.ndarray:
-        """Dense dim^2 x dim^2 matrix acting on row-major vectorized rho."""
+        """Dense dim^2 x dim^2 matrix acting on row-major vectorized rho.
+
+        Raises ValueError before allocating when its 16 dim^4 bytes exceed
+        physical memory.
+        """
         if self._super is None:
+            _check_memory(16 * self.dim ** 4, f"the dense superoperator at dim {self.dim}")
             eye = np.eye(self.dim)
             k = self._k
             self._super = self.params.gamma_p * (
                 np.kron(self.op, self._p.T) + np.kron(self._dag, self._q.T)
                 - 0.5 * (np.kron(k, eye) + np.kron(eye, k.T)))
         return self._super
+
+    def sectors(self) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+        """The invariant coherence sectors, each a list of (rows, cols) tiles.
+
+        A sector holds rho[rows][:, cols] of each tile, flattened row-major,
+        tile after tile. A parity-odd op on two or more levels gives the
+        even and the odd sector of i - j; any other op gives one sector
+        holding every coherence.
+        """
+        levels = np.arange(self.dim)
+        if self.dim < 2 or np.any(self.op[(levels[:, None] - levels) % 2 == 0]):
+            return [[(levels, levels)]]
+        even, odd = levels[::2], levels[1::2]
+        return [[(even, even), (odd, odd)], [(even, odd), (odd, even)]]
+
+    def sector_superoperator(self, tiles: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+        """Block of ``superoperator()`` on one sector, built without the full matrix.
+
+        Uses (A kron B)[(i, j), (k, l)] = A[i, k] B[j, l] on each pair of tiles.
+        """
+        sizes = np.cumsum([0] + [len(r) * len(c) for r, c in tiles])
+        block = np.empty((sizes[-1], sizes[-1]), dtype=complex)
+        k = self._k
+        for t, (rt, ct) in enumerate(tiles):
+            for u, (ru, cu) in enumerate(tiles):
+                rows, cols = np.ix_(rt, ru), np.ix_(cu, ct)
+                # in place, so that at most two tile-sized temporaries live at
+                # once, in the order of superoperator()'s expression
+                tile = block[sizes[t]:sizes[t + 1], sizes[u]:sizes[u + 1]]
+                tile[...] = np.kron(self.op[rows], self._p[cols].T)
+                tile += np.kron(self._dag[rows], self._q[cols].T)
+                anti = np.kron(k[rows], ct[:, None] == cu)
+                anti += np.kron(rt[:, None] == ru, k[cols].T)
+                anti *= 0.5
+                tile -= anti
+        block *= self.params.gamma_p
+        return block
+
+
+def _flat_index(tiles: list[tuple[np.ndarray, np.ndarray]], dim: int) -> np.ndarray:
+    """Row-major positions in rho of a sector's coherences, in sector order."""
+    return np.concatenate([(r[:, None] * dim + c).ravel() for r, c in tiles])
 
 
 def spin_liouvillian(ops: CollectiveOps, params: SqueezingParams) -> Liouvillian:
@@ -196,35 +267,94 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, t_final: float,
     return Trajectory(times=result.times, states=states, diagnostics=diagnostics)
 
 
-def steady_state(liouv: Liouvillian) -> np.ndarray:
-    """Unique stationary density matrix via the superoperator null space.
+def _solve_sector(liouv: Liouvillian, tiles: list[tuple[np.ndarray, np.ndarray]],
+                  rng) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Stationary coherences of one sector from one LU solve, with a degeneracy test.
 
-    Both thresholds come from the superoperator, with s0 its largest
-    singular value and eps the float64 machine epsilon: a singular value
-    is null at or below numpy's rank tolerance s0 * dim^2 * eps, and the
-    steady state must satisfy max |L rho| <= max(1e-10, dim * eps * s0).
-    Raises DegenerateSteadyStateError unless exactly one singular value is
-    null; degeneracy is reported, never silently resolved.
+    The block is solved for a zero right-hand side, except that in the
+    sector holding the diagonal one population row is replaced by
+    Tr rho = 1 (the generator preserves the trace, so that row is a
+    combination of the others). One random right-hand side b is solved with
+    it; since |x_b| <= |b| / sigma_min, sigma = |b| / |x_b| estimates
+    sigma_min from above. Returns the positions of the coherences in the
+    flattened rho, their values, sigma and s0 = sqrt(|B|_1 |B|_inf), a bound
+    on the largest singular value. Raises DegenerateSteadyStateError when an
+    LU pivot is zero or sigma is at or below numpy's rank tolerance
+    s0 * N * eps for a block of size N.
     """
-    sup = liouv.superoperator()
-    _u, s, vh = np.linalg.svd(sup)
-    eps = np.finfo(float).eps
-    null_count = int(np.sum(s <= s[0] * sup.shape[0] * eps))
-    if null_count == 0:
-        raise DegenerateSteadyStateError(
-            f"no null vector found (smallest singular value {s[-1]:.3e})")
-    if null_count > 1:
-        raise DegenerateSteadyStateError(
-            f"steady state is degenerate: {null_count} null vectors")
     dim = liouv.dim
-    rho = vh[-1].conj().reshape(dim, dim)
+    index = _flat_index(tiles, dim)
+    size = len(index)
+    block = liouv.sector_superoperator(tiles)
+    rhs = np.zeros(size, dtype=complex)
+    diagonal = np.flatnonzero(index // dim == index % dim)
+    if len(diagonal):
+        block[diagonal[0]] = 0.0
+        block[diagonal[0], diagonal] = 1.0
+        rhs[diagonal[0]] = 1.0
+    magnitude = np.abs(block)
+    s0 = math.sqrt(magnitude.sum(axis=0).max() * magnitude.sum(axis=1).max())
+    del magnitude  # freed before the solver copies the block
+    b = rng.normal(size=size) + 1j * rng.normal(size=size)
+    try:
+        x = np.linalg.solve(block, np.column_stack([rhs, b]))
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateSteadyStateError(f"steady state is degenerate: {exc}") from exc
+    sigma = float(np.linalg.norm(b) / np.linalg.norm(x[:, 1]))
+    tol = s0 * size * np.finfo(float).eps
+    if not sigma > tol:
+        raise DegenerateSteadyStateError(
+            f"steady state is degenerate: a sector of {size} coherences has smallest "
+            f"singular value about {sigma:.3e}, at or below {tol:.3e}")
+    return index, x[:, 0], sigma, s0
+
+
+def steady_state(liouv: Liouvillian) -> np.ndarray:
+    """Unique stationary density matrix from one LU solve per coherence sector.
+
+    The sector holding the diagonal is solved with Tr rho = 1 in place of
+    one population row; every other sector must be nonsingular, so the
+    stationary state has none of its coherences. The full superoperator is
+    never built: with parity sectors the cost is two LU factorizations of
+    size about dim^2 / 2, O(dim^6 / 4), against one of size dim^2
+    otherwise.
+
+    Thresholds, for each solved block B of size N, with s0 =
+    sqrt(|B|_1 |B|_inf) >= its largest singular value and eps the float64
+    machine epsilon: the smallest singular value, estimated from one extra
+    solve with a fixed-seed random right-hand side, must exceed numpy's
+    rank tolerance s0 * N * eps, and the state must satisfy
+    max |L rho| <= max(1e-10, dim * eps * s0) with s0 the largest over the
+    blocks. Raises DegenerateSteadyStateError otherwise, or when an LU
+    pivot is exactly zero; degeneracy is reported, never silently resolved.
+
+    Raises ValueError before allocating when the memory estimate exceeds
+    physical memory: 16 bytes per entry of the largest block plus, at one
+    time, either the solver's copy of it or two tile-pair temporaries of
+    the build; about 8 dim^4 bytes with parity sectors.
+    """
+    start = time.perf_counter()
+    dim = liouv.dim
+    sectors = liouv.sectors()
+    block_max = max(sum(len(r) * len(c) for r, c in tiles) for tiles in sectors) ** 2
+    tile_max = max(len(r) * len(c) for tiles in sectors for r, c in tiles) ** 2
+    _check_memory(16 * (block_max + max(block_max, 2 * tile_max)),
+                  f"the steady-state solve at dim {dim}")
+    rng = np.random.default_rng(0)
+    rho = np.zeros(dim * dim, dtype=complex)
+    s0_max, conditioning = 0.0, []
+    for tiles in sectors:
+        index, x, sigma, s0 = _solve_sector(liouv, tiles, rng)
+        rho[index] = x
+        s0_max = max(s0_max, s0)
+        conditioning.append(f"{len(index)}:{sigma / s0:.3e}")
+    rho = rho.reshape(dim, dim)
     rho = 0.5 * (rho + rho.conj().T)
-    trace = np.trace(rho).real
-    if abs(trace) < 1e-14:
-        raise DegenerateSteadyStateError("null vector is traceless, not a state")
-    rho = rho / trace
     residual = float(np.max(np.abs(liouv.apply(rho))))
-    residual_tol = max(1e-10, dim * eps * s[0])
+    residual_tol = max(1e-10, dim * np.finfo(float).eps * s0_max)
+    logger.debug("steady_state dim=%d sectors (size:sigma_min/s0) %s residual=%.3e "
+                 "(tol %.1e) wall=%.4f s", dim, " ".join(conditioning), residual,
+                 residual_tol, time.perf_counter() - start)
     if residual > residual_tol:
         raise DegenerateSteadyStateError(
             f"steady-state residual {residual:.3e} exceeds {residual_tol:.1e}")

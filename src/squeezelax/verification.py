@@ -34,7 +34,7 @@ from .spin_algebra import (BlochAngles, DickeSpace, QuantumState,
                            spin_coherent_state, sym_covariance)
 
 __all__ = ["Check", "CHECKS", "SCOPES", "run_check", "verify", "random_pure",
-           "fit_decay_rate"]
+           "fit_decay_rate", "dark_state"]
 
 THETA_REFERENCE = (0.55 * math.pi, 0.75 * math.pi, 0.87 * math.pi)
 
@@ -52,6 +52,27 @@ def fit_decay_rate(times, values) -> float:
     """
     vals = np.abs(np.asarray(values))
     return -np.polyfit(times, np.log(vals), 1, w=vals ** 2)[0]
+
+
+def dark_state(n: int, nbar: float) -> np.ndarray:
+    """Pure steady state of n spins (n even) in the minimum-uncertainty bath.
+
+    With M = sqrt(nbar (nbar + 1)) the generator has the single jump
+    operator c = sqrt(nbar + 1) S- - sqrt(nbar) S+, and the steady state is
+    the dark state c|psi> = 0 (Agarwal & Puri, PRA 41, 3782 (1990)). With
+    s_k = sqrt(k (n - k + 1)) the Dicke amplitudes obey
+    sqrt(nbar + 1) s_{j+1} psi_{j+1} = sqrt(nbar) s_j psi_{j-1}, which
+    leaves the odd levels empty, ends consistently only for even n, and
+    costs O(n).
+    """
+    if n < 2 or n % 2:
+        raise ValueError(f"the dark state needs an even spin count >= 2, got {n}")
+    j = np.arange(1, n, 2, dtype=float)
+    s_j, s_next = np.sqrt(j * (n - j + 1)), np.sqrt((j + 1) * (n - j))
+    amps = np.zeros(n + 1)
+    amps[0] = 1.0
+    amps[2::2] = np.cumprod(math.sqrt(nbar / (nbar + 1.0)) * s_j / s_next)
+    return amps / np.linalg.norm(amps)
 
 
 def _d_cov(a: np.ndarray, b: np.ndarray, rho: np.ndarray, drho: np.ndarray) -> float:
@@ -246,6 +267,18 @@ def _single_spin_steady_state(rng) -> float:
     return residual
 
 
+def _dark_state_steady_state(rng) -> float:
+    """1 - <psi|rho|psi> of the dark state against the solved steady state, even n to 20."""
+    residual = 0.0
+    for nbar in (0.5, 2.0):
+        for n in range(2, 21, 2):
+            ops = build_collective_ops(DickeSpace(n))
+            rho = steady_state(spin_liouvillian(ops, SqueezingParams.minimal(nbar)))
+            psi = dark_state(n, nbar)
+            residual = max(residual, abs(1.0 - np.vdot(psi, rho @ psi).real))
+    return residual
+
+
 def _oscillator_equilibrium(rng) -> float:
     """Oscillator quadratures equilibrate with the squeezed input."""
     params = SqueezingParams.minimal(0.5)
@@ -283,6 +316,7 @@ CHECKS = (
     Check("lindblad/hermiticity", 1e-8, _trajectory_witnesses),
     Check("lindblad/positivity", 1e-7, _trajectory_witnesses),
     Check("lindblad/single-spin-steady-state", 1e-9, _single_spin_steady_state),
+    Check("lindblad/dark-state-steady-state", 1e-10, _dark_state_steady_state),
     Check("lindblad/oscillator-equilibrium", 1e-6, _oscillator_equilibrium),
 )
 

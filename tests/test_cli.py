@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +35,20 @@ class TestExitCodes:
         monkeypatch.setenv("SQUEEZELAX_MAX_DIM", "8")
         assert main(["steady-state", "--spins", "20"]) == EXIT_CONFIG
         assert "exceeds the cap 8" in capsys.readouterr().err
+
+    def test_steady_state_memory_guard(self, capsys, monkeypatch):
+        # spins whose sector blocks (about 8 dim^4 bytes) exceed physical memory
+        phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        n = max(400, int((phys / 8) ** 0.25) + 1)
+        monkeypatch.setenv("SQUEEZELAX_MAX_DIM", str(max(1000, n + 1)))
+        tracemalloc.start()
+        try:
+            assert main(["steady-state", "--spins", str(n)]) == EXIT_CONFIG
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "physical memory" in capsys.readouterr().err
+        assert peak < 8 * (n + 1) ** 4 / 1000  # a thousandth of what was refused
 
     def test_degenerate_steady_state_is_solver_failure(self, capsys, monkeypatch):
         def degenerate(_liouv):

@@ -1,4 +1,7 @@
+import logging
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from squeezelax.moments import (SqueezingParams, SpinMoments, collective_cov_rhs
 from squeezelax.spin_algebra import (BlochAngles, DickeSpace, QuantumState,
                                      build_collective_ops, spin_coherent_state,
                                      sym_covariance)
-from squeezelax.verification import fit_decay_rate, random_pure
+from squeezelax.verification import dark_state, fit_decay_rate, random_pure
 
 
 # vacuum, a mixed (non-minimal) bath and the minimum-uncertainty bath
@@ -139,6 +142,41 @@ class TestLiouvillianApply:
         via_super = (liouv.superoperator() @ rho.ravel()).reshape(5, 5)
         assert np.max(np.abs(via_super - liouv.apply(rho))) < 1e-12
 
+    @pytest.mark.parametrize("kind, size", [("spins", 1), ("spins", 6), ("oscillator", 12)])
+    @pytest.mark.parametrize("bath", BATHS)
+    def test_sector_blocks_match_the_superoperator(self, kind, size, bath):
+        if kind == "oscillator":
+            liouv = oscillator_liouvillian(size, BATHS[bath])
+        else:
+            liouv = spin_liouvillian(build_collective_ops(DickeSpace(size)), BATHS[bath])
+        dim = liouv.dim
+        sup = liouv.superoperator()
+        sectors = liouv.sectors()
+        assert len(sectors) == 2
+        index = [np.concatenate([np.ravel_multi_index(np.ix_(r, c), (dim, dim)).ravel()
+                                 for r, c in tiles]) for tiles in sectors]
+        assert np.array_equal(np.sort(np.concatenate(index)), np.arange(dim * dim))
+        for tiles, idx in zip(sectors, index):
+            assert np.all((idx // dim - idx % dim) % 2 == (idx[0] // dim - idx[0] % dim) % 2)
+            assert np.array_equal(liouv.sector_superoperator(tiles), sup[np.ix_(idx, idx)])
+        assert not np.any(sup[np.ix_(index[0], index[1])])
+        assert not np.any(sup[np.ix_(index[1], index[0])])
+
+    def test_memory_guard_refuses_before_allocating(self):
+        phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        dim = max(401, int((phys / 8) ** 0.25) + 2)
+        liouv = oscillator_liouvillian(dim, SqueezingParams(0.5, 0.0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="physical memory"):
+                liouv.superoperator()
+            with pytest.raises(ValueError, match="physical memory"):
+                steady_state(liouv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * dim ** 4 / 1000  # a thousandth of what was refused
+
 
 class TestEvolve:
     def test_single_spin_exponential_rate(self):
@@ -244,6 +282,79 @@ class TestSteadyState:
         liouv = Liouvillian(op=np.zeros((3, 3)), params=SqueezingParams(0.5, 0.0))
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(liouv)
+
+    def test_two_dark_levels_reported(self):
+        # a zero on the superdiagonal: levels 0 and 2 both decay to nothing
+        liouv = Liouvillian(op=np.diag([1.0, 0.0, 1.0], 1), params=SqueezingParams(0.0, 0.0))
+        assert len(liouv.sectors()) == 2
+        with pytest.raises(DegenerateSteadyStateError):
+            steady_state(liouv)
+
+    def test_degeneracy_in_the_odd_sector_reported(self):
+        # jump operator sigma_x: populations relax to I/2, but sigma_x itself is
+        # stationary, so (I +- sigma_x)/2 are two steady states that differ only
+        # in the odd sector
+        liouv = Liouvillian(op=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                            params=SqueezingParams(0.0, 0.0))
+        assert len(liouv.sectors()) == 2
+        with pytest.raises(DegenerateSteadyStateError):
+            steady_state(liouv)
+
+    def test_rotated_dark_levels_reported(self):
+        # the two dark levels in a random basis: no LU pivot is exactly zero,
+        # so only the smallest-singular-value estimate can see the degeneracy
+        rng = np.random.default_rng(1)
+        u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        liouv = Liouvillian(op=u @ np.diag([1.0, 0.0, 1.0], 1) @ u.conj().T,
+                            params=SqueezingParams(0.0, 0.0))
+        with pytest.raises(DegenerateSteadyStateError, match="smallest singular value"):
+            steady_state(liouv)
+
+    def test_dense_op_uses_one_sector(self):
+        rng = np.random.default_rng(4)
+        op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        liouv = Liouvillian(op=op, params=SqueezingParams(0.7, 0.4))
+        assert len(liouv.sectors()) == 1
+        _u, s, vh = np.linalg.svd(liouv.superoperator())
+        assert s[-1] < 1e-12 * s[0] < s[-2]
+        ref = vh[-1].conj().reshape(4, 4)
+        ref = ref / np.trace(ref)
+        assert np.max(np.abs(steady_state(liouv) - ref)) < 1e-12
+
+    @pytest.mark.parametrize("op", [[[0.0]], [[2.0]]])
+    def test_one_level_system(self, op):
+        liouv = Liouvillian(op=np.array(op), params=SqueezingParams(0.5, 0.0))
+        assert np.array_equal(steady_state(liouv), np.ones((1, 1)))
+
+    def test_dark_state_at_fifty_spins(self):
+        ops = build_collective_ops(DickeSpace(50))
+        rho = steady_state(spin_liouvillian(ops, SqueezingParams.minimal(0.5)))
+        psi = dark_state(50, 0.5)
+        assert np.vdot(psi, rho @ psi).real == pytest.approx(1.0, abs=1e-10)
+
+    def test_dark_state_annihilated_by_the_jump_operator(self):
+        # c = sqrt(nbar+1) S- - sqrt(nbar) S+ on its superdiagonal, never as a matrix
+        n, nbar = 10 ** 4, 0.5
+        psi = dark_state(n, nbar)
+        k = np.arange(1, n + 1)
+        s_k = np.sqrt(k * (n - k + 1.0))  # <k-1|S-|k>
+        c_psi = np.zeros(n + 1)
+        c_psi[:-1] += math.sqrt(nbar + 1.0) * s_k * psi[1:]
+        c_psi[1:] -= math.sqrt(nbar) * s_k * psi[:-1]
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(c_psi)) < 1e-12
+
+    def test_odd_spin_count_has_no_dark_state(self):
+        with pytest.raises(ValueError):
+            dark_state(3, 0.5)
+
+    def test_logs_one_debug_line(self, caplog):
+        ops = build_collective_ops(DickeSpace(4))
+        with caplog.at_level(logging.DEBUG, logger="squeezelax.lindblad"):
+            steady_state(spin_liouvillian(ops, SqueezingParams.minimal(0.3)))
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert "residual" in record.getMessage() and "wall" in record.getMessage()
 
 
 class TestOscillatorOracle:
