@@ -10,7 +10,8 @@ __version__ = "0.1.0"
 
 from .spin_algebra import (BlochAngles, CollectiveOps, DickeSpace, QuantumState,
                            build_collective_ops, expectation, hpa_residual,
-                           spin_coherent_state, sym_covariance, third_moment)
+                           product_expectation, spin_coherent_state,
+                           sym_covariance, third_moment)
 from .moments import (OscillatorMoments, RateDecomposition, SpinMoments,
                       SqueezingParams, collective_cov_rhs, collective_mean_rhs,
                       decay_rates, gardiner_rhs, input_field_variances,

@@ -21,7 +21,7 @@ from .moments import (OscillatorMoments, SpinMoments, SqueezingParams,
                       gardiner_rhs, minimal_m, oscillator_cov_rhs,
                       oscillator_mean_rhs)
 from .ode import IntegrationError, IntegratorConfig, integrate
-from .spin_algebra import DickeSpace, build_collective_ops
+from .spin_algebra import DickeSpace, QuantumState, build_collective_ops, expectation
 from .verification import SCOPES, verify
 
 EXIT_OK = 0
@@ -34,18 +34,11 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_list(text: str, kind=float) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ConfigError(f"cannot parse float list {text!r}") from exc
-
-
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse integer list {text!r}") from exc
+        raise ConfigError(f"cannot parse {kind.__name__} list {text!r}") from exc
 
 
 def _squeezing(args) -> SqueezingParams:
@@ -72,23 +65,33 @@ def _write(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _emit(dataset: FigureDataset, args):
+def _emit(dataset: FigureDataset, args) -> int:
     _write(dataset.to_csv() if args.format == "csv" else dataset.to_json(), args.out)
+    return EXIT_OK
 
 
-def _add_common(parser, default_n: float, default_theta: str):
+def _subcommand(sub, name: str, summary: str, func, default_n: float, theta: str | None = None,
+                phi: bool = True, squeezing_m: bool = False, fmt: bool = True):
+    """A subparser with the bath and output flags that ``func`` reads, and no others."""
+    parser = sub.add_parser(name, help=summary)
+    parser.set_defaults(func=func)
     parser.add_argument("--squeezing-n", type=float, default=default_n,
                         help="mean reservoir photon number")
-    parser.add_argument("--squeezing-m", default="minimal",
-                        help="squeezing correlation, or 'minimal'")
-    parser.add_argument("--theta", default=default_theta,
-                        help="comma-separated polar angles in units of pi")
-    parser.add_argument("--phi", type=float, default=None,
-                        help="azimuthal angle (radians); default is a grid")
+    if squeezing_m:
+        parser.add_argument("--squeezing-m", default="minimal",
+                            help="squeezing correlation, or 'minimal'")
+    if theta is not None:
+        parser.add_argument("--theta", default=theta,
+                            help="comma-separated polar angles in units of pi")
+    if phi:
+        parser.add_argument("--phi", type=float, default=None,
+                            help="azimuthal angle (radians); default is a grid")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    if fmt:
+        parser.add_argument("--format", choices=("csv", "json"), default="csv")
     # deprecated no-op, accepted so that existing scripts keep running
     parser.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
+    return parser
 
 
 def _phi_grid(args, points: int) -> list[float]:
@@ -98,7 +101,7 @@ def _phi_grid(args, points: int) -> list[float]:
 
 
 def _spins_list(text: str, expand_single: bool = False) -> list[int]:
-    values = _parse_ints(text)
+    values = _parse_list(text, int)
     if not values or any(v < 1 for v in values):
         raise ConfigError("--spins must be positive integers")
     if expand_single and len(values) == 1:
@@ -108,38 +111,31 @@ def _spins_list(text: str, expand_single: bool = False) -> list[int]:
 
 def cmd_fig3a(args) -> int:
     n_list = _spins_list(args.spins)
-    thetas = [t * math.pi for t in _parse_floats(args.theta)]
-    dataset = fig3a_vector_field(n_list, args.squeezing_n, thetas,
-                                 _phi_grid(args, 16))
-    _emit(dataset, args)
-    return EXIT_OK
+    thetas = [t * math.pi for t in _parse_list(args.theta)]
+    dataset = fig3a_vector_field(n_list, args.squeezing_n, thetas, _phi_grid(args, 16))
+    return _emit(dataset, args)
 
 
 def cmd_fig3b(args) -> int:
     n_list = _spins_list(args.spins)
-    thetas = [t * math.pi for t in _parse_floats(args.theta)]
-    dataset = fig3b_ellipses(n_list, args.squeezing_n, thetas,
-                             _phi_grid(args, 12), rtol=args.rtol)
-    _emit(dataset, args)
-    return EXIT_OK
+    thetas = [t * math.pi for t in _parse_list(args.theta)]
+    dataset = fig3b_ellipses(n_list, args.squeezing_n, thetas, _phi_grid(args, 12),
+                             rtol=args.rtol)
+    return _emit(dataset, args)
 
 
 def cmd_fig4a(args) -> int:
     n_values = _spins_list(args.spins, expand_single=True)
-    thetas = [t * math.pi for t in _parse_floats(args.theta)]
-    dataset = fig4a_rates(n_values, args.squeezing_n, thetas)
-    _emit(dataset, args)
-    return EXIT_OK
+    thetas = [t * math.pi for t in _parse_list(args.theta)]
+    return _emit(fig4a_rates(n_values, args.squeezing_n, thetas), args)
 
 
 def cmd_fig4b(args) -> int:
     n_values = _spins_list(args.spins, expand_single=True)
-    thetas = [t * math.pi for t in _parse_floats(args.theta)]
+    thetas = [t * math.pi for t in _parse_list(args.theta)]
     phi = args.phi if args.phi is not None else 0.0
-    dataset = fig4b_variance_derivatives(n_values, args.squeezing_n, thetas,
-                                         phi=phi)
-    _emit(dataset, args)
-    return EXIT_OK
+    dataset = fig4b_variance_derivatives(n_values, args.squeezing_n, thetas, phi=phi)
+    return _emit(dataset, args)
 
 
 def _emit_trajectory(figure: str, columns: list[str], rhs, y0, metadata: dict,
@@ -148,13 +144,12 @@ def _emit_trajectory(figure: str, columns: list[str], rhs, y0, metadata: dict,
     result = integrate(rhs, y0, (0.0, args.t_final),
                        IntegratorConfig(rtol=args.rtol, atol=1e-14))
     rows = [(t,) + tuple(state) for t, state in zip(result.times, result.states)]
-    _emit(FigureDataset(figure, ["t"] + columns, rows, metadata), args)
-    return EXIT_OK
+    return _emit(FigureDataset(figure, ["t"] + columns, rows, metadata), args)
 
 
 def cmd_single_spin(args) -> int:
     params = _squeezing(args)
-    theta = _parse_floats(args.theta)[0] * math.pi
+    theta = _parse_list(args.theta)[0] * math.pi
     phi = args.phi if args.phi is not None else 0.0
     y0 = np.array([math.sin(theta) * math.cos(phi),
                    math.sin(theta) * math.sin(phi), math.cos(theta)])
@@ -191,15 +186,12 @@ def cmd_steady_state(args) -> int:
     check_dim(n + 1)
     ops = build_collective_ops(DickeSpace(n))
     rho = steady_state(spin_liouvillian(ops, params))
-    payload = {
-        "n": n,
-        "squeezing_nbar": params.nbar,
-        "squeezing_m": params.m_corr,
-        "mean_x": float(np.trace(ops.sx @ rho).real),
-        "mean_y": float(np.trace(ops.sy @ rho).real),
-        "mean_z": float(np.trace(ops.sz @ rho).real),
-        "purity": float(np.trace(rho @ rho).real),
-    }
+    state = QuantumState(rho, "matrix")
+    payload = {"n": n, "squeezing_nbar": params.nbar, "squeezing_m": params.m_corr,
+               "mean_x": expectation(ops.sx, state).real,
+               "mean_y": expectation(ops.sy, state).real,
+               "mean_z": expectation(ops.sz, state).real,
+               "purity": expectation(rho, state).real}
     _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -216,43 +208,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Collective spin relaxation in a broadband squeezed bath")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fig3a", help="decay vector field on the lower hemisphere")
+    p = _subcommand(sub, "fig3a", "decay vector field on the lower hemisphere", cmd_fig3a,
+                    0.5, theta="0.55,0.65,0.75,0.85,0.95")
     p.add_argument("--spins", default="1,5,15")
-    _add_common(p, default_n=0.5, default_theta="0.55,0.65,0.75,0.85,0.95")
-    p.set_defaults(func=cmd_fig3a)
 
-    p = sub.add_parser("fig3b", help="uncertainty ellipses before/after a short evolution")
+    p = _subcommand(sub, "fig3b", "uncertainty ellipses before/after a short evolution",
+                    cmd_fig3b, 5.0, theta="0.55,0.75,0.87")
     p.add_argument("--spins", default="1,5,15")
     p.add_argument("--rtol", type=float, default=1e-10)
-    _add_common(p, default_n=5.0, default_theta="0.55,0.75,0.87")
-    p.set_defaults(func=cmd_fig3b)
 
-    p = sub.add_parser("fig4a", help="transverse decay rates versus spin count")
+    p = _subcommand(sub, "fig4a", "transverse decay rates versus spin count", cmd_fig4a,
+                    0.05, theta="0.55,0.75,0.87", phi=False)
     p.add_argument("--spins", default="40", help="n_max, or an explicit list")
-    _add_common(p, default_n=0.05, default_theta="0.55,0.75,0.87")
-    p.set_defaults(func=cmd_fig4a)
 
-    p = sub.add_parser("fig4b", help="covariance derivatives versus spin count")
+    p = _subcommand(sub, "fig4b", "covariance derivatives versus spin count", cmd_fig4b,
+                    0.05, theta="0.55,0.75,0.87")
     p.add_argument("--spins", default="40", help="n_max, or an explicit list")
-    _add_common(p, default_n=0.05, default_theta="0.55,0.75,0.87")
-    p.set_defaults(func=cmd_fig4b)
 
-    p = sub.add_parser("single-spin", help="Gardiner mean-value trajectory")
+    p = _subcommand(sub, "single-spin", "Gardiner mean-value trajectory", cmd_single_spin,
+                    0.5, theta="0.5", squeezing_m=True)
     p.add_argument("--t-final", type=float, default=3.0)
     p.add_argument("--rtol", type=float, default=1e-10)
-    _add_common(p, default_n=0.5, default_theta="0.5")
-    p.set_defaults(func=cmd_single_spin)
 
-    p = sub.add_parser("oscillator", help="oscillator moment trajectory")
+    p = _subcommand(sub, "oscillator", "oscillator moment trajectory", cmd_oscillator,
+                    1.0, squeezing_m=True)
     p.add_argument("--t-final", type=float, default=20.0)
     p.add_argument("--rtol", type=float, default=1e-10)
-    _add_common(p, default_n=1.0, default_theta="0.5")
-    p.set_defaults(func=cmd_oscillator)
 
-    p = sub.add_parser("steady-state", help="exact collective steady state")
+    p = _subcommand(sub, "steady-state", "exact collective steady state", cmd_steady_state,
+                    0.5, phi=False, squeezing_m=True, fmt=False)
     p.add_argument("--spins", default="2")
-    _add_common(p, default_n=0.5, default_theta="0.5")
-    p.set_defaults(func=cmd_steady_state)
 
     p = sub.add_parser("verify", help="oracle-vs-formula and invariant checks")
     p.add_argument("--scope", choices=SCOPES, default="all")

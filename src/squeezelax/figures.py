@@ -90,14 +90,8 @@ class FigureDataset:
 
 
 def _base_metadata(params: SqueezingParams, **extra) -> dict:
-    meta = {
-        "version": __version__,
-        "squeezing_nbar": params.nbar,
-        "squeezing_m": params.m_corr,
-        "gamma_p": params.gamma_p,
-    }
-    meta.update(extra)
-    return meta
+    return {"version": __version__, "squeezing_nbar": params.nbar,
+            "squeezing_m": params.m_corr, "gamma_p": params.gamma_p, **extra}
 
 
 def fig3a_vector_field(n_list, nbar: float, theta_grid, phi_grid,
@@ -171,33 +165,24 @@ def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid,
                "var_x", "var_y", "cov_xy", "axis_major", "axis_minor",
                "tilt", "scale"]
 
-    tasks = [(n, theta, phi) for n in n_list for theta in theta_list
-             for phi in phi_grid]
+    check_dim(max(n_list, default=0) + 1)
+    rows = []
     for n in n_list:
-        check_dim(n + 1)
-
-    spaces = {n: DickeSpace(n) for n in set(n_list)}
-    all_ops = {n: build_collective_ops(spaces[n]) for n in set(n_list)}
-
-    def run(task):
-        n, theta, phi = task
-        ops = all_ops[n]
-        state = spin_coherent_state(spaces[n], BlochAngles(theta, phi))
-        scale = float(scale_map.get(n, 1.0))
-        pre = spin_moments_from_state(state, ops)
+        space = DickeSpace(n)
+        ops = build_collective_ops(space)
         liouv = spin_liouvillian(ops, params)
-        traj = evolve(liouv, state, dt_factor * n / gamma_p, rtol=rtol,
-                      record_every=10 ** 9)
-        post_state = QuantumState(traj.final_state, "matrix")
-        post = spin_moments_from_state(post_state, ops)
-        out = []
-        for stage, m in (("pre", pre), ("post", post)):
-            major, minor, tilt = _ellipse(m.var_x, m.var_y, m.cov_xy)
-            out.append(("spins", n, theta, phi, stage, m.mean_x, m.mean_y,
-                        m.var_x, m.var_y, m.cov_xy, major, minor, tilt, scale))
-        return out
-
-    rows = [row for task in tasks for row in run(task)]
+        scale = float(scale_map.get(n, 1.0))
+        for theta in theta_list:
+            for phi in phi_grid:
+                state = spin_coherent_state(space, BlochAngles(theta, phi))
+                traj = evolve(liouv, state, dt_factor * n / gamma_p, rtol=rtol,
+                              record_every=10 ** 9)
+                post = QuantumState(traj.final_state, "matrix")
+                for stage, at in (("pre", state), ("post", post)):
+                    m = spin_moments_from_state(at, ops)
+                    major, minor, tilt = _ellipse(m.var_x, m.var_y, m.cov_xy)
+                    rows.append(("spins", n, theta, phi, stage, m.mean_x, m.mean_y,
+                                 m.var_x, m.var_y, m.cov_xy, major, minor, tilt, scale))
 
     # oscillator panel: coherent state at unit radius, closed-form evolution
     vx_in, vy_in = input_field_variances(params)
@@ -247,19 +232,14 @@ def fig4b_variance_derivatives(n_values, nbar: float, theta_list,
     theta_list = [float(t) for t in theta_list]
     columns = ["system", "n", "theta", "phi", "dvar_x", "dvar_y", "dcov_xy"]
 
-    tasks = [(n, theta) for n in n_values for theta in theta_list]
+    check_dim(max(n_values, default=0) + 1)
+    rows = []
     for n in n_values:
-        check_dim(n + 1)
-
-    def run(task):
-        n, theta = task
         space = DickeSpace(n)
         ops = build_collective_ops(space)
-        state = spin_coherent_state(space, BlochAngles(theta, phi))
-        dvx, dvy, dcxy = collective_cov_rhs(state, ops, params)
-        return ("spins", n, theta, phi, dvx, dvy, dcxy)
-
-    rows = [run(task) for task in tasks]
+        for theta in theta_list:
+            state = spin_coherent_state(space, BlochAngles(theta, phi))
+            rows.append(("spins", n, theta, phi) + collective_cov_rhs(state, ops, params))
 
     vx_in, vy_in = input_field_variances(params)
     for theta in theta_list:

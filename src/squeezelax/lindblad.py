@@ -40,7 +40,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,7 +96,6 @@ class Liouvillian:
 
     op: np.ndarray
     params: SqueezingParams
-    _super: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.op = np.asarray(self.op, dtype=complex)
@@ -126,17 +125,16 @@ class Liouvillian:
     def superoperator(self) -> np.ndarray:
         """Dense dim^2 x dim^2 matrix acting on row-major vectorized rho.
 
-        Raises ValueError before allocating when its 16 dim^4 bytes exceed
-        physical memory.
+        Built anew on every call and not cached, so the caller decides how
+        long its 16 dim^4 bytes stay alive. Raises ValueError before
+        allocating when they exceed physical memory.
         """
-        if self._super is None:
-            _check_memory(16 * self.dim ** 4, f"the dense superoperator at dim {self.dim}")
-            eye = np.eye(self.dim)
-            k = self._k
-            self._super = self.params.gamma_p * (
-                np.kron(self.op, self._p.T) + np.kron(self._dag, self._q.T)
-                - 0.5 * (np.kron(k, eye) + np.kron(eye, k.T)))
-        return self._super
+        _check_memory(16 * self.dim ** 4, f"the dense superoperator at dim {self.dim}")
+        eye = np.eye(self.dim)
+        k = self._k
+        return self.params.gamma_p * (
+            np.kron(self.op, self._p.T) + np.kron(self._dag, self._q.T)
+            - 0.5 * (np.kron(k, eye) + np.kron(eye, k.T)))
 
     def sectors(self) -> list[list[tuple[np.ndarray, np.ndarray]]]:
         """The invariant coherence sectors, each a list of (rows, cols) tiles.

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .spin_algebra import CollectiveOps, QuantumState, expectation, sym_covariance, third_moment
+from .spin_algebra import (CollectiveOps, QuantumState, expectation, product_expectation,
+                           sym_covariance, third_moment)
 
 __all__ = [
     "SqueezingParams",
@@ -159,16 +160,18 @@ def collective_mean_rhs(state: QuantumState, ops: CollectiveOps,
                         p: SqueezingParams) -> tuple[float, float, float]:
     """Exact mean-value derivatives of the collective spin components.
 
-    Evaluates the operator products <S-Sz + SzS+>, <S-Sz - SzS+> and <S-S+>
-    on the supplied state; no moment closure is applied.
+    Evaluates <S-Sz>, <SzS+> and <S-S+> on the supplied state; no moment
+    closure is applied.
     """
     gp, nb, mc = p.gamma_p, p.nbar, p.m_corr
     sm, sp, sz = ops.sm, ops.sp, ops.sz
-    dx = 0.5 * gp * expectation(sm @ sz + sz @ sp, state).real \
+    sm_sz = product_expectation((sm, sz), state)
+    sz_sp = product_expectation((sz, sp), state)
+    dx = 0.5 * gp * (sm_sz + sz_sp).real \
         - gp * (nb + mc + 1.0) * expectation(ops.sx, state).real
-    dy = (0.5j * gp * expectation(sm @ sz - sz @ sp, state)).real \
+    dy = (0.5j * gp * (sm_sz - sz_sp)).real \
         - gp * (nb - mc + 1.0) * expectation(ops.sy, state).real
-    dz = -2.0 * gp * expectation(sm @ sp, state).real \
+    dz = -2.0 * gp * product_expectation((sm, sp), state).real \
         - 2.0 * gp * (nb + 1.0) * expectation(sz, state).real
     return (dx, dy, dz)
 
@@ -185,7 +188,7 @@ def collective_cov_rhs(state: QuantumState, ops: CollectiveOps,
     var_x = sym_covariance(sx, sx, state)
     var_y = sym_covariance(sy, sy, state)
     cov_xy = sym_covariance(sx, sy, state)
-    sz2 = expectation(sz @ sz, state).real
+    sz2 = product_expectation((sz, sz), state).real
     mz = expectation(sz, state).real
     dvx = -gp * ((2 * nb + 2 * mc + 1.0) * (var_x - sz2) + mz
                  - third_moment(sx, sx, sz, state))

@@ -20,6 +20,7 @@ __all__ = [
     "QuantumState",
     "build_collective_ops",
     "spin_coherent_state",
+    "product_expectation",
     "expectation",
     "sym_covariance",
     "third_moment",
@@ -118,14 +119,13 @@ def build_collective_ops(space: DickeSpace) -> CollectiveOps:
 
     S- lowers the excitation number: S-|k> = sqrt(k (n-k+1)) |k-1>.
     """
-    n, dim = space.n, space.dim
-    sm = np.zeros((dim, dim), dtype=complex)
-    for k in range(1, n + 1):
-        sm[k - 1, k] = math.sqrt(k * (n - k + 1))
+    n = space.n
+    k = np.arange(space.dim, dtype=float)
+    sm = np.diag(np.sqrt(k[1:] * (n - k[1:] + 1)), 1).astype(complex)
     sp = sm.conj().T
     sx = sm + sp
     sy = 1j * (sm - sp)
-    sz = np.diag([2.0 * k - n for k in range(dim)]).astype(complex)
+    sz = np.diag(2.0 * k - n).astype(complex)
     return CollectiveOps(space=space, sm=sm, sp=sp, sx=sx, sy=sy, sz=sz)
 
 
@@ -154,44 +154,43 @@ def spin_coherent_state(space: DickeSpace, angles: BlochAngles) -> QuantumState:
     return QuantumState.from_vector(amps)
 
 
-def _check_shape(op: np.ndarray, state: QuantumState):
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError("operator must be a square matrix")
-    if op.shape[0] != state.dim:
-        raise ValueError(f"operator dimension {op.shape[0]} != state dimension {state.dim}")
+def product_expectation(ops, state: QuantumState) -> complex:
+    """<A_0 A_1 ... A_m> of the operators ``ops`` on a vector or density-matrix state.
+
+    The factors act on the state right to left: a vector state costs one
+    matrix-vector product per factor, a density matrix one matrix product
+    per factor and a trace. No operator product is formed.
+    """
+    ket = state.data
+    for op in reversed(ops):
+        op = np.asarray(op)
+        if op.shape != (state.dim, state.dim):
+            raise ValueError(f"operator of shape {op.shape} does not act on dimension {state.dim}")
+        ket = op @ ket
+    if state.kind == "vector":
+        return complex(np.vdot(state.data, ket))
+    return complex(np.trace(ket))
 
 
 def expectation(op: np.ndarray, state: QuantumState) -> complex:
     """<psi|A|psi> for a vector state, Tr(A rho) for a density matrix."""
-    op = np.asarray(op)
-    _check_shape(op, state)
-    if state.kind == "vector":
-        return complex(np.vdot(state.data, op @ state.data))
-    return complex(np.trace(op @ state.data))
+    return product_expectation((op,), state)
 
 
 def sym_covariance(a: np.ndarray, b: np.ndarray, state: QuantumState) -> float:
     """Symmetrized covariance (1/2)<AB + BA> - <A><B> of Hermitian A, B."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    _check_shape(a, state)
-    _check_shape(b, state)
-    anti = 0.5 * expectation(a @ b + b @ a, state)
+    anti = 0.5 * (product_expectation((a, b), state) + product_expectation((b, a), state))
     return (anti - expectation(a, state) * expectation(b, state)).real
 
 
 def third_moment(a: np.ndarray, b: np.ndarray, c: np.ndarray, state: QuantumState) -> float:
     """Symmetrized third moment of A against the product BC.
 
-    (1/2) ( <A (BC) + (CB) A> - <A> <BC + CB> ); symmetric in B and C.
+    (1/2) ( <ABC + CBA> - <A> <BC + CB> ); symmetric in B and C.
     """
-    a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
-    for op in (a, b, c):
-        _check_shape(op, state)
-    bc = b @ c
-    cb = c @ b
-    val = 0.5 * (expectation(a @ bc + cb @ a, state)
-                 - expectation(a, state) * expectation(bc + cb, state))
+    val = 0.5 * (product_expectation((a, b, c), state) + product_expectation((c, b, a), state)
+                 - expectation(a, state) * (product_expectation((b, c), state)
+                                            + product_expectation((c, b), state)))
     return val.real
 
 

@@ -16,6 +16,7 @@ equilibrium, the large-n steady states) stay in the acceptance tests.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import zlib
@@ -30,8 +31,8 @@ from .moments import (SqueezingParams, SpinMoments, collective_cov_rhs,
                       collective_mean_rhs, decay_rates, gardiner_rhs,
                       input_field_variances, rate_decomposition)
 from .spin_algebra import (BlochAngles, DickeSpace, QuantumState,
-                           build_collective_ops, expectation,
-                           spin_coherent_state, sym_covariance)
+                           build_collective_ops, expectation, product_expectation,
+                           spin_coherent_state, sym_covariance, third_moment)
 
 __all__ = ["Check", "CHECKS", "SCOPES", "run_check", "verify", "random_pure",
            "fit_decay_rate", "dark_state"]
@@ -118,6 +119,37 @@ def _variance_nonnegative(rng) -> float:
         h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         h = h + h.conj().T
         residual = max(residual, -sym_covariance(h, h, state))
+    return residual
+
+
+def _functionals_vs_products(rng) -> float:
+    """Moment functionals against traces of dense products, relative to max(1, |trace|).
+
+    Random pure and rank-3 mixed states; the chains include the
+    non-Hermitian S- and S+ products of the collective mean equations.
+    """
+    residual = 0.0
+    for n in (1, 2, 7, 16):
+        ops = build_collective_ops(DickeSpace(n))
+        sm, sp, sx, sy, sz = ops.sm, ops.sp, ops.sx, ops.sy, ops.sz
+        g = rng.normal(size=(n + 1, 3)) + 1j * rng.normal(size=(n + 1, 3))
+        mixed = QuantumState.from_matrix(g @ g.conj().T / np.linalg.norm(g) ** 2)
+        for state in (random_pure(rng, n + 1), mixed):
+            rho = state.density()
+
+            def tr(*factors):
+                return np.trace(functools.reduce(np.matmul, factors + (rho,)))
+
+            pairs = [(product_expectation(chain, state), tr(*chain)) for chain in (
+                (sm, sz), (sz, sp), (sm, sp), (sp, sm, sz), (sx, sy, sz), (sm, sz, sp, sx))]
+            pairs += [(expectation(a, state), tr(a)) for a in (sx, sy, sz, sm)]
+            pairs += [(sym_covariance(a, b, state),
+                       (0.5 * tr(a @ b + b @ a) - tr(a) * tr(b)).real)
+                      for a, b in ((sx, sx), (sy, sy), (sx, sy), (sy, sz))]
+            pairs += [(third_moment(a, b, c, state),
+                       (0.5 * (tr(a @ b @ c + c @ b @ a) - tr(a) * tr(b @ c + c @ b))).real)
+                      for a, b, c in ((sx, sx, sz), (sy, sy, sz), (sx, sy, sz), (sy, sx, sz))]
+            residual = max(residual, *(abs(got - ref) / max(1.0, abs(ref)) for got, ref in pairs))
     return residual
 
 
@@ -304,6 +336,7 @@ CHECKS = (
     Check("spin-algebra/commutators", 1e-12, _commutators),
     Check("spin-algebra/coherent-expectations", 1e-10 * 15, _coherent_expectations),
     Check("spin-algebra/variance-nonnegative", 1e-10, _variance_nonnegative),
+    Check("spin-algebra/functionals-vs-products", 1e-12, _functionals_vs_products),
     Check("moments/gardiner-equivalence", 1e-12, _gardiner_equivalence),
     Check("moments/decay-rates-vs-mean-rhs", 1e-9, _decay_rates_vs_mean_rhs),
     Check("moments/rate-decomposition-total", 1e-12, _rate_decomposition_total),

@@ -70,6 +70,18 @@ class TestExitCodes:
         with pytest.raises(SystemExit):
             main(["not-a-command"])
 
+    @pytest.mark.parametrize("argv", [["steady-state", "--format", "csv"],
+                                      ["steady-state", "--theta", "0.5"],
+                                      ["steady-state", "--phi", "0.1"],
+                                      ["oscillator", "--theta", "0.5"],
+                                      ["fig4a", "--phi", "0.1"],
+                                      ["fig3b", "--squeezing-m", "0.1"]])
+    def test_flags_a_subcommand_never_reads_exit_argparse(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestFigureCommands:
     def test_fig4a_writes_csv(self, tmp_path):
