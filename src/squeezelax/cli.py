@@ -89,8 +89,6 @@ def _subcommand(sub, name: str, summary: str, func, default_n: float, theta: str
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     if fmt:
         parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    # deprecated no-op, accepted so that existing scripts keep running
-    parser.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
     return parser
 
 

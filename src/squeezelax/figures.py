@@ -31,7 +31,10 @@ __all__ = [
     "fig4b_variance_derivatives",
 ]
 
-DEFAULT_ELLIPSE_SCALES = {1: 0.12, 5: 0.25, 15: 0.4}
+# fig3b: plot scale per n (1.0 otherwise), spin and oscillator evolution times
+_ELLIPSE_SCALES = {1: 0.12, 5: 0.25, 15: 0.4}
+_DT_FACTOR = 0.008
+_OSCILLATOR_DT = 0.1
 
 
 def max_hilbert_dim() -> int:
@@ -94,14 +97,14 @@ def _base_metadata(params: SqueezingParams, **extra) -> dict:
             "squeezing_m": params.m_corr, "gamma_p": params.gamma_p, **extra}
 
 
-def fig3a_vector_field(n_list, nbar: float, theta_grid, phi_grid,
-                       gamma_p: float = 1.0) -> FigureDataset:
+def fig3a_vector_field(n_list, nbar: float, theta_grid, phi_grid) -> FigureDataset:
     """Decay arrows of spin coherent states on the lower Bloch hemisphere.
 
     Per grid point: transverse means and their time derivatives from the
     angle-dependent rate formula, plus a symmetric oscillator reference panel.
     """
-    params = SqueezingParams.minimal(nbar, gamma_p=gamma_p)
+    params = SqueezingParams.minimal(nbar)
+    gamma_p = params.gamma_p
     theta_grid = [float(t) for t in theta_grid]
     phi_grid = [float(p) for p in phi_grid]
     if not theta_grid or not phi_grid:
@@ -144,18 +147,16 @@ def _ellipse(var_x: float, var_y: float, cov_xy: float) -> tuple[float, float, f
 
 
 def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid,
-                   scale_map: dict | None = None, dt_factor: float = 0.008,
-                   oscillator_dt: float = 0.1, gamma_p: float = 1.0,
                    rtol: float = 1e-10) -> FigureDataset:
     """Uncertainty ellipses of spin coherent states before and after a short evolution.
 
     The exact state is evolved under the master equation for
-    dt = dt_factor * n / gamma_p and the moment functionals are recorded on
+    dt = 0.008 * n / gamma_p and the moment functionals are recorded on
     both endpoints; the oscillator panel evolves a coherent state by the
-    closed-form quadrature solutions for oscillator_dt / gamma_p.
+    closed-form quadrature solutions for 0.1 / gamma_p.
     """
-    params = SqueezingParams.minimal(nbar, gamma_p=gamma_p)
-    scale_map = DEFAULT_ELLIPSE_SCALES if scale_map is None else scale_map
+    params = SqueezingParams.minimal(nbar)
+    gamma_p = params.gamma_p
     theta_list = [float(t) for t in theta_list]
     phi_grid = [float(p) for p in phi_grid]
     if any(not 0.0 < t <= math.pi for t in theta_list):
@@ -171,11 +172,11 @@ def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid,
         space = DickeSpace(n)
         ops = build_collective_ops(space)
         liouv = spin_liouvillian(ops, params)
-        scale = float(scale_map.get(n, 1.0))
+        scale = _ELLIPSE_SCALES.get(n, 1.0)
         for theta in theta_list:
             for phi in phi_grid:
                 state = spin_coherent_state(space, BlochAngles(theta, phi))
-                traj = evolve(liouv, state, dt_factor * n / gamma_p, rtol=rtol,
+                traj = evolve(liouv, state, _DT_FACTOR * n / gamma_p, rtol=rtol,
                               record_every=10 ** 9)
                 post = QuantumState(traj.final_state, "matrix")
                 for stage, at in (("pre", state), ("post", post)):
@@ -186,7 +187,7 @@ def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid,
 
     # oscillator panel: coherent state at unit radius, closed-form evolution
     vx_in, vy_in = input_field_variances(params)
-    dt = oscillator_dt / gamma_p
+    dt = _OSCILLATOR_DT / gamma_p
     decay_mean = math.exp(-0.5 * gamma_p * dt)
     decay_var = math.exp(-gamma_p * dt)
     for phi in phi_grid:
@@ -201,14 +202,14 @@ def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid,
                          vx, vy, 0.0, major, minor, tilt, 1.0))
 
     meta = _base_metadata(params, spins=",".join(str(n) for n in n_list),
-                          dt_factor=dt_factor, oscillator_dt=oscillator_dt)
+                          dt_factor=_DT_FACTOR, oscillator_dt=_OSCILLATOR_DT)
     return FigureDataset("fig3b", columns, rows, meta)
 
 
-def fig4a_rates(n_values, nbar: float, theta_list,
-                gamma_p: float = 1.0) -> FigureDataset:
+def fig4a_rates(n_values, nbar: float, theta_list) -> FigureDataset:
     """Transverse decay rates versus spin count, with oscillator references."""
-    params = SqueezingParams.minimal(nbar, gamma_p=gamma_p)
+    params = SqueezingParams.minimal(nbar)
+    gamma_p = params.gamma_p
     theta_list = [float(t) for t in theta_list]
     columns = ["n", "theta", "rate_x", "rate_y", "collective_ref", "oscillator_ref"]
     rows = []
@@ -221,14 +222,15 @@ def fig4a_rates(n_values, nbar: float, theta_list,
 
 
 def fig4b_variance_derivatives(n_values, nbar: float, theta_list,
-                               phi: float = 0.0, gamma_p: float = 1.0) -> FigureDataset:
+                               phi: float = 0.0) -> FigureDataset:
     """Covariance derivatives of spin coherent states versus spin count.
 
     Evaluated exactly on the coherent state (no closure); oscillator
     reference rows give the quadrature variance derivatives of a coherent
     state (V = 1) under the same bath.
     """
-    params = SqueezingParams.minimal(nbar, gamma_p=gamma_p)
+    params = SqueezingParams.minimal(nbar)
+    gamma_p = params.gamma_p
     theta_list = [float(t) for t in theta_list]
     columns = ["system", "n", "theta", "phi", "dvar_x", "dvar_y", "dcov_xy"]
 

@@ -377,23 +377,28 @@ def coherent_state_vector(cutoff: int, alpha: complex) -> np.ndarray:
     return amps / norm
 
 
+# oscillator_oracle: the largest top-Fock-level population it accepts, and
+# the largest cutoff it tries
+_TOP_POP_TOL = 1e-8
+_MAX_CUTOFF = 512
+
+
 def oscillator_oracle(params: SqueezingParams, t_final: float,
                       cutoff: int | None = None, alpha: complex = 0.0,
                       rtol: float = 1e-10, atol: float = 1e-12,
-                      record_every: int = 1, top_pop_tol: float = 1e-8,
-                      max_cutoff: int = 512) -> Trajectory:
+                      record_every: int = 1) -> Trajectory:
     """Master-equation trajectory for the oscillator limit (d = a).
 
-    Starts from a (possibly displaced) vacuum and doubles the Fock cutoff
-    until the top-level population stays below top_pop_tol on every
-    recorded state. Like ``evolve``'s witnesses, that population is read
-    only at the recorded times, so with a huge record_every it is checked
-    at t = 0 and t_final alone.
+    Starts from a (possibly displaced) vacuum and doubles the Fock cutoff,
+    up to 512 levels, until the top-level population stays below 1e-8 on
+    every recorded state. Like ``evolve``'s witnesses, that population is
+    read only at the recorded times, so with a huge record_every it is
+    checked at t = 0 and t_final alone.
     """
     cut = cutoff if cutoff is not None else default_oscillator_cutoff(params)
     while True:
-        if cut > max_cutoff:
-            raise CutoffError(f"required Fock cutoff exceeds the limit {max_cutoff}")
+        if cut > _MAX_CUTOFF:
+            raise CutoffError(f"required Fock cutoff exceeds the limit {_MAX_CUTOFF}")
         liouv = oscillator_liouvillian(cut, params)
         psi0 = coherent_state_vector(cut, alpha)
         rho0 = np.outer(psi0, psi0.conj())
@@ -402,10 +407,10 @@ def oscillator_oracle(params: SqueezingParams, t_final: float,
         top_pop = float(np.max(traj.states[:, -1, -1].real))
         traj.diagnostics["cutoff"] = cut
         traj.diagnostics["max_top_population"] = top_pop
-        if top_pop < top_pop_tol:
+        if top_pop < _TOP_POP_TOL:
             return traj
         if cutoff is not None:
             raise CutoffError(
-                f"top-level population {top_pop:.3e} exceeds {top_pop_tol:.1e} "
+                f"top-level population {top_pop:.3e} exceeds {_TOP_POP_TOL:.1e} "
                 f"at the requested cutoff {cutoff}")
         cut *= 2

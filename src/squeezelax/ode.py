@@ -76,13 +76,12 @@ _DP_E = np.append(_DP_B5, 0.0) - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 
                                            -92097 / 339200, 187 / 2100, 1 / 40])
 
 
-def integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None) -> IntegrationResult:
+def integrate(rhs, y0, t_span, cfg: IntegratorConfig) -> IntegrationResult:
     """Integrate dy/dt = rhs(y, t) over t_span = (t0, t1).
 
     Records land on accepted steps (no interpolation); the final state is
     stepped exactly onto t1. Complex y0 is handled transparently.
     """
-    cfg = cfg or IntegratorConfig()
     y0 = np.asarray(y0)
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state contains non-finite values")

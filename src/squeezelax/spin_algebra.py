@@ -81,25 +81,25 @@ class QuantumState:
         self.kind = kind
 
     @classmethod
-    def from_vector(cls, amplitudes, atol: float = 1e-12) -> "QuantumState":
+    def from_vector(cls, amplitudes) -> "QuantumState":
         amplitudes = np.asarray(amplitudes, dtype=complex)
         if amplitudes.ndim != 1:
             raise ValueError("state vector must be one-dimensional")
         norm = np.linalg.norm(amplitudes)
-        if abs(norm - 1.0) > atol:
+        if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state vector norm deviates from 1 by {abs(norm - 1.0):.3g}")
         return cls(amplitudes, "vector")
 
     @classmethod
-    def from_matrix(cls, rho, atol: float = 1e-12, eig_floor: float = -1e-10) -> "QuantumState":
+    def from_matrix(cls, rho) -> "QuantumState":
         rho = np.asarray(rho, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError("density matrix must be square")
-        if np.max(np.abs(rho - rho.conj().T)) > atol:
+        if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(rho).real - 1.0) > atol:
+        if abs(np.trace(rho).real - 1.0) > 1e-12:
             raise ValueError("density matrix trace deviates from 1")
-        if np.min(np.linalg.eigvalsh(rho)) < eig_floor:
+        if np.min(np.linalg.eigvalsh(rho)) < -1e-10:
             raise ValueError("density matrix has a significantly negative eigenvalue")
         return cls(rho, "matrix")
 

@@ -1,7 +1,10 @@
+import argparse
 import json
 import math
 import os
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,12 +78,27 @@ class TestExitCodes:
                                       ["steady-state", "--phi", "0.1"],
                                       ["oscillator", "--theta", "0.5"],
                                       ["fig4a", "--phi", "0.1"],
-                                      ["fig3b", "--squeezing-m", "0.1"]])
+                                      ["fig3b", "--squeezing-m", "0.1"],
+                                      ["fig3b", "--jobs", "2"]])
     def test_flags_a_subcommand_never_reads_exit_argparse(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == EXIT_CONFIG
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_flag_table_lists_every_accepted_flag(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("| subcommand | flags |")[1].split("\n\n")[0]
+        documented = {}
+        for line in table.splitlines()[2:]:
+            cells = line.split("|")
+            documented[cells[1].strip(" `")] = set(re.findall(r"`(--[a-z-]+)`", cells[2]))
+        subparsers = next(action for action in cli.build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        accepted = {name: {flag for action in parser._actions for flag in action.option_strings
+                           if flag not in ("-h", "--help")}
+                    for name, parser in subparsers.choices.items()}
+        assert documented == accepted
 
 
 class TestFigureCommands:
@@ -117,13 +135,6 @@ class TestFigureCommands:
         assert main(["fig3b", "--spins", "1,5", "--theta", "0.75",
                      "--phi", "1.1", "--out", str(out)]) == EXIT_OK
         assert "axis_major" in out.read_text()
-
-    def test_jobs_is_a_deprecated_noop(self, tmp_path):
-        args = ["fig3b", "--spins", "1,5", "--theta", "0.75", "--phi", "1.1"]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(args + ["--out", str(a)]) == EXIT_OK
-        assert main(args + ["--jobs", "2", "--out", str(b)]) == EXIT_OK
-        assert a.read_bytes() == b.read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["fig4b", "--spins", "6", "--theta", "0.55,0.87"]
