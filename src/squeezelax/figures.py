@@ -209,14 +209,13 @@ def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid,
 def fig4a_rates(n_values, nbar: float, theta_list) -> FigureDataset:
     """Transverse decay rates versus spin count, with oscillator references."""
     params = SqueezingParams.minimal(nbar)
-    gamma_p = params.gamma_p
     theta_list = [float(t) for t in theta_list]
     columns = ["n", "theta", "rate_x", "rate_y", "collective_ref", "oscillator_ref"]
     rows = []
     for n in n_values:
         for theta in theta_list:
             gx, gy = decay_rates(n, theta, params)
-            rows.append((n, theta, gx, gy, 0.5 * n * gamma_p, 0.5 * gamma_p))
+            rows.append((n, theta, gx, gy, 0.5 * n * params.gamma_p, 0.5 * params.gamma_p))
     meta = _base_metadata(params)
     return FigureDataset("fig4a", columns, rows, meta)
 
@@ -230,7 +229,6 @@ def fig4b_variance_derivatives(n_values, nbar: float, theta_list,
     state (V = 1) under the same bath.
     """
     params = SqueezingParams.minimal(nbar)
-    gamma_p = params.gamma_p
     theta_list = [float(t) for t in theta_list]
     columns = ["system", "n", "theta", "phi", "dvar_x", "dvar_y", "dcov_xy"]
 
@@ -245,7 +243,7 @@ def fig4b_variance_derivatives(n_values, nbar: float, theta_list,
 
     vx_in, vy_in = input_field_variances(params)
     for theta in theta_list:
-        rows.append(("oscillator", 0, theta, phi,
-                     -gamma_p * (1.0 - vx_in), -gamma_p * (1.0 - vy_in), 0.0))
+        rows.append(("oscillator", 0, theta, phi, -params.gamma_p * (1.0 - vx_in),
+                     -params.gamma_p * (1.0 - vy_in), 0.0))
     meta = _base_metadata(params, phi=phi)
     return FigureDataset("fig4b", columns, rows, meta)

@@ -187,10 +187,7 @@ def annihilation_operator(cutoff: int) -> np.ndarray:
     """Truncated bosonic annihilation operator on ``cutoff`` Fock levels."""
     if cutoff < 2:
         raise ValueError("Fock cutoff must be >= 2")
-    a = np.zeros((cutoff, cutoff), dtype=complex)
-    for k in range(1, cutoff):
-        a[k - 1, k] = math.sqrt(k)
-    return a
+    return np.diag(np.sqrt(np.arange(1, cutoff)), 1).astype(complex)
 
 
 def oscillator_liouvillian(cutoff: int, params: SqueezingParams) -> Liouvillian:
@@ -377,8 +374,6 @@ def coherent_state_vector(cutoff: int, alpha: complex) -> np.ndarray:
     return amps / norm
 
 
-# oscillator_oracle: the largest top-Fock-level population it accepts, and
-# the largest cutoff it tries
 _TOP_POP_TOL = 1e-8
 _MAX_CUTOFF = 512
 

@@ -160,17 +160,15 @@ def collective_mean_rhs(state: QuantumState, ops: CollectiveOps,
                         p: SqueezingParams) -> tuple[float, float, float]:
     """Exact mean-value derivatives of the collective spin components.
 
-    Evaluates <S-Sz>, <SzS+> and <S-S+> on the supplied state; no moment
-    closure is applied.
+    Evaluates <S-Sz> and <S-S+> on the supplied state, which must be
+    Hermitian: the equations also need <SzS+> = <S-Sz>*. No moment closure
+    is applied.
     """
     gp, nb, mc = p.gamma_p, p.nbar, p.m_corr
     sm, sp, sz = ops.sm, ops.sp, ops.sz
     sm_sz = product_expectation((sm, sz), state)
-    sz_sp = product_expectation((sz, sp), state)
-    dx = 0.5 * gp * (sm_sz + sz_sp).real \
-        - gp * (nb + mc + 1.0) * expectation(ops.sx, state).real
-    dy = (0.5j * gp * (sm_sz - sz_sp)).real \
-        - gp * (nb - mc + 1.0) * expectation(ops.sy, state).real
+    dx = gp * sm_sz.real - gp * (nb + mc + 1.0) * expectation(ops.sx, state).real
+    dy = -gp * sm_sz.imag - gp * (nb - mc + 1.0) * expectation(ops.sy, state).real
     dz = -2.0 * gp * product_expectation((sm, sp), state).real \
         - 2.0 * gp * (nb + 1.0) * expectation(sz, state).real
     return (dx, dy, dz)

@@ -144,12 +144,12 @@ def spin_coherent_state(space: DickeSpace, angles: BlochAngles) -> QuantumState:
     elif s == 0.0:
         amps[n] = 1.0  # north pole: all spins excited
     else:
-        # log-space magnitudes avoid under/overflow of binomials at large n
-        lc, ls = math.log(c), math.log(s)
-        for k in range(n + 1):
-            log_mag = 0.5 * (math.lgamma(n + 1) - math.lgamma(k + 1)
-                             - math.lgamma(n - k + 1)) + k * lc + (n - k) * ls
-            amps[k] = math.exp(log_mag) * np.exp(1j * (n - k) * angles.phi)
+        # log-space magnitudes avoid under/overflow of binomials at large n;
+        # log C(n, k) = sum over j <= k of log((n - j + 1) / j)
+        k = np.arange(n + 1)
+        log_binom = np.concatenate(([0.0], np.cumsum(np.log((n - k[1:] + 1) / k[1:]))))
+        log_mag = 0.5 * log_binom + k * math.log(c) + (n - k) * math.log(s)
+        amps = np.exp(log_mag) * np.exp(1j * (n - k) * angles.phi)
         amps /= np.linalg.norm(amps)
     return QuantumState.from_vector(amps)
 
@@ -178,20 +178,22 @@ def expectation(op: np.ndarray, state: QuantumState) -> complex:
 
 
 def sym_covariance(a: np.ndarray, b: np.ndarray, state: QuantumState) -> float:
-    """Symmetrized covariance (1/2)<AB + BA> - <A><B> of Hermitian A, B."""
-    anti = 0.5 * (product_expectation((a, b), state) + product_expectation((b, a), state))
-    return (anti - expectation(a, state) * expectation(b, state)).real
+    """Symmetrized covariance (1/2)<AB + BA> - <A><B> of Hermitian A, B.
+
+    On a Hermitian state <BA> = <AB>*, so this is Re<AB> - <A><B>.
+    """
+    return (product_expectation((a, b), state)
+            - expectation(a, state) * expectation(b, state)).real
 
 
 def third_moment(a: np.ndarray, b: np.ndarray, c: np.ndarray, state: QuantumState) -> float:
-    """Symmetrized third moment of A against the product BC.
+    """Symmetrized third moment of Hermitian A against the product of Hermitian B, C.
 
-    (1/2) ( <ABC + CBA> - <A> <BC + CB> ); symmetric in B and C.
+    (1/2) ( <ABC + CBA> - <A> <BC + CB> ). On a Hermitian state
+    <CBA> = <ABC>* and <CB> = <BC>*, so this is Re<ABC> - <A> Re<BC>.
     """
-    val = 0.5 * (product_expectation((a, b, c), state) + product_expectation((c, b, a), state)
-                 - expectation(a, state) * (product_expectation((b, c), state)
-                                            + product_expectation((c, b), state)))
-    return val.real
+    return (product_expectation((a, b, c), state)
+            - expectation(a, state) * product_expectation((b, c), state).real).real
 
 
 def hpa_residual(space: DickeSpace, k_max: int) -> float:

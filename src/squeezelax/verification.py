@@ -85,7 +85,7 @@ def _d_cov(a: np.ndarray, b: np.ndarray, rho: np.ndarray, drho: np.ndarray) -> f
 
 def _commutators(rng) -> float:
     residual = 0.0
-    for n in range(1, 17):
+    for n in range(1, 65):
         ops = build_collective_ops(DickeSpace(n))
         residual = max(residual,
                        np.max(np.abs(ops.sm @ ops.sp - ops.sp @ ops.sm + ops.sz)),
