@@ -31,6 +31,13 @@ class TestCollectiveOps:
         assert ops.sm[0, 1] == pytest.approx(math.sqrt(2))
         assert ops.sm[1, 2] == pytest.approx(math.sqrt(2))
 
+    @pytest.mark.parametrize("n", list(range(1, 65)))
+    def test_commutation_relations(self, n):
+        ops = build_collective_ops(DickeSpace(n))
+        assert np.max(np.abs(ops.sm @ ops.sp - ops.sp @ ops.sm + ops.sz)) < 1e-12
+        assert np.max(np.abs(ops.sz @ ops.sp - ops.sp @ ops.sz - 2 * ops.sp)) < 1e-12
+        assert np.max(np.abs(ops.sz @ ops.sm - ops.sm @ ops.sz + 2 * ops.sm)) < 1e-12
+
     def test_hermitian_components(self):
         ops = build_collective_ops(DickeSpace(7))
         for op in (ops.sx, ops.sy, ops.sz):
