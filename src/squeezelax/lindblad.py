@@ -14,13 +14,32 @@ covariance relaxation at rate gamma_p.
 The four channels are the jump term sum_ab G_ab L_a rho L_b+ with
 L = (d, d+) and bath matrix G = [[nbar+1, -m], [-m, nbar]] (Gardiner,
 PRL 56, 1917 (1986)). Collecting the right-hand factors gives the normal
-form that ``Liouvillian`` evaluates,
+form
 
     drho/dt = gamma_p [ d rho P + d+ rho Q - (1/2)(K rho + rho K) ],
     P = (nbar+1) d+ - m d,    Q = nbar d - m d+,
     K = (nbar+1) d+ d + nbar d d+ - m (d+ d+ + d d).
 
 ``dissipator`` keeps the four-channel form as an independent reference.
+
+Banded stencil. S- in the Dicke basis and the truncated ``a`` have only a
+superdiagonal, s_k = op[k, k+1]. With s_k = 0 outside 0 <= k <= dim - 2,
+the normal form is then a sum of nine shifted, elementwise-scaled copies
+of rho, (L rho)[i, j] = gamma_p sum c[i, j] rho[i + di, j + dj]:
+
+    (0, 0)              -(1/2)(kappa_i + kappa_j),
+                        kappa_k = (nbar+1) s_{k-1}^2 + nbar s_k^2
+    (+1, +1), (-1, -1)  (nbar+1) s_i s_j,  nbar s_{i-1} s_{j-1}
+    (+1, -1), (-1, +1)  -m s_i s_{j-1},   -m s_{i-1} s_j
+    (+2, 0), (-2, 0)    (m/2) s_i s_{i+1}, (m/2) s_{i-2} s_{i-1}
+    (0, +2), (0, -2)    (m/2) s_j s_{j+1}, (m/2) s_{j-2} s_{j-1}
+
+The coefficients are fixed once per generator and vanish wherever a shift
+would leave rho, so ``apply`` reads each shifted copy as one slice of the
+zero-padded, row-major flattened rho: O(dim^2) against the six O(dim^3)
+products of the normal form. A real superdiagonal op always takes the
+stencil; any other op takes the normal form in the dense P, Q and K, which
+also build ``superoperator`` and the sector blocks below.
 
 Parity sectors. When ``op`` is parity-odd (op[i, k] = 0 whenever i - k is
 even; S- in the Dicke basis and the truncated ``a`` have only a
@@ -90,6 +109,51 @@ def dissipator(u: np.ndarray, v: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return v @ rho @ u - 0.5 * (uv @ rho + rho @ uv)
 
 
+def _stencil(op: np.ndarray, params: SqueezingParams):
+    """Coefficients of the nine-term stencil, or None unless op is a real superdiagonal.
+
+    Returns (zeros, center, pairs) for ``Liouvillian.apply``: the padding
+    put on both sides of the flattened float64 view of rho, the coefficient
+    of the unshifted term, and the shifted terms as pairs of (start,
+    coefficient), where start locates the shifted copy of rho in the padded
+    array. Each coefficient is repeated for the real and imaginary halves of
+    an entry, and a pair whose coefficients are zero everywhere is left
+    out. See the module docstring for the terms.
+    """
+    dim = op.shape[0]
+    s = np.diag(op, 1)
+    if np.any(op - np.diag(s, 1)) or np.any(s.imag):
+        return None
+    # s[k + 2] = s_k for k = -2 .. dim, zero outside 0 .. dim - 2, so that no
+    # term reaches past the edge of rho or wraps into the next row
+    s = np.concatenate(([0.0, 0.0], s.real, [0.0, 0.0]))
+    s0, s1, sm1, sm2 = (s[2 + shift:2 + shift + dim] for shift in (0, 1, -1, -2))
+    nbar, m = params.nbar, params.m_corr
+    kappa = (nbar + 1.0) * sm1 ** 2 + nbar * s0 ** 2  # the diagonal of K
+    ones = np.ones(dim)
+    cross = -m * np.outer(s0, sm1)                   # -m d rho d; its transpose, -m d+ rho d+
+    dd = 0.5 * m * np.outer(s0 * s1, ones)           # the d d part of -(1/2) K rho
+    uu = 0.5 * m * np.outer(sm2 * sm1, ones)         # the d+ d+ part of -(1/2) K rho
+    # a term and the transpose of its coefficient on the transposed shift
+    # are summed first, so a Hermitian rho gives an exactly Hermitian result
+    terms = (((1, 1), (nbar + 1.0) * np.outer(s0, s0), (-1, -1), nbar * np.outer(sm1, sm1)),
+             ((1, -1), cross, (-1, 1), cross.T),
+             ((2, 0), dd, (0, 2), dd.T),
+             ((-2, 0), uu, (0, -2), uu.T))
+    pad = 2 * 2 * dim  # the largest shift, (2, 0), in float64 entries
+
+    def start(shift):
+        return pad + 2 * (shift[0] * dim + shift[1])
+
+    def interleaved(coef):
+        return np.repeat(params.gamma_p * coef.ravel(), 2)
+
+    center = interleaved(-0.5 * (kappa[:, None] + kappa))
+    pairs = [((start(a), interleaved(ca)), (start(b), interleaved(cb)))
+             for a, ca, b, cb in terms if np.any(ca) or np.any(cb)]
+    return np.zeros(pad), center, pairs
+
+
 @dataclass
 class Liouvillian:
     """Squeezed-bath Lindblad generator for a lowering operator ``op``."""
@@ -108,19 +172,34 @@ class Liouvillian:
         self._q = p.nbar * d - p.m_corr * dag
         self._k = ((p.nbar + 1.0) * (dag @ d) + p.nbar * (d @ dag)
                    - p.m_corr * (dag @ dag + d @ d))
+        self._stencil = _stencil(self.op, p)
 
     @property
     def dim(self) -> int:
         return self.op.shape[0]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Evaluate drho/dt for a density matrix rho."""
+        """Evaluate drho/dt for a density matrix rho, as a new array.
+
+        A real superdiagonal op takes the nine-term stencil, O(dim^2); any
+        other op takes the dense normal form, O(dim^3).
+        """
         rho = np.asarray(rho)
         if rho.shape != self.op.shape:
             raise ValueError("density matrix shape does not match the generator")
-        k = self._k
-        return self.params.gamma_p * (self.op @ rho @ self._p + self._dag @ rho @ self._q
-                                      - 0.5 * (k @ rho + rho @ k))
+        if self._stencil is None:
+            k = self._k
+            return self.params.gamma_p * (self.op @ rho @ self._p + self._dag @ rho @ self._q
+                                          - 0.5 * (k @ rho + rho @ k))
+        # interleaved (re, im) float64 view, so every coefficient is real
+        x = np.ascontiguousarray(rho, dtype=complex).reshape(-1).view(np.float64)
+        zeros, center, pairs = self._stencil
+        padded = np.concatenate((zeros, x, zeros))
+        n = x.size
+        out = center * x
+        for (a, ca), (b, cb) in pairs:
+            out += ca * padded[a:a + n] + cb * padded[b:b + n]
+        return out.view(complex).reshape(rho.shape)
 
     def superoperator(self) -> np.ndarray:
         """Dense dim^2 x dim^2 matrix acting on row-major vectorized rho.

@@ -12,12 +12,15 @@ the real moment systems and vectorized density matrices.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
 
 # Smallest step size before the integrator gives up on a rejected step.
 _DT_MIN = 1e-13
+# Recorded states per preallocated block of the trajectory.
+_BLOCK_ROWS = 256
 
 
 class IntegrationError(RuntimeError):
@@ -76,6 +79,17 @@ _DP_E = np.append(_DP_B5, 0.0) - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 
                                            -92097 / 339200, 187 / 2100, 1 / 40])
 
 
+def _block(size: int) -> np.ndarray:
+    """Room for _BLOCK_ROWS records of ``size`` floats in an anonymous memory map of its own.
+
+    numpy may serve an array of this size from the C heap, where a freed
+    block below one still in use stays resident; a dropped memory map always
+    goes back to the OS.
+    """
+    buf = mmap.mmap(-1, _BLOCK_ROWS * size * np.dtype(np.float64).itemsize)
+    return np.frombuffer(buf, dtype=np.float64).reshape(_BLOCK_ROWS, size)
+
+
 def integrate(rhs, y0, t_span, cfg: IntegratorConfig) -> IntegrationResult:
     """Integrate dy/dt = rhs(y, t) over t_span = (t0, t1).
 
@@ -102,7 +116,10 @@ def integrate(rhs, y0, t_span, cfg: IntegratorConfig) -> IntegrationResult:
     t, y = t0, y0
     h = min(cfg.dt, t1 - t0)
     times = [t0]
-    states = [y0]
+    # records go into fixed-size blocks, so the trajectory is never held as
+    # both a list of records and their stack
+    blocks = [_block(y0.size)]
+    blocks[0][0] = y0
     accepted = rejected = 0
     k = np.empty((7, y0.size))
     k[0] = f(y, t)
@@ -124,8 +141,11 @@ def integrate(rhs, y0, t_span, cfg: IntegratorConfig) -> IntegrationResult:
             k[0] = k[6]
             accepted += 1
             if accepted % cfg.record_every == 0 or t >= t1:
+                row = len(times) % _BLOCK_ROWS
+                if row == 0:
+                    blocks.append(_block(y0.size))
+                blocks[-1][row] = y
                 times.append(t)
-                states.append(y)
         else:
             rejected += 1
 
@@ -136,7 +156,10 @@ def integrate(rhs, y0, t_span, cfg: IntegratorConfig) -> IntegrationResult:
                 raise IntegrationError("step size underflow", t=t, dt=h)
             h = _DT_MIN
 
-    states = np.array(states)
+    # each block is dropped, and unmapped, once copied into the stack
+    states = np.empty((len(times), y0.size))
+    for start in range(0, len(times), _BLOCK_ROWS):
+        states[start:start + _BLOCK_ROWS] = blocks.pop(0)[:len(times) - start]
     diagnostics = {"accepted": accepted, "rejected": rejected,
                    "rhs_evals": 1 + 6 * (accepted + rejected)}
     return IntegrationResult(np.array(times), states.view(complex) if is_complex else states,

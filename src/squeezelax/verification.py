@@ -154,17 +154,18 @@ def _functionals_vs_products(rng) -> float:
 
 
 def _gardiner_equivalence(rng) -> float:
-    params = SqueezingParams.minimal(0.4)
     ops = build_collective_ops(DickeSpace(1))
     residual = 0.0
-    for _ in range(50):
-        v = rng.normal(size=3)
-        v = 0.95 * v / max(1.0, np.linalg.norm(v))
-        rho = 0.5 * (np.eye(2, dtype=complex) + v[0] * ops.sx + v[1] * ops.sy + v[2] * ops.sz)
-        ref = gardiner_rhs(SpinMoments(*v), params)
-        got = collective_mean_rhs(QuantumState.from_matrix(rho), ops, params)
-        residual = max(residual, abs(got[0] - ref.mean_x), abs(got[1] - ref.mean_y),
-                       abs(got[2] - ref.mean_z))
+    for params in (SqueezingParams.minimal(0.4), SqueezingParams.minimal(0.4, gamma_p=1.3)):
+        for _ in range(50):
+            v = rng.normal(size=3)
+            v = 0.95 * v / max(1.0, np.linalg.norm(v))
+            rho = 0.5 * (np.eye(2, dtype=complex)
+                         + v[0] * ops.sx + v[1] * ops.sy + v[2] * ops.sz)
+            ref = gardiner_rhs(SpinMoments(*v), params)
+            got = collective_mean_rhs(QuantumState.from_matrix(rho), ops, params)
+            residual = max(residual, abs(got[0] - ref.mean_x), abs(got[1] - ref.mean_y),
+                           abs(got[2] - ref.mean_z))
     return residual
 
 
@@ -201,12 +202,14 @@ def _rate_decomposition_total(rng) -> float:
 
 
 def _rate_difference_2m(rng) -> float:
-    params = SqueezingParams.minimal(0.05)
     residual = 0.0
-    for n in (1, 3, 10):
-        for theta in THETA_REFERENCE:
-            gx, gy = decay_rates(n, theta, params)
-            residual = max(residual, abs(gx - gy - 2 * params.gamma_p * params.m_corr))
+    for params, spins, thetas in (
+            (SqueezingParams.minimal(0.05), (1, 3, 10), THETA_REFERENCE),
+            (SqueezingParams.minimal(0.4, gamma_p=2.0), (1, 7, 30), (0.6, 2.0, 3.1))):
+        for n in spins:
+            for theta in thetas:
+                gx, gy = decay_rates(n, theta, params)
+                residual = max(residual, abs(gx - gy - 2 * params.gamma_p * params.m_corr))
     return residual
 
 

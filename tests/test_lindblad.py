@@ -27,6 +27,16 @@ BATHS = {
 }
 
 
+def _four_channel(liouv: Liouvillian, rho: np.ndarray) -> np.ndarray:
+    """The generator as its four dissipators, independent of Liouvillian.apply."""
+    p, d = liouv.params, liouv.op
+    dag = d.conj().T
+    return p.gamma_p * ((p.nbar + 1.0) * dissipator(dag, d, rho)
+                        + p.nbar * dissipator(d, dag, rho)
+                        - p.m_corr * dissipator(dag, dag, rho)
+                        - p.m_corr * dissipator(d, d, rho))
+
+
 class TestDissipator:
     def test_zero_operators(self):
         rho = np.diag([0.5, 0.5]).astype(complex)
@@ -116,22 +126,62 @@ class TestLiouvillianApply:
             for a, b in zip(oracle, got):
                 assert a == pytest.approx(b, abs=1e-9)
 
-    @pytest.mark.parametrize("kind, size", [("spins", 1), ("spins", 6), ("oscillator", 20)])
+    @pytest.mark.parametrize("kind, size", [
+        ("spins", 1), ("spins", 2), ("spins", 6), ("spins", 150),
+        ("oscillator", 2), ("oscillator", 3), ("oscillator", 20), ("oscillator", 59)])
     @pytest.mark.parametrize("bath", BATHS)
     def test_normal_form_matches_four_channel_form(self, kind, size, bath):
+        # at dim 2 and 3 the (+-2, 0) and (0, +-2) shifts vanish wholly or partly
         p = BATHS[bath]
         if kind == "oscillator":
             liouv = oscillator_liouvillian(size, p)
         else:
             liouv = spin_liouvillian(build_collective_ops(DickeSpace(size)), p)
-        d = liouv.op
-        dag = d.conj().T
         rho = random_pure(np.random.default_rng(31), liouv.dim).density()
-        ref = p.gamma_p * ((p.nbar + 1.0) * dissipator(dag, d, rho)
-                           + p.nbar * dissipator(d, dag, rho)
-                           - p.m_corr * dissipator(dag, dag, rho)
-                           - p.m_corr * dissipator(d, d, rho))
+        ref = _four_channel(liouv, rho)
         assert np.max(np.abs(liouv.apply(rho) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("op", ["sigma_x", "dense"])
+    @pytest.mark.parametrize("bath", BATHS)
+    def test_op_off_the_superdiagonal_matches_four_channel_form(self, op, bath):
+        rng = np.random.default_rng(32)
+        if op == "sigma_x":
+            op = np.array([[0.0, 1.0], [1.0, 0.0]])
+        else:
+            op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        liouv = Liouvillian(op=op, params=BATHS[bath])
+        rho = random_pure(rng, liouv.dim).density()
+        ref = _four_channel(liouv, rho)
+        assert np.max(np.abs(liouv.apply(rho) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind", ["spins", "oscillator", "dense"])
+    def test_apply_returns_a_new_array_and_keeps_its_input(self, kind):
+        p = BATHS["mixed"]
+        if kind == "spins":
+            liouv = spin_liouvillian(build_collective_ops(DickeSpace(5)), p)
+        elif kind == "oscillator":
+            liouv = oscillator_liouvillian(6, p)
+        else:
+            liouv = Liouvillian(op=np.arange(36.0).reshape(6, 6), params=p)
+        rho = random_pure(np.random.default_rng(33), 6).density()
+        before = rho.copy()
+        first, second = liouv.apply(rho), liouv.apply(rho)
+        assert np.array_equal(rho, before)
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, rho)
+
+    @pytest.mark.parametrize("kind, size", [("spins", 7), ("oscillator", 30)])
+    @pytest.mark.parametrize("bath", BATHS)
+    def test_stencil_keeps_hermiticity_exactly(self, kind, size, bath):
+        if kind == "oscillator":
+            liouv = oscillator_liouvillian(size, BATHS[bath])
+        else:
+            liouv = spin_liouvillian(build_collective_ops(DickeSpace(size)), BATHS[bath])
+        rng = np.random.default_rng(34)
+        g = rng.normal(size=(liouv.dim, liouv.dim)) + 1j * rng.normal(size=(liouv.dim, liouv.dim))
+        out = liouv.apply(g + g.conj().T)
+        assert np.array_equal(out, out.conj().T)
 
     @pytest.mark.parametrize("bath", BATHS)
     def test_superoperator_matches_direct_application(self, bath):

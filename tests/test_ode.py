@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from squeezelax.moments import SpinMoments, SqueezingParams, gardiner_rhs
-from squeezelax.ode import IntegrationError, IntegratorConfig, integrate
+from squeezelax.ode import _BLOCK_ROWS, IntegrationError, IntegratorConfig, integrate
 
 
 def test_adaptive_exponential():
@@ -13,6 +13,21 @@ def test_adaptive_exponential():
     assert abs(result.times[-1] - 1.0) < 1e-14
     assert abs(result.states[-1, 0] - math.exp(-1.0)) < 1e-9
     assert result.diagnostics["accepted"] > 0
+
+
+def test_records_across_block_boundaries():
+    def decay(record_every):
+        cfg = IntegratorConfig(rtol=1e-12, atol=1e-14, record_every=record_every)
+        return integrate(lambda y, t: -y, np.array([1.0]), (0.0, 10.0), cfg)
+
+    result, ends = decay(1), decay(10 ** 9)
+    times, states = result.times, result.states
+    assert len(times) == len(states) == result.diagnostics["accepted"] + 1
+    assert len(times) > 2 * _BLOCK_ROWS + 1
+    assert np.max(np.abs(states[:, 0] / np.exp(-times) - 1.0)) < 1e-10
+    # the same steps, so the last record is the endpoint itself
+    assert ends.times.tolist() == [0.0, 10.0] and times[-1] == 10.0
+    assert ends.states[:, 0].tolist() == [1.0, states[-1, 0]]
 
 
 def test_gardiner_means_match_analytic_exponentials():
