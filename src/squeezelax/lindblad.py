@@ -60,6 +60,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -112,8 +113,8 @@ def dissipator(u: np.ndarray, v: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def _stencil(op: np.ndarray, params: SqueezingParams):
     """Coefficients of the nine-term stencil, or None unless op is a real superdiagonal.
 
-    Returns (zeros, center, pairs) for ``Liouvillian.apply``: the padding
-    put on both sides of the flattened float64 view of rho, the coefficient
+    Returns (pad, center, pairs) for ``Liouvillian.apply``: the number of
+    zeros put on both sides of the flattened float64 view of rho, the coefficient
     of the unshifted term, and the shifted terms as pairs of (start,
     coefficient), where start locates the shifted copy of rho in the padded
     array. Each coefficient is repeated for the real and imaginary halves of
@@ -151,12 +152,18 @@ def _stencil(op: np.ndarray, params: SqueezingParams):
     center = interleaved(-0.5 * (kappa[:, None] + kappa))
     pairs = [((start(a), interleaved(ca)), (start(b), interleaved(cb)))
              for a, ca, b, cb in terms if np.any(ca) or np.any(cb)]
-    return np.zeros(pad), center, pairs
+    return pad, center, pairs
 
 
 @dataclass
 class Liouvillian:
-    """Squeezed-bath Lindblad generator for a lowering operator ``op``."""
+    """Squeezed-bath Lindblad generator for a lowering operator ``op``.
+
+    Nothing beyond ``op`` is built up front: the stencil on the first
+    ``apply``, the dense d+, P, Q and K on the first call that reads them
+    (``superoperator``, ``sector_superoperator`` or ``apply`` for an op
+    that is not a real superdiagonal).
+    """
 
     op: np.ndarray
     params: SqueezingParams
@@ -165,40 +172,53 @@ class Liouvillian:
         self.op = np.asarray(self.op, dtype=complex)
         if self.op.ndim != 2 or self.op.shape[0] != self.op.shape[1]:
             raise ValueError("system operator must be a square matrix")
-        p = self.params
-        d, dag = self.op, self.op.conj().T
-        self._dag = dag
-        self._p = (p.nbar + 1.0) * dag - p.m_corr * d
-        self._q = p.nbar * d - p.m_corr * dag
-        self._k = ((p.nbar + 1.0) * (dag @ d) + p.nbar * (d @ dag)
-                   - p.m_corr * (dag @ dag + d @ d))
-        self._stencil = _stencil(self.op, p)
 
     @property
     def dim(self) -> int:
         return self.op.shape[0]
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Evaluate drho/dt for a density matrix rho, as a new array.
+    @cached_property
+    def _normal_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The dense (d+, P, Q, K) of the normal form."""
+        p = self.params
+        d, dag = self.op, self.op.conj().T
+        return (dag, (p.nbar + 1.0) * dag - p.m_corr * d, p.nbar * d - p.m_corr * dag,
+                (p.nbar + 1.0) * (dag @ d) + p.nbar * (d @ dag)
+                - p.m_corr * (dag @ dag + d @ d))
 
-        A real superdiagonal op takes the nine-term stencil, O(dim^2); any
-        other op takes the dense normal form, O(dim^3).
+    @cached_property
+    def _banded(self):
+        """The stencil of ``_stencil``, or None for the dense normal form."""
+        return _stencil(self.op, self.params)
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """Evaluate drho/dt for a density matrix or a stack of them, as a new array.
+
+        rho has shape (..., dim, dim); every matrix of the stack is mapped
+        on its own, with the same arithmetic as when it is passed alone. A
+        real superdiagonal op takes the nine-term stencil, O(dim^2) per
+        matrix, on the (2 dim^2,) float64 view of one matrix or the
+        (B, 2 dim^2) view of a stack; any other op takes the dense normal
+        form, O(dim^3) per matrix, broadcast over the stack.
         """
         rho = np.asarray(rho)
-        if rho.shape != self.op.shape:
+        if rho.ndim < 2 or rho.shape[-2:] != self.op.shape:
             raise ValueError("density matrix shape does not match the generator")
-        if self._stencil is None:
-            k = self._k
-            return self.params.gamma_p * (self.op @ rho @ self._p + self._dag @ rho @ self._q
+        if self._banded is None:
+            dag, p, q, k = self._normal_form
+            return self.params.gamma_p * (self.op @ rho @ p + dag @ rho @ q
                                           - 0.5 * (k @ rho + rho @ k))
-        # interleaved (re, im) float64 view, so every coefficient is real
-        x = np.ascontiguousarray(rho, dtype=complex).reshape(-1).view(np.float64)
-        zeros, center, pairs = self._stencil
-        padded = np.concatenate((zeros, x, zeros))
-        n = x.size
+        # interleaved (re, im) float64 view of one matrix, or one row per
+        # matrix of a stack, so every coefficient is real
+        flat = (-1,) if rho.ndim == 2 else (-1, self.dim ** 2)
+        x = np.ascontiguousarray(rho, dtype=complex).reshape(flat).view(np.float64)
+        pad, center, pairs = self._banded
+        n = x.shape[-1]
+        padded = np.zeros(x.shape[:-1] + (n + 2 * pad,))
+        padded[..., pad:pad + n] = x
         out = center * x
         for (a, ca), (b, cb) in pairs:
-            out += ca * padded[a:a + n] + cb * padded[b:b + n]
+            out += ca * padded[..., a:a + n] + cb * padded[..., b:b + n]
         return out.view(complex).reshape(rho.shape)
 
     def superoperator(self) -> np.ndarray:
@@ -210,9 +230,9 @@ class Liouvillian:
         """
         _check_memory(16 * self.dim ** 4, f"the dense superoperator at dim {self.dim}")
         eye = np.eye(self.dim)
-        k = self._k
+        dag, p, q, k = self._normal_form
         return self.params.gamma_p * (
-            np.kron(self.op, self._p.T) + np.kron(self._dag, self._q.T)
+            np.kron(self.op, p.T) + np.kron(dag, q.T)
             - 0.5 * (np.kron(k, eye) + np.kron(eye, k.T)))
 
     def sectors(self) -> list[list[tuple[np.ndarray, np.ndarray]]]:
@@ -234,17 +254,20 @@ class Liouvillian:
 
         Uses (A kron B)[(i, j), (k, l)] = A[i, k] B[j, l] on each pair of tiles.
         """
+        # built, on a first call, before the block: operators that outlive
+        # this call, placed above the block in the heap, would keep its
+        # freed pages resident (steady-state-scan peak RSS +10 MB)
+        dag, p, q, k = self._normal_form
         sizes = np.cumsum([0] + [len(r) * len(c) for r, c in tiles])
         block = np.empty((sizes[-1], sizes[-1]), dtype=complex)
-        k = self._k
         for t, (rt, ct) in enumerate(tiles):
             for u, (ru, cu) in enumerate(tiles):
                 rows, cols = np.ix_(rt, ru), np.ix_(cu, ct)
                 # in place, so that at most two tile-sized temporaries live at
                 # once, in the order of superoperator()'s expression
                 tile = block[sizes[t]:sizes[t + 1], sizes[u]:sizes[u + 1]]
-                tile[...] = np.kron(self.op[rows], self._p[cols].T)
-                tile += np.kron(self._dag[rows], self._q[cols].T)
+                tile[...] = np.kron(self.op[rows], p[cols].T)
+                tile += np.kron(dag[rows], q[cols].T)
                 anti = np.kron(k[rows], ct[:, None] == cu)
                 anti += np.kron(rt[:, None] == ru, k[cols].T)
                 anti *= 0.5
@@ -278,16 +301,16 @@ class Trajectory:
     """Integrated master-equation trajectory with sanity diagnostics."""
 
     times: np.ndarray
-    states: np.ndarray  # shape (T, dim, dim)
+    states: np.ndarray  # shape (T, dim, dim), or (T, B, dim, dim) for a batch
     diagnostics: dict
 
     def expectations(self, op: np.ndarray) -> np.ndarray:
-        """Tr(op rho) at every recorded time (real part)."""
-        return np.einsum("ij,tji->t", op, self.states).real
+        """Tr(op rho) at every recorded time (real part), shape states.shape[:-2]."""
+        return np.einsum("ij,...ji->...", op, self.states).real
 
     def sym_covariances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Symmetrized covariance of a and b at every recorded time."""
-        anti = 0.5 * np.einsum("ij,tji->t", a @ b + b @ a, self.states).real
+        """Symmetrized covariance of a and b at every recorded time, shape states.shape[:-2]."""
+        anti = 0.5 * np.einsum("ij,...ji->...", a @ b + b @ a, self.states).real
         return anti - self.expectations(a) * self.expectations(b)
 
     @property
@@ -297,9 +320,10 @@ class Trajectory:
 
 
 def _state_diagnostics(states: np.ndarray) -> dict:
-    traces = np.einsum("tii->t", states).real
-    herm = max(float(np.max(np.abs(s - s.conj().T))) for s in states)
-    min_eig = min(float(np.min(np.linalg.eigvalsh(0.5 * (s + s.conj().T))))
+    """Witnesses over every member of every record, one record at a time."""
+    traces = np.einsum("...ii->...", states).real
+    herm = max(float(np.max(np.abs(s - s.conj().swapaxes(-1, -2)))) for s in states)
+    min_eig = min(float(np.min(np.linalg.eigvalsh(0.5 * (s + s.conj().swapaxes(-1, -2)))))
                   for s in states)
     return {
         "max_trace_drift": float(np.max(np.abs(traces - 1.0))),
@@ -313,31 +337,43 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, t_final: float,
            record_every: int = 1) -> Trajectory:
     """Integrate the master equation from rho0 to t_final.
 
-    The density matrix is vectorized and stepped with the adaptive RK45
-    engine; no trace renormalization is applied, so trace drift stays a
-    genuine global-error witness in the diagnostics. The trace, hermiticity
-    and eigenvalue witnesses are taken on the recorded states only: the
-    initial state, every record_every-th accepted step and the endpoint
-    (with a huge record_every, just t = 0 and t_final).
+    rho0 is one density matrix (dim, dim) or a batch (B, dim, dim); a
+    batch is stepped as one stack (see ``integrate``), with each member
+    held to rtol and atol on its own, and ``states`` has shape
+    (T,) + rho0.shape. The density matrices are vectorized and stepped with
+    the adaptive RK45 engine; no trace renormalization is applied, so trace
+    drift stays a genuine global-error witness in the diagnostics. The
+    trace, hermiticity and eigenvalue witnesses read every member of the
+    recorded states and report the worst over the batch. They are taken
+    on the recorded states only: the initial state, every record_every-th
+    accepted step and the endpoint (with a huge record_every, just t = 0
+    and t_final). One DEBUG line per call logs the batch size, dim, step
+    counts and the accepted step-size range.
     """
     if isinstance(rho0, QuantumState):
         rho0 = rho0.density()
     rho0 = np.asarray(rho0, dtype=complex)
     dim = liouv.dim
-    if rho0.shape != (dim, dim):
-        raise ValueError("initial state shape does not match the generator")
+    if rho0.ndim not in (2, 3) or rho0.shape[-2:] != (dim, dim) or rho0.size == 0:
+        raise ValueError("initial state shape does not match the generator: expected "
+                         f"({dim}, {dim}) or (B, {dim}, {dim}), got {rho0.shape}")
     if t_final <= 0:
         raise ValueError("t_final must be positive")
 
     def rhs(y, _t):
-        return liouv.apply(y.reshape(dim, dim)).ravel()
+        return liouv.apply(y.reshape(rho0.shape)).reshape(y.shape)
 
     cfg = IntegratorConfig(dt=min(1e-2 / liouv.params.gamma_p, t_final),
                            rtol=rtol, atol=atol, record_every=record_every)
-    result: IntegrationResult = integrate(rhs, rho0.ravel(), (0.0, t_final), cfg)
-    states = result.states.reshape(-1, dim, dim)
+    result: IntegrationResult = integrate(rhs, rho0.reshape(rho0.shape[:-2] + (dim * dim,)),
+                                          (0.0, t_final), cfg)
+    states = result.states.reshape((-1,) + rho0.shape)
     diagnostics = dict(result.diagnostics)
     diagnostics.update(_state_diagnostics(states))
+    logger.debug("evolve batch=%d dim=%d accepted=%d rejected=%d rhs_evals=%d "
+                 "dt=[%.3e, %.3e]", 1 if rho0.ndim == 2 else len(rho0), dim,
+                 diagnostics["accepted"], diagnostics["rejected"],
+                 diagnostics["rhs_evals"], diagnostics["dt_min"], diagnostics["dt_max"])
     return Trajectory(times=result.times, states=states, diagnostics=diagnostics)
 
 
@@ -474,9 +510,8 @@ def oscillator_oracle(params: SqueezingParams, t_final: float,
         if cut > _MAX_CUTOFF:
             raise CutoffError(f"required Fock cutoff exceeds the limit {_MAX_CUTOFF}")
         liouv = oscillator_liouvillian(cut, params)
-        psi0 = coherent_state_vector(cut, alpha)
-        rho0 = np.outer(psi0, psi0.conj())
-        traj = evolve(liouv, rho0, t_final, rtol=rtol, atol=atol,
+        psi0 = QuantumState(coherent_state_vector(cut, alpha), "vector")
+        traj = evolve(liouv, psi0, t_final, rtol=rtol, atol=atol,
                       record_every=record_every)
         top_pop = float(np.max(traj.states[:, -1, -1].real))
         traj.diagnostics["cutoff"] = cut

@@ -6,7 +6,8 @@ Its last stage is the derivative at the step's 5th-order endpoint, so on an
 accepted step it is reused as the next step's first stage (first same as
 last) and every attempted step costs six RHS evaluations. Complex states
 are integrated as interleaved real arrays so one stepping loop serves both
-the real moment systems and vectorized density matrices.
+the real moment systems and vectorized density matrices. A stack of states
+is stepped as one flat array, with the error norm taken per member.
 """
 
 from __future__ import annotations
@@ -93,28 +94,49 @@ def _block(size: int) -> np.ndarray:
 def integrate(rhs, y0, t_span, cfg: IntegratorConfig) -> IntegrationResult:
     """Integrate dy/dt = rhs(y, t) over t_span = (t0, t1).
 
+    y0 is one state of shape (size,) or a stack of B states of shape
+    (B, size), stepped together: rhs receives and returns arrays of y0's
+    shape, and states has shape (T,) + y0.shape. The error norm is the RMS
+    over each state's entries, maximised over the stack, so every member
+    meets rtol and atol on its own; the step sequence is the one the
+    hardest member needs. A single state has a stack of one row, so its
+    steps are the same as those of that state alone.
+
     Records land on accepted steps (no interpolation); the final state is
     stepped exactly onto t1. Complex y0 is handled transparently.
+    Diagnostics: accepted and rejected steps, RHS evaluations, and the
+    smallest and largest accepted step, dt_min and dt_max.
     """
     y0 = np.asarray(y0)
+    if y0.ndim not in (1, 2) or y0.size == 0:
+        raise ValueError("y0 must be a nonempty state (size,) or stack of states (B, size)")
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state contains non-finite values")
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must satisfy t1 > t0")
 
+    # stepping runs on one flat float64 array; rhs sees the shape of y0
     is_complex = np.iscomplexobj(y0)
     if is_complex:
         y0 = np.ascontiguousarray(y0, dtype=complex).view(np.float64)
+        shape = y0.shape
 
         def f(y, t):
-            return np.asarray(rhs(y.view(complex), t), dtype=complex).view(np.float64)
+            return np.asarray(rhs(y.reshape(shape).view(complex), t),
+                              dtype=complex).view(np.float64).reshape(-1)
     else:
         y0 = y0.astype(np.float64)
-        f = rhs
+        shape = y0.shape
+
+        def f(y, t):
+            return np.reshape(rhs(y.reshape(shape), t), -1)
+    rows = shape[0] if len(shape) == 2 else 1
+    y0 = y0.reshape(-1)
 
     t, y = t0, y0
     h = min(cfg.dt, t1 - t0)
+    dt_min, dt_max = math.inf, 0.0
     times = [t0]
     # records go into fixed-size blocks, so the trajectory is never held as
     # both a list of records and their stack
@@ -133,13 +155,15 @@ def integrate(rhs, y0, t_span, cfg: IntegratorConfig) -> IntegrationResult:
             raise IntegrationError("non-finite derivative returned by RHS", t=t, dt=h)
 
         scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = math.sqrt(float(np.mean((h * (_DP_E @ k) / scale) ** 2)))
+        sq = (h * (_DP_E @ k) / scale) ** 2
+        err = math.sqrt(float(np.max(np.mean(sq.reshape(rows, -1), axis=1))))
 
         if err <= 1.0:
             t = t + h
             y = y5
             k[0] = k[6]
             accepted += 1
+            dt_min, dt_max = min(dt_min, h), max(dt_max, h)
             if accepted % cfg.record_every == 0 or t >= t1:
                 row = len(times) % _BLOCK_ROWS
                 if row == 0:
@@ -160,7 +184,9 @@ def integrate(rhs, y0, t_span, cfg: IntegratorConfig) -> IntegrationResult:
     states = np.empty((len(times), y0.size))
     for start in range(0, len(times), _BLOCK_ROWS):
         states[start:start + _BLOCK_ROWS] = blocks.pop(0)[:len(times) - start]
+    states = states.reshape((len(times),) + shape)
     diagnostics = {"accepted": accepted, "rejected": rejected,
-                   "rhs_evals": 1 + 6 * (accepted + rejected)}
+                   "rhs_evals": 1 + 6 * (accepted + rejected),
+                   "dt_min": dt_min, "dt_max": dt_max}
     return IntegrationResult(np.array(times), states.view(complex) if is_complex else states,
                              diagnostics)

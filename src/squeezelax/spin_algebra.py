@@ -108,9 +108,12 @@ class QuantumState:
         return self.data.shape[0]
 
     def density(self) -> np.ndarray:
-        """Return the state as a density matrix."""
+        """Return the state as a density matrix; a vector gives an exactly Hermitian one."""
         if self.kind == "vector":
-            return np.outer(self.data, self.data.conj())
+            # np.outer may round v_i v_j* and v_j v_i* differently, so the
+            # outer product is averaged with its conjugate transpose
+            rho = np.outer(self.data, self.data.conj())
+            return 0.5 * (rho + rho.conj().T)
         return self.data
 
 

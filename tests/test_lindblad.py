@@ -183,6 +183,33 @@ class TestLiouvillianApply:
         out = liouv.apply(g + g.conj().T)
         assert np.array_equal(out, out.conj().T)
 
+    @pytest.mark.parametrize("kind, size", [("spins", 1), ("spins", 5), ("spins", 15),
+                                            ("oscillator", 59), ("sigma_x", 2)])
+    def test_batch_equals_each_member_alone(self, kind, size):
+        p = BATHS["mixed"]
+        if kind == "spins":
+            liouv = spin_liouvillian(build_collective_ops(DickeSpace(size)), p)
+        elif kind == "oscillator":
+            liouv = oscillator_liouvillian(size, p)
+        else:
+            liouv = Liouvillian(op=np.array([[0.0, 1.0], [1.0, 0.0]]), params=p)
+        rng = np.random.default_rng(35)
+        stack = np.stack([random_pure(rng, liouv.dim).density() for _ in range(5)])
+        out = liouv.apply(stack)
+        assert out.shape == stack.shape
+        for member, got in zip(stack, out):
+            assert np.array_equal(got, liouv.apply(member))
+        with pytest.raises(ValueError):
+            liouv.apply(stack[:, :, :-1])
+
+    def test_dense_operators_built_only_when_read(self):
+        liouv = spin_liouvillian(build_collective_ops(DickeSpace(3)), BATHS["mixed"])
+        assert "_normal_form" not in vars(liouv) and "_banded" not in vars(liouv)
+        evolve(liouv, np.eye(4, dtype=complex) / 4, 0.1)
+        assert "_normal_form" not in vars(liouv) and "_banded" in vars(liouv)
+        liouv.superoperator()
+        assert "_normal_form" in vars(liouv)
+
     @pytest.mark.parametrize("bath", BATHS)
     def test_superoperator_matches_direct_application(self, bath):
         rng = np.random.default_rng(17)
@@ -293,6 +320,51 @@ class TestEvolve:
             evolve(liouv, np.eye(2, dtype=complex) / 2, 1.0)  # wrong dimension
         with pytest.raises(ValueError):
             evolve(liouv, np.eye(3, dtype=complex) / 3, -1.0)
+        stack = np.stack([np.eye(3, dtype=complex) / 3] * 2)
+        for rho0 in (stack[None], stack[:, :, :-1], stack[:0]):  # bad stacks
+            with pytest.raises(ValueError):
+                evolve(liouv, rho0, 1.0)
+
+    @pytest.fixture(scope="class")
+    def phi_batch(self):
+        space = DickeSpace(6)
+        liouv = spin_liouvillian(build_collective_ops(space), SqueezingParams.minimal(2.0))
+        states = [spin_coherent_state(space, BlochAngles(0.7 * math.pi, phi))
+                  for phi in (0.0, 1.1, 2.5, 4.0)]
+        return liouv, np.stack([s.density() for s in states])
+
+    def test_batch_matches_each_member_alone(self, phi_batch):
+        liouv, stack = phi_batch
+        batch = evolve(liouv, stack, 0.3, record_every=7)
+        assert batch.states.shape == (len(batch.times),) + stack.shape
+        ops = build_collective_ops(DickeSpace(6))
+        for b, rho0 in enumerate(stack):
+            alone = evolve(liouv, rho0, 0.3, record_every=10 ** 9)
+            final = batch.final_state[b]
+            assert np.max(np.abs(final - alone.final_state)) <= 1e-9 * np.max(np.abs(final))
+            assert batch.expectations(ops.sx)[-1, b] == pytest.approx(
+                alone.expectations(ops.sx)[-1], rel=1e-9)
+            assert batch.sym_covariances(ops.sx, ops.sy)[-1, b] == pytest.approx(
+                alone.sym_covariances(ops.sx, ops.sy)[-1], rel=1e-9, abs=1e-12)
+        assert batch.diagnostics["max_hermiticity_residual"] < 1e-12
+
+    def test_batch_witness_reads_every_member(self, phi_batch):
+        liouv, stack = phi_batch
+        bad = stack.copy()
+        bad[2, 0, 1] += 1e-6
+        diag = evolve(liouv, bad, 0.3, record_every=10 ** 9).diagnostics
+        assert diag["max_hermiticity_residual"] == pytest.approx(1e-6, rel=1e-6)
+        assert evolve(liouv, stack[2], 0.3).diagnostics["max_hermiticity_residual"] < 1e-12
+
+    def test_logs_one_debug_line(self, phi_batch, caplog):
+        liouv, stack = phi_batch
+        with caplog.at_level(logging.DEBUG, logger="squeezelax.lindblad"):
+            diag = evolve(liouv, stack, 0.1).diagnostics
+        (record,) = caplog.records
+        message = record.getMessage()
+        assert record.levelno == logging.DEBUG
+        assert "batch=4 dim=7" in message and f"rhs_evals={diag['rhs_evals']}" in message
+        assert 0 < diag["dt_min"] <= diag["dt_max"] <= 0.1
 
 
 class TestSteadyState:
@@ -414,6 +486,10 @@ class TestOscillatorOracle:
         a = annihilation_operator(8)
         x = a + a.conj().T
         assert traj.sym_covariances(x, x)[-1] == pytest.approx(1.0, abs=1e-9)
+
+    def test_displaced_start_is_exactly_hermitian(self):
+        traj = oscillator_oracle(SqueezingParams.minimal(0.5), 0.5, alpha=0.8 + 0.5j)
+        assert np.array_equal(traj.states[0], traj.states[0].conj().T)
 
     def test_mean_decay_rate_independent_of_squeezing(self):
         # cutoff well above the default so truncation stays below the tolerance

@@ -99,6 +99,9 @@ def test_config_validation():
         IntegratorConfig(rtol=-1.0)
     with pytest.raises(ValueError):
         integrate(lambda y, t: -y, np.array([1.0]), (1.0, 0.5), IntegratorConfig())
+    for y0 in (np.ones((2, 2, 2)), np.ones((0, 3)), np.ones(0), np.array(1.0)):  # bad stacks
+        with pytest.raises(ValueError):
+            integrate(lambda y, t: -y, y0, (0.0, 1.0), IntegratorConfig())
 
 
 def test_rhs_calls_match_the_reported_count():
@@ -128,3 +131,49 @@ def test_step_size_underflow_at_blowup():
     with pytest.raises(IntegrationError, match="step size underflow") as info:
         integrate(lambda y, t: y ** 2, np.array([1.0]), (0.0, 2.0), IntegratorConfig())
     assert abs(info.value.t - 1.0) < 1e-3
+
+
+def test_batch_of_one_steps_as_the_single_state():
+    def rhs(y, _t):
+        return np.stack([-y[..., 0] + y[..., 1] ** 2, -3.0 * y[..., 1]], axis=-1)
+
+    cfg = IntegratorConfig(dt=0.5, rtol=1e-9, atol=1e-12)
+    single = integrate(rhs, np.array([1.0, 2.0]), (0.0, 4.0), cfg)
+    batch = integrate(rhs, np.array([[1.0, 2.0]]), (0.0, 4.0), cfg)
+    assert single.diagnostics["rejected"] > 0
+    assert batch.diagnostics == single.diagnostics
+    assert np.array_equal(batch.times, single.times)
+    assert batch.states.shape == (len(single.times), 1, 2)
+    assert np.array_equal(batch.states[:, 0], single.states)
+
+
+def test_batch_holds_every_member_to_its_own_tolerance():
+    # y_b' = -lambda_b y_b. The error norm is the worst member's, so each
+    # member's global error stays within twice its own tolerance, as the
+    # stiffest one's does when integrated alone (about 1.5); a norm pooled
+    # over the eight members lets the stiffest one reach about 3.8.
+    rates = np.linspace(1.0, 50.0, 8)
+    rtol, atol = 1e-8, 1e-12
+    cfg = IntegratorConfig(rtol=rtol, atol=atol)
+    result = integrate(lambda y, _t: -rates[:, None] * y, np.ones((8, 1)), (0.0, 1.0), cfg)
+    assert result.states.shape == (len(result.times), 8, 1)
+    exact = np.exp(-np.outer(result.times, rates))
+    err = np.abs(result.states[:, :, 0] - exact) / (atol + rtol * exact)
+    assert np.max(err) <= 2.0
+    solo = integrate(lambda y, _t: -rates[-1] * y, np.ones(1), (0.0, 1.0), cfg)
+    solo_err = np.abs(solo.states[:, 0] - np.exp(-rates[-1] * solo.times)) / (
+        atol + rtol * np.exp(-rates[-1] * solo.times))
+    assert np.max(err[:, -1]) <= 1.01 * np.max(solo_err)
+
+
+def test_complex_batch_and_step_range():
+    cfg = IntegratorConfig(rtol=1e-11, atol=1e-13)
+    omega = np.array([[1.0], [2.0], [3.0]])
+    result = integrate(lambda y, t: 1j * omega * y, np.ones((3, 1), dtype=complex),
+                       (0.0, math.pi), cfg)
+    assert np.iscomplexobj(result.states) and result.states.shape[1:] == (3, 1)
+    assert np.max(np.abs(result.states[-1] - np.exp(1j * math.pi * omega))) < 1e-9
+    diag = result.diagnostics
+    steps = np.diff(result.times)
+    assert diag["dt_min"] == pytest.approx(np.min(steps), rel=1e-12)
+    assert diag["dt_max"] == pytest.approx(np.max(steps), rel=1e-12)

@@ -243,3 +243,10 @@ class TestQuantumState:
         rho = state.density()
         assert rho[1, 1] == pytest.approx(1.0)
         assert np.trace(rho).real == pytest.approx(1.0)
+
+    def test_density_of_coherent_vector_is_exactly_hermitian(self):
+        for n in range(1, 65):
+            state = spin_coherent_state(DickeSpace(n), BlochAngles(0.7 * math.pi, 0.9))
+            rho = state.density()
+            assert np.array_equal(rho, rho.conj().T), n
+            assert np.max(np.abs(rho - np.outer(state.data, state.data.conj()))) < 1e-15
