@@ -35,13 +35,6 @@ __all__ = [
 _ELLIPSE_SCALES = {1: 0.12, 5: 0.25, 15: 0.4}
 _DT_FACTOR = 0.008
 _OSCILLATOR_DT = 0.1
-# fig3b evolves the phi grid in batches of at most this many bytes of density
-# matrices: up to dim 16 the whole 12-point grid. A larger stack makes the
-# temporaries of the RK45 step and of apply cross the C allocator's mmap
-# threshold (128 KiB in glibc), so they are mapped and unmapped on every
-# call: on a 2-core Linux machine, apply on 12 stacked matrices at dim 41
-# took about 2.5x as long as on the 12 one by one.
-_BATCH_BYTES = 64 * 1024
 
 
 def max_hilbert_dim() -> int:
@@ -160,9 +153,8 @@ def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid,
     The exact state is evolved under the master equation for
     dt = 0.008 * n / gamma_p and the moment functionals are recorded on
     both endpoints; the states of one (n, theta) on the phi grid are evolved
-    in batches of at most 64 KiB of density matrices (16 states at Hilbert
-    dimension 16). The oscillator panel evolves a coherent state by the
-    closed-form quadrature solutions for 0.1 / gamma_p.
+    together, as one batch. The oscillator panel evolves a coherent state by
+    the closed-form quadrature solutions for 0.1 / gamma_p.
     """
     params = SqueezingParams.minimal(nbar)
     gamma_p = params.gamma_p
@@ -177,19 +169,16 @@ def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid,
 
     check_dim(max(n_list, default=0) + 1)
     rows = []
-    for n in n_list:
+    for n in n_list if phi_grid else ():
         space = DickeSpace(n)
         ops = build_collective_ops(space)
         liouv = spin_liouvillian(ops, params)
         scale = _ELLIPSE_SCALES.get(n, 1.0)
-        per_batch = max(1, _BATCH_BYTES // (16 * space.dim ** 2))
         for theta in theta_list:
             states = [spin_coherent_state(space, BlochAngles(theta, phi)) for phi in phi_grid]
-            finals = []
-            for start in range(0, len(states), per_batch):
-                batch = np.stack([s.density() for s in states[start:start + per_batch]])
-                finals.extend(evolve(liouv, batch, _DT_FACTOR * n / gamma_p, rtol=rtol,
-                                     record_every=10 ** 9).final_state)
+            finals = evolve(liouv, np.stack([s.density() for s in states]),
+                            _DT_FACTOR * n / gamma_p, rtol=rtol,
+                            record_every=10 ** 9).final_state
             for phi, state, final in zip(phi_grid, states, finals):
                 post = QuantumState(final, "matrix")
                 for stage, at in (("pre", state), ("post", post)):

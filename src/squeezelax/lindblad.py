@@ -170,6 +170,7 @@ class Liouvillian:
 
     def __post_init__(self):
         self.op = np.asarray(self.op, dtype=complex)
+        self._work = None
         if self.op.ndim != 2 or self.op.shape[0] != self.op.shape[1]:
             raise ValueError("system operator must be a square matrix")
 
@@ -199,7 +200,9 @@ class Liouvillian:
         real superdiagonal op takes the nine-term stencil, O(dim^2) per
         matrix, on the (2 dim^2,) float64 view of one matrix or the
         (B, 2 dim^2) view of a stack; any other op takes the dense normal
-        form, O(dim^3) per matrix, broadcast over the stack.
+        form, O(dim^3) per matrix, broadcast over the stack. The stencil
+        path keeps its work arrays for the last shape it was given, so one
+        generator must not be applied from two threads at once.
         """
         rho = np.asarray(rho)
         if rho.ndim < 2 or rho.shape[-2:] != self.op.shape:
@@ -214,11 +217,21 @@ class Liouvillian:
         x = np.ascontiguousarray(rho, dtype=complex).reshape(flat).view(np.float64)
         pad, center, pairs = self._banded
         n = x.shape[-1]
-        padded = np.zeros(x.shape[:-1] + (n + 2 * pad,))
+        # the zero-bordered copy of x and the two product arrays are kept for
+        # the last shape applied: a stack's arrays can pass the C allocator's
+        # mmap threshold (128 KiB in glibc), and allocated on every call they
+        # would be mapped and unmapped each time
+        if self._work is None or self._work[1].shape != x.shape:
+            self._work = (np.zeros(x.shape[:-1] + (n + 2 * pad,)),
+                          np.empty(x.shape), np.empty(x.shape))
+        padded, ta, tb = self._work
         padded[..., pad:pad + n] = x
         out = center * x
         for (a, ca), (b, cb) in pairs:
-            out += ca * padded[..., a:a + n] + cb * padded[..., b:b + n]
+            np.multiply(ca, padded[..., a:a + n], out=ta)
+            np.multiply(cb, padded[..., b:b + n], out=tb)
+            ta += tb
+            out += ta
         return out.view(complex).reshape(rho.shape)
 
     def superoperator(self) -> np.ndarray:

@@ -105,7 +105,9 @@ def integrate(rhs, y0, t_span, cfg: IntegratorConfig) -> IntegrationResult:
     Records land on accepted steps (no interpolation); the final state is
     stepped exactly onto t1. Complex y0 is handled transparently.
     Diagnostics: accepted and rejected steps, RHS evaluations, and the
-    smallest and largest accepted step, dt_min and dt_max.
+    smallest and largest accepted step size the controller chose, dt_min and
+    dt_max; the last step, cut short to land on t1, counts only when it is
+    the only step.
     """
     y0 = np.asarray(y0)
     if y0.ndim not in (1, 2) or y0.size == 0:
@@ -146,6 +148,7 @@ def integrate(rhs, y0, t_span, cfg: IntegratorConfig) -> IntegrationResult:
     k = np.empty((7, y0.size))
     k[0] = f(y, t)
     while t < t1:
+        last = h >= t1 - t
         h = min(h, t1 - t)
         for i in range(1, 6):
             k[i] = f(y + h * (_DP_A[i, :i] @ k[:i]), t + _DP_C[i] * h)
@@ -163,7 +166,8 @@ def integrate(rhs, y0, t_span, cfg: IntegratorConfig) -> IntegrationResult:
             y = y5
             k[0] = k[6]
             accepted += 1
-            dt_min, dt_max = min(dt_min, h), max(dt_max, h)
+            if not last:
+                dt_min, dt_max = min(dt_min, h), max(dt_max, h)
             if accepted % cfg.record_every == 0 or t >= t1:
                 row = len(times) % _BLOCK_ROWS
                 if row == 0:
@@ -180,6 +184,8 @@ def integrate(rhs, y0, t_span, cfg: IntegratorConfig) -> IntegrationResult:
                 raise IntegrationError("step size underflow", t=t, dt=h)
             h = _DT_MIN
 
+    if dt_max == 0.0:
+        dt_min = dt_max = t1 - t0
     # each block is dropped, and unmapped, once copied into the stack
     states = np.empty((len(times), y0.size))
     for start in range(0, len(times), _BLOCK_ROWS):

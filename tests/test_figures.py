@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from squeezelax import figures
 from squeezelax.figures import (FigureDataset, fig3a_vector_field,
                                 fig3b_ellipses, fig4a_rates,
                                 fig4b_variance_derivatives)
@@ -136,17 +135,6 @@ class TestFig3b:
     def test_rejects_invalid_theta(self):
         with pytest.raises(ValueError):
             fig3b_ellipses([1], 5.0, [1.5 * math.pi], PHIS)
-
-    def test_split_phi_batches_match_one_batch(self, monkeypatch):
-        phis = PHIS + [5.5]
-        whole = fig3b_ellipses([5], 5.0, THETAS[:1], phis)
-        # two 6 x 6 density matrices per batch: batches of 2, 2 and 1
-        monkeypatch.setattr(figures, "_BATCH_BYTES", 2 * 16 * 36)
-        split = fig3b_ellipses([5], 5.0, THETAS[:1], phis)
-        assert len(split.rows) == len(whole.rows)
-        for a, b in zip(split.rows, whole.rows):
-            assert a[:5] == b[:5]
-            assert a[5:] == pytest.approx(b[5:], rel=1e-9, abs=1e-12)
 
 
 class TestFig4a:

@@ -202,6 +202,14 @@ class TestLiouvillianApply:
         with pytest.raises(ValueError):
             liouv.apply(stack[:, :, :-1])
 
+    def test_work_arrays_follow_the_shape(self):
+        ops, p = build_collective_ops(DickeSpace(6)), BATHS["mixed"]
+        liouv = spin_liouvillian(ops, p)
+        rng = np.random.default_rng(36)
+        stack = np.stack([random_pure(rng, 7).density() for _ in range(4)])
+        for rho in (stack, stack[0], stack[:2], stack[1], stack):
+            assert np.array_equal(liouv.apply(rho), spin_liouvillian(ops, p).apply(rho))
+
     def test_dense_operators_built_only_when_read(self):
         liouv = spin_liouvillian(build_collective_ops(DickeSpace(3)), BATHS["mixed"])
         assert "_normal_form" not in vars(liouv) and "_banded" not in vars(liouv)

@@ -174,6 +174,16 @@ def test_complex_batch_and_step_range():
     assert np.iscomplexobj(result.states) and result.states.shape[1:] == (3, 1)
     assert np.max(np.abs(result.states[-1] - np.exp(1j * math.pi * omega))) < 1e-9
     diag = result.diagnostics
-    steps = np.diff(result.times)
+    # the range covers the steps the controller chose, not the last one,
+    # which is cut short to land on t1
+    steps = np.diff(result.times)[:-1]
     assert diag["dt_min"] == pytest.approx(np.min(steps), rel=1e-12)
     assert diag["dt_max"] == pytest.approx(np.max(steps), rel=1e-12)
+    # the same steps, then a last one cut to about 1e-6, which the range ignores
+    short = integrate(lambda y, t: 1j * omega * y, np.ones((3, 1), dtype=complex),
+                      (0.0, result.times[-2] + 1e-6), cfg)
+    assert short.times[:-1].tolist() == result.times[:-1].tolist()
+    assert short.diagnostics["dt_min"] == diag["dt_min"]
+    assert short.diagnostics["dt_max"] == diag["dt_max"]
+    one = integrate(lambda y, t: -y, np.array([1.0]), (0.0, 1e-4), cfg).diagnostics
+    assert one["accepted"] == 1 and one["dt_min"] == one["dt_max"] == 1e-4
