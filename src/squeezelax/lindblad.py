@@ -39,7 +39,7 @@ would leave rho, so ``apply`` reads each shifted copy as one slice of the
 zero-padded, row-major flattened rho: O(dim^2) against the six O(dim^3)
 products of the normal form. A real superdiagonal op always takes the
 stencil; any other op takes the normal form in the dense P, Q and K, which
-also build ``superoperator`` and the sector blocks below.
+also build ``superoperator``, the dense reference.
 
 Parity sectors. When ``op`` is parity-odd (op[i, k] = 0 whenever i - k is
 even; S- in the Dicke basis and the truncated ``a`` have only a
@@ -47,10 +47,12 @@ superdiagonal, so they are), d, d+, P and Q flip the parity of a basis
 index and K keeps it. Each term of the generator then moves the coherence
 rho[i, j] only to coherences of the same parity of i - j, so the dim^2 x
 dim^2 superoperator splits exactly into an even-(i - j) and an odd-(i - j)
-block with nothing between them. ``sectors`` lists them and
-``sector_superoperator`` builds one block directly from op, d+, P, Q and K,
-without the full superoperator; an op that is not parity-odd gets a single
-sector holding every coherence.
+block with nothing between them. ``sectors`` lists the row-major positions
+of each, and an op that is not parity-odd gets a single sector holding
+every coherence. ``steady_state`` scatters the nonzero entries of the
+superoperator, from ``entries``, into one dense block per sector; for a
+real superdiagonal op they are the stencil's coefficients, at most nine per
+coherence, so the full superoperator is never built.
 """
 
 from __future__ import annotations
@@ -160,9 +162,10 @@ class Liouvillian:
     """Squeezed-bath Lindblad generator for a lowering operator ``op``.
 
     Nothing beyond ``op`` is built up front: the stencil on the first
-    ``apply``, the dense d+, P, Q and K on the first call that reads them
-    (``superoperator``, ``sector_superoperator`` or ``apply`` for an op
-    that is not a real superdiagonal).
+    ``apply`` or ``entries``, the dense d+, P, Q and K on the first call
+    that reads them (``superoperator``, or ``apply`` for an op that is not
+    a real superdiagonal). ``steady_state`` on a real superdiagonal op
+    reads only the stencil.
     """
 
     op: np.ndarray
@@ -248,50 +251,38 @@ class Liouvillian:
             np.kron(self.op, p.T) + np.kron(dag, q.T)
             - 0.5 * (np.kron(k, eye) + np.kron(eye, k.T)))
 
-    def sectors(self) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-        """The invariant coherence sectors, each a list of (rows, cols) tiles.
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, values) of the nonzero entries of ``superoperator()``.
 
-        A sector holds rho[rows][:, cols] of each tile, flattened row-major,
-        tile after tile. A parity-odd op on two or more levels gives the
-        even and the odd sector of i - j; any other op gives one sector
-        holding every coherence.
+        Each (row, col) pair appears once. A real superdiagonal op reads
+        them from the stencil in O(dim^2), without the dense matrix: the
+        term on shift (di, dj) puts its coefficient for rho[i, j] at row
+        i dim + j and column (i + di) dim + (j + dj), and since the
+        coefficients vanish wherever a shift would leave rho, no entry
+        wraps into another row of rho. Any other op reads them from
+        ``superoperator()``.
         """
-        levels = np.arange(self.dim)
-        if self.dim < 2 or np.any(self.op[(levels[:, None] - levels) % 2 == 0]):
-            return [[(levels, levels)]]
-        even, odd = levels[::2], levels[1::2]
-        return [[(even, even), (odd, odd)], [(even, odd), (odd, even)]]
+        if self._banded is None:
+            sup = self.superoperator()
+            rows, cols = np.nonzero(sup)
+            return rows, cols, sup[rows, cols]
+        pad, center, pairs = self._banded
+        starts, coefs = zip((pad, center), *(term for pair in pairs for term in pair))
+        coef = np.stack(coefs)[:, ::2]  # one of each (re, im) repeat
+        term, rows = np.nonzero(coef)
+        return rows, rows + (np.array(starts)[term] - pad) // 2, coef[term, rows]
 
-    def sector_superoperator(self, tiles: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        """Block of ``superoperator()`` on one sector, built without the full matrix.
+    def sectors(self) -> list[np.ndarray]:
+        """The invariant coherence sectors, as row-major positions in rho.
 
-        Uses (A kron B)[(i, j), (k, l)] = A[i, k] B[j, l] on each pair of tiles.
+        A parity-odd op on two or more levels gives the even and the odd
+        sector of i - j, each in increasing order; any other op gives one
+        sector holding every coherence.
         """
-        # built, on a first call, before the block: operators that outlive
-        # this call, placed above the block in the heap, would keep its
-        # freed pages resident (steady-state-scan peak RSS +10 MB)
-        dag, p, q, k = self._normal_form
-        sizes = np.cumsum([0] + [len(r) * len(c) for r, c in tiles])
-        block = np.empty((sizes[-1], sizes[-1]), dtype=complex)
-        for t, (rt, ct) in enumerate(tiles):
-            for u, (ru, cu) in enumerate(tiles):
-                rows, cols = np.ix_(rt, ru), np.ix_(cu, ct)
-                # in place, so that at most two tile-sized temporaries live at
-                # once, in the order of superoperator()'s expression
-                tile = block[sizes[t]:sizes[t + 1], sizes[u]:sizes[u + 1]]
-                tile[...] = np.kron(self.op[rows], p[cols].T)
-                tile += np.kron(dag[rows], q[cols].T)
-                anti = np.kron(k[rows], ct[:, None] == cu)
-                anti += np.kron(rt[:, None] == ru, k[cols].T)
-                anti *= 0.5
-                tile -= anti
-        block *= self.params.gamma_p
-        return block
-
-
-def _flat_index(tiles: list[tuple[np.ndarray, np.ndarray]], dim: int) -> np.ndarray:
-    """Row-major positions in rho of a sector's coherences, in sector order."""
-    return np.concatenate([(r[:, None] * dim + c).ravel() for r, c in tiles])
+        parity = np.indices(self.op.shape).sum(axis=0) % 2  # of i + j, so of i - j
+        if self.dim < 2 or np.any(self.op[parity == 0]):
+            return [np.arange(self.dim ** 2)]
+        return [np.flatnonzero(parity == 0), np.flatnonzero(parity)]
 
 
 def spin_liouvillian(ops: CollectiveOps, params: SqueezingParams) -> Liouvillian:
@@ -390,31 +381,41 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, t_final: float,
     return Trajectory(times=result.times, states=states, diagnostics=diagnostics)
 
 
-def _solve_sector(liouv: Liouvillian, tiles: list[tuple[np.ndarray, np.ndarray]],
-                  rng) -> tuple[np.ndarray, np.ndarray, float, float]:
+def _solve_sector(liouv: Liouvillian, index: np.ndarray, entries: tuple,
+                  rng) -> tuple[np.ndarray, float, float, float, float]:
     """Stationary coherences of one sector from one LU solve, with a degeneracy test.
 
-    The block is solved for a zero right-hand side, except that in the
-    sector holding the diagonal one population row is replaced by
-    Tr rho = 1 (the generator preserves the trace, so that row is a
-    combination of the others). One random right-hand side b is solved with
-    it; since |x_b| <= |b| / sigma_min, sigma = |b| / |x_b| estimates
-    sigma_min from above. Returns the positions of the coherences in the
-    flattened rho, their values, sigma and s0 = sqrt(|B|_1 |B|_inf), a bound
-    on the largest singular value. Raises DegenerateSteadyStateError when an
-    LU pivot is zero or sigma is at or below numpy's rank tolerance
+    index holds the sector's positions in the flattened rho and entries
+    are ``liouv.entries()``. The entries whose row lies in the sector are
+    scattered into a zeroed block through a map from position to block
+    index; no entry links two sectors. The block is solved for a zero
+    right-hand side, except that in the sector holding the diagonal one
+    population row is replaced by Tr rho = 1 (the generator preserves the
+    trace, so that row is a combination of the others). One random
+    right-hand side b is solved with it; since |x_b| <= |b| / sigma_min,
+    sigma = |b| / |x_b| estimates sigma_min from above. Returns the
+    coherences in the order of index, sigma, s0 = sqrt(|B|_1 |B|_inf), a
+    bound on the largest singular value, and the seconds spent building
+    the block and solving it. Raises DegenerateSteadyStateError when an LU
+    pivot is zero or sigma is at or below numpy's rank tolerance
     s0 * N * eps for a block of size N.
     """
+    start = time.perf_counter()
     dim = liouv.dim
-    index = _flat_index(tiles, dim)
     size = len(index)
-    block = liouv.sector_superoperator(tiles)
+    position = np.full(dim * dim, -1)
+    position[index] = np.arange(size)
+    rows, cols, values = entries
+    inside = position[rows] >= 0
+    block = np.zeros((size, size), dtype=complex)
+    block[position[rows[inside]], position[cols[inside]]] = values[inside]
     rhs = np.zeros(size, dtype=complex)
     diagonal = np.flatnonzero(index // dim == index % dim)
     if len(diagonal):
         block[diagonal[0]] = 0.0
         block[diagonal[0], diagonal] = 1.0
         rhs[diagonal[0]] = 1.0
+    built = time.perf_counter()
     magnitude = np.abs(block)
     s0 = math.sqrt(magnitude.sum(axis=0).max() * magnitude.sum(axis=1).max())
     del magnitude  # freed before the solver copies the block
@@ -429,7 +430,7 @@ def _solve_sector(liouv: Liouvillian, tiles: list[tuple[np.ndarray, np.ndarray]]
         raise DegenerateSteadyStateError(
             f"steady state is degenerate: a sector of {size} coherences has smallest "
             f"singular value about {sigma:.3e}, at or below {tol:.3e}")
-    return index, x[:, 0], sigma, s0
+    return x[:, 0], sigma, s0, built - start, time.perf_counter() - built
 
 
 def steady_state(liouv: Liouvillian) -> np.ndarray:
@@ -437,10 +438,11 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
 
     The sector holding the diagonal is solved with Tr rho = 1 in place of
     one population row; every other sector must be nonsingular, so the
-    stationary state has none of its coherences. The full superoperator is
-    never built: with parity sectors the cost is two LU factorizations of
-    size about dim^2 / 2, O(dim^6 / 4), against one of size dim^2
-    otherwise.
+    stationary state has none of its coherences. Each sector's block is
+    scattered from ``liouv.entries()``, so for a real superdiagonal op the
+    full superoperator is never built: with parity sectors the cost is two
+    LU factorizations of size about dim^2 / 2, O(dim^6 / 4), against one of
+    size dim^2 otherwise.
 
     Thresholds, for each solved block B of size N, with s0 =
     sqrt(|B|_1 |B|_inf) >= its largest singular value and eps the float64
@@ -451,23 +453,33 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     blocks. Raises DegenerateSteadyStateError otherwise, or when an LU
     pivot is exactly zero; degeneracy is reported, never silently resolved.
 
-    Raises ValueError before allocating when the memory estimate exceeds
-    physical memory: 16 bytes per entry of the largest block plus, at one
-    time, either the solver's copy of it or two tile-pair temporaries of
-    the build; about 8 dim^4 bytes with parity sectors.
+    Raises ValueError when the memory estimate exceeds physical memory,
+    before anything larger than O(dim^2) is allocated: 16 bytes per entry
+    of the largest block and as many for the solver's copy of it, about
+    8 dim^4 bytes with parity sectors. For an op that is not a real
+    superdiagonal the entries come from the dense superoperator, so 32
+    bytes for each of its dim^4 entries are added: the matrix itself, then
+    its nonzeros as two index arrays and one value array.
+
+    One DEBUG line gives each sector's size and sigma / s0, the residual,
+    the wall time, and within it the seconds spent building the blocks
+    (the sectors, the stencil, ``entries`` and the scatters) and solving
+    them, each summed over the sectors.
     """
     start = time.perf_counter()
     dim = liouv.dim
     sectors = liouv.sectors()
-    block_max = max(sum(len(r) * len(c) for r, c in tiles) for tiles in sectors) ** 2
-    tile_max = max(len(r) * len(c) for tiles in sectors for r, c in tiles) ** 2
-    _check_memory(16 * (block_max + max(block_max, 2 * tile_max)),
+    dense_bytes = 0 if liouv._banded is not None else 32 * dim ** 4
+    _check_memory(16 * 2 * max(map(len, sectors)) ** 2 + dense_bytes,
                   f"the steady-state solve at dim {dim}")
+    entries = liouv.entries()
+    seconds = np.array([time.perf_counter() - start, 0.0])  # building, solving
     rng = np.random.default_rng(0)
     rho = np.zeros(dim * dim, dtype=complex)
     s0_max, conditioning = 0.0, []
-    for tiles in sectors:
-        index, x, sigma, s0 = _solve_sector(liouv, tiles, rng)
+    for index in sectors:
+        x, sigma, s0, *sector_seconds = _solve_sector(liouv, index, entries, rng)
+        seconds += sector_seconds
         rho[index] = x
         s0_max = max(s0_max, s0)
         conditioning.append(f"{len(index)}:{sigma / s0:.3e}")
@@ -475,9 +487,9 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     rho = 0.5 * (rho + rho.conj().T)
     residual = float(np.max(np.abs(liouv.apply(rho))))
     residual_tol = max(1e-10, dim * np.finfo(float).eps * s0_max)
-    logger.debug("steady_state dim=%d sectors (size:sigma_min/s0) %s residual=%.3e "
-                 "(tol %.1e) wall=%.4f s", dim, " ".join(conditioning), residual,
-                 residual_tol, time.perf_counter() - start)
+    logger.debug("steady_state dim=%d sectors (size:sigma_min/s0) %s residual=%.3e (tol %.1e) "
+                 "build=%.3e s solve=%.3e s wall=%.3e s", dim, " ".join(conditioning),
+                 residual, residual_tol, *seconds, time.perf_counter() - start)
     if residual > residual_tol:
         raise DegenerateSteadyStateError(
             f"steady-state residual {residual:.3e} exceeds {residual_tol:.1e}")
