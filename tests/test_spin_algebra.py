@@ -31,7 +31,7 @@ class TestCollectiveOps:
         assert ops.sm[0, 1] == pytest.approx(math.sqrt(2))
         assert ops.sm[1, 2] == pytest.approx(math.sqrt(2))
 
-    @pytest.mark.parametrize("n", list(range(1, 33)))
+    @pytest.mark.parametrize("n", list(range(1, 65)))
     def test_commutation_relations(self, n):
         ops = build_collective_ops(DickeSpace(n))
         assert np.max(np.abs(ops.sm @ ops.sp - ops.sp @ ops.sm + ops.sz)) < 1e-12
