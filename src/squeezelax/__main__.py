@@ -1,0 +1,5 @@
+"""Run the command-line interface as ``python -m squeezelax``."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

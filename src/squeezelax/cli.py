@@ -15,8 +15,7 @@ import numpy as np
 
 from .figures import (FigureDataset, check_dim, fig3a_vector_field, fig3b_ellipses,
                       fig4a_rates, fig4b_variance_derivatives)
-from .lindblad import (CutoffError, DegenerateSteadyStateError, evolve,
-                       spin_liouvillian, steady_state)
+from .lindblad import CutoffError, DegenerateSteadyStateError, spin_liouvillian, steady_state
 from .moments import (OscillatorMoments, SpinMoments, SqueezingParams,
                       gardiner_rhs, minimal_m, oscillator_cov_rhs,
                       oscillator_mean_rhs)
@@ -138,9 +137,10 @@ def cmd_fig4b(args) -> int:
 
 def _emit_trajectory(figure: str, columns: list[str], rhs, y0, metadata: dict,
                      args) -> int:
-    """Integrate a moment system from t = 0 to --t-final and emit one row per record."""
-    result = integrate(rhs, y0, (0.0, args.t_final),
-                       IntegratorConfig(rtol=args.rtol, atol=1e-14))
+    """Integrate a moment system; emit one row per time of a 201-point grid on [0, --t-final]."""
+    with np.errstate(invalid="ignore"):  # integrate rejects the nan times of --t-final inf
+        times = np.linspace(0.0, args.t_final, 201)
+    result = integrate(rhs, y0, times, IntegratorConfig(rtol=args.rtol, atol=1e-14))
     rows = [(t,) + tuple(state) for t, state in zip(result.times, result.states)]
     return _emit(FigureDataset(figure, ["t"] + columns, rows, metadata), args)
 

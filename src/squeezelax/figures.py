@@ -177,8 +177,7 @@ def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid,
         for theta in theta_list:
             states = [spin_coherent_state(space, BlochAngles(theta, phi)) for phi in phi_grid]
             finals = evolve(liouv, np.stack([s.density() for s in states]),
-                            _DT_FACTOR * n / gamma_p, rtol=rtol,
-                            record_every=10 ** 9).final_state
+                            _DT_FACTOR * n / gamma_p, rtol=rtol).final_state
             for phi, state, final in zip(phi_grid, states, finals):
                 post = QuantumState(final, "matrix")
                 for stage, at in (("pre", state), ("post", post)):

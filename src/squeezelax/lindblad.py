@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,7 +66,7 @@ from functools import cached_property
 import numpy as np
 
 from .moments import SqueezingParams
-from .ode import IntegrationResult, IntegratorConfig, integrate
+from .ode import IntegratorConfig, _check_memory, integrate
 from .spin_algebra import CollectiveOps, QuantumState
 
 __all__ = [
@@ -94,14 +93,6 @@ class DegenerateSteadyStateError(RuntimeError):
 
 class CutoffError(RuntimeError):
     """Fock-space truncation too small: population reached the top level."""
-
-
-def _check_memory(nbytes: int, what: str):
-    """Refuse, before allocating, work that needs more bytes than physical memory."""
-    total = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if nbytes > total:
-        raise ValueError(f"{what} needs about {nbytes / 2 ** 30:.3g} GiB, more than "
-                         f"the {total / 2 ** 30:.3g} GiB of physical memory")
 
 
 def dissipator(u: np.ndarray, v: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -221,9 +212,9 @@ class Liouvillian:
         pad, center, pairs = self._banded
         n = x.shape[-1]
         # the zero-bordered copy of x and the two product arrays are kept for
-        # the last shape applied: a stack's arrays can pass the C allocator's
-        # mmap threshold (128 KiB in glibc), and allocated on every call they
-        # would be mapped and unmapped each time
+        # the last shape applied: a stack's arrays can pass the size above which
+        # glibc's allocator maps memory from the OS (128 KiB), and allocated on
+        # every call they would be mapped and unmapped each time
         if self._work is None or self._work[1].shape != x.shape:
             self._work = (np.zeros(x.shape[:-1] + (n + 2 * pad,)),
                           np.empty(x.shape), np.empty(x.shape))
@@ -241,15 +232,32 @@ class Liouvillian:
         """Dense dim^2 x dim^2 matrix acting on row-major vectorized rho.
 
         Built anew on every call and not cached, so the caller decides how
-        long its 16 dim^4 bytes stay alive. Raises ValueError before
-        allocating when they exceed physical memory.
+        long its 16 dim^4 bytes stay alive. Building it holds three such
+        arrays; raises ValueError before allocating when their 48 dim^4
+        bytes exceed physical memory.
         """
-        _check_memory(16 * self.dim ** 4, f"the dense superoperator at dim {self.dim}")
-        eye = np.eye(self.dim)
+        dim = self.dim
+        _check_memory(48 * dim ** 4, f"the dense superoperator at dim {dim}")
+        eye = np.eye(dim, dtype=complex)  # the cast np.kron makes of a real one
         dag, p, q, k = self._normal_form
-        return self.params.gamma_p * (
-            np.kron(self.op, p.T) + np.kron(dag, q.T)
-            - 0.5 * (np.kron(k, eye) + np.kron(eye, k.T)))
+        out, half, term = (np.empty((dim,) * 4, dtype=complex) for _ in range(3))
+
+        def kron(a, b, into):
+            # np.kron's products block by block: np.kron may copy them on its
+            # final reshape, and one broadcast product takes ufunc buffers
+            for i, j in np.ndindex(dim, dim):
+                np.multiply(a[i][:, None], b[j][None, :], out=into[i, j])
+            return into
+
+        # gamma_p (A + B - 0.5 (C + D)), summed in place in the order of that expression
+        kron(self.op, p.T, out)
+        out += kron(dag, q.T, term)
+        kron(k, eye, half)
+        half += kron(eye, k.T, term)
+        half *= 0.5
+        out -= half
+        out *= self.params.gamma_p
+        return out.reshape(dim * dim, dim * dim)
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, values) of the nonzero entries of ``superoperator()``.
@@ -336,23 +344,20 @@ def _state_diagnostics(states: np.ndarray) -> dict:
     }
 
 
-def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, t_final: float,
-           rtol: float = 1e-10, atol: float = 1e-12,
-           record_every: int = 1) -> Trajectory:
-    """Integrate the master equation from rho0 to t_final.
+def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
+           rtol: float = 1e-10, atol: float = 1e-12) -> Trajectory:
+    """Integrate the master equation from rho0 and record rho at ``times``.
 
-    rho0 is one density matrix (dim, dim) or a batch (B, dim, dim); a
-    batch is stepped as one stack (see ``integrate``), with each member
-    held to rtol and atol on its own, and ``states`` has shape
-    (T,) + rho0.shape. The density matrices are vectorized and stepped with
-    the adaptive RK45 engine; no trace renormalization is applied, so trace
-    drift stays a genuine global-error witness in the diagnostics. The
-    trace, hermiticity and eigenvalue witnesses read every member of the
-    recorded states and report the worst over the batch. They are taken
-    on the recorded states only: the initial state, every record_every-th
-    accepted step and the endpoint (with a huge record_every, just t = 0
-    and t_final). One DEBUG line per call logs the batch size, dim, step
-    counts and the accepted step-size range.
+    times are output times as for ``integrate``, with rho0 the state at
+    times[0]; a number t means (0, t). rho0 is one density matrix
+    (dim, dim) or a batch (B, dim, dim), stepped as one stack with each
+    member held to rtol and atol on its own; ``states`` has shape
+    (len(times),) + rho0.shape. No trace renormalization is applied, so
+    trace drift stays a genuine global-error witness. The trace,
+    hermiticity and eigenvalue witnesses read every member of every
+    record, and only the records, and report the worst. One DEBUG line per
+    call logs the batch size, dim, step counts, the accepted step-size
+    range, and the number of records and their bytes.
     """
     if isinstance(rho0, QuantumState):
         rho0 = rho0.density()
@@ -361,23 +366,20 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, t_final: float,
     if rho0.ndim not in (2, 3) or rho0.shape[-2:] != (dim, dim) or rho0.size == 0:
         raise ValueError("initial state shape does not match the generator: expected "
                          f"({dim}, {dim}) or (B, {dim}, {dim}), got {rho0.shape}")
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
 
     def rhs(y, _t):
         return liouv.apply(y.reshape(rho0.shape)).reshape(y.shape)
 
-    cfg = IntegratorConfig(dt=min(1e-2 / liouv.params.gamma_p, t_final),
-                           rtol=rtol, atol=atol, record_every=record_every)
-    result: IntegrationResult = integrate(rhs, rho0.reshape(rho0.shape[:-2] + (dim * dim,)),
-                                          (0.0, t_final), cfg)
+    cfg = IntegratorConfig(dt=1e-2 / liouv.params.gamma_p, rtol=rtol, atol=atol)
+    result = integrate(rhs, rho0.reshape(rho0.shape[:-2] + (dim * dim,)), times, cfg)
     states = result.states.reshape((-1,) + rho0.shape)
     diagnostics = dict(result.diagnostics)
     diagnostics.update(_state_diagnostics(states))
     logger.debug("evolve batch=%d dim=%d accepted=%d rejected=%d rhs_evals=%d "
-                 "dt=[%.3e, %.3e]", 1 if rho0.ndim == 2 else len(rho0), dim,
-                 diagnostics["accepted"], diagnostics["rejected"],
-                 diagnostics["rhs_evals"], diagnostics["dt_min"], diagnostics["dt_max"])
+                 "dt=[%.3e, %.3e] records=%d bytes=%d", 1 if rho0.ndim == 2 else len(rho0),
+                 dim, diagnostics["accepted"], diagnostics["rejected"],
+                 diagnostics["rhs_evals"], diagnostics["dt_min"], diagnostics["dt_max"],
+                 len(states), states.nbytes)
     return Trajectory(times=result.times, states=states, diagnostics=diagnostics)
 
 
@@ -457,9 +459,9 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     before anything larger than O(dim^2) is allocated: 16 bytes per entry
     of the largest block and as many for the solver's copy of it, about
     8 dim^4 bytes with parity sectors. For an op that is not a real
-    superdiagonal the entries come from the dense superoperator, so 32
-    bytes for each of its dim^4 entries are added: the matrix itself, then
-    its nonzeros as two index arrays and one value array.
+    superdiagonal the entries come from the dense superoperator, so the
+    48 dim^4 bytes it guards are added; they also cover the matrix beside
+    its nonzeros, 32 bytes for each of up to dim^4 entries.
 
     One DEBUG line gives each sector's size and sigma / s0, the residual,
     the wall time, and within it the seconds spent building the blocks
@@ -469,7 +471,7 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     start = time.perf_counter()
     dim = liouv.dim
     sectors = liouv.sectors()
-    dense_bytes = 0 if liouv._banded is not None else 32 * dim ** 4
+    dense_bytes = 0 if liouv._banded is not None else 48 * dim ** 4
     _check_memory(16 * 2 * max(map(len, sectors)) ** 2 + dense_bytes,
                   f"the steady-state solve at dim {dim}")
     entries = liouv.entries()
@@ -504,8 +506,7 @@ def default_oscillator_cutoff(params: SqueezingParams) -> int:
 def coherent_state_vector(cutoff: int, alpha: complex) -> np.ndarray:
     """Truncated coherent state |alpha> on ``cutoff`` Fock levels."""
     ks = np.arange(cutoff)
-    with np.errstate(divide="ignore"):
-        log_fact = np.cumsum(np.log(np.maximum(ks, 1)))
+    log_fact = np.cumsum(np.log(np.maximum(ks, 1)))
     amps = np.exp(-0.5 * abs(alpha) ** 2) * alpha ** ks / np.exp(0.5 * log_fact)
     norm = np.linalg.norm(amps)
     if abs(norm - 1.0) > 1e-10:
@@ -518,17 +519,14 @@ _TOP_POP_TOL = 1e-8
 _MAX_CUTOFF = 512
 
 
-def oscillator_oracle(params: SqueezingParams, t_final: float,
+def oscillator_oracle(params: SqueezingParams, times,
                       cutoff: int | None = None, alpha: complex = 0.0,
-                      rtol: float = 1e-10, atol: float = 1e-12,
-                      record_every: int = 1) -> Trajectory:
-    """Master-equation trajectory for the oscillator limit (d = a).
+                      rtol: float = 1e-10, atol: float = 1e-12) -> Trajectory:
+    """Master-equation trajectory for the oscillator limit (d = a), recorded at ``times``.
 
     Starts from a (possibly displaced) vacuum and doubles the Fock cutoff,
     up to 512 levels, until the top-level population stays below 1e-8 on
-    every recorded state. Like ``evolve``'s witnesses, that population is
-    read only at the recorded times, so with a huge record_every it is
-    checked at t = 0 and t_final alone.
+    every record, which for a number t means t = 0 and t alone, as for ``evolve``'s witnesses.
     """
     cut = cutoff if cutoff is not None else default_oscillator_cutoff(params)
     while True:
@@ -536,8 +534,7 @@ def oscillator_oracle(params: SqueezingParams, t_final: float,
             raise CutoffError(f"required Fock cutoff exceeds the limit {_MAX_CUTOFF}")
         liouv = oscillator_liouvillian(cut, params)
         psi0 = QuantumState(coherent_state_vector(cut, alpha), "vector")
-        traj = evolve(liouv, psi0, t_final, rtol=rtol, atol=atol,
-                      record_every=record_every)
+        traj = evolve(liouv, psi0, times, rtol=rtol, atol=atol)
         top_pop = float(np.max(traj.states[:, -1, -1].real))
         traj.diagnostics["cutoff"] = cut
         traj.diagnostics["max_top_population"] = top_pop

@@ -261,8 +261,7 @@ def _cov_rhs_finite_difference(rng) -> float:
     for n, state in starts:
         ops = build_collective_ops(DickeSpace(n))
         liouv = spin_liouvillian(ops, params)
-        full, half = (evolve(liouv, state, t, rtol=1e-12, atol=1e-14, record_every=10 ** 9)
-                      for t in (dt, 0.5 * dt))
+        full, half = (evolve(liouv, state, t, rtol=1e-12, atol=1e-14) for t in (dt, 0.5 * dt))
         rhs_mid = collective_cov_rhs(QuantumState.from_matrix(half.final_state), ops, params)
         for (a, b), d_mid in zip(((ops.sx, ops.sx), (ops.sy, ops.sy), (ops.sx, ops.sy)),
                                  rhs_mid):
@@ -272,16 +271,16 @@ def _cov_rhs_finite_difference(rng) -> float:
 
 
 def _trajectory_witnesses(rng) -> dict[str, float]:
-    """Trace, hermiticity and eigenvalue witnesses over spin and oscillator runs."""
+    """Trace, hermiticity and eigenvalue witnesses over spin and oscillator runs, on grids."""
     params = SqueezingParams.minimal(0.5)
-    runs = ((6, 0.3, 2.0, 20), (1, 0.6, 3.0, 1), (4, 0.6, 3.0, 1), (8, 0.6, 3.0, 1))
+    runs = ((6, 0.3, 2.0, 21), (1, 0.6, 3.0, 301), (4, 0.6, 3.0, 301), (8, 0.6, 3.0, 301))
     diags = []
-    for n, phi, t_final, record_every in runs:
+    for n, phi, t_final, points in runs:
         space = DickeSpace(n)
         state = spin_coherent_state(space, BlochAngles(0.75 * math.pi, phi))
         liouv = spin_liouvillian(build_collective_ops(space), params)
-        diags.append(evolve(liouv, state, t_final, record_every=record_every).diagnostics)
-    diags.append(oscillator_oracle(params, 5.0, record_every=8).diagnostics)
+        diags.append(evolve(liouv, state, np.linspace(0.0, t_final, points)).diagnostics)
+    diags.append(oscillator_oracle(params, np.linspace(0.0, 5.0, 51)).diagnostics)
     return {
         "lindblad/trace-preservation": max(d["max_trace_drift"] for d in diags),
         "lindblad/hermiticity": max(d["max_hermiticity_residual"] for d in diags),
@@ -302,6 +301,28 @@ def _single_spin_steady_state(rng) -> float:
     return residual
 
 
+def _single_spin_closed_form_means(rng) -> float:
+    """Two Bloch vectors in four baths against Gardiner's means (PRL 56, 1917 (1986)).
+
+    With gamma_p = 1: <sx> = x0 exp(-(nbar + m + 1/2) t), <sy> = y0 exp(-(nbar - m + 1/2) t)
+    and <sz> = z_inf + (z0 - z_inf) exp(-(2 nbar + 1) t), z_inf = -1/(2 nbar + 1).
+    """
+    ops = build_collective_ops(DickeSpace(1))
+    x0, y0, z0 = bloch = np.array([(0.6, 0.0), (0.3, 0.8), (0.5, -0.4)])
+    rho0 = 0.5 * (np.eye(2) + np.einsum("kb,kij->bij", bloch, np.stack([ops.sx, ops.sy, ops.sz])))
+    t = np.linspace(0.0, 3.0, 61)[:, None]
+    residual = 0.0
+    for nbar, m in ((0.5, math.sqrt(0.75)), (0.5, 0.2), (2.0, 1.0), (0.0, 0.0)):
+        traj = evolve(spin_liouvillian(ops, SqueezingParams(nbar, m)), rho0, t[:, 0],
+                      rtol=1e-12, atol=1e-14)
+        z_inf = -1.0 / (2 * nbar + 1)
+        for op, want in ((ops.sx, x0 * np.exp(-(nbar + m + 0.5) * t)),
+                         (ops.sy, y0 * np.exp(-(nbar - m + 0.5) * t)),
+                         (ops.sz, z_inf + (z0 - z_inf) * np.exp(-(2 * nbar + 1) * t))):
+            residual = max(residual, float(np.max(np.abs(traj.expectations(op) - want))))
+    return residual
+
+
 def _dark_state_steady_state(rng) -> float:
     """1 - <psi|rho|psi> of the dark state against the solved steady state, even n to 20."""
     residual = 0.0
@@ -317,7 +338,7 @@ def _dark_state_steady_state(rng) -> float:
 def _oscillator_equilibrium(rng) -> float:
     """Oscillator quadratures equilibrate with the squeezed input."""
     params = SqueezingParams.minimal(0.5)
-    traj = oscillator_oracle(params, 20.0, record_every=10 ** 9)
+    traj = oscillator_oracle(params, 20.0)
     a = annihilation_operator(traj.states.shape[1])
     x = a + a.conj().T
     y = 1j * (a.conj().T - a)
@@ -352,6 +373,7 @@ CHECKS = (
     Check("lindblad/hermiticity", 1e-8, _trajectory_witnesses),
     Check("lindblad/positivity", 1e-7, _trajectory_witnesses),
     Check("lindblad/single-spin-steady-state", 1e-9, _single_spin_steady_state),
+    Check("lindblad/single-spin-closed-form-means", 1e-10, _single_spin_closed_form_means),
     Check("lindblad/dark-state-steady-state", 1e-10, _dark_state_steady_state),
     Check("lindblad/oscillator-equilibrium", 1e-6, _oscillator_equilibrium),
 )

@@ -3,12 +3,15 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import squeezelax
 from squeezelax import cli, verification
 from squeezelax.cli import (EXIT_CONFIG, EXIT_INTEGRATOR, EXIT_OK, EXIT_VERIFY,
                             main)
@@ -27,6 +30,13 @@ class TestExitCodes:
                      "--squeezing-m", "5.0"]) == EXIT_CONFIG
         assert main(["single-spin", "--squeezing-m", "huge"]) == EXIT_CONFIG
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["single-spin", "oscillator"])
+    @pytest.mark.parametrize("t_final", ["0", "-1", "nan", "inf"])
+    def test_output_times_not_increasing_or_not_finite_are_config_errors(
+            self, command, t_final, capsys):
+        assert main([command, "--t-final", t_final]) == EXIT_CONFIG
+        assert "times must be" in capsys.readouterr().err
 
     def test_dimension_cap_is_config_error(self, capsys, monkeypatch):
         monkeypatch.setenv("SQUEEZELAX_MAX_DIM", "8")
@@ -148,6 +158,16 @@ class TestFigureCommands:
         captured = capsys.readouterr()
         assert captured.out.startswith("# figure = fig4a")
 
+    def test_runs_as_a_module(self, tmp_path):
+        src = str(Path(squeezelax.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        out = tmp_path / "fig4a.csv"
+        done = subprocess.run([sys.executable, "-m", "squeezelax", "fig4a", "--spins", "2",
+                               "--out", str(out)], env=env, capture_output=True, text=True)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert out.read_text().startswith("# figure = fig4a")
+
 
 class TestScenarioCommands:
     def test_single_spin_trajectory(self, tmp_path):
@@ -156,8 +176,10 @@ class TestScenarioCommands:
                      "--t-final", "2.0", "--out", str(out)]) == EXIT_OK
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert lines[0] == "t,mean_x,mean_y,mean_z"
+        # one row per time of a uniform 201-point grid on [0, --t-final]
+        times = [float(l.split(",")[0]) for l in lines[1:]]
+        assert times == np.linspace(0.0, 2.0, 201).tolist()
         last = [float(v) for v in lines[-1].split(",")]
-        assert last[0] == pytest.approx(2.0)
         # transverse x component decays at gamma_p (N + M + 1/2)
         rate = 0.5 + math.sqrt(0.75) + 0.5
         assert last[1] == pytest.approx(math.exp(-rate * 2.0), rel=1e-6)
@@ -167,7 +189,9 @@ class TestScenarioCommands:
         assert main(["oscillator", "--squeezing-n", "1.0",
                      "--t-final", "20.0", "--out", str(out)]) == EXIT_OK
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert len(lines) == 1 + 201
         last = [float(v) for v in lines[-1].split(",")]
+        assert last[0] == 20.0
         assert last[3] == pytest.approx(3 + 2 * math.sqrt(2), abs=1e-6)
         assert last[4] == pytest.approx(3 - 2 * math.sqrt(2), abs=1e-6)
 

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from squeezelax import lindblad
 from squeezelax.lindblad import (CutoffError, DegenerateSteadyStateError,
                                  Liouvillian, annihilation_operator, dissipator,
                                  evolve, oscillator_liouvillian,
@@ -271,6 +272,24 @@ class TestLiouvillianApply:
             tracemalloc.stop()
         assert peak < 8 * dim ** 4 / 1000  # a thousandth of what was refused
 
+    def test_superoperator_guard_counts_its_peak(self, monkeypatch):
+        liouv = oscillator_liouvillian(16, BATHS["mixed"])
+        liouv.superoperator()  # builds the dense normal form, which is kept
+        guarded = []
+        check = lindblad._check_memory
+        monkeypatch.setattr(lindblad, "_check_memory",
+                            lambda nbytes, what: (guarded.append(nbytes), check(nbytes, what)))
+        tracemalloc.start()
+        try:
+            sup = liouv.superoperator()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # three dim^2 x dim^2 arrays; the rest of the peak, under 1 %, is
+        # the dim x dim identity and the views of the block loop
+        assert guarded == [3 * sup.nbytes]
+        assert guarded[0] <= peak <= 1.01 * guarded[0]
+
 
 class TestEvolve:
     def test_single_spin_exponential_rate(self):
@@ -278,7 +297,7 @@ class TestEvolve:
         ops = build_collective_ops(DickeSpace(1))
         liouv = spin_liouvillian(ops, p)
         rho0 = 0.5 * (np.eye(2, dtype=complex) + 0.8 * ops.sx + 0.5 * ops.sz)
-        traj = evolve(liouv, rho0, 3.0, rtol=1e-12, atol=1e-16)
+        traj = evolve(liouv, rho0, np.linspace(0.0, 3.0, 341), rtol=1e-12, atol=1e-16)
         rate = fit_decay_rate(traj.times, traj.expectations(ops.sx))
         assert rate == pytest.approx(p.gamma_p * (0.5 + p.m_corr + 0.5), rel=1e-6)
 
@@ -287,7 +306,7 @@ class TestEvolve:
         ops = build_collective_ops(space)
         liouv = spin_liouvillian(ops, SqueezingParams(0.0, 0.0))
         state = spin_coherent_state(space, BlochAngles(0.4 * math.pi, 0.2))
-        traj = evolve(liouv, state, 40.0, record_every=10 ** 9)
+        traj = evolve(liouv, state, 40.0)
         expected = np.zeros((6, 6))
         expected[0, 0] = 1.0
         assert np.max(np.abs(traj.final_state - expected)) < 1e-6
@@ -305,7 +324,7 @@ class TestEvolve:
         ops = build_collective_ops(space)
         liouv = spin_liouvillian(ops, SqueezingParams.minimal(0.5))
         state = spin_coherent_state(space, BlochAngles(0.75 * math.pi, 0.6))
-        traj = evolve(liouv, state, 2.0, record_every=10)
+        traj = evolve(liouv, state, np.linspace(0.0, 2.0, 41))
         assert traj.diagnostics["max_trace_drift"] < 1e-8
         assert traj.diagnostics["max_hermiticity_residual"] < 1e-8
         assert traj.diagnostics["min_eigenvalue"] > -1e-7
@@ -320,10 +339,8 @@ class TestEvolve:
             ops = build_collective_ops(space)
             liouv = spin_liouvillian(ops, p)
             state = random_pure(rng, space.dim)
-            traj = evolve(liouv, state, dt, rtol=1e-12, atol=1e-14,
-                          record_every=10 ** 9)
-            half = evolve(liouv, state, dt / 2, rtol=1e-12, atol=1e-14,
-                          record_every=10 ** 9)
+            traj = evolve(liouv, state, dt, rtol=1e-12, atol=1e-14)
+            half = evolve(liouv, state, dt / 2, rtol=1e-12, atol=1e-14)
             fd = (sym_covariance(ops.sx, ops.sx, QuantumState(traj.final_state, "matrix"))
                   - sym_covariance(ops.sx, ops.sx, state)) / dt
             mid = QuantumState(half.final_state, "matrix")
@@ -335,8 +352,10 @@ class TestEvolve:
         liouv = spin_liouvillian(ops, SqueezingParams(0.0, 0.0))
         with pytest.raises(ValueError):
             evolve(liouv, np.eye(2, dtype=complex) / 2, 1.0)  # wrong dimension
-        with pytest.raises(ValueError):
-            evolve(liouv, np.eye(3, dtype=complex) / 3, -1.0)
+        for times in (-1.0, 0.0, math.nan, math.inf, (0.0, 1.0, 0.5), (0.0, 0.5, 0.5),
+                      (0.0, math.inf), (1.0,)):  # not increasing or not finite
+            with pytest.raises(ValueError):
+                evolve(liouv, np.eye(3, dtype=complex) / 3, times)
         stack = np.stack([np.eye(3, dtype=complex) / 3] * 2)
         for rho0 in (stack[None], stack[:, :, :-1], stack[:0]):  # bad stacks
             with pytest.raises(ValueError):
@@ -352,11 +371,11 @@ class TestEvolve:
 
     def test_batch_matches_each_member_alone(self, phi_batch):
         liouv, stack = phi_batch
-        batch = evolve(liouv, stack, 0.3, record_every=7)
-        assert batch.states.shape == (len(batch.times),) + stack.shape
+        batch = evolve(liouv, stack, np.linspace(0.0, 0.3, 31))
+        assert batch.states.shape == (31,) + stack.shape
         ops = build_collective_ops(DickeSpace(6))
         for b, rho0 in enumerate(stack):
-            alone = evolve(liouv, rho0, 0.3, record_every=10 ** 9)
+            alone = evolve(liouv, rho0, 0.3)
             final = batch.final_state[b]
             assert np.max(np.abs(final - alone.final_state)) <= 1e-9 * np.max(np.abs(final))
             assert batch.expectations(ops.sx)[-1, b] == pytest.approx(
@@ -369,9 +388,10 @@ class TestEvolve:
         liouv, stack = phi_batch
         bad = stack.copy()
         bad[2, 0, 1] += 1e-6
-        diag = evolve(liouv, bad, 0.3, record_every=10 ** 9).diagnostics
+        diag = evolve(liouv, bad, 0.3).diagnostics
         assert diag["max_hermiticity_residual"] == pytest.approx(1e-6, rel=1e-6)
-        assert evolve(liouv, stack[2], 0.3).diagnostics["max_hermiticity_residual"] < 1e-12
+        grid = np.linspace(0.0, 0.3, 151)
+        assert evolve(liouv, stack[2], grid).diagnostics["max_hermiticity_residual"] < 1e-12
 
     def test_logs_one_debug_line(self, phi_batch, caplog):
         liouv, stack = phi_batch
@@ -382,6 +402,26 @@ class TestEvolve:
         assert record.levelno == logging.DEBUG
         assert "batch=4 dim=7" in message and f"rhs_evals={diag['rhs_evals']}" in message
         assert 0 < diag["dt_min"] <= diag["dt_max"] <= 0.1
+        # two records of four 7 x 7 complex matrices
+        assert "records=2 " in message and message.endswith(f"bytes={2 * 4 * 49 * 16}")
+
+    def test_record_guard_refuses_before_allocating(self):
+        phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        dim = 128
+        record = 16 * dim * dim  # bytes of one complex dim x dim record
+        times = np.arange(phys // record + 2, dtype=float)
+        liouv = oscillator_liouvillian(dim, SqueezingParams(0.5, 0.0))
+        rho0 = np.zeros((dim, dim), dtype=complex)
+        rho0[0, 0] = 1.0
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="physical memory"):
+                evolve(liouv, rho0, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(times) * record / 1000  # a thousandth of what was refused
+        assert "_banded" not in vars(liouv)  # refused before the first RHS call
 
 
 class TestSteadyState:
@@ -501,8 +541,7 @@ class TestSteadyState:
 
 class TestOscillatorOracle:
     def test_vacuum_stays_vacuum(self):
-        traj = oscillator_oracle(SqueezingParams(0.0, 0.0), 5.0, cutoff=8,
-                                 record_every=10 ** 9)
+        traj = oscillator_oracle(SqueezingParams(0.0, 0.0), 5.0, cutoff=8)
         a = annihilation_operator(8)
         x = a + a.conj().T
         assert traj.sym_covariances(x, x)[-1] == pytest.approx(1.0, abs=1e-9)
@@ -515,7 +554,7 @@ class TestOscillatorOracle:
         # cutoff well above the default so truncation stays below the tolerance
         rates = []
         for p in (SqueezingParams(1.0, 0.0), SqueezingParams.minimal(1.0)):
-            traj = oscillator_oracle(p, 2.0, alpha=1.0, cutoff=80,
+            traj = oscillator_oracle(p, np.linspace(0.0, 2.0, 481), alpha=1.0, cutoff=80,
                                      rtol=1e-11, atol=1e-13)
             cut = traj.states.shape[1]
             a = annihilation_operator(cut)

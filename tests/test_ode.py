@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from squeezelax.moments import SpinMoments, SqueezingParams, gardiner_rhs
-from squeezelax.ode import _BLOCK_ROWS, IntegrationError, IntegratorConfig, integrate
+from squeezelax.ode import IntegrationError, IntegratorConfig, integrate
 
 
 def test_adaptive_exponential():
@@ -15,19 +15,28 @@ def test_adaptive_exponential():
     assert result.diagnostics["accepted"] > 0
 
 
-def test_records_across_block_boundaries():
-    def decay(record_every):
-        cfg = IntegratorConfig(rtol=1e-12, atol=1e-14, record_every=record_every)
-        return integrate(lambda y, t: -y, np.array([1.0]), (0.0, 10.0), cfg)
+def test_records_at_requested_times():
+    cfg = IntegratorConfig(rtol=1e-12, atol=1e-14)
+    grid = np.linspace(0.0, 10.0, 600)
+    result = integrate(lambda y, t: -y, np.array([1.0]), grid, cfg)
+    assert result.times.tolist() == grid.tolist()
+    assert result.states.shape == (600, 1)
+    assert np.max(np.abs(result.states[:, 0] / np.exp(-grid) - 1.0)) < 1e-10
+    ends = integrate(lambda y, t: -y, np.array([1.0]), (0.0, 10.0), cfg)
+    assert ends.times.tolist() == [0.0, 10.0] and ends.states.shape == (2, 1)
+    assert ends.states[0, 0] == 1.0
+    assert abs(ends.states[1, 0] / math.exp(-10.0) - 1.0) < 1e-10
+    # a cut step hands the controller back the step it proposed before the
+    # cut, so each output time costs at most one more step
+    assert result.diagnostics["accepted"] <= ends.diagnostics["accepted"] + len(grid)
 
-    result, ends = decay(1), decay(10 ** 9)
-    times, states = result.times, result.states
-    assert len(times) == len(states) == result.diagnostics["accepted"] + 1
-    assert len(times) > 2 * _BLOCK_ROWS + 1
-    assert np.max(np.abs(states[:, 0] / np.exp(-times) - 1.0)) < 1e-10
-    # the same steps, so the last record is the endpoint itself
-    assert ends.times.tolist() == [0.0, 10.0] and times[-1] == 10.0
-    assert ends.states[:, 0].tolist() == [1.0, states[-1, 0]]
+
+@pytest.mark.parametrize("times", [(1.0, 0.5), (0.0, 0.0), (0.0, 2.0, 1.0), (0.0, 1.0, 1.0),
+                                   (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0),
+                                   (0.0,), (), [[0.0, 1.0]], -1.0, math.nan])
+def test_rejects_output_times_not_increasing_or_not_finite(times):
+    with pytest.raises(ValueError):
+        integrate(lambda y, t: -y, np.array([1.0]), times, IntegratorConfig())
 
 
 def test_gardiner_means_match_analytic_exponentials():
@@ -121,7 +130,8 @@ def test_rhs_calls_match_the_reported_count():
 def test_nonautonomous_rhs():
     # the reused last stage must carry the endpoint's time
     cfg = IntegratorConfig(rtol=1e-12, atol=1e-14)
-    result = integrate(lambda y, t: math.cos(t) * y, np.array([1.0]), (0.0, 5.0), cfg)
+    result = integrate(lambda y, t: math.cos(t) * y, np.array([1.0]),
+                       np.linspace(0.0, 5.0, 51), cfg)
     expected = np.exp(np.sin(result.times))
     assert np.max(np.abs(result.states[:, 0] / expected - 1.0)) < 1e-10
 
@@ -155,12 +165,13 @@ def test_batch_holds_every_member_to_its_own_tolerance():
     rates = np.linspace(1.0, 50.0, 8)
     rtol, atol = 1e-8, 1e-12
     cfg = IntegratorConfig(rtol=rtol, atol=atol)
-    result = integrate(lambda y, _t: -rates[:, None] * y, np.ones((8, 1)), (0.0, 1.0), cfg)
+    grid = np.linspace(0.0, 1.0, 41)
+    result = integrate(lambda y, _t: -rates[:, None] * y, np.ones((8, 1)), grid, cfg)
     assert result.states.shape == (len(result.times), 8, 1)
     exact = np.exp(-np.outer(result.times, rates))
     err = np.abs(result.states[:, :, 0] - exact) / (atol + rtol * exact)
     assert np.max(err) <= 2.0
-    solo = integrate(lambda y, _t: -rates[-1] * y, np.ones(1), (0.0, 1.0), cfg)
+    solo = integrate(lambda y, _t: -rates[-1] * y, np.ones(1), grid, cfg)
     solo_err = np.abs(solo.states[:, 0] - np.exp(-rates[-1] * solo.times)) / (
         atol + rtol * np.exp(-rates[-1] * solo.times))
     assert np.max(err[:, -1]) <= 1.01 * np.max(solo_err)
@@ -169,21 +180,45 @@ def test_batch_holds_every_member_to_its_own_tolerance():
 def test_complex_batch_and_step_range():
     cfg = IntegratorConfig(rtol=1e-11, atol=1e-13)
     omega = np.array([[1.0], [2.0], [3.0]])
-    result = integrate(lambda y, t: 1j * omega * y, np.ones((3, 1), dtype=complex),
-                       (0.0, math.pi), cfg)
-    assert np.iscomplexobj(result.states) and result.states.shape[1:] == (3, 1)
+    calls = []
+
+    def rhs(y, t):
+        calls.append(t)
+        return 1j * omega * y
+
+    y0 = np.ones((3, 1), dtype=complex)
+    result = integrate(rhs, y0, (0.0, math.pi), cfg)
+    assert np.iscomplexobj(result.states) and result.states.shape == (2, 3, 1)
     assert np.max(np.abs(result.states[-1] - np.exp(1j * math.pi * omega))) < 1e-9
     diag = result.diagnostics
+    # attempt j makes calls 6j + 1 .. 6j + 6, the first at t + h / 5 and the
+    # last at t + h; it was accepted if the next attempt starts at its end
+    first, last = np.array(calls[1::6]), np.array(calls[6::6])
+    starts = (5.0 * first - last) / 4.0
+    taken = np.append(np.isclose(starts[1:], last[:-1], rtol=0.0, atol=1e-12), True)
+    assert diag["rejected"] > 0 and np.count_nonzero(taken) == diag["accepted"]
+    ends = np.concatenate(([0.0], last[taken]))
+    assert ends[-1] == math.pi
+    steps = np.diff(ends)
     # the range covers the steps the controller chose, not the last one,
     # which is cut short to land on t1
-    steps = np.diff(result.times)[:-1]
-    assert diag["dt_min"] == pytest.approx(np.min(steps), rel=1e-12)
-    assert diag["dt_max"] == pytest.approx(np.max(steps), rel=1e-12)
+    assert diag["dt_min"] == pytest.approx(np.min(steps[:-1]), rel=1e-12)
+    assert diag["dt_max"] == pytest.approx(np.max(steps[:-1]), rel=1e-12)
+
+    def step_range(times):
+        d = integrate(lambda y, t: 1j * omega * y, y0, times, cfg).diagnostics
+        return d["accepted"], d["dt_min"], d["dt_max"]
+
     # the same steps, then a last one cut to about 1e-6, which the range ignores
-    short = integrate(lambda y, t: 1j * omega * y, np.ones((3, 1), dtype=complex),
-                      (0.0, result.times[-2] + 1e-6), cfg)
-    assert short.times[:-1].tolist() == result.times[:-1].tolist()
-    assert short.diagnostics["dt_min"] == diag["dt_min"]
-    assert short.diagnostics["dt_max"] == diag["dt_max"]
+    cut = ends[-2] + 1e-6
+    assert step_range((0.0, cut)) == (len(steps), diag["dt_min"], diag["dt_max"])
+    # the same again with the run going on to pi: the step cut to land on
+    # the inner output time stays out of the range, and so does the last
+    assert step_range((0.0, cut, math.pi)) == (len(steps) + 1, diag["dt_min"], diag["dt_max"])
+    # when every step is cut short, the range is that of the cut steps
     one = integrate(lambda y, t: -y, np.array([1.0]), (0.0, 1e-4), cfg).diagnostics
     assert one["accepted"] == 1 and one["dt_min"] == one["dt_max"] == 1e-4
+    grid = integrate(lambda y, t: -y, np.array([1.0]), np.linspace(0.0, 1e-4, 5), cfg)
+    assert grid.diagnostics["accepted"] == 4
+    assert grid.diagnostics["dt_min"] == pytest.approx(2.5e-5, rel=1e-9)
+    assert grid.diagnostics["dt_max"] == pytest.approx(2.5e-5, rel=1e-9)
