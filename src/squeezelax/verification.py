@@ -335,6 +335,53 @@ def _dark_state_steady_state(rng) -> float:
     return residual
 
 
+def _dark_state_moments(n: int, nbar: float) -> tuple[float, float, float]:
+    """<Sz>, Var(Sx) and Var(Sy) of ``dark_state(n, nbar)``, in O(n) from its amplitudes.
+
+    The odd levels are empty, so <Sx> = <Sy> = 0. With s_k = <k-1|S-|k>,
+    <S+ S- + S- S+> = sum_k psi_k^2 (s_k^2 + s_{k+1}^2) and
+    <S-^2> = <S+^2> = sum_k psi_{k-2} psi_k s_{k-1} s_k, so
+    Var(Sx) = <S+ S- + S- S+> + 2 <S-^2> and Var(Sy) = <S+ S- + S- S+> - 2 <S-^2>.
+    """
+    psi = dark_state(n, nbar)
+    k = np.arange(n + 2, dtype=float)
+    s = np.sqrt(k * (n - k + 1.0))  # s_0 .. s_{n+1}; s_0 = s_{n+1} = 0
+    pops = psi ** 2
+    number_part = float(pops @ (s[:-1] ** 2 + s[1:] ** 2))
+    lowering = float(np.sum(psi[:-2] * psi[2:] * s[1:-2] * s[2:-1]))
+    return (float(pops @ (2.0 * k[:-1] - n)), number_part + 2.0 * lowering,
+            number_part - 2.0 * lowering)
+
+
+def _intelligent_spin_identity(rng) -> float:
+    """Var(Sx) = -<Sz>(2 nbar + 2 M + 1) and Var(Sy) = -<Sz>(2 nbar - 2 M + 1), relative.
+
+    In the minimum-uncertainty bath the steady state of an even number of
+    spins saturates Var(Sx) Var(Sy) >= <Sz>^2: it is an intelligent spin
+    state (Aragone et al., J. Phys. A 7, L149 (1974); Agarwal & Puri,
+    PRA 41, 3782 (1990)). Checked on ``steady_state`` for even n to 160,
+    and on ``dark_state`` to n = 1280 from the amplitudes alone.
+    """
+    def residual(params, mean_z, var_x, var_y):
+        nbar, m = params.nbar, params.m_corr
+        return max(abs(var_x / (-mean_z * (2 * nbar + 2 * m + 1)) - 1.0),
+                   abs(var_y / (-mean_z * (2 * nbar - 2 * m + 1)) - 1.0))
+
+    worst = 0.0
+    params = SqueezingParams.minimal(0.5)
+    for n in (2, 4, 10, 20, 40, 80, 160):
+        ops = build_collective_ops(DickeSpace(n))
+        state = QuantumState(steady_state(spin_liouvillian(ops, params)), "matrix")
+        worst = max(worst, residual(params, expectation(ops.sz, state).real,
+                                    sym_covariance(ops.sx, ops.sx, state),
+                                    sym_covariance(ops.sy, ops.sy, state)))
+    for nbar in (0.05, 0.5, 2.0):
+        for n in (2, 4, 10, 20, 40, 80, 160, 320, 640, 1280):
+            worst = max(worst, residual(SqueezingParams.minimal(nbar),
+                                        *_dark_state_moments(n, nbar)))
+    return worst
+
+
 def _oscillator_equilibrium(rng) -> float:
     """Oscillator quadratures equilibrate with the squeezed input."""
     params = SqueezingParams.minimal(0.5)
@@ -375,6 +422,7 @@ CHECKS = (
     Check("lindblad/single-spin-steady-state", 1e-9, _single_spin_steady_state),
     Check("lindblad/single-spin-closed-form-means", 1e-10, _single_spin_closed_form_means),
     Check("lindblad/dark-state-steady-state", 1e-10, _dark_state_steady_state),
+    Check("lindblad/intelligent-spin-identity", 1e-12, _intelligent_spin_identity),
     Check("lindblad/oscillator-equilibrium", 1e-6, _oscillator_equilibrium),
 )
 

@@ -258,8 +258,9 @@ class TestLiouvillianApply:
         assert np.max(np.abs(sup)) <= tol
 
     def test_memory_guard_refuses_before_allocating(self):
+        # the steady-state estimate for a superdiagonal op is at least 4 dim^3 bytes
         phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        dim = max(401, int((phys / 8) ** 0.25) + 2)
+        dim = max(401, int((phys / 4) ** (1 / 3)) + 2)
         liouv = oscillator_liouvillian(dim, SqueezingParams(0.5, 0.0))
         tracemalloc.start()
         try:
@@ -270,7 +271,9 @@ class TestLiouvillianApply:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * dim ** 4 / 1000  # a thousandth of what was refused
+        # only the sectors and their levels, a few 8-byte integers per entry
+        # of rho (32 bytes measured), are built before the guard
+        assert peak < 64 * dim ** 2
 
     def test_superoperator_guard_counts_its_peak(self, monkeypatch):
         liouv = oscillator_liouvillian(16, BATHS["mixed"])
@@ -424,7 +427,81 @@ class TestEvolve:
         assert "_banded" not in vars(liouv)  # refused before the first RHS call
 
 
+def _dense_sector_solve(liouv: Liouvillian, index: np.ndarray, entries: tuple, rng):
+    """Reference: the sector's whole block scattered from ``entries`` and solved by one LU.
+
+    Returns the stationary coherences in the order of index, sigma = |b| / |x_b|
+    for a random b drawn as ``steady_state`` draws it, and s0 = sqrt(|B|_1 |B|_inf).
+    """
+    dim, size = liouv.dim, len(index)
+    position = np.full(dim * dim, -1)
+    position[index] = np.arange(size)
+    rows, cols, values = entries
+    inside = position[rows] >= 0
+    block = np.zeros((size, size), dtype=complex)
+    block[position[rows[inside]], position[cols[inside]]] = values[inside]
+    rhs = np.zeros(size, dtype=complex)
+    if position[0] >= 0:  # the row of rho[0, 0] becomes Tr rho = 1
+        block[position[0]] = 0.0
+        block[position[0], position[np.arange(dim) * (dim + 1)]] = 1.0
+        rhs[position[0]] = 1.0
+    b = rng.normal(size=size) + 1j * rng.normal(size=size)
+    x = np.linalg.solve(block, np.column_stack([rhs, b]))
+    s0 = math.sqrt(np.abs(block).sum(axis=0).max() * np.abs(block).sum(axis=1).max())
+    return x[:, 0], float(np.linalg.norm(b) / np.linalg.norm(x[:, 1])), s0
+
+
 class TestSteadyState:
+    @pytest.mark.parametrize("kind, size", [("spins", 1), ("spins", 2), ("spins", 3),
+                                            ("spins", 9), ("spins", 40), ("oscillator", 12)])
+    @pytest.mark.parametrize("bath", BATHS)
+    def test_block_solve_matches_a_dense_solve(self, kind, size, bath):
+        if kind == "oscillator":
+            liouv = oscillator_liouvillian(size, BATHS[bath])
+        else:
+            liouv = spin_liouvillian(build_collective_ops(DickeSpace(size)), BATHS[bath])
+        dim = liouv.dim
+        entries = liouv.entries()
+        rho = np.zeros(dim * dim, dtype=complex)
+        block_rng, dense_rng = np.random.default_rng(0), np.random.default_rng(0)
+        sectors = liouv.sectors()
+        assert len(sectors) == 2
+        for index in sectors:
+            levels = lindblad._levels(liouv, index)
+            orders = [set(level // dim - level % dim) for level in levels]
+            assert all(len(order) == 1 for order in orders)  # one coherence order k each
+            assert [len(level) for level in levels] == [dim - abs(k) for (k,) in orders]
+            sigma, s0, _, _ = lindblad._solve_sector(rho, index, levels, entries, block_rng)
+            x, dense_sigma, dense_s0 = _dense_sector_solve(liouv, index, entries, dense_rng)
+            assert np.max(np.abs(rho[index] - x)) <= 1e-13
+            assert s0 == pytest.approx(dense_s0, rel=1e-12)
+            assert sigma / s0 == pytest.approx(dense_sigma / dense_s0, rel=1e-8)
+            if 0 not in index:  # the odd sector: no coherence survives
+                assert not np.any(rho[index])
+        rho = rho.reshape(dim, dim)
+        assert np.max(np.abs(steady_state(liouv) - 0.5 * (rho + rho.conj().T))) <= 1e-13
+        if dim <= 12:  # against the null vector of the dense superoperator
+            _u, _s, vh = np.linalg.svd(liouv.superoperator())
+            ref = vh[-1].conj().reshape(dim, dim)
+            assert np.max(np.abs(steady_state(liouv) - ref / np.trace(ref))) <= 1e-13
+
+    @pytest.mark.parametrize("bath", BATHS)
+    def test_memory_estimate_bounds_the_peak(self, bath, monkeypatch):
+        ops = build_collective_ops(DickeSpace(40))
+        steady_state(spin_liouvillian(ops, BATHS[bath]))  # lazy imports happen here
+        liouv = spin_liouvillian(ops, BATHS[bath])
+        guarded = []
+        check = lindblad._check_memory
+        monkeypatch.setattr(lindblad, "_check_memory",
+                            lambda nbytes, what: (guarded.append(nbytes), check(nbytes, what)))
+        tracemalloc.start()
+        try:
+            steady_state(liouv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(guarded) == 1 and peak <= guarded[0]
+
     @pytest.mark.parametrize("nbar", [0.0, 0.5, 5.0])
     def test_single_spin_inversion_and_unit_variances(self, nbar):
         p = SqueezingParams.minimal(nbar)
@@ -511,6 +588,14 @@ class TestSteadyState:
         psi = dark_state(50, 0.5)
         assert np.vdot(psi, rho @ psi).real == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [80, 160])
+    def test_dark_state_at_large_spin_counts(self, n):
+        # a dense solve of one parity sector would need about 5.4 GB at 160 spins
+        ops = build_collective_ops(DickeSpace(n))
+        rho = steady_state(spin_liouvillian(ops, SqueezingParams.minimal(2.0)))
+        psi = dark_state(n, 2.0)
+        assert np.vdot(psi, rho @ psi).real == pytest.approx(1.0, abs=1e-10)
+
     def test_dark_state_annihilated_by_the_jump_operator(self):
         # c = sqrt(nbar+1) S- - sqrt(nbar) S+ on its superdiagonal, never as a matrix
         n, nbar = 10 ** 4, 0.5
@@ -534,6 +619,11 @@ class TestSteadyState:
         (record,) = caplog.records
         assert record.levelno == logging.DEBUG
         assert "residual" in record.getMessage()
+        # size:levels:largest:sigma_min/s0 per sector; at dim 5 the even sector
+        # has orders -4 .. 4, the odd one -3 .. 3
+        sectors = re.search(r"sigma_min/s0\) (.*?) residual", record.getMessage())[1].split()
+        assert [sector.split(":")[:3] for sector in sectors] == [["13", "5", "5"], ["12", "4", "4"]]
+        assert all(0 < float(sector.split(":")[3]) < 1 for sector in sectors)
         build, solve, wall = (float(re.search(rf"{phase}=(\S+) s", record.getMessage())[1])
                               for phase in ("build", "solve", "wall"))
         assert 0 < build and 0 < solve and build + solve <= wall * (1 + 1e-3)  # 4 digits
