@@ -18,7 +18,7 @@ from .moments import (OscillatorMoments, RateDecomposition, SpinMoments,
                       minimal_m, oscillator_cov_rhs, oscillator_mean_rhs,
                       oscillator_rate_decomposition, rate_decomposition,
                       spin_moments_from_state)
-from .ode import IntegrationError, IntegratorConfig, integrate
+from .ode import IntegrationError, IntegratorConfig, integrate, propagate
 from .lindblad import (CutoffError, DegenerateSteadyStateError, Liouvillian,
                        Trajectory, annihilation_operator, dissipator, evolve,
                        oscillator_liouvillian, oscillator_oracle,

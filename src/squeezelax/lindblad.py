@@ -63,6 +63,16 @@ time and O(dim^3) memory, and the full superoperator is never built. From
 the CLI, ``steady-state --spins 40``, ``80`` and ``160`` take 0.23, 0.26
 and 0.48 s with peak RSS 38, 44 and 70 MB (2-core machine). Any other op
 keeps each sector as one level, solved by one dense LU.
+
+Time evolution. ``evolve`` sums a Chebyshev series of exp(h L) in the
+rescaled generator (2/a) L + 1 (``ode.propagate``), over windows of degree
+up to 64, with ``apply`` as its only operation. The bound a is
+``norm_bound()``, the largest absolute row sum of the superoperator, read
+for a real superdiagonal op from the stencil's coefficients in O(dim^2);
+every eigenvalue of L lies in |z| <= a. At Fock cutoff 59 (a = 658.6) the
+oscillator oracle reaches t = 20 in 93 windows and 5935 ``apply`` calls,
+where the explicit RK45 stepper it replaced, held by stability to steps of
+about 3.3 / a, took 3530 steps and 21733 calls.
 """
 
 from __future__ import annotations
@@ -76,7 +86,7 @@ from functools import cached_property
 import numpy as np
 
 from .moments import SqueezingParams
-from .ode import IntegratorConfig, _check_memory, integrate
+from .ode import _check_memory, propagate
 from .spin_algebra import CollectiveOps, QuantumState
 
 __all__ = [
@@ -176,10 +186,10 @@ class Liouvillian:
     """Squeezed-bath Lindblad generator for a lowering operator ``op``.
 
     Nothing beyond ``op`` is built up front: the stencil on the first
-    ``apply`` or ``entries``, the dense d+, P, Q and K on the first call
-    that reads them (``superoperator``, or ``apply`` for an op that is not
-    a real superdiagonal). ``steady_state`` on a real superdiagonal op
-    reads only the stencil.
+    ``apply``, ``entries`` or ``norm_bound``, the dense d+, P, Q and K on
+    the first call that reads them (``superoperator``, or ``apply`` and
+    ``norm_bound`` for an op that is not a real superdiagonal).
+    ``steady_state`` on a real superdiagonal op reads only the stencil.
     """
 
     op: np.ndarray
@@ -228,11 +238,12 @@ class Liouvillian:
         rho has shape (..., dim, dim); every matrix of the stack is mapped
         on its own, with the same arithmetic as when it is passed alone. A
         real superdiagonal op takes the nine-term stencil, O(dim^2) per
-        matrix, on the (2 dim^2,) float64 view of one matrix or the
-        (B, 2 dim^2) view of a stack; any other op takes the dense normal
-        form, O(dim^3) per matrix, broadcast over the stack. The stencil
-        path keeps its work arrays for the last shape it was given, so one
-        generator must not be applied from two threads at once.
+        matrix, on the (2 dim^2,) float64 view of one matrix (or a stack of
+        one) or the (B, 2 dim^2) view of a stack; any other op takes the
+        dense normal form, O(dim^3) per matrix, broadcast over the stack.
+        The stencil path keeps its work arrays for the last shape it was
+        given, so one generator must not be applied from two threads at
+        once.
         """
         rho = np.asarray(rho)
         if rho.ndim < 2 or rho.shape[-2:] != self.op.shape:
@@ -242,8 +253,9 @@ class Liouvillian:
             return self.params.gamma_p * (self.op @ rho @ p + dag @ rho @ q
                                           - 0.5 * (k @ rho + rho @ k))
         # interleaved (re, im) float64 view of one matrix, or one row per
-        # matrix of a stack, so every coefficient is real
-        flat = (-1,) if rho.ndim == 2 else (-1, self.dim ** 2)
+        # matrix of a stack, so every coefficient is real; a stack of one
+        # takes the 1-d slices, about 8 us less per call at dim 59
+        flat = (-1,) if rho.size == self.dim ** 2 else (-1, self.dim ** 2)
         x = np.ascontiguousarray(rho, dtype=complex).reshape(flat).view(np.float64)
         pad, center, pairs = self._banded
         n = x.shape[-1]
@@ -309,13 +321,36 @@ class Liouvillian:
         """
         if self._banded is None:
             sup = self.superoperator()
-            rows, cols = np.nonzero(sup)
+            rows, cols = np.divmod(np.flatnonzero(sup), sup.shape[1])
             return rows, cols, sup[rows, cols]
+        pad = self._banded[0]
+        starts, coef = self._stencil_terms()
+        # np.nonzero's (nnz, 2) buffer would stay alive behind strided views
+        term, rows = np.divmod(np.flatnonzero(coef), coef.shape[1])
+        return rows, rows + (starts[term] - pad) // 2, coef[term, rows]
+
+    def _stencil_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stencil's term offsets, in padded float64 entries, and its coefficients."""
         pad, center, pairs = self._banded
         starts, coefs = zip((pad, center), *(term for pair in pairs for term in pair))
-        coef = np.stack(coefs)[:, ::2]  # one of each (re, im) repeat
-        term, rows = np.nonzero(coef)
-        return rows, rows + (np.array(starts)[term] - pad) // 2, coef[term, rows]
+        return np.array(starts), np.stack(coefs)[:, ::2]  # one of each (re, im) repeat
+
+    def norm_bound(self) -> float:
+        """The largest absolute row sum of ``superoperator()``, >= |lambda| for every eigenvalue.
+
+        A real superdiagonal op reads it from the stencil's coefficients in
+        O(dim^2): each row holds one coefficient per term. Any other op
+        bounds it by gamma_p (|d|_inf |P|_1 + |d+|_inf |Q|_1
+        + (|K|_inf + |K|_1) / 2), the row sums of the normal form's kron
+        products (|.|_inf the largest row sum, |.|_1 the largest column sum).
+        """
+        if self._banded is None:
+            dag, p, q, k = self._normal_form
+            norm = np.linalg.norm
+            return float(self.params.gamma_p * (
+                norm(self.op, np.inf) * norm(p, 1) + norm(dag, np.inf) * norm(q, 1)
+                + 0.5 * (norm(k, np.inf) + norm(k, 1))))
+        return float(np.max(np.sum(np.abs(self._stencil_terms()[1]), axis=0)))
 
     def sectors(self) -> list[np.ndarray]:
         """The invariant coherence sectors, as row-major positions in rho.
@@ -383,18 +418,31 @@ def _state_diagnostics(states: np.ndarray) -> dict:
 
 def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
            rtol: float = 1e-10, atol: float = 1e-12) -> Trajectory:
-    """Integrate the master equation from rho0 and record rho at ``times``.
+    """Propagate the master equation from rho0 and record rho at ``times``.
 
-    times are output times as for ``integrate``, with rho0 the state at
+    times are output times as for ``ode.propagate``, with rho0 the state at
     times[0]; a number t means (0, t). rho0 is one density matrix
-    (dim, dim) or a batch (B, dim, dim), stepped as one stack with each
+    (dim, dim) or a batch (B, dim, dim), propagated as one stack with each
     member held to rtol and atol on its own; ``states`` has shape
-    (len(times),) + rho0.shape. No trace renormalization is applied, so
-    trace drift stays a genuine global-error witness. The trace,
-    hermiticity and eigenvalue witnesses read every member of every
-    record, and only the records, and report the worst. One DEBUG line per
-    call logs the batch size, dim, step counts, the accepted step-size
-    range, and the number of records and their bytes.
+    (len(times),) + rho0.shape.
+
+    Every generator takes the same path: ``ode.propagate`` sums a Chebyshev
+    series of exp(h L) over windows of length h, one ``liouv.apply`` per
+    term, with the bound a = ``liouv.norm_bound()``, the largest absolute
+    row sum of the superoperator, read after the record guard. A series is
+    cut where its tail of coefficients falls to 0.1 min(rtol, atol), at
+    degree 64 at most; a window is refused and halved when a term grows
+    past 1e3 times the state or the extrapolated tail exceeds the
+    tolerance (see ``ode.propagate``). At Fock cutoff 59 (a = 658.6) the
+    oscillator oracle reaches t = 20 in 93 windows of degree 47 to 64.
+
+    No trace renormalization is applied, so trace drift stays a genuine
+    global-error witness (the truncated series loses about its tail per
+    window). The trace, hermiticity and eigenvalue witnesses read every
+    member of every record, and only the records, and report the worst.
+    One DEBUG line per call logs the batch size, dim, the bound, the
+    windows and refused windows, the ``apply`` calls, the degree and window
+    ranges, and the number of records and their bytes.
     """
     if isinstance(rho0, QuantumState):
         rho0 = rho0.density()
@@ -403,20 +451,16 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
     if rho0.ndim not in (2, 3) or rho0.shape[-2:] != (dim, dim) or rho0.size == 0:
         raise ValueError("initial state shape does not match the generator: expected "
                          f"({dim}, {dim}) or (B, {dim}, {dim}), got {rho0.shape}")
-
-    def rhs(y, _t):
-        return liouv.apply(y.reshape(rho0.shape)).reshape(y.shape)
-
-    cfg = IntegratorConfig(dt=1e-2 / liouv.params.gamma_p, rtol=rtol, atol=atol)
-    result = integrate(rhs, rho0.reshape(rho0.shape[:-2] + (dim * dim,)), times, cfg)
+    stack = rho0 if rho0.ndim == 3 else rho0[None]
+    result = propagate(liouv.apply, liouv.norm_bound, stack, times, rtol, atol)
     states = result.states.reshape((-1,) + rho0.shape)
     diagnostics = dict(result.diagnostics)
     diagnostics.update(_state_diagnostics(states))
-    logger.debug("evolve batch=%d dim=%d accepted=%d rejected=%d rhs_evals=%d "
-                 "dt=[%.3e, %.3e] records=%d bytes=%d", 1 if rho0.ndim == 2 else len(rho0),
-                 dim, diagnostics["accepted"], diagnostics["rejected"],
-                 diagnostics["rhs_evals"], diagnostics["dt_min"], diagnostics["dt_max"],
-                 len(states), states.nbytes)
+    logger.debug("evolve batch=%d dim=%d bound=%.6g windows=%d refused=%d rhs_evals=%d "
+                 "degree=[%d, %d] window=[%.3e, %.3e] records=%d bytes=%d", len(stack), dim,
+                 diagnostics["bound"], diagnostics["accepted"], diagnostics["rejected"],
+                 diagnostics["rhs_evals"], diagnostics["degree_min"], diagnostics["degree_max"],
+                 diagnostics["dt_min"], diagnostics["dt_max"], len(states), states.nbytes)
     return Trajectory(times=result.times, states=states, diagnostics=diagnostics)
 
 

@@ -13,6 +13,7 @@ from squeezelax.lindblad import (CutoffError, DegenerateSteadyStateError,
                                  evolve, oscillator_liouvillian,
                                  oscillator_oracle, spin_liouvillian,
                                  steady_state)
+from squeezelax.ode import IntegratorConfig, integrate
 from squeezelax.moments import (SqueezingParams, SpinMoments, collective_cov_rhs,
                                 collective_mean_rhs, gardiner_rhs)
 from squeezelax.spin_algebra import (BlochAngles, DickeSpace, QuantumState,
@@ -248,14 +249,30 @@ class TestLiouvillianApply:
             assert len(set((index // dim - index % dim) % 2)) == 1
             sector_of[index] = label
         rows, cols, values = liouv.entries()
+        # rows is its own contiguous array, not a strided view of np.nonzero's (nnz, 2) buffer
+        assert rows.base is None and rows.flags.c_contiguous
         assert np.array_equal(sector_of[rows], sector_of[cols])
         assert len(np.unique(rows * dim * dim + cols)) == len(rows)
         # the stencil's coefficients against the kron products of the normal form
         sup = liouv.superoperator()
+        assert liouv.norm_bound() == pytest.approx(np.max(np.sum(np.abs(sup), axis=1)), rel=1e-12)
         tol = 1e-15 * np.max(np.abs(sup))
         assert np.max(np.abs(sup[rows, cols] - values)) <= tol
         sup[rows, cols] = 0.0
         assert np.max(np.abs(sup)) <= tol
+
+    @pytest.mark.parametrize("op", ["sigma_x", "rotated"])
+    @pytest.mark.parametrize("bath", BATHS)
+    def test_norm_bound_covers_the_row_sums_off_the_superdiagonal(self, op, bath):
+        if op == "sigma_x":
+            op = np.array([[0.0, 1.0], [1.0, 0.0]])
+        else:
+            rng = np.random.default_rng(37)
+            u, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+            op = u @ annihilation_operator(5) @ u.conj().T
+        liouv = Liouvillian(op=op, params=BATHS[bath])
+        row_sum = np.max(np.sum(np.abs(liouv.superoperator()), axis=1))
+        assert row_sum * (1.0 - 1e-12) <= liouv.norm_bound() <= 4.0 * row_sum
 
     def test_memory_guard_refuses_before_allocating(self):
         # the steady-state estimate for a superdiagonal op is at least 4 dim^3 bytes
@@ -405,8 +422,49 @@ class TestEvolve:
         assert record.levelno == logging.DEBUG
         assert "batch=4 dim=7" in message and f"rhs_evals={diag['rhs_evals']}" in message
         assert 0 < diag["dt_min"] <= diag["dt_max"] <= 0.1
+        assert 1 <= diag["degree_min"] <= diag["degree_max"] <= 64
+        assert diag["bound"] == liouv.norm_bound()
+        for text in (f"bound={diag['bound']:.6g}", f"windows={diag['accepted']}",
+                     f"refused={diag['rejected']}",
+                     f"degree=[{diag['degree_min']}, {diag['degree_max']}]",
+                     f"window=[{diag['dt_min']:.3e}, {diag['dt_max']:.3e}]"):
+            assert text in message
         # two records of four 7 x 7 complex matrices
         assert "records=2 " in message and message.endswith(f"bytes={2 * 4 * 49 * 16}")
+
+    @pytest.mark.parametrize("kind, size, bath", [
+        ("oscillator", 59, "squeezed-vacuum"), ("oscillator", 80, "coherent"),
+        *(("spins", n, bath) for n in (8, 15, 40, 80) for bath in BATHS)])
+    def test_matches_rk45_at_tight_tolerance(self, kind, size, bath):
+        """Default tolerances against Dormand-Prince at rtol 1e-12, atol 1e-14, on output grids."""
+        if kind == "oscillator" and size == 59:
+            # the oscillator-relaxation bath and start, over the first tenth of its run
+            liouv = oscillator_liouvillian(59, SqueezingParams(1.0, math.sqrt(2.0)))
+            rho0 = np.zeros((59, 59), dtype=complex)
+            rho0[0, 0] = 1.0
+            times = np.linspace(0.0, 2.0, 21)
+        elif kind == "oscillator":
+            liouv = oscillator_liouvillian(80, SqueezingParams(0.5, 0.3))
+            psi = lindblad.coherent_state_vector(80, 1.0)
+            rho0 = np.outer(psi, psi.conj()).astype(complex)
+            times = np.linspace(0.0, 2.0, 121)
+        else:
+            space = DickeSpace(size)
+            liouv = spin_liouvillian(build_collective_ops(space), BATHS[bath])
+            rho0 = spin_coherent_state(space, BlochAngles(0.75 * math.pi, 0.3)).density()
+            times = np.linspace(0.0, 2.0 / size, 31)  # about three collective decay times
+
+        def rhs(y, _t):  # the complex state as interleaved real and imaginary parts
+            return liouv.apply(y.view(complex).reshape(rho0.shape)).reshape(-1).view(np.float64)
+
+        cfg = IntegratorConfig(dt=1e-2 / liouv.params.gamma_p, rtol=1e-12, atol=1e-14)
+        reference = integrate(rhs, rho0.reshape(-1).view(np.float64), times, cfg).states
+        traj = evolve(liouv, rho0, times)
+        reference = reference.view(complex).reshape(traj.states.shape)
+        assert np.max(np.abs(traj.states - reference)) <= 1e-10
+        assert traj.diagnostics["max_trace_drift"] <= 1e-10
+        assert traj.diagnostics["max_hermiticity_residual"] <= 1e-12
+        assert traj.diagnostics["min_eigenvalue"] >= -1e-10
 
     def test_record_guard_refuses_before_allocating(self):
         phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from squeezelax.moments import SpinMoments, SqueezingParams, gardiner_rhs
-from squeezelax.ode import IntegrationError, IntegratorConfig, integrate
+from squeezelax.ode import IntegrationError, IntegratorConfig, integrate, propagate
 
 
 def test_adaptive_exponential():
@@ -37,6 +37,8 @@ def test_records_at_requested_times():
 def test_rejects_output_times_not_increasing_or_not_finite(times):
     with pytest.raises(ValueError):
         integrate(lambda y, t: -y, np.array([1.0]), times, IntegratorConfig())
+    with pytest.raises(ValueError):
+        propagate(lambda y: -y, 1.0, np.array([1.0]), times, 1e-10, 1e-12)
 
 
 def test_gardiner_means_match_analytic_exponentials():
@@ -87,12 +89,15 @@ def test_linearity_commutes_with_scaling():
     assert np.max(np.abs(scaled - 7.5 * base)) / np.max(np.abs(scaled)) < 1e-10
 
 
-def test_complex_state_integration():
-    # d/dt z = i z: rotation in the complex plane at unit speed
-    cfg = IntegratorConfig(rtol=1e-11, atol=1e-13)
-    result = integrate(lambda y, t: 1j * y, np.array([1.0 + 0j]), (0.0, math.pi), cfg)
+def test_complex_state_propagation():
+    # d/dt z = i z: rotation in the complex plane at unit speed. The
+    # eigenvalue i lies off the negative real axis, where T_k(A~) grows, so
+    # windows are refused until the series converges
+    result = propagate(lambda y: 1j * y, 2.0, np.array([1.0 + 0j]), (0.0, math.pi),
+                       1e-11, 1e-13)
     assert abs(result.states[-1, 0] - (-1.0)) < 1e-9
     assert np.iscomplexobj(result.states)
+    assert result.diagnostics["rejected"] > 0
 
 
 def test_nonfinite_rhs_reports_context():
@@ -101,6 +106,8 @@ def test_nonfinite_rhs_reports_context():
 
     with pytest.raises(IntegrationError):
         integrate(rhs, np.array([1.0]), (0.0, 1.0), IntegratorConfig())
+    with pytest.raises(IntegrationError, match="non-finite"):
+        propagate(lambda y: rhs(y, 0.0), 1.0, np.array([1.0]), 1.0, 1e-10, 1e-12)
 
 
 def test_config_validation():
@@ -108,9 +115,20 @@ def test_config_validation():
         IntegratorConfig(rtol=-1.0)
     with pytest.raises(ValueError):
         integrate(lambda y, t: -y, np.array([1.0]), (1.0, 0.5), IntegratorConfig())
-    for y0 in (np.ones((2, 2, 2)), np.ones((0, 3)), np.ones(0), np.array(1.0)):  # bad stacks
+    # one real state only: stacks and complex states are propagate's
+    for y0 in (np.ones((2, 2, 2)), np.ones((0, 3)), np.ones(0), np.array(1.0), np.ones((2, 3)),
+               np.ones(2, dtype=complex)):
         with pytest.raises(ValueError):
             integrate(lambda y, t: -y, y0, (0.0, 1.0), IntegratorConfig())
+    for bound in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            propagate(lambda y: -y, bound, np.ones(2), 1.0, 1e-10, 1e-12)
+    for y0 in (np.ones(0), np.ones((0, 3)), np.array([1.0, math.nan])):
+        with pytest.raises(ValueError):
+            propagate(lambda y: -y, 1.0, y0, 1.0, 1e-10, 1e-12)
+    for rtol, atol in ((0.0, 1e-12), (1e-10, -1.0)):
+        with pytest.raises(ValueError):
+            propagate(lambda y: -y, 1.0, np.ones(2), 1.0, rtol, atol)
 
 
 def test_rhs_calls_match_the_reported_count():
@@ -143,53 +161,18 @@ def test_step_size_underflow_at_blowup():
     assert abs(info.value.t - 1.0) < 1e-3
 
 
-def test_batch_of_one_steps_as_the_single_state():
-    def rhs(y, _t):
-        return np.stack([-y[..., 0] + y[..., 1] ** 2, -3.0 * y[..., 1]], axis=-1)
-
-    cfg = IntegratorConfig(dt=0.5, rtol=1e-9, atol=1e-12)
-    single = integrate(rhs, np.array([1.0, 2.0]), (0.0, 4.0), cfg)
-    batch = integrate(rhs, np.array([[1.0, 2.0]]), (0.0, 4.0), cfg)
-    assert single.diagnostics["rejected"] > 0
-    assert batch.diagnostics == single.diagnostics
-    assert np.array_equal(batch.times, single.times)
-    assert batch.states.shape == (len(single.times), 1, 2)
-    assert np.array_equal(batch.states[:, 0], single.states)
-
-
-def test_batch_holds_every_member_to_its_own_tolerance():
-    # y_b' = -lambda_b y_b. The error norm is the worst member's, so each
-    # member's global error stays within twice its own tolerance, as the
-    # stiffest one's does when integrated alone (about 1.5); a norm pooled
-    # over the eight members lets the stiffest one reach about 3.8.
-    rates = np.linspace(1.0, 50.0, 8)
-    rtol, atol = 1e-8, 1e-12
-    cfg = IntegratorConfig(rtol=rtol, atol=atol)
-    grid = np.linspace(0.0, 1.0, 41)
-    result = integrate(lambda y, _t: -rates[:, None] * y, np.ones((8, 1)), grid, cfg)
-    assert result.states.shape == (len(result.times), 8, 1)
-    exact = np.exp(-np.outer(result.times, rates))
-    err = np.abs(result.states[:, :, 0] - exact) / (atol + rtol * exact)
-    assert np.max(err) <= 2.0
-    solo = integrate(lambda y, _t: -rates[-1] * y, np.ones(1), grid, cfg)
-    solo_err = np.abs(solo.states[:, 0] - np.exp(-rates[-1] * solo.times)) / (
-        atol + rtol * np.exp(-rates[-1] * solo.times))
-    assert np.max(err[:, -1]) <= 1.01 * np.max(solo_err)
-
-
-def test_complex_batch_and_step_range():
+def test_step_range():
+    # a rotation at omega = 3 as a real system
     cfg = IntegratorConfig(rtol=1e-11, atol=1e-13)
-    omega = np.array([[1.0], [2.0], [3.0]])
     calls = []
 
     def rhs(y, t):
         calls.append(t)
-        return 1j * omega * y
+        return 3.0 * np.array([-y[1], y[0]])
 
-    y0 = np.ones((3, 1), dtype=complex)
+    y0 = np.array([1.0, 0.0])
     result = integrate(rhs, y0, (0.0, math.pi), cfg)
-    assert np.iscomplexobj(result.states) and result.states.shape == (2, 3, 1)
-    assert np.max(np.abs(result.states[-1] - np.exp(1j * math.pi * omega))) < 1e-9
+    assert np.max(np.abs(result.states[-1] - [math.cos(3 * math.pi), 0.0])) < 1e-9
     diag = result.diagnostics
     # attempt j makes calls 6j + 1 .. 6j + 6, the first at t + h / 5 and the
     # last at t + h; it was accepted if the next attempt starts at its end
@@ -206,7 +189,7 @@ def test_complex_batch_and_step_range():
     assert diag["dt_max"] == pytest.approx(np.max(steps[:-1]), rel=1e-12)
 
     def step_range(times):
-        d = integrate(lambda y, t: 1j * omega * y, y0, times, cfg).diagnostics
+        d = integrate(lambda y, t: 3.0 * np.array([-y[1], y[0]]), y0, times, cfg).diagnostics
         return d["accepted"], d["dt_min"], d["dt_max"]
 
     # the same steps, then a last one cut to about 1e-6, which the range ignores
@@ -222,3 +205,116 @@ def test_complex_batch_and_step_range():
     assert grid.diagnostics["accepted"] == 4
     assert grid.diagnostics["dt_min"] == pytest.approx(2.5e-5, rel=1e-9)
     assert grid.diagnostics["dt_max"] == pytest.approx(2.5e-5, rel=1e-9)
+
+
+# A diagonal generator: exp(tA) y0 is known entry by entry.
+RATES = np.linspace(0.0, 200.0, 12)
+
+
+def _decay(y):
+    return -RATES * y
+
+
+def _exact(times, y0):
+    return np.exp(-np.multiply.outer(np.asarray(times), RATES)).reshape(
+        (len(times),) + (1,) * (y0.ndim - 1) + RATES.shape) * y0
+
+
+@pytest.mark.parametrize("shape", [(12,), (4, 12)], ids=["single", "stack"])
+def test_propagate_is_exact_on_a_diagonal_generator(shape):
+    y0 = np.random.default_rng(7).normal(size=shape)
+    times = np.linspace(0.0, 3.0, 7)
+    result = propagate(_decay, RATES[-1], y0, times, 1e-12, 1e-14)
+    assert result.states.shape == (7,) + shape
+    assert result.times.tolist() == times.tolist()
+    assert np.max(np.abs(result.states - _exact(times, y0))) <= 1e-13 * np.max(np.abs(y0))
+    assert result.diagnostics["degree_max"] <= 64
+
+
+def test_output_times_inside_one_window_equal_separate_calls():
+    y0 = np.random.default_rng(8).normal(size=12)
+    grid = (0.0, 0.1, 0.25, 0.4)
+    shared = propagate(_decay, RATES[-1], y0, grid, 1e-10, 1e-12)
+    assert shared.diagnostics["accepted"] == 1
+    for row, t in enumerate(grid[1:], start=1):
+        alone = propagate(_decay, RATES[-1], y0, t, 1e-10, 1e-12)
+        # the same series; the earlier times also sum the terms their own
+        # truncation would have left out
+        assert np.max(np.abs(alone.states[-1] - shared.states[row])) <= 1e-13
+    # the output times cost no applications beyond those of the last one
+    assert shared.diagnostics["rhs_evals"] == alone.diagnostics["rhs_evals"]
+
+
+def test_low_bound_is_refused_or_raises():
+    # the bound is meant to cover the spectrum, here up to 200; below it the
+    # T_k grow geometrically. Slightly low, windows are refused and the
+    # result still meets the tolerance; further down the truncation
+    # estimates add up past it and the run stops, and a bound far too small
+    # refuses every window until it underflows
+    y0 = np.random.default_rng(9).normal(size=12)
+    times = np.linspace(0.0, 1.0, 11)
+    rtol, atol = 1e-10, 1e-12
+    result = propagate(_decay, 190.0, y0, times, rtol, atol)
+    exact = _exact(times, y0)
+    assert result.diagnostics["rejected"] > 0
+    assert np.max(np.abs(result.states - exact) / (atol + rtol * np.abs(exact))) <= 1.0
+    for bound in (150.0, 100.0, 20.0):
+        with pytest.raises(IntegrationError, match="add up past the tolerance"):
+            propagate(_decay, bound, y0, times, rtol, atol)
+    with pytest.raises(IntegrationError, match="window underflow"):
+        propagate(lambda y: -1e6 * y, 1.0, y0, times, rtol, atol)
+
+
+def test_propagate_reports_every_apply_call():
+    calls = 0
+
+    def apply(y):
+        nonlocal calls
+        calls += 1
+        return _decay(y)
+
+    y0 = np.random.default_rng(10).normal(size=(3, 12))
+    for bound, times in ((200.0, 2.0), (200.0, np.linspace(0.0, 1.0, 9)), (190.0, 1.0)):
+        calls = 0
+        diag = propagate(apply, bound, y0, times, 1e-10, 1e-12).diagnostics
+        assert calls == diag["rhs_evals"] > 0
+    assert diag["rejected"] > 0  # refused windows count their calls too
+
+
+def test_propagated_batch_of_one_equals_the_single_state():
+    y0 = np.random.default_rng(11).normal(size=12)
+    single = propagate(_decay, RATES[-1], y0, np.linspace(0.0, 1.0, 5), 1e-10, 1e-12)
+    batch = propagate(_decay, RATES[-1], y0[None], np.linspace(0.0, 1.0, 5), 1e-10, 1e-12)
+    assert batch.diagnostics == single.diagnostics
+    assert batch.states.shape == (5, 1, 12)
+    assert np.array_equal(batch.states[:, 0], single.states)
+
+
+def test_propagated_stack_holds_every_member_to_its_own_tolerance():
+    # member 1 is a millionth of member 0 and sits on the rate the bound
+    # misses: its T_k grow past 1e3 times its own size long before they
+    # reach member 0's, so only a per-member check refuses those windows
+    rates = np.array([1.0, 100.0])
+    y0 = np.array([[1.0, 0.0], [0.0, 1e-6]])
+    times = np.linspace(0.0, 1.0, 11)
+    rtol, atol = 1e-8, 1e-15
+    result = propagate(lambda y: -rates * y, 90.0, y0, times, rtol, atol)
+    exact = np.exp(-times[:, None, None] * rates) * y0
+    assert result.diagnostics["rejected"] > 0
+    assert np.max(np.abs(result.states - exact) / (atol + rtol * np.abs(exact))) <= 1.0
+    # the member alone is propagated in the same windows, to the same values
+    # up to the order of the blocked sums
+    alone = propagate(lambda y: -rates * y, 90.0, y0[1], times, rtol, atol)
+    assert alone.diagnostics["rhs_evals"] == result.diagnostics["rhs_evals"]
+    assert np.allclose(alone.states, result.states[:, 1], rtol=1e-14, atol=0.0)
+
+
+def test_complex_stack_propagation():
+    phases = np.exp(1j * np.array([[0.3], [1.1], [2.5]]))
+    y0 = phases * np.random.default_rng(12).normal(size=(3, 12))
+    result = propagate(_decay, RATES[-1], y0, (0.0, 0.5), 1e-11, 1e-13)
+    assert np.iscomplexobj(result.states) and result.states.shape == (2, 3, 12)
+    assert np.max(np.abs(result.states - _exact((0.0, 0.5), y0))) <= 1e-12
+    diag = result.diagnostics
+    assert 0 < diag["dt_min"] <= diag["dt_max"] <= 0.5
+    assert 1 <= diag["degree_min"] <= diag["degree_max"] <= 64
