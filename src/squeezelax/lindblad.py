@@ -37,42 +37,38 @@ of rho, (L rho)[i, j] = gamma_p sum c[i, j] rho[i + di, j + dj]:
 The coefficients are fixed once per generator and vanish wherever a shift
 would leave rho, so ``apply`` reads each shifted copy as one slice of the
 zero-padded, row-major flattened rho: O(dim^2) against the six O(dim^3)
-products of the normal form. A real superdiagonal op always takes the
-stencil; any other op takes the normal form in the dense P, Q and K, which
-also build ``superoperator``, the dense reference.
+products of the normal form. ``Liouvillian`` refuses every other op; the
+dense P, Q and K of the normal form build only ``superoperator``, the dense
+reference.
 
-Parity sectors. When ``op`` is parity-odd (op[i, k] = 0 whenever i - k is
-even; S- in the Dicke basis and the truncated ``a`` have only a
-superdiagonal, so they are), d, d+, P and Q flip the parity of a basis
-index and K keeps it. Each term of the generator then moves the coherence
-rho[i, j] only to coherences of the same parity of i - j, so the dim^2 x
-dim^2 superoperator splits exactly into an even-(i - j) and an odd-(i - j)
+Parity sectors. A superdiagonal op is parity-odd (op[i, k] = 0 whenever
+i - k is even), so d, d+, P and Q flip the parity of a basis index and K
+keeps it. Each term of the generator then moves the coherence rho[i, j]
+only to coherences of the same parity of i - j, so the dim^2 x dim^2
+superoperator splits exactly into an even-(i - j) and an odd-(i - j)
 block with nothing between them. ``sectors`` lists the row-major positions
-of each, and an op that is not parity-odd gets a single sector holding
-every coherence.
+of each.
 
-Coherence order. For a real superdiagonal op every stencil term changes
-the coherence order k = i - j by 0 or +-2, so ordered by k each sector is
-block tridiagonal: a level of order k holds dim - |k| coherences and
-couples only to the levels k +- 2. ``steady_state`` scatters the nonzero
-entries of the superoperator, from ``entries`` (for such an op the
-stencil's coefficients, at most nine per coherence), into these blocks and
-eliminates the levels from both ends toward the one holding the
-diagonal: about dim dense solves of size up to dim per sector, O(dim^4)
-time and O(dim^3) memory, and the full superoperator is never built. From
-the CLI, ``steady-state --spins 40``, ``80`` and ``160`` take 0.23, 0.26
-and 0.48 s with peak RSS 38, 44 and 70 MB (2-core machine). Any other op
-keeps each sector as one level, solved by one dense LU.
+Coherence order. Every stencil term changes the coherence order k = i - j
+by 0 or +-2, so ordered by k each sector is block tridiagonal: a level of
+order k holds dim - |k| coherences and couples only to the levels k +- 2.
+``steady_state`` scatters the nonzero entries of the superoperator, from
+``entries`` (the stencil's coefficients, at most nine per coherence), into
+these real blocks and eliminates the levels from both ends toward the one
+holding the diagonal: about dim dense solves of size up to dim per sector,
+O(dim^4) time and O(dim^3) memory, and the full superoperator is never
+built. From the CLI, ``steady-state --spins 40``, ``80`` and ``160`` take
+0.23, 0.26 and 0.48 s with peak RSS 38, 44 and 70 MB (2-core machine).
 
 Time evolution. ``evolve`` sums a Chebyshev series of exp(h L) in the
 rescaled generator (2/a) L + 1 (``ode.propagate``), over windows of degree
 up to 64, with ``apply`` as its only operation. The bound a is
 ``norm_bound()``, the largest absolute row sum of the superoperator, read
-for a real superdiagonal op from the stencil's coefficients in O(dim^2);
-every eigenvalue of L lies in |z| <= a. At Fock cutoff 59 (a = 658.6) the
-oscillator oracle reaches t = 20 in 93 windows and 5935 ``apply`` calls,
-where the explicit RK45 stepper it replaced, held by stability to steps of
-about 3.3 / a, took 3530 steps and 21733 calls.
+from the stencil's coefficients in O(dim^2); every eigenvalue of L lies in
+|z| <= a. At Fock cutoff 59 (a = 658.6) the oscillator oracle reaches
+t = 20 in 93 windows and 5935 ``apply`` calls, where the explicit RK45
+stepper it replaced, held by stability to steps of about 3.3 / a, took
+3530 steps and 21733 calls.
 """
 
 from __future__ import annotations
@@ -185,11 +181,13 @@ def _stencil(s: np.ndarray, params: SqueezingParams):
 class Liouvillian:
     """Squeezed-bath Lindblad generator for a lowering operator ``op``.
 
-    Nothing beyond ``op`` is built up front: the stencil on the first
-    ``apply``, ``entries`` or ``norm_bound``, the dense d+, P, Q and K on
-    the first call that reads them (``superoperator``, or ``apply`` and
-    ``norm_bound`` for an op that is not a real superdiagonal).
-    ``steady_state`` on a real superdiagonal op reads only the stencil.
+    ``op`` must be a nonempty square matrix whose only nonzero entries are
+    real and on the superdiagonal, as S- in the Dicke basis and the
+    truncated ``a`` are; an op with a diagonal entry, a complex or rotated
+    superdiagonal or dense entries raises ValueError here. Only the
+    superdiagonal s_k = op[k, k + 1] is kept up front: the stencil is built
+    on the first ``apply``, ``entries`` or ``norm_bound``, and the dense
+    d+, P, Q and K only when ``superoperator`` reads them.
     """
 
     op: np.ndarray
@@ -198,8 +196,13 @@ class Liouvillian:
     def __post_init__(self):
         self.op = np.asarray(self.op, dtype=complex)
         self._work = None
-        if self.op.ndim != 2 or self.op.shape[0] != self.op.shape[1]:
-            raise ValueError("system operator must be a square matrix")
+        if self.op.ndim != 2 or self.op.shape[0] != self.op.shape[1] or self.op.size == 0:
+            raise ValueError("system operator must be a nonempty square matrix")
+        s = np.diag(self.op, 1)
+        if np.count_nonzero(self.op) != np.count_nonzero(s) or np.any(s.imag):
+            raise ValueError("system operator must have only a real superdiagonal "
+                             "(a lowering operator such as S- or a)")
+        self._s = s.real
 
     @property
     def dim(self) -> int:
@@ -215,43 +218,24 @@ class Liouvillian:
                 - p.m_corr * (dag @ dag + d @ d))
 
     @cached_property
-    def _superdiagonal(self) -> np.ndarray | None:
-        """s_k = op[k, k + 1] as a real array, or None unless op is a real superdiagonal.
-
-        Counting nonzeros allocates nothing of size dim^2, so ``steady_state``
-        reads this before its memory guard.
-        """
-        s = np.diag(self.op, 1)
-        if np.count_nonzero(self.op) != np.count_nonzero(s) or np.any(s.imag):
-            return None
-        return s.real
-
-    @cached_property
     def _banded(self):
-        """The stencil of ``_stencil``, or None for the dense normal form."""
-        s = self._superdiagonal
-        return None if s is None else _stencil(s, self.params)
+        """The stencil of ``_stencil``."""
+        return _stencil(self._s, self.params)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Evaluate drho/dt for a density matrix or a stack of them, as a new array.
 
         rho has shape (..., dim, dim); every matrix of the stack is mapped
-        on its own, with the same arithmetic as when it is passed alone. A
-        real superdiagonal op takes the nine-term stencil, O(dim^2) per
-        matrix, on the (2 dim^2,) float64 view of one matrix (or a stack of
-        one) or the (B, 2 dim^2) view of a stack; any other op takes the
-        dense normal form, O(dim^3) per matrix, broadcast over the stack.
-        The stencil path keeps its work arrays for the last shape it was
-        given, so one generator must not be applied from two threads at
-        once.
+        on its own, with the same arithmetic as when it is passed alone:
+        the nine-term stencil, O(dim^2) per matrix, on the (2 dim^2,)
+        float64 view of one matrix (or a stack of one) or the (B, 2 dim^2)
+        view of a stack. The stencil keeps its work arrays for the last
+        shape it was given, so one generator must not be applied from two
+        threads at once.
         """
         rho = np.asarray(rho)
         if rho.ndim < 2 or rho.shape[-2:] != self.op.shape:
             raise ValueError("density matrix shape does not match the generator")
-        if self._banded is None:
-            dag, p, q, k = self._normal_form
-            return self.params.gamma_p * (self.op @ rho @ p + dag @ rho @ q
-                                          - 0.5 * (k @ rho + rho @ k))
         # interleaved (re, im) float64 view of one matrix, or one row per
         # matrix of a stack, so every coefficient is real; a stack of one
         # takes the 1-d slices, about 8 us less per call at dim 59
@@ -311,18 +295,13 @@ class Liouvillian:
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, values) of the nonzero entries of ``superoperator()``.
 
-        Each (row, col) pair appears once. A real superdiagonal op reads
-        them from the stencil in O(dim^2), without the dense matrix: the
+        Each (row, col) pair appears once, and every value is real. They are
+        read from the stencil in O(dim^2), without the dense matrix: the
         term on shift (di, dj) puts its coefficient for rho[i, j] at row
         i dim + j and column (i + di) dim + (j + dj), and since the
         coefficients vanish wherever a shift would leave rho, no entry
-        wraps into another row of rho. Any other op reads them from
-        ``superoperator()``.
+        wraps into another row of rho.
         """
-        if self._banded is None:
-            sup = self.superoperator()
-            rows, cols = np.divmod(np.flatnonzero(sup), sup.shape[1])
-            return rows, cols, sup[rows, cols]
         pad = self._banded[0]
         starts, coef = self._stencil_terms()
         # np.nonzero's (nnz, 2) buffer would stay alive behind strided views
@@ -338,30 +317,20 @@ class Liouvillian:
     def norm_bound(self) -> float:
         """The largest absolute row sum of ``superoperator()``, >= |lambda| for every eigenvalue.
 
-        A real superdiagonal op reads it from the stencil's coefficients in
-        O(dim^2): each row holds one coefficient per term. Any other op
-        bounds it by gamma_p (|d|_inf |P|_1 + |d+|_inf |Q|_1
-        + (|K|_inf + |K|_1) / 2), the row sums of the normal form's kron
-        products (|.|_inf the largest row sum, |.|_1 the largest column sum).
+        Read from the stencil's coefficients in O(dim^2): each row holds one
+        coefficient per term.
         """
-        if self._banded is None:
-            dag, p, q, k = self._normal_form
-            norm = np.linalg.norm
-            return float(self.params.gamma_p * (
-                norm(self.op, np.inf) * norm(p, 1) + norm(dag, np.inf) * norm(q, 1)
-                + 0.5 * (norm(k, np.inf) + norm(k, 1))))
         return float(np.max(np.sum(np.abs(self._stencil_terms()[1]), axis=0)))
 
     def sectors(self) -> list[np.ndarray]:
         """The invariant coherence sectors, as row-major positions in rho.
 
-        A parity-odd op on two or more levels gives the even and the odd
-        sector of i - j, each in increasing order; any other op gives one
-        sector holding every coherence.
+        Two or more levels give the even and the odd sector of i - j, each
+        in increasing order; one level gives one sector, its one coherence.
         """
+        if self.dim < 2:
+            return [np.arange(1)]
         parity = np.indices(self.op.shape).sum(axis=0) % 2  # of i + j, so of i - j
-        if self.dim < 2 or np.any(self.op[parity == 0]):
-            return [np.arange(self.dim ** 2)]
         return [np.flatnonzero(parity == 0), np.flatnonzero(parity)]
 
 
@@ -467,12 +436,9 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
 def _levels(liouv: Liouvillian, index: np.ndarray) -> list[np.ndarray]:
     """A sector's coherences grouped into the levels of its block-tridiagonal form.
 
-    For a real superdiagonal op a level holds one coherence order k = i - j,
-    the levels run in increasing k and each holds its positions in
-    increasing order; any other op keeps the whole sector as one level.
+    A level holds one coherence order k = i - j, the levels run in
+    increasing k and each holds its positions in increasing order.
     """
-    if liouv._superdiagonal is None:
-        return [index]
     order = index // liouv.dim - index % liouv.dim
     by_order = np.argsort(order, kind="stable")
     return np.split(index[by_order], np.flatnonzero(np.diff(order[by_order])) + 1)
@@ -500,7 +466,7 @@ def _solve_sector(rho: np.ndarray, index: np.ndarray, levels: list[np.ndarray],
     subtracted from the next level in. The center is solved last, and the
     kept solves give the other levels outward. One random right-hand side
     b, drawn in the order of index, is solved with the Tr rho = 1 system,
-    as its real and imaginary parts so that a real block stays real; since
+    as its real and imaginary parts so that every solve stays real; since
     |x_b| <= |b| / sigma_min, sigma = |b| / |x_b| estimates sigma_min from
     above. Returns sigma, s0 = sqrt(|B|_1 |B|_inf) from the column and row
     sums of the entries, a bound on the largest singular value, and the
@@ -521,7 +487,7 @@ def _solve_sector(rho: np.ndarray, index: np.ndarray, levels: list[np.ndarray],
     inside = level_of[rows] >= 0
     rows, cols, values = rows[inside], cols[inside], values[inside]
     b = rng.normal(size=len(index)) + 1j * rng.normal(size=len(index))
-    rhs = np.zeros((len(rho), 3), dtype=values.dtype)  # Tr rho = 1, then Re b and Im b
+    rhs = np.zeros((len(rho), 3))  # Tr rho = 1, then Re b and Im b
     rhs[index, 1:] = np.column_stack((b.real, b.imag))
     center = len(levels) // 2
     if level_of[0] >= 0:
@@ -529,7 +495,7 @@ def _solve_sector(rho: np.ndarray, index: np.ndarray, levels: list[np.ndarray],
         keep = rows != 0
         rows = np.concatenate((rows[keep], np.zeros(dim, dtype=rows.dtype)))
         cols = np.concatenate((cols[keep], np.arange(dim) * (dim + 1)))
-        values = np.concatenate((values[keep], np.ones(dim, dtype=values.dtype)))
+        values = np.concatenate((values[keep], np.ones(dim)))
         rhs[0, 0] = 1.0
     magnitude = np.abs(values)
     s0 = math.sqrt(np.bincount(cols, magnitude).max() * np.bincount(rows, magnitude).max())
@@ -547,7 +513,7 @@ def _solve_sector(rho: np.ndarray, index: np.ndarray, levels: list[np.ndarray],
         """The block coupling level ``number`` to level ``number + step``."""
         began = time.perf_counter()
         lo, hi = bounds[3 * number + 1 + step], bounds[3 * number + 2 + step]
-        out = np.zeros((sizes[number], sizes[number + step]), dtype=values.dtype)
+        out = np.zeros((sizes[number], sizes[number + step]))
         out[row_slot[lo:hi], col_slot[lo:hi]] = values[lo:hi]
         scattering[0] += time.perf_counter() - began
         return out
@@ -596,14 +562,12 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     The sector holding the diagonal is solved with Tr rho = 1 in place of
     one population row; every other sector must be nonsingular, so the
     stationary state has none of its coherences. Each sector's blocks are
-    scattered from ``liouv.entries()``, so for a real superdiagonal op the
-    full superoperator is never built. For such an op each parity sector
-    is block tridiagonal in the coherence order k = i - j, with about dim
-    levels of size dim - |k|; solving one costs about dim dense solves of
-    size up to dim, O(dim^4) time and O(dim^3) memory in all (0.48 s and
-    70 MB peak RSS for ``steady-state --spins 160`` on a 2-core machine).
-    Any other op gives one level per sector, and its solve is one dense LU
-    of the whole sector.
+    scattered from ``liouv.entries()``, so the full superoperator is never
+    built. Each parity sector is block tridiagonal in the coherence order
+    k = i - j, with about dim levels of size dim - |k|; solving one costs
+    about dim dense solves of size up to dim, O(dim^4) time and O(dim^3)
+    memory in all (0.48 s and 70 MB peak RSS for ``steady-state --spins
+    160`` on a 2-core machine).
 
     Thresholds, for each solved sector B of N coherences, with s0 =
     sqrt(|B|_1 |B|_inf) >= its largest singular value and eps the float64
@@ -620,13 +584,10 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     The estimate is O(dim^3): the kept solves hold at most n + 3 entries
     for each coherence of the largest sector, where n is the largest level,
     and the diagonal, coupling and Schur blocks in flight and the solver's
-    copies hold at most 8 n^2 more, at 8 bytes an entry for a real
-    superdiagonal op (the blocks are real) and 16 otherwise, so at least
-    4 dim^3 bytes for S- or ``a``. 1 KiB per entry of rho covers the
+    copies hold at most 8 n^2 more, at 8 bytes an entry (the blocks are
+    real), so at least 4 dim^3 bytes. 1 KiB per entry of rho covers the
     O(dim^2) arrays: the stencil and the entries (about 450 bytes), and a
     sector's sorted copies of them and its right-hand sides.
-    For an op that is not a real superdiagonal the entries come from the
-    dense superoperator, so the 48 dim^4 bytes it guards are added.
 
     One DEBUG line gives each sector's size, level count, largest level and
     sigma / s0, the residual, the wall time, and within it the seconds
@@ -637,12 +598,9 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     dim = liouv.dim
     sectors = liouv.sectors()
     levels = [_levels(liouv, index) for index in sectors]
-    banded = liouv._superdiagonal is not None
     largest = max(len(level) for sector in levels for level in sector)
-    _check_memory((8 if banded else 16) * (max(map(len, sectors)) * (largest + 3)
-                                           + 8 * largest ** 2)
-                  + 1024 * dim ** 2 + (0 if banded else 48 * dim ** 4),
-                  f"the steady-state solve at dim {dim}")
+    _check_memory(8 * (max(map(len, sectors)) * (largest + 3) + 8 * largest ** 2)
+                  + 1024 * dim ** 2, f"the steady-state solve at dim {dim}")
     entries = liouv.entries()
     seconds = np.array([time.perf_counter() - start, 0.0])  # building, solving
     rng = np.random.default_rng(0)

@@ -25,8 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .lindblad import (annihilation_operator, evolve, oscillator_oracle,
-                       spin_liouvillian, steady_state)
+from .lindblad import (annihilation_operator, evolve, oscillator_liouvillian,
+                       oscillator_oracle, spin_liouvillian, steady_state)
 from .moments import (SqueezingParams, SpinMoments, collective_cov_rhs,
                       collective_mean_rhs, decay_rates, gardiner_rhs,
                       input_field_variances, rate_decomposition)
@@ -353,6 +353,22 @@ def _dark_state_moments(n: int, nbar: float) -> tuple[float, float, float]:
             number_part - 2.0 * lowering)
 
 
+def _steady_moments(n: int, params: SqueezingParams) -> tuple[float, float, float]:
+    """<Sz>, Var(Sx) and Var(Sy) of the steady state of n spins."""
+    ops = build_collective_ops(DickeSpace(n))
+    state = QuantumState(steady_state(spin_liouvillian(ops, params)), "matrix")
+    return (expectation(ops.sz, state).real, sym_covariance(ops.sx, ops.sx, state),
+            sym_covariance(ops.sy, ops.sy, state))
+
+
+def _identity_residuals(params: SqueezingParams, mean_z: float, var_x: float,
+                        var_y: float) -> tuple[float, float]:
+    """Var(Sx) / (-<Sz>(2 nbar + 2 M + 1)) - 1 and Var(Sy) / (-<Sz>(2 nbar - 2 M + 1)) - 1."""
+    nbar, m = params.nbar, params.m_corr
+    return (var_x / (-mean_z * (2 * nbar + 2 * m + 1)) - 1.0,
+            var_y / (-mean_z * (2 * nbar - 2 * m + 1)) - 1.0)
+
+
 def _intelligent_spin_identity(rng) -> float:
     """Var(Sx) = -<Sz>(2 nbar + 2 M + 1) and Var(Sy) = -<Sz>(2 nbar - 2 M + 1), relative.
 
@@ -362,24 +378,79 @@ def _intelligent_spin_identity(rng) -> float:
     PRA 41, 3782 (1990)). Checked on ``steady_state`` for even n to 160,
     and on ``dark_state`` to n = 1280 from the amplitudes alone.
     """
-    def residual(params, mean_z, var_x, var_y):
-        nbar, m = params.nbar, params.m_corr
-        return max(abs(var_x / (-mean_z * (2 * nbar + 2 * m + 1)) - 1.0),
-                   abs(var_y / (-mean_z * (2 * nbar - 2 * m + 1)) - 1.0))
-
     worst = 0.0
     params = SqueezingParams.minimal(0.5)
     for n in (2, 4, 10, 20, 40, 80, 160):
-        ops = build_collective_ops(DickeSpace(n))
-        state = QuantumState(steady_state(spin_liouvillian(ops, params)), "matrix")
-        worst = max(worst, residual(params, expectation(ops.sz, state).real,
-                                    sym_covariance(ops.sx, ops.sx, state),
-                                    sym_covariance(ops.sy, ops.sy, state)))
+        worst = max(worst, *map(abs, _identity_residuals(params, *_steady_moments(n, params))))
     for nbar in (0.05, 0.5, 2.0):
+        params = SqueezingParams.minimal(nbar)
         for n in (2, 4, 10, 20, 40, 80, 160, 320, 640, 1280):
-            worst = max(worst, residual(SqueezingParams.minimal(nbar),
-                                        *_dark_state_moments(n, nbar)))
+            worst = max(worst, *map(abs, _identity_residuals(params,
+                                                             *_dark_state_moments(n, nbar))))
     return worst
+
+
+def _odd_spin_count_identity_decay(rng) -> dict[str, float]:
+    """The identity's residuals for odd n in the minimum-uncertainty bath, times e^(n/2).
+
+    Odd n has no dark state, and the steady state is mixed (purity 0.625 at
+    n = 1, 0.9999 at n = 19, nbar = 0.5). Both residuals fall about as
+    e^(-n/2): over n = 1 .. 59 at nbar = 0.5, |residual| e^(n/2) peaks at
+    n = 19, at 0.943 for Var(Sx) and 13.13 for Var(Sy). Past n = 60 the
+    residuals reach round-off.
+    """
+    params = SqueezingParams.minimal(0.5)
+    worst = [0.0, 0.0]
+    for n in (1, 3, 5, 9, 19, 29, 39, 59):
+        residuals = _identity_residuals(params, *_steady_moments(n, params))
+        worst = [max(w, abs(r) * math.exp(n / 2)) for w, r in zip(worst, residuals)]
+    return {"lindblad/odd-n-sx-identity-decay": worst[0],
+            "lindblad/odd-n-sy-identity-decay": worst[1]}
+
+
+def _mixed_bath_large_n_laws(rng) -> dict[str, float]:
+    """Inversion and Var(Sx) of n spins in a mixed bath (nbar = 0.5, M = 0.2) against n.
+
+    With dev = -<Sz>/n - 1, n dev tends to -2 nbar as in the
+    minimum-uncertainty bath, and n (n dev + 2 nbar) reads -0.094, -0.087,
+    -0.083 and -0.082 at n = 20, 40, 80 and 160; the Var(Sx) residual of
+    ``_identity_residuals`` falls as 1/n^2, with n^2 residual -0.35, -0.28,
+    -0.26 and -0.25. Both coefficients are measured, not derived. The rows
+    report the largest |n (n dev + 2 nbar)| and |n^2 residual|.
+    """
+    params = SqueezingParams(0.5, 0.2)
+    inversion = variance = 0.0
+    for n in (20, 40, 80, 160):
+        mean_z, var_x, var_y = _steady_moments(n, params)
+        dev = -mean_z / n - 1.0
+        inversion = max(inversion, abs(n * (n * dev + 2 * params.nbar)))
+        variance = max(variance, abs(n * n * _identity_residuals(params, mean_z, var_x, var_y)[0]))
+    return {"lindblad/mixed-bath-inversion-law": inversion,
+            "lindblad/mixed-bath-variance-law": variance}
+
+
+def _oscillator_squeezed_vacuum(rng) -> float:
+    """1 - <psi|rho|psi> of the squeezed vacuum against the oscillator's steady state.
+
+    In the minimum-uncertainty bath the generator has the single jump
+    operator c = sqrt(nbar + 1) a - sqrt(nbar) a+ = cosh(r) a - sinh(r) a+
+    with sinh^2 r = nbar, and c|psi> = 0 gives
+    sqrt(nbar + 1) sqrt(k + 1) psi_{k+1} = sqrt(nbar) sqrt(k) psi_{k-1}:
+    the squeezed vacuum, psi_2k proportional to tanh(r)^k sqrt((2k)!) / (2^k k!),
+    with every amplitude positive for M >= 0. Checked at Fock cutoffs 120
+    (nbar = 0.05, 0.5) and 200 (nbar = 2), where the tail beyond the cutoff
+    is below 1e-17.
+    """
+    residual = 0.0
+    for nbar, cutoff in ((0.05, 120), (0.5, 120), (2.0, 200)):
+        rho = steady_state(oscillator_liouvillian(cutoff, SqueezingParams.minimal(nbar)))
+        k = np.arange(1, (cutoff - 1) // 2 + 1)
+        amps = np.zeros(cutoff)
+        amps[0] = 1.0
+        amps[2::2] = np.cumprod(math.sqrt(nbar / (nbar + 1.0)) * np.sqrt((2 * k - 1) / (2 * k)))
+        psi = amps / np.linalg.norm(amps)
+        residual = max(residual, abs(1.0 - np.vdot(psi, rho @ psi).real))
+    return residual
 
 
 def _oscillator_equilibrium(rng) -> float:
@@ -423,6 +494,11 @@ CHECKS = (
     Check("lindblad/single-spin-closed-form-means", 1e-10, _single_spin_closed_form_means),
     Check("lindblad/dark-state-steady-state", 1e-10, _dark_state_steady_state),
     Check("lindblad/intelligent-spin-identity", 1e-12, _intelligent_spin_identity),
+    Check("lindblad/odd-n-sx-identity-decay", 1.0, _odd_spin_count_identity_decay),
+    Check("lindblad/odd-n-sy-identity-decay", 14.0, _odd_spin_count_identity_decay),
+    Check("lindblad/mixed-bath-inversion-law", 0.1, _mixed_bath_large_n_laws),
+    Check("lindblad/mixed-bath-variance-law", 0.4, _mixed_bath_large_n_laws),
+    Check("lindblad/oscillator-squeezed-vacuum", 1e-12, _oscillator_squeezed_vacuum),
     Check("lindblad/oscillator-equilibrium", 1e-6, _oscillator_equilibrium),
 )
 
