@@ -46,19 +46,20 @@ i - k is even), so d, d+, P and Q flip the parity of a basis index and K
 keeps it. Each term of the generator then moves the coherence rho[i, j]
 only to coherences of the same parity of i - j, so the dim^2 x dim^2
 superoperator splits exactly into an even-(i - j) and an odd-(i - j)
-block with nothing between them. ``sectors`` lists the row-major positions
-of each.
+block with nothing between them.
 
 Coherence order. Every stencil term changes the coherence order k = i - j
-by 0 or +-2, so ordered by k each sector is block tridiagonal: a level of
-order k holds dim - |k| coherences and couples only to the levels k +- 2.
-``steady_state`` scatters the nonzero entries of the superoperator, from
-``entries`` (the stencil's coefficients, at most nine per coherence), into
-these real blocks and eliminates the levels from both ends toward the one
-holding the diagonal: about dim dense solves of size up to dim per sector,
-O(dim^4) time and O(dim^3) memory, and the full superoperator is never
-built. From the CLI, ``steady-state --spins 40``, ``80`` and ``160`` take
-0.23, 0.26 and 0.48 s with peak RSS 38, 44 and 70 MB (2-core machine).
+by di - dj, which is 0 or +-2, so ordered by k each sector is block
+tridiagonal: a level of order k holds the dim - |k| coherences
+rho[i, i - k], one diagonal of rho, and couples only to the levels k +- 2.
+``steady_state`` reads each real block straight from the stencil: the
+block from order k to order k + di - dj is the sum of at most three
+shifted diagonals, np.diagonal(coef[(di, dj)], -k), one per shift. It
+eliminates the levels from both ends toward the one holding the diagonal:
+about dim dense solves of size up to dim per sector, O(dim^4) time and
+O(dim^3) memory, and the full superoperator is never built. From the CLI,
+``steady-state --spins 40``, ``80`` and ``160`` take 0.22, 0.23 and 0.44 s
+with peak RSS 37, 40 and 59 MB (2-core machine).
 
 Time evolution. ``evolve`` sums a Chebyshev series of exp(h L) in the
 rescaled generator (2/a) L + 1 (``ode.propagate``), over windows of degree
@@ -133,16 +134,22 @@ def _aligned_empty(shape) -> np.ndarray:
     return buf[start:start + size].reshape(shape)
 
 
-def _stencil(s: np.ndarray, params: SqueezingParams):
+# the stencil's shifts (di, dj): the unshifted term, then four pairs of a
+# shift and the one ``apply`` sums it with
+_SHIFTS = ((0, 0), (1, 1), (-1, -1), (1, -1), (-1, 1), (2, 0), (0, 2), (-2, 0), (0, -2))
+# the shifts by the change di - dj they make to the coherence order i - j
+_SHIFTS_BY_CHANGE = {change: [(di, dj) for di, dj in _SHIFTS if di - dj == change]
+                     for change in (-2, 0, 2)}
+
+
+def _stencil(s: np.ndarray, params: SqueezingParams) -> dict:
     """Coefficients of the nine-term stencil for the real superdiagonal s of op.
 
-    Returns (pad, center, pairs) for ``Liouvillian.apply``: the number of
-    zeros put on both sides of the flattened float64 view of rho, the coefficient
-    of the unshifted term, and the shifted terms as pairs of (start,
-    coefficient), where start locates the shifted copy of rho in the padded
-    array. Each coefficient is repeated for the real and imaginary halves of
-    an entry, and a pair whose coefficients are zero everywhere is left
-    out. See the module docstring for the terms.
+    Returns one real, C-contiguous (dim, dim) array per shift of
+    ``_SHIFTS``, in that order: coef[(di, dj)][i, j] is the coefficient of
+    rho[i + di, j + dj] in (L rho)[i, j], gamma_p included, and it is zero
+    wherever the shift would leave rho. See the module docstring for the
+    terms.
     """
     dim = len(s) + 1
     # s[k + 2] = s_k for k = -2 .. dim, zero outside 0 .. dim - 2, so that no
@@ -155,38 +162,25 @@ def _stencil(s: np.ndarray, params: SqueezingParams):
     cross = -m * np.outer(s0, sm1)                   # -m d rho d; its transpose, -m d+ rho d+
     dd = 0.5 * m * np.outer(s0 * s1, ones)           # the d d part of -(1/2) K rho
     uu = 0.5 * m * np.outer(sm2 * sm1, ones)         # the d+ d+ part of -(1/2) K rho
-    # a term and the transpose of its coefficient on the transposed shift
-    # are summed first, so a Hermitian rho gives an exactly Hermitian result
-    terms = (((1, 1), (nbar + 1.0) * np.outer(s0, s0), (-1, -1), nbar * np.outer(sm1, sm1)),
-             ((1, -1), cross, (-1, 1), cross.T),
-             ((2, 0), dd, (0, 2), dd.T),
-             ((-2, 0), uu, (0, -2), uu.T))
-    pad = 2 * 2 * dim  # the largest shift, (2, 0), in float64 entries
-
-    def start(shift):
-        return pad + 2 * (shift[0] * dim + shift[1])
-
-    def interleaved(coef):
-        out = _aligned_empty((2 * coef.size,))
-        out[0::2] = out[1::2] = params.gamma_p * coef.ravel()
-        return out
-
-    center = interleaved(-0.5 * (kappa[:, None] + kappa))
-    pairs = [((start(a), interleaved(ca)), (start(b), interleaved(cb)))
-             for a, ca, b, cb in terms if np.any(ca) or np.any(cb)]
-    return pad, center, pairs
+    coefs = (-0.5 * (kappa[:, None] + kappa), (nbar + 1.0) * np.outer(s0, s0),
+             nbar * np.outer(sm1, sm1), cross, cross.T, dd, dd.T, uu, uu.T)
+    return {shift: np.ascontiguousarray(params.gamma_p * coef)
+            for shift, coef in zip(_SHIFTS, coefs)}
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Liouvillian:
     """Squeezed-bath Lindblad generator for a lowering operator ``op``.
 
     ``op`` must be a nonempty square matrix whose only nonzero entries are
     real and on the superdiagonal, as S- in the Dicke basis and the
     truncated ``a`` are; an op with a diagonal entry, a complex or rotated
-    superdiagonal or dense entries raises ValueError here. Only the
-    superdiagonal s_k = op[k, k + 1] is kept up front: the stencil is built
-    on the first ``apply``, ``entries`` or ``norm_bound``, and the dense
+    superdiagonal or dense entries raises ValueError here. The generator is
+    fixed at construction: ``op`` is kept as a read-only complex copy of
+    the argument, the superdiagonal s_k = op[k, k + 1] as a copy of its
+    own, and assigning to ``op`` or ``params`` raises AttributeError.
+    Generators compare equal only to themselves. The stencil is built on
+    the first ``apply``, ``norm_bound`` or ``steady_state``, and the dense
     d+, P, Q and K only when ``superoperator`` reads them.
     """
 
@@ -194,15 +188,17 @@ class Liouvillian:
     params: SqueezingParams
 
     def __post_init__(self):
-        self.op = np.asarray(self.op, dtype=complex)
-        self._work = None
-        if self.op.ndim != 2 or self.op.shape[0] != self.op.shape[1] or self.op.size == 0:
+        op = np.array(self.op, dtype=complex)  # a copy, never a view of the caller's array
+        if op.ndim != 2 or op.shape[0] != op.shape[1] or op.size == 0:
             raise ValueError("system operator must be a nonempty square matrix")
-        s = np.diag(self.op, 1)
-        if np.count_nonzero(self.op) != np.count_nonzero(s) or np.any(s.imag):
+        s = np.diag(op, 1)
+        if np.count_nonzero(op) != np.count_nonzero(s) or np.any(s.imag):
             raise ValueError("system operator must have only a real superdiagonal "
                              "(a lowering operator such as S- or a)")
-        self._s = s.real
+        op.flags.writeable = False
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "_s", s.real.copy())
+        object.__setattr__(self, "_work", None)
 
     @property
     def dim(self) -> int:
@@ -218,9 +214,35 @@ class Liouvillian:
                 - p.m_corr * (dag @ dag + d @ d))
 
     @cached_property
-    def _banded(self):
-        """The stencil of ``_stencil``."""
+    def _coefficients(self) -> dict:
+        """The stencil's coefficients by shift, from ``_stencil``."""
         return _stencil(self._s, self.params)
+
+    @cached_property
+    def _banded(self):
+        """The stencil as ``apply`` reads it: (pad, center, pairs).
+
+        pad is the number of zeros put on both sides of the flattened
+        float64 view of rho, center the coefficient of the unshifted term,
+        and pairs hold the shifted terms as pairs of (start, coefficient),
+        where start locates the shifted copy of rho in the padded array.
+        Each coefficient is repeated for the real and imaginary halves of an
+        entry, and a pair whose coefficients are zero everywhere is left
+        out. A term and the transpose of its coefficient on the transposed
+        shift are summed first, so a Hermitian rho gives an exactly
+        Hermitian result.
+        """
+        dim, coefs = self.dim, self._coefficients
+        pad = 2 * 2 * dim  # the largest shift, (2, 0), in float64 entries
+
+        def term(shift):
+            out = _aligned_empty((2 * dim * dim,))
+            out[0::2] = out[1::2] = coefs[shift].ravel()
+            return pad + 2 * (shift[0] * dim + shift[1]), out
+
+        pairs = [(term(a), term(b)) for a, b in zip(_SHIFTS[1::2], _SHIFTS[2::2])
+                 if np.any(coefs[a]) or np.any(coefs[b])]
+        return pad, term((0, 0))[1], pairs
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Evaluate drho/dt for a density matrix or a stack of them, as a new array.
@@ -246,10 +268,11 @@ class Liouvillian:
         # the zero-bordered copy of x and the two product arrays are kept for
         # the last shape applied: a stack's arrays can pass the size above which
         # glibc's allocator maps memory from the OS (128 KiB), and allocated on
-        # every call they would be mapped and unmapped each time
+        # every call they would be mapped and unmapped each time; they are a
+        # cache, not part of the frozen generator
         if self._work is None or self._work[1].shape != x.shape:
-            self._work = (_aligned_empty(x.shape[:-1] + (n + 2 * pad,)),
-                          _aligned_empty(x.shape), _aligned_empty(x.shape))
+            object.__setattr__(self, "_work", (_aligned_empty(x.shape[:-1] + (n + 2 * pad,)),
+                                               _aligned_empty(x.shape), _aligned_empty(x.shape)))
             self._work[0].fill(0.0)
         padded, ta, tb = self._work
         padded[..., pad:pad + n] = x
@@ -292,46 +315,24 @@ class Liouvillian:
         out *= self.params.gamma_p
         return out.reshape(dim * dim, dim * dim)
 
-    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, values) of the nonzero entries of ``superoperator()``.
+    def _row_sums(self) -> np.ndarray:
+        """The absolute row sums of ``superoperator()``, one per coherence, as a (dim, dim) array.
 
-        Each (row, col) pair appears once, and every value is real. They are
-        read from the stencil in O(dim^2), without the dense matrix: the
-        term on shift (di, dj) puts its coefficient for rho[i, j] at row
-        i dim + j and column (i + di) dim + (j + dj), and since the
-        coefficients vanish wherever a shift would leave rho, no entry
-        wraps into another row of rho.
+        Each row holds one coefficient per term of the stencil; they are
+        summed in the order of ``_SHIFTS``.
         """
-        pad = self._banded[0]
-        starts, coef = self._stencil_terms()
-        # np.nonzero's (nnz, 2) buffer would stay alive behind strided views
-        term, rows = np.divmod(np.flatnonzero(coef), coef.shape[1])
-        return rows, rows + (starts[term] - pad) // 2, coef[term, rows]
-
-    def _stencil_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """The stencil's term offsets, in padded float64 entries, and its coefficients."""
-        pad, center, pairs = self._banded
-        starts, coefs = zip((pad, center), *(term for pair in pairs for term in pair))
-        return np.array(starts), np.stack(coefs)[:, ::2]  # one of each (re, im) repeat
+        terms = iter(self._coefficients.values())
+        sums = np.abs(next(terms))
+        for coef in terms:
+            sums += np.abs(coef)
+        return sums
 
     def norm_bound(self) -> float:
         """The largest absolute row sum of ``superoperator()``, >= |lambda| for every eigenvalue.
 
-        Read from the stencil's coefficients in O(dim^2): each row holds one
-        coefficient per term.
+        Read from the stencil's coefficients in O(dim^2).
         """
-        return float(np.max(np.sum(np.abs(self._stencil_terms()[1]), axis=0)))
-
-    def sectors(self) -> list[np.ndarray]:
-        """The invariant coherence sectors, as row-major positions in rho.
-
-        Two or more levels give the even and the odd sector of i - j, each
-        in increasing order; one level gives one sector, its one coherence.
-        """
-        if self.dim < 2:
-            return [np.arange(1)]
-        parity = np.indices(self.op.shape).sum(axis=0) % 2  # of i + j, so of i - j
-        return [np.flatnonzero(parity == 0), np.flatnonzero(parity)]
+        return float(np.max(self._row_sums()))
 
 
 def spin_liouvillian(ops: CollectiveOps, params: SqueezingParams) -> Liouvillian:
@@ -433,31 +434,100 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
     return Trajectory(times=result.times, states=states, diagnostics=diagnostics)
 
 
-def _levels(liouv: Liouvillian, index: np.ndarray) -> list[np.ndarray]:
-    """A sector's coherences grouped into the levels of its block-tridiagonal form.
+def _orders(dim: int, parity: int) -> range:
+    """The coherence orders k = i - j of one parity sector, in increasing order."""
+    return range(1 - dim + (dim - 1 + parity) % 2, dim, 2)
 
-    A level holds one coherence order k = i - j, the levels run in
-    increasing k and each holds its positions in increasing order.
+
+def _order_slice(dim: int, k: int) -> slice:
+    """The row-major positions of the coherences rho[i, i - k], in increasing i, as a slice.
+
+    It reads the level of order k from any flattened dim x dim array, as
+    ``np.diagonal(a, -k)`` reads it from the unflattened one.
     """
-    order = index // liouv.dim - index % liouv.dim
-    by_order = np.argsort(order, kind="stable")
-    return np.split(index[by_order], np.flatnonzero(np.diff(order[by_order])) + 1)
+    start = k * dim if k >= 0 else -k
+    return slice(start, start + (dim - abs(k)) * (dim + 1), dim + 1)
 
 
-def _solve_sector(rho: np.ndarray, index: np.ndarray, levels: list[np.ndarray],
-                  entries: tuple, rng) -> tuple[float, float, float, float]:
+def _block_coefficients(liouv: Liouvillian) -> dict:
+    """The stencil's coefficients as ``_block`` reads them: flattened copies, with -0.0 made 0.0.
+
+    Adding 0.0 turns -0.0 into 0.0 and keeps every other value, so a
+    coefficient written into a block of zeros leaves it as the zero it
+    replaces would.
+    """
+    return {shift: coef.ravel() + 0.0 for shift, coef in liouv._coefficients.items()}
+
+
+def _block(coefs: dict, dim: int, k: int, k_next: int) -> np.ndarray:
+    """The block coupling the coherences of order k to those of order k_next, k or k +- 2.
+
+    coefs are the stencil's coefficients from ``_block_coefficients``.
+    Slot p of the level of order k holds rho[i, i - k], i = p + max(k, 0),
+    at row-major position start + p (dim + 1) as in ``_order_slice``.
+    The shift (di, dj), one of the at most three with di - dj = k_next - k,
+    couples it to rho[i + di, i - k + dj], slot p + max(k, 0) + di -
+    max(k_next, 0) of the level of order k_next, with the coefficient at
+    the position of rho[i, i - k] in coefs[(di, dj)]. So each shift fills
+    one diagonal of the block: a strided slice of the flattened block,
+    written from a strided slice of its coefficients. No two shifts fill
+    the same diagonal. The order-0 level holds the diagonal of rho, and its
+    first row, that of rho[0, 0], is replaced by Tr rho = 1: ones toward
+    its own level, zeros toward any other.
+    """
+    rows, cols = dim - abs(k), dim - abs(k_next)
+    out = np.zeros(rows * cols)
+    start, base = (k * dim if k >= 0 else -k), max(k, 0) - max(k_next, 0)
+    for di, dj in _SHIFTS_BY_CHANGE[k_next - k]:
+        offset = base + di
+        first, last = max(0, -offset), min(rows, cols - offset)
+        if first < last:
+            out[first * (cols + 1) + offset:last * (cols + 1) + offset:cols + 1] = \
+                coefs[di, dj][start + first * (dim + 1):start + last * (dim + 1):dim + 1]
+    out = out.reshape(rows, cols)
+    if k == 0:
+        out[0] = 1.0 if k_next == 0 else 0.0
+    return out
+
+
+def _trace_row_sums(liouv: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
+    """Absolute row and column sums of the superoperator with the row of rho[0, 0] replaced by Tr rho = 1.
+
+    Both are flattened over the coherences. A row holds one coefficient per
+    term, and the term on shift (di, dj) puts the coefficient for rho[i, j]
+    in the column of rho[i + di, j + dj]; the magnitudes are added shifted
+    into an array with a border of 2, the largest shift, which takes only
+    zeros, since the coefficients vanish wherever a shift would leave rho.
+    Each sum is taken term by term in the order of ``_SHIFTS``. The row of
+    rho[0, 0] sums to its dim ones; its old entries leave their columns,
+    and each diagonal column gains 1.
+    """
+    dim = liouv.dim
+    rows = liouv._row_sums()
+    rows[0, 0] = dim
+    cols = np.zeros((dim + 4, dim + 4))
+    for (di, dj), coef in liouv._coefficients.items():
+        magnitude = np.abs(coef)
+        magnitude[0, 0] = 0.0
+        cols[2 + di:2 + di + dim, 2 + dj:2 + dj + dim] += magnitude
+    cols = cols[2:-2, 2:-2].ravel()
+    cols[::dim + 1] += 1.0
+    return rows.ravel(), cols
+
+
+def _solve_sector(rho: np.ndarray, orders: range, coefs: dict, sums: tuple,
+                  rng) -> tuple[float, float, float, float]:
     """Stationary coherences of one sector, written into the flattened rho, with a degeneracy test.
 
-    index holds the sector's positions in the flattened rho in increasing
-    order, levels the same positions as ``_levels`` groups them, and
-    entries are ``liouv.entries()``. No entry links two sectors, and an
-    entry links only equal or adjacent levels, so the sector's block is
-    block tridiagonal. In the sector holding the diagonal the row of
-    rho[0, 0] is replaced by Tr rho = 1 (the generator preserves the trace,
-    so that row is a combination of the others); it lies in the level of
-    the diagonal and couples to no other level. The entries are sorted once
-    by block, and each block is scattered from its slice when the sweep
-    first needs it.
+    orders are the sector's coherence orders (``_orders``), coefs the
+    stencil's coefficients from ``_block_coefficients``, and sums the row and column sums of
+    ``_trace_row_sums``. No term links two sectors, and a term changes the
+    order by 0 or +-2, so ordered by k the sector's block is block
+    tridiagonal, and ``_block`` reads each of its blocks from the stencil
+    when the sweep first needs it. In the sector holding the diagonal the
+    row of rho[0, 0] is replaced by Tr rho = 1 (the generator preserves the
+    trace, so that row is a combination of the others); it lies in the
+    level of the diagonal and couples to no other level.
 
     The sweep eliminates levels from both ends toward the center (the level
     holding the diagonal, or the middle one): each level's Schur block is
@@ -465,93 +535,82 @@ def _solve_sector(rho: np.ndarray, index: np.ndarray, levels: list[np.ndarray],
     the solve is kept, and its product with the coupling back out is
     subtracted from the next level in. The center is solved last, and the
     kept solves give the other levels outward. One random right-hand side
-    b, drawn in the order of index, is solved with the Tr rho = 1 system,
-    as its real and imaginary parts so that every solve stays real; since
-    |x_b| <= |b| / sigma_min, sigma = |b| / |x_b| estimates sigma_min from
-    above. Returns sigma, s0 = sqrt(|B|_1 |B|_inf) from the column and row
-    sums of the entries, a bound on the largest singular value, and the
-    seconds spent building the blocks and solving them. Raises
-    DegenerateSteadyStateError when an LU pivot of a Schur block is zero or
-    sigma is at or below numpy's rank tolerance s0 * N * eps for a sector
-    of N coherences.
+    b, drawn in the sector's row-major order, is solved with the Tr rho = 1
+    system, as its real and imaginary parts so that every solve stays real;
+    since |x_b| <= |b| / sigma_min, sigma = |b| / |x_b| estimates sigma_min
+    from above. Returns sigma, s0 = sqrt(|B|_1 |B|_inf) from the sums, a
+    bound on the largest singular value, and the seconds spent building
+    the blocks and solving them. Raises DegenerateSteadyStateError when an
+    LU pivot of a Schur block is zero or sigma is at or below numpy's rank
+    tolerance s0 * N * eps for a sector of N coherences.
+
+    Its own O(dim^2) arrays are the sector's mask and its draw of b,
+    scattered into a flattened dim x dim complex array (about 40 bytes per
+    entry of rho at peak); each block is written from slices of coefs.
     """
     start = time.perf_counter()
     dim = math.isqrt(len(rho))
-    sizes = [len(level) for level in levels]
-    level_of = np.full(len(rho), -1)
-    slot = np.zeros(len(rho), dtype=np.intp)
-    for number, level in enumerate(levels):
-        level_of[level] = number
-        slot[level] = np.arange(len(level))
-    rows, cols, values = entries
-    inside = level_of[rows] >= 0
-    rows, cols, values = rows[inside], cols[inside], values[inside]
-    b = rng.normal(size=len(index)) + 1j * rng.normal(size=len(index))
-    rhs = np.zeros((len(rho), 3))  # Tr rho = 1, then Re b and Im b
-    rhs[index, 1:] = np.column_stack((b.real, b.imag))
-    center = len(levels) // 2
-    if level_of[0] >= 0:
-        center = level_of[0]
-        keep = rows != 0
-        rows = np.concatenate((rows[keep], np.zeros(dim, dtype=rows.dtype)))
-        cols = np.concatenate((cols[keep], np.arange(dim) * (dim + 1)))
-        values = np.concatenate((values[keep], np.ones(dim)))
-        rhs[0, 0] = 1.0
-    magnitude = np.abs(values)
-    s0 = math.sqrt(np.bincount(cols, magnitude).max() * np.bincount(rows, magnitude).max())
-    del magnitude
-    # 2 l + l' + 1 = 3 l + 1 + step for the block coupling level l to level l' = l + step
-    key = 2 * level_of[rows] + level_of[cols] + 1
-    by_block = np.argsort(key, kind="stable")
-    bounds = np.searchsorted(key, np.arange(3 * len(levels) + 1), sorter=by_block)
-    del key
-    row_slot, col_slot, values = slot[rows[by_block]], slot[cols[by_block]], values[by_block]
-    del level_of, slot, rows, cols, by_block  # freed before the kept solves pile up
+    sizes = [dim - abs(k) for k in orders]
+    in_sector = (np.add.outer(np.arange(dim), np.arange(dim)) % 2 == orders[0] % 2).ravel()
+    b = rng.normal(size=sum(sizes)) + 1j * rng.normal(size=sum(sizes))
+    drawn = np.zeros(dim * dim, dtype=complex)
+    drawn[in_sector] = b
+    rows, cols = sums
+    s0 = math.sqrt(cols[in_sector].max() * rows[in_sector].max())
+    del in_sector
+    center = len(orders) // 2  # the order-0 level in the sector holding the diagonal
     scattering = [0.0]  # seconds spent in block, within the sweep
 
     def block(number, step):
         """The block coupling level ``number`` to level ``number + step``."""
         began = time.perf_counter()
-        lo, hi = bounds[3 * number + 1 + step], bounds[3 * number + 2 + step]
-        out = np.zeros((sizes[number], sizes[number + step]))
-        out[row_slot[lo:hi], col_slot[lo:hi]] = values[lo:hi]
+        out = _block(coefs, dim, orders[number], orders[number + step])
         scattering[0] += time.perf_counter() - began
+        return out
+
+    def rhs(number):
+        """Level ``number``'s right-hand sides: Tr rho = 1, then Re b and Im b."""
+        out = np.zeros((sizes[number], 3))
+        level = drawn[_order_slice(dim, orders[number])]
+        out[:, 1], out[:, 2] = level.real, level.imag
+        if orders[number] == 0:
+            out[0, 0] = 1.0
         return out
 
     sweep = time.perf_counter()
     kept = {}  # level -> its Schur block solved for [coupling toward the center | rhs]
     try:
-        center_block, center_rhs = block(center, 0), rhs[levels[center]]
-        for step, outer in ((-1, len(levels) - 1), (1, 0)):
+        center_block, center_rhs = block(center, 0), rhs(center)
+        for step, outer in ((-1, len(orders) - 1), (1, 0)):
             if outer == center:
                 continue
-            schur, y = block(outer, 0), rhs[levels[outer]]
+            schur, y = block(outer, 0), rhs(outer)
             for number in range(outer, center, step):
                 solved = kept[number] = np.linalg.solve(
                     schur, np.hstack((block(number, step), y)))
                 inner = number + step
                 schur, y = ((center_block, center_rhs) if inner == center
-                            else (block(inner, 0), rhs[levels[inner]]))
+                            else (block(inner, 0), rhs(inner)))
                 outward = block(inner, -step)
                 schur -= outward @ solved[:, :-3]
                 y -= outward @ solved[:, -3:]
         x = {center: np.linalg.solve(center_block, center_rhs)}
     except np.linalg.LinAlgError as exc:
         raise DegenerateSteadyStateError(f"steady state is degenerate: {exc}") from exc
-    for number in [*range(center + 1, len(levels)), *range(center - 1, -1, -1)]:
+    for number in [*range(center + 1, len(orders)), *range(center - 1, -1, -1)]:
         inner = number - 1 if number > center else number + 1
         solved = kept.pop(number)
         x[number] = solved[:, -3:] - solved[:, :-3] @ x[inner]
     x_b = []
-    for number, level in enumerate(levels):
-        rho[level] = x[number][:, 0]
+    for number, k in enumerate(orders):
+        rho[_order_slice(dim, k)] = x[number][:, 0]
         x_b.append(x[number][:, 1] + 1j * x[number][:, 2])
     swept = time.perf_counter() - sweep
     sigma = float(np.linalg.norm(b) / np.linalg.norm(np.concatenate(x_b)))
-    tol = s0 * len(index) * np.finfo(float).eps
+    tol = s0 * len(b) * np.finfo(float).eps
     if not sigma > tol:
         raise DegenerateSteadyStateError(
-            f"steady state is degenerate: a sector of {len(index)} coherences has smallest "
+            f"steady state is degenerate: a sector of {len(b)} coherences has smallest "
             f"singular value about {sigma:.3e}, at or below {tol:.3e}")
     return sigma, s0, sweep - start + scattering[0], swept - scattering[0]
 
@@ -562,12 +621,12 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     The sector holding the diagonal is solved with Tr rho = 1 in place of
     one population row; every other sector must be nonsingular, so the
     stationary state has none of its coherences. Each sector's blocks are
-    scattered from ``liouv.entries()``, so the full superoperator is never
-    built. Each parity sector is block tridiagonal in the coherence order
-    k = i - j, with about dim levels of size dim - |k|; solving one costs
-    about dim dense solves of size up to dim, O(dim^4) time and O(dim^3)
-    memory in all (0.48 s and 70 MB peak RSS for ``steady-state --spins
-    160`` on a 2-core machine).
+    read from the stencil's coefficients, so the full superoperator is
+    never built. Each parity sector is block tridiagonal in the coherence
+    order k = i - j, with about dim levels of size dim - |k|; solving one
+    costs about dim dense solves of size up to dim, O(dim^4) time and
+    O(dim^3) memory in all (0.44 s and 59 MB peak RSS for ``steady-state
+    --spins 160`` on a 2-core machine).
 
     Thresholds, for each solved sector B of N coherences, with s0 =
     sqrt(|B|_1 |B|_inf) >= its largest singular value and eps the float64
@@ -580,38 +639,43 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     silently resolved.
 
     Raises ValueError when the memory estimate exceeds physical memory,
-    before ``entries`` or anything else larger than O(dim^2) is allocated.
+    before the stencil or anything else larger than O(1) is allocated.
     The estimate is O(dim^3): the kept solves hold at most n + 3 entries
     for each coherence of the largest sector, where n is the largest level,
     and the diagonal, coupling and Schur blocks in flight and the solver's
     copies hold at most 8 n^2 more, at 8 bytes an entry (the blocks are
     real), so at least 4 dim^3 bytes. 1 KiB per entry of rho covers the
-    O(dim^2) arrays: the stencil and the entries (about 450 bytes), and a
-    sector's sorted copies of them and its right-hand sides.
+    O(dim^2) arrays, which peak at about 310 bytes per entry (traced at
+    n = 40 and 160): the stencil's coefficients, the copies the blocks are
+    written from, the row and column sums and the state, about 180 bytes
+    held through the sweep, with a sector's draw of b and its mask; then,
+    at the residual, ``apply``'s interleaved copies of the coefficients,
+    its work arrays and the state's Hermitian part.
 
     One DEBUG line gives each sector's size, level count, largest level and
     sigma / s0, the residual, the wall time, and within it the seconds
-    spent building the blocks (the sectors, the stencil, ``entries``, the
-    sort and the scatters) and solving them, each summed over the sectors.
+    spent building the blocks (the stencil, the row and column sums, a
+    sector's draw of b, and the blocks) and solving them, each summed over
+    the sectors.
     """
     start = time.perf_counter()
     dim = liouv.dim
-    sectors = liouv.sectors()
-    levels = [_levels(liouv, index) for index in sectors]
-    largest = max(len(level) for sector in levels for level in sector)
-    _check_memory(8 * (max(map(len, sectors)) * (largest + 3) + 8 * largest ** 2)
+    sectors = [orders for orders in (_orders(dim, 0), _orders(dim, 1)) if orders]
+    largest = dim  # the order-0 level, in the even sector, which is the larger
+    _check_memory(8 * ((dim * dim + 1) // 2 * (largest + 3) + 8 * largest ** 2)
                   + 1024 * dim ** 2, f"the steady-state solve at dim {dim}")
-    entries = liouv.entries()
+    coefs, sums = _block_coefficients(liouv), _trace_row_sums(liouv)
     seconds = np.array([time.perf_counter() - start, 0.0])  # building, solving
     rng = np.random.default_rng(0)
     rho = np.zeros(dim * dim, dtype=complex)
     s0_max, conditioning = 0.0, []
-    for index, sector in zip(sectors, levels):
-        sigma, s0, *sector_seconds = _solve_sector(rho, index, sector, entries, rng)
+    for orders in sectors:
+        sigma, s0, *sector_seconds = _solve_sector(rho, orders, coefs, sums, rng)
         seconds += sector_seconds
         s0_max = max(s0_max, s0)
-        conditioning.append(f"{len(index)}:{len(sector)}:{max(map(len, sector))}:"
-                            f"{sigma / s0:.3e}")
+        sizes = [dim - abs(k) for k in orders]
+        conditioning.append(f"{sum(sizes)}:{len(orders)}:{max(sizes)}:{sigma / s0:.3e}")
+    del coefs, sums  # freed before the residual's apply builds its own copies
     rho = rho.reshape(dim, dim)
     rho = 0.5 * (rho + rho.conj().T)
     residual = float(np.max(np.abs(liouv.apply(rho))))

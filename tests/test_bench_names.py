@@ -1,0 +1,35 @@
+"""The package names the benchmark's traced run wraps must stay.
+
+``bench/spans.py`` replaces package functions and methods, found with
+``getattr``, by span-recording wrappers. If a change to the package removes
+or renames one of them, every operation of a ``--trace 1`` run fails, and
+the tests under ``bench/`` are not part of the tier-1 suite, so this test
+reads the benchmark's list of targets and resolves each of them here.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from squeezelax.lindblad import Liouvillian
+
+SPANS = Path(__file__).parents[1] / "bench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    targets = _load_spans()._targets()
+    assert targets
+    missing = [name for name, owner, attr, _extract in targets
+               if not callable(getattr(owner, attr, None))]
+    assert missing == []
+
+
+def test_dimension_the_span_attributes_read_resolves():
+    # the apply and steady_state spans record the generator's dim
+    assert isinstance(Liouvillian.dim, property)

@@ -61,8 +61,8 @@ class TestExitCodes:
         finally:
             tracemalloc.stop()
         assert "physical memory" in capsys.readouterr().err
-        # the five dense collective ops (80 bytes per matrix entry) and the
-        # sectors and their levels (32 measured) are built before the guard
+        # only the five dense collective ops (80 bytes per matrix entry) are
+        # built before the guard
         assert peak < 160 * (n + 1) ** 2
 
     def test_degenerate_steady_state_is_solver_failure(self, capsys, monkeypatch):
@@ -171,7 +171,54 @@ class TestFigureCommands:
         assert out.read_text().startswith("# figure = fig4a")
 
 
+def _table(path) -> tuple[str, np.ndarray]:
+    """The header and the rows of a CSV dataset, as floats."""
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return lines[0], np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+
+
 class TestScenarioCommands:
+    @pytest.mark.parametrize("nbar, m", [("0.5", "minimal"), ("0", "0"), ("1", "0.3"),
+                                         ("2", "minimal")])
+    def test_single_spin_rows_follow_the_gardiner_means(self, nbar, m, tmp_path):
+        out = tmp_path / "traj.csv"
+        assert main(["single-spin", "--squeezing-n", nbar, "--squeezing-m", m,
+                     "--theta", "0.3", "--phi", "0.7", "--out", str(out)]) == EXIT_OK
+        header, rows = _table(out)
+        assert header == "t,mean_x,mean_y,mean_z"
+        nb = float(nbar)
+        mc = math.sqrt(nb * (nb + 1.0)) if m == "minimal" else float(m)
+        t, theta = np.linspace(0.0, 3.0, 201), 0.3 * math.pi
+        z_inf = -1.0 / (2 * nb + 1)
+        # each transverse mean decays at its own rate, the inversion relaxes to -1/(2N + 1)
+        expected = np.column_stack((
+            t, math.sin(theta) * math.cos(0.7) * np.exp(-(nb + mc + 0.5) * t),
+            math.sin(theta) * math.sin(0.7) * np.exp(-(nb - mc + 0.5) * t),
+            z_inf + (math.cos(theta) - z_inf) * np.exp(-(2 * nb + 1) * t)))
+        assert rows.shape == (201, 4) and np.array_equal(rows[:, 0], t)
+        assert np.max(np.abs(rows - expected)) <= 1e-9
+
+    @pytest.mark.parametrize("nbar, m", [("1", "minimal"), ("0.5", "0.2")])
+    def test_oscillator_rows_follow_the_closed_forms(self, nbar, m, tmp_path):
+        out = tmp_path / "osc.csv"
+        assert main(["oscillator", "--squeezing-n", nbar, "--squeezing-m", m,
+                     "--phi", "0.7", "--out", str(out)]) == EXIT_OK
+        header, rows = _table(out)
+        assert header == "t,mean_x,mean_y,var_x,var_y,cov_xy"
+        nb = float(nbar)
+        mc = math.sqrt(nb * (nb + 1.0)) if m == "minimal" else float(m)
+        t = np.linspace(0.0, 20.0, 201)
+        decay = np.exp(-t)
+        # the means decay at gamma_p / 2; from the vacuum's unit variances the
+        # variances relax at gamma_p to the input field's, 2N + 2M + 1 and
+        # 2N - 2M + 1, and the covariance stays at its fixed point, 0
+        expected = np.column_stack((
+            t, 2.0 * math.cos(0.7) * np.exp(-0.5 * t), 2.0 * math.sin(0.7) * np.exp(-0.5 * t),
+            2 * nb + 2 * mc + 1 + (1 - (2 * nb + 2 * mc + 1)) * decay,
+            2 * nb - 2 * mc + 1 + (1 - (2 * nb - 2 * mc + 1)) * decay, 0.0 * t))
+        assert rows.shape == (201, 6) and np.array_equal(rows[:, 0], t)
+        assert np.max(np.abs(rows - expected)) <= 1e-9
+
     def test_single_spin_trajectory(self, tmp_path):
         out = tmp_path / "traj.csv"
         assert main(["single-spin", "--squeezing-n", "0.5", "--theta", "0.5",

@@ -40,6 +40,15 @@ def _four_channel(liouv: Liouvillian, rho: np.ndarray) -> np.ndarray:
                         - p.m_corr * dissipator(d, d, rho))
 
 
+def _generator(kind: str, size, params: SqueezingParams) -> Liouvillian:
+    """n spins, an oscillator at cutoff size, or the op whose superdiagonal the digits of size spell."""
+    if kind == "spins":
+        return spin_liouvillian(build_collective_ops(DickeSpace(size)), params)
+    if kind == "oscillator":
+        return oscillator_liouvillian(size, params)
+    return Liouvillian(op=np.diag([float(digit) for digit in size], 1), params=params)
+
+
 class TestDissipator:
     def test_zero_operators(self):
         rho = np.diag([0.5, 0.5]).astype(complex)
@@ -221,33 +230,32 @@ class TestLiouvillianApply:
 
     @pytest.mark.parametrize("kind, size", [("spins", 1), ("spins", 6), ("oscillator", 3),
                                             ("oscillator", 12), ("spins", 40),
-                                            ("oscillator", 59)])
+                                            ("oscillator", 59), ("superdiagonal", "101"),
+                                            ("superdiagonal", "11011")])
     @pytest.mark.parametrize("bath", BATHS)
     def test_sector_blocks_match_the_superoperator(self, kind, size, bath):
-        # at dim 3 the (+-2, 0) and (0, +-2) shifts vanish in part
-        if kind == "oscillator":
-            liouv = oscillator_liouvillian(size, BATHS[bath])
-        else:
-            liouv = spin_liouvillian(build_collective_ops(DickeSpace(size)), BATHS[bath])
+        # at dim 3 the (+-2, 0) and (0, +-2) shifts vanish in part, and a zero
+        # on the superdiagonal makes coefficients vanish inside rho
+        liouv = _generator(kind, size, BATHS[bath])
         dim = liouv.dim
-        sectors = liouv.sectors()
-        assert len(sectors) == 2
-        assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(dim * dim))
-        sector_of = np.empty(dim * dim, dtype=int)
-        for label, index in enumerate(sectors):
-            assert len(set((index // dim - index % dim) % 2)) == 1
-            sector_of[index] = label
-        rows, cols, values = liouv.entries()
-        # rows is its own contiguous array, not a strided view of np.nonzero's (nnz, 2) buffer
-        assert rows.base is None and rows.flags.c_contiguous
-        assert np.array_equal(sector_of[rows], sector_of[cols])
-        assert len(np.unique(rows * dim * dim + cols)) == len(rows)
-        # the stencil's coefficients against the kron products of the normal form
         sup = liouv.superoperator()
         assert liouv.norm_bound() == pytest.approx(np.max(np.sum(np.abs(sup), axis=1)), rel=1e-12)
         tol = 1e-15 * np.max(np.abs(sup))
-        assert np.max(np.abs(sup[rows, cols] - values)) <= tol
-        sup[rows, cols] = 0.0
+        # the row of rho[0, 0] becomes Tr rho = 1, as the solver reads it
+        sup[0] = 0.0
+        sup[0, ::dim + 1] = 1.0
+        coefs = lindblad._block_coefficients(liouv)
+        position = np.arange(dim * dim)
+        for parity in (0, 1):
+            orders = lindblad._orders(dim, parity)
+            for k in orders:
+                rows = position[lindblad._order_slice(dim, k)]
+                for k_next in {k - 2, k, k + 2} & set(orders):
+                    cols = position[lindblad._order_slice(dim, k_next)]
+                    block = lindblad._block(coefs, dim, k, k_next)
+                    assert np.max(np.abs(sup[np.ix_(rows, cols)] - block)) <= tol
+                    sup[np.ix_(rows, cols)] = 0.0
+        # nothing links the two parities, or two levels more than 2 apart in order
         assert np.max(np.abs(sup)) <= tol
 
     @pytest.mark.parametrize("op", [
@@ -271,6 +279,42 @@ class TestLiouvillianApply:
         with pytest.raises(ValueError, match="system operator"):
             Liouvillian(op=op, params=BATHS["mixed"])
 
+    def test_reassigning_a_field_raises(self):
+        liouv = oscillator_liouvillian(4, BATHS["mixed"])
+        rho = random_pure(np.random.default_rng(38), 4).density()
+        before = liouv.apply(rho)
+        with pytest.raises(AttributeError):
+            liouv.op = np.ones((4, 4))
+        with pytest.raises(AttributeError):
+            liouv.params = BATHS["vacuum"]
+        assert np.array_equal(liouv.op, annihilation_operator(4))
+        assert liouv.params is BATHS["mixed"]
+        assert np.array_equal(liouv.apply(rho), before)
+
+    def test_generators_compare_by_identity(self):
+        a = oscillator_liouvillian(4, BATHS["mixed"])
+        b = oscillator_liouvillian(4, BATHS["mixed"])
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
+    def test_superdiagonal_is_a_copy_of_a_read_only_op(self):
+        liouv = oscillator_liouvillian(4, BATHS["mixed"])
+        with pytest.raises(ValueError, match="read-only"):
+            liouv.op[0, 1] = 5.0
+        assert not liouv.op.flags.writeable
+        assert not np.shares_memory(liouv._s, liouv.op)
+        assert np.array_equal(liouv._s, np.sqrt([1.0, 2.0, 3.0]))
+
+    def test_op_does_not_alias_the_callers_array(self):
+        ops = build_collective_ops(DickeSpace(3))
+        liouv = spin_liouvillian(ops, BATHS["mixed"])
+        rho = random_pure(np.random.default_rng(39), 4).density()
+        before, sm = liouv.apply(rho), ops.sm.copy()
+        assert not np.shares_memory(liouv.op, ops.sm)
+        ops.sm[0, 1] = 5.0
+        assert np.array_equal(liouv.op, sm)
+        assert np.array_equal(liouv.apply(rho), before)
+
     def test_memory_guard_refuses_before_allocating(self):
         # the steady-state estimate for a superdiagonal op is at least 4 dim^3 bytes
         phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -285,8 +329,7 @@ class TestLiouvillianApply:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # only the sectors and their levels, a few 8-byte integers per entry
-        # of rho (32 bytes measured), are built before the guard
+        # nothing of O(dim^2) is built before either guard
         assert peak < 64 * dim ** 2
 
     def test_superoperator_guard_counts_its_peak(self, monkeypatch):
@@ -482,24 +525,19 @@ class TestEvolve:
         assert "_banded" not in vars(liouv)  # refused before the first RHS call
 
 
-def _dense_sector_solve(liouv: Liouvillian, index: np.ndarray, entries: tuple, rng):
-    """Reference: the sector's whole block scattered from ``entries`` and solved by one LU.
+def _dense_sector_solve(sup: np.ndarray, index: np.ndarray, rng):
+    """Reference: the sector's whole block cut from the dense superoperator and solved by one LU.
 
     Returns the stationary coherences in the order of index, sigma = |b| / |x_b|
     for a random b drawn as ``steady_state`` draws it, and s0 = sqrt(|B|_1 |B|_inf).
     """
-    dim, size = liouv.dim, len(index)
-    position = np.full(dim * dim, -1)
-    position[index] = np.arange(size)
-    rows, cols, values = entries
-    inside = position[rows] >= 0
-    block = np.zeros((size, size), dtype=complex)
-    block[position[rows[inside]], position[cols[inside]]] = values[inside]
+    dim, size = math.isqrt(len(sup)), len(index)
+    block = sup[np.ix_(index, index)]
     rhs = np.zeros(size, dtype=complex)
-    if position[0] >= 0:  # the row of rho[0, 0] becomes Tr rho = 1
-        block[position[0]] = 0.0
-        block[position[0], position[np.arange(dim) * (dim + 1)]] = 1.0
-        rhs[position[0]] = 1.0
+    if index[0] == 0:  # the row of rho[0, 0] becomes Tr rho = 1
+        block[0] = 0.0
+        block[0, np.searchsorted(index, np.arange(dim) * (dim + 1))] = 1.0
+        rhs[0] = 1.0
     b = rng.normal(size=size) + 1j * rng.normal(size=size)
     x = np.linalg.solve(block, np.column_stack([rhs, b]))
     s0 = math.sqrt(np.abs(block).sum(axis=0).max() * np.abs(block).sum(axis=1).max())
@@ -511,23 +549,22 @@ class TestSteadyState:
                                             ("spins", 9), ("spins", 40), ("oscillator", 12)])
     @pytest.mark.parametrize("bath", BATHS)
     def test_block_solve_matches_a_dense_solve(self, kind, size, bath):
-        if kind == "oscillator":
-            liouv = oscillator_liouvillian(size, BATHS[bath])
-        else:
-            liouv = spin_liouvillian(build_collective_ops(DickeSpace(size)), BATHS[bath])
+        liouv = _generator(kind, size, BATHS[bath])
         dim = liouv.dim
-        entries = liouv.entries()
+        sup = liouv.superoperator()
+        sums = lindblad._trace_row_sums(liouv)
         rho = np.zeros(dim * dim, dtype=complex)
         block_rng, dense_rng = np.random.default_rng(0), np.random.default_rng(0)
-        sectors = liouv.sectors()
-        assert len(sectors) == 2
-        for index in sectors:
-            levels = lindblad._levels(liouv, index)
-            orders = [set(level // dim - level % dim) for level in levels]
-            assert all(len(order) == 1 for order in orders)  # one coherence order k each
-            assert [len(level) for level in levels] == [dim - abs(k) for (k,) in orders]
-            sigma, s0, _, _ = lindblad._solve_sector(rho, index, levels, entries, block_rng)
-            x, dense_sigma, dense_s0 = _dense_sector_solve(liouv, index, entries, dense_rng)
+        parity = np.indices((dim, dim)).sum(axis=0).ravel() % 2  # of i + j, so of i - j
+        for orders in (lindblad._orders(dim, 0), lindblad._orders(dim, 1)):
+            index = np.flatnonzero(parity == orders[0] % 2)
+            levels = [np.arange(dim * dim)[lindblad._order_slice(dim, k)] for k in orders]
+            for k, level in zip(orders, levels):  # one coherence order k each
+                assert set(level // dim - level % dim) == {k} and len(level) == dim - abs(k)
+            assert np.array_equal(np.sort(np.concatenate(levels)), index)
+            sigma, s0, _, _ = lindblad._solve_sector(
+                rho, orders, lindblad._block_coefficients(liouv), sums, block_rng)
+            x, dense_sigma, dense_s0 = _dense_sector_solve(sup, index, dense_rng)
             assert np.max(np.abs(rho[index] - x)) <= 1e-13
             assert s0 == pytest.approx(dense_s0, rel=1e-12)
             assert sigma / s0 == pytest.approx(dense_sigma / dense_s0, rel=1e-8)
@@ -536,7 +573,7 @@ class TestSteadyState:
         rho = rho.reshape(dim, dim)
         assert np.max(np.abs(steady_state(liouv) - 0.5 * (rho + rho.conj().T))) <= 1e-13
         if dim <= 12:  # against the null vector of the dense superoperator
-            _u, _s, vh = np.linalg.svd(liouv.superoperator())
+            _u, _s, vh = np.linalg.svd(sup)
             ref = vh[-1].conj().reshape(dim, dim)
             assert np.max(np.abs(steady_state(liouv) - ref / np.trace(ref))) <= 1e-13
 
@@ -597,7 +634,6 @@ class TestSteadyState:
     def test_two_dark_levels_reported(self):
         # a zero on the superdiagonal: levels 0 and 2 both decay to nothing
         liouv = Liouvillian(op=np.diag([1.0, 0.0, 1.0], 1), params=SqueezingParams(0.0, 0.0))
-        assert len(liouv.sectors()) == 2
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(liouv)
 
