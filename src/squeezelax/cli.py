@@ -91,6 +91,14 @@ def _subcommand(sub, name: str, summary: str, func, default_n: float, theta: str
     return parser
 
 
+def _thetas(args) -> list[float]:
+    """The --theta list in radians; an empty list is a configuration error."""
+    values = _parse_list(args.theta)
+    if not values:
+        raise ConfigError("--theta must name at least one angle")
+    return [t * math.pi for t in values]
+
+
 def _phi_grid(args, points: int) -> list[float]:
     if args.phi is not None:
         return [args.phi]
@@ -108,14 +116,14 @@ def _spins_list(text: str, expand_single: bool = False) -> list[int]:
 
 def cmd_fig3a(args) -> int:
     n_list = _spins_list(args.spins)
-    thetas = [t * math.pi for t in _parse_list(args.theta)]
+    thetas = _thetas(args)
     dataset = fig3a_vector_field(n_list, args.squeezing_n, thetas, _phi_grid(args, 16))
     return _emit(dataset, args)
 
 
 def cmd_fig3b(args) -> int:
     n_list = _spins_list(args.spins)
-    thetas = [t * math.pi for t in _parse_list(args.theta)]
+    thetas = _thetas(args)
     dataset = fig3b_ellipses(n_list, args.squeezing_n, thetas, _phi_grid(args, 12),
                              rtol=args.rtol)
     return _emit(dataset, args)
@@ -123,13 +131,13 @@ def cmd_fig3b(args) -> int:
 
 def cmd_fig4a(args) -> int:
     n_values = _spins_list(args.spins, expand_single=True)
-    thetas = [t * math.pi for t in _parse_list(args.theta)]
+    thetas = _thetas(args)
     return _emit(fig4a_rates(n_values, args.squeezing_n, thetas), args)
 
 
 def cmd_fig4b(args) -> int:
     n_values = _spins_list(args.spins, expand_single=True)
-    thetas = [t * math.pi for t in _parse_list(args.theta)]
+    thetas = _thetas(args)
     phi = args.phi if args.phi is not None else 0.0
     dataset = fig4b_variance_derivatives(n_values, args.squeezing_n, thetas, phi=phi)
     return _emit(dataset, args)
@@ -147,7 +155,7 @@ def _emit_trajectory(figure: str, columns: list[str], rhs, y0, metadata: dict,
 
 def cmd_single_spin(args) -> int:
     params = _squeezing(args)
-    theta = _parse_list(args.theta)[0] * math.pi
+    theta = _thetas(args)[0]
     phi = args.phi if args.phi is not None else 0.0
     y0 = np.array([math.sin(theta) * math.cos(phi),
                    math.sin(theta) * math.sin(phi), math.cos(theta)])

@@ -22,7 +22,7 @@ form
 
 ``dissipator`` keeps the four-channel form as an independent reference.
 
-Banded stencil. S- in the Dicke basis and the truncated ``a`` have only a
+Stencil. S- in the Dicke basis and the truncated ``a`` have only a
 superdiagonal, s_k = op[k, k+1]. With s_k = 0 outside 0 <= k <= dim - 2,
 the normal form is then a sum of nine shifted, elementwise-scaled copies
 of rho, (L rho)[i, j] = gamma_p sum c[i, j] rho[i + di, j + dj]:
@@ -37,9 +37,13 @@ of rho, (L rho)[i, j] = gamma_p sum c[i, j] rho[i + di, j + dj]:
 The coefficients are fixed once per generator and vanish wherever a shift
 would leave rho, so ``apply`` reads each shifted copy as one slice of the
 zero-padded, row-major flattened rho: O(dim^2) against the six O(dim^3)
-products of the normal form. ``Liouvillian`` refuses every other op; the
-dense P, Q and K of the normal form build only ``superoperator``, the dense
-reference.
+products of the normal form. Each coefficient is stored once, in the layout
+``apply`` streams: one aligned float64 array per shift with every value in
+both the real and the imaginary slot of its entry, as rho's interleaved
+float64 view needs. The steady-state blocks and the row sums read the real
+halves of the same arrays as strided views. ``Liouvillian`` refuses every
+other op; the dense P, Q and K of the normal form build only
+``superoperator``, the dense reference.
 
 Parity sectors. A superdiagonal op is parity-odd (op[i, k] = 0 whenever
 i - k is even), so d, d+, P and Q flip the parity of a basis index and K
@@ -54,12 +58,13 @@ tridiagonal: a level of order k holds the dim - |k| coherences
 rho[i, i - k], one diagonal of rho, and couples only to the levels k +- 2.
 ``steady_state`` reads each real block straight from the stencil: the
 block from order k to order k + di - dj is the sum of at most three
-shifted diagonals, np.diagonal(coef[(di, dj)], -k), one per shift. It
-eliminates the levels from both ends toward the one holding the diagonal:
-about dim dense solves of size up to dim per sector, O(dim^4) time and
-O(dim^3) memory, and the full superoperator is never built. From the CLI,
-``steady-state --spins 40``, ``80`` and ``160`` take 0.22, 0.23 and 0.44 s
-with peak RSS 37, 40 and 59 MB (2-core machine).
+shifted diagonals, one per shift, each np.diagonal(c, -k) of the real
+half c of that shift's coefficients. It eliminates the levels from both
+ends toward the one holding the diagonal: about dim dense solves of size
+up to dim per sector, O(dim^4) time and O(dim^3) memory, and the full
+superoperator is never built. From the CLI, ``steady-state --spins 40``,
+``80`` and ``160`` take 0.22, 0.23 and 0.44 s with peak RSS 37, 40 and
+59 MB (2-core machine).
 
 Time evolution. ``evolve`` sums a Chebyshev series of exp(h L) in the
 rescaled generator (2/a) L + 1 (``ode.propagate``), over windows of degree
@@ -67,9 +72,8 @@ up to 64, with ``apply`` as its only operation. The bound a is
 ``norm_bound()``, the largest absolute row sum of the superoperator, read
 from the stencil's coefficients in O(dim^2); every eigenvalue of L lies in
 |z| <= a. At Fock cutoff 59 (a = 658.6) the oscillator oracle reaches
-t = 20 in 93 windows and 5935 ``apply`` calls, where the explicit RK45
-stepper it replaced, held by stability to steps of about 3.3 / a, took
-3530 steps and 21733 calls.
+t = 20 in 93 windows and 5935 ``apply`` calls; an explicit stepper, held
+by stability to steps of about 3.3 / a, would need about 4000 steps.
 """
 
 from __future__ import annotations
@@ -145,11 +149,16 @@ _SHIFTS_BY_CHANGE = {change: [(di, dj) for di, dj in _SHIFTS if di - dj == chang
 def _stencil(s: np.ndarray, params: SqueezingParams) -> dict:
     """Coefficients of the nine-term stencil for the real superdiagonal s of op.
 
-    Returns one real, C-contiguous (dim, dim) array per shift of
-    ``_SHIFTS``, in that order: coef[(di, dj)][i, j] is the coefficient of
-    rho[i + di, j + dj] in (L rho)[i, j], gamma_p included, and it is zero
-    wherever the shift would leave rho. See the module docstring for the
-    terms.
+    Returns one array per shift of ``_SHIFTS``, in that order, laid out as
+    ``apply`` streams it: 2 dim^2 float64 entries starting on a 64-byte
+    boundary, in which the coefficient for the coherence at row-major
+    position p fills both slots 2p and 2p + 1, the real and imaginary
+    halves of that entry of rho. coef[(di, dj)][0::2].reshape(dim, dim)[i, j]
+    is the coefficient of rho[i + di, j + dj] in (L rho)[i, j], gamma_p
+    included, and it is zero wherever the shift would leave rho. Adding 0.0
+    makes every -0.0 a 0.0 and keeps every other value, so a coefficient
+    written into a block of zeros leaves it as the zero it replaces would.
+    See the module docstring for the terms.
     """
     dim = len(s) + 1
     # s[k + 2] = s_k for k = -2 .. dim, zero outside 0 .. dim - 2, so that no
@@ -164,8 +173,15 @@ def _stencil(s: np.ndarray, params: SqueezingParams) -> dict:
     uu = 0.5 * m * np.outer(sm2 * sm1, ones)         # the d+ d+ part of -(1/2) K rho
     coefs = (-0.5 * (kappa[:, None] + kappa), (nbar + 1.0) * np.outer(s0, s0),
              nbar * np.outer(sm1, sm1), cross, cross.T, dd, dd.T, uu, uu.T)
-    return {shift: np.ascontiguousarray(params.gamma_p * coef)
-            for shift, coef in zip(_SHIFTS, coefs)}
+    out = {}
+    for shift, coef in zip(_SHIFTS, coefs):
+        pairs = _aligned_empty((dim * dim, 2))
+        real = pairs[:, 0]
+        np.multiply(params.gamma_p, coef.ravel(), out=real)
+        real += 0.0
+        pairs[:, 1] = real
+        out[shift] = pairs.ravel()
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,7 +231,7 @@ class Liouvillian:
 
     @cached_property
     def _coefficients(self) -> dict:
-        """The stencil's coefficients by shift, from ``_stencil``."""
+        """The stencil's coefficients by shift, from ``_stencil``: the one copy every reader uses."""
         return _stencil(self._s, self.params)
 
     @cached_property
@@ -223,11 +239,11 @@ class Liouvillian:
         """The stencil as ``apply`` reads it: (pad, center, pairs).
 
         pad is the number of zeros put on both sides of the flattened
-        float64 view of rho, center the coefficient of the unshifted term,
-        and pairs hold the shifted terms as pairs of (start, coefficient),
-        where start locates the shifted copy of rho in the padded array.
-        Each coefficient is repeated for the real and imaginary halves of an
-        entry, and a pair whose coefficients are zero everywhere is left
+        float64 view of rho, center the coefficient array of the unshifted
+        term, and pairs hold the shifted terms as pairs of (start,
+        coefficient array), where start locates the shifted copy of rho in
+        the padded array. The arrays are those of ``_coefficients``, not
+        copies, and a pair whose coefficients are zero everywhere is left
         out. A term and the transpose of its coefficient on the transposed
         shift are summed first, so a Hermitian rho gives an exactly
         Hermitian result.
@@ -236,13 +252,11 @@ class Liouvillian:
         pad = 2 * 2 * dim  # the largest shift, (2, 0), in float64 entries
 
         def term(shift):
-            out = _aligned_empty((2 * dim * dim,))
-            out[0::2] = out[1::2] = coefs[shift].ravel()
-            return pad + 2 * (shift[0] * dim + shift[1]), out
+            return pad + 2 * (shift[0] * dim + shift[1]), coefs[shift]
 
         pairs = [(term(a), term(b)) for a, b in zip(_SHIFTS[1::2], _SHIFTS[2::2])
                  if np.any(coefs[a]) or np.any(coefs[b])]
-        return pad, term((0, 0))[1], pairs
+        return pad, coefs[0, 0], pairs
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Evaluate drho/dt for a density matrix or a stack of them, as a new array.
@@ -318,14 +332,15 @@ class Liouvillian:
     def _row_sums(self) -> np.ndarray:
         """The absolute row sums of ``superoperator()``, one per coherence, as a (dim, dim) array.
 
-        Each row holds one coefficient per term of the stencil; they are
-        summed in the order of ``_SHIFTS``.
+        Each row holds one coefficient per term of the stencil, read from the
+        real halves of ``_coefficients``; they are summed in the order of
+        ``_SHIFTS``.
         """
-        terms = iter(self._coefficients.values())
-        sums = np.abs(next(terms))
-        for coef in terms:
-            sums += np.abs(coef)
-        return sums
+        terms = (np.abs(coef[0::2]) for coef in self._coefficients.values())
+        sums = next(terms)
+        for magnitude in terms:
+            sums += magnitude
+        return sums.reshape(self.dim, self.dim)
 
     def norm_bound(self) -> float:
         """The largest absolute row sum of ``superoperator()``, >= |lambda| for every eigenvalue.
@@ -449,31 +464,23 @@ def _order_slice(dim: int, k: int) -> slice:
     return slice(start, start + (dim - abs(k)) * (dim + 1), dim + 1)
 
 
-def _block_coefficients(liouv: Liouvillian) -> dict:
-    """The stencil's coefficients as ``_block`` reads them: flattened copies, with -0.0 made 0.0.
-
-    Adding 0.0 turns -0.0 into 0.0 and keeps every other value, so a
-    coefficient written into a block of zeros leaves it as the zero it
-    replaces would.
-    """
-    return {shift: coef.ravel() + 0.0 for shift, coef in liouv._coefficients.items()}
-
-
 def _block(coefs: dict, dim: int, k: int, k_next: int) -> np.ndarray:
     """The block coupling the coherences of order k to those of order k_next, k or k +- 2.
 
-    coefs are the stencil's coefficients from ``_block_coefficients``.
-    Slot p of the level of order k holds rho[i, i - k], i = p + max(k, 0),
-    at row-major position start + p (dim + 1) as in ``_order_slice``.
-    The shift (di, dj), one of the at most three with di - dj = k_next - k,
-    couples it to rho[i + di, i - k + dj], slot p + max(k, 0) + di -
-    max(k_next, 0) of the level of order k_next, with the coefficient at
-    the position of rho[i, i - k] in coefs[(di, dj)]. So each shift fills
-    one diagonal of the block: a strided slice of the flattened block,
-    written from a strided slice of its coefficients. No two shifts fill
-    the same diagonal. The order-0 level holds the diagonal of rho, and its
-    first row, that of rho[0, 0], is replaced by Tr rho = 1: ones toward
-    its own level, zeros toward any other.
+    coefs are the generator's ``_coefficients``, whose entry 2q holds the
+    coefficient for the coherence at row-major position q. Slot p of the
+    level of order k holds rho[i, i - k], i = p + max(k, 0), at row-major
+    position start + p (dim + 1) as in ``_order_slice``. The shift
+    (di, dj), one of the at most three with di - dj = k_next - k, couples
+    it to rho[i + di, i - k + dj], slot p + max(k, 0) + di - max(k_next, 0)
+    of the level of order k_next, with the coefficient at the position of
+    rho[i, i - k] in coefs[(di, dj)]. So each shift fills one diagonal of
+    the block: a strided slice of the flattened block, written from a
+    slice of its coefficients with twice the stride of ``_order_slice``,
+    which reads only their real halves. No two shifts fill the same
+    diagonal. The order-0 level holds the
+    diagonal of rho, and its first row, that of rho[0, 0], is replaced by
+    Tr rho = 1: ones toward its own level, zeros toward any other.
     """
     rows, cols = dim - abs(k), dim - abs(k_next)
     out = np.zeros(rows * cols)
@@ -483,7 +490,8 @@ def _block(coefs: dict, dim: int, k: int, k_next: int) -> np.ndarray:
         first, last = max(0, -offset), min(rows, cols - offset)
         if first < last:
             out[first * (cols + 1) + offset:last * (cols + 1) + offset:cols + 1] = \
-                coefs[di, dj][start + first * (dim + 1):start + last * (dim + 1):dim + 1]
+                coefs[di, dj][2 * (start + first * (dim + 1)):2 * (start + last * (dim + 1)):
+                              2 * (dim + 1)]
     out = out.reshape(rows, cols)
     if k == 0:
         out[0] = 1.0 if k_next == 0 else 0.0
@@ -493,7 +501,8 @@ def _block(coefs: dict, dim: int, k: int, k_next: int) -> np.ndarray:
 def _trace_row_sums(liouv: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
     """Absolute row and column sums of the superoperator with the row of rho[0, 0] replaced by Tr rho = 1.
 
-    Both are flattened over the coherences. A row holds one coefficient per
+    Both are flattened over the coherences and read from the real halves of
+    the generator's ``_coefficients``. A row holds one coefficient per
     term, and the term on shift (di, dj) puts the coefficient for rho[i, j]
     in the column of rho[i + di, j + dj]; the magnitudes are added shifted
     into an array with a border of 2, the largest shift, which takes only
@@ -507,7 +516,7 @@ def _trace_row_sums(liouv: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
     rows[0, 0] = dim
     cols = np.zeros((dim + 4, dim + 4))
     for (di, dj), coef in liouv._coefficients.items():
-        magnitude = np.abs(coef)
+        magnitude = np.abs(coef[0::2]).reshape(dim, dim)
         magnitude[0, 0] = 0.0
         cols[2 + di:2 + di + dim, 2 + dj:2 + dj + dim] += magnitude
     cols = cols[2:-2, 2:-2].ravel()
@@ -520,7 +529,7 @@ def _solve_sector(rho: np.ndarray, orders: range, coefs: dict, sums: tuple,
     """Stationary coherences of one sector, written into the flattened rho, with a degeneracy test.
 
     orders are the sector's coherence orders (``_orders``), coefs the
-    stencil's coefficients from ``_block_coefficients``, and sums the row and column sums of
+    generator's ``_coefficients``, and sums the row and column sums of
     ``_trace_row_sums``. No term links two sectors, and a term changes the
     order by 0 or +-2, so ordered by k the sector's block is block
     tridiagonal, and ``_block`` reads each of its blocks from the stencil
@@ -645,12 +654,13 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     and the diagonal, coupling and Schur blocks in flight and the solver's
     copies hold at most 8 n^2 more, at 8 bytes an entry (the blocks are
     real), so at least 4 dim^3 bytes. 1 KiB per entry of rho covers the
-    O(dim^2) arrays, which peak at about 310 bytes per entry (traced at
-    n = 40 and 160): the stencil's coefficients, the copies the blocks are
-    written from, the row and column sums and the state, about 180 bytes
-    held through the sweep, with a sector's draw of b and its mask; then,
-    at the residual, ``apply``'s interleaved copies of the coefficients,
-    its work arrays and the state's Hermitian part.
+    O(dim^2) arrays: the stencil's coefficients (144 bytes per entry, the
+    one copy that ``apply``, the blocks and the sums all read), the row and
+    column sums and the state, about 180 bytes held through the sweep,
+    with a sector's draw of b and its mask; then, at the residual,
+    ``apply``'s work arrays and the state's Hermitian part. Traced at
+    n = 160 and 320, the residual peaks at about 233 bytes per entry, and
+    the coefficients and work arrays left on the generator hold 192.
 
     One DEBUG line gives each sector's size, level count, largest level and
     sigma / s0, the residual, the wall time, and within it the seconds
@@ -664,18 +674,18 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     largest = dim  # the order-0 level, in the even sector, which is the larger
     _check_memory(8 * ((dim * dim + 1) // 2 * (largest + 3) + 8 * largest ** 2)
                   + 1024 * dim ** 2, f"the steady-state solve at dim {dim}")
-    coefs, sums = _block_coefficients(liouv), _trace_row_sums(liouv)
+    sums = _trace_row_sums(liouv)  # builds the stencil, if no call before did
     seconds = np.array([time.perf_counter() - start, 0.0])  # building, solving
     rng = np.random.default_rng(0)
     rho = np.zeros(dim * dim, dtype=complex)
     s0_max, conditioning = 0.0, []
     for orders in sectors:
-        sigma, s0, *sector_seconds = _solve_sector(rho, orders, coefs, sums, rng)
+        sigma, s0, *sector_seconds = _solve_sector(rho, orders, liouv._coefficients, sums, rng)
         seconds += sector_seconds
         s0_max = max(s0_max, s0)
         sizes = [dim - abs(k) for k in orders]
         conditioning.append(f"{sum(sizes)}:{len(orders)}:{max(sizes)}:{sigma / s0:.3e}")
-    del coefs, sums  # freed before the residual's apply builds its own copies
+    del sums  # freed before the residual's apply allocates its work arrays
     rho = rho.reshape(dim, dim)
     rho = 0.5 * (rho + rho.conj().T)
     residual = float(np.max(np.abs(liouv.apply(rho))))

@@ -50,6 +50,7 @@ class SqueezingParams:
     m_corr: two-photon correlation (real, >= 0 after phase alignment),
             bounded by sqrt(nbar (nbar+1)).
     gamma_p: Purcell rate (inverse time).
+    All three must be finite; ValueError otherwise.
     """
 
     nbar: float
@@ -57,6 +58,9 @@ class SqueezingParams:
     gamma_p: float = 1.0
 
     def __post_init__(self):
+        for name in ("nbar", "m_corr", "gamma_p"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.nbar < 0:
             raise ValueError(f"mean photon number must be >= 0, got {self.nbar}")
         if self.m_corr < 0:

@@ -23,13 +23,11 @@ any power of beta, so one window of degree up to 64 spans what an explicit
 stepper, held to |h lambda| of order one by stability, needs hundreds of
 steps for. It serves the master equation (``lindblad.evolve``): at Fock
 cutoff 59 the oscillator oracle reaches t = 20 in 93 windows and 5935
-applications of A, where RK45 took 3530 steps and 21733, and its benchmark
-wall time fell from 2.53 to 0.59 s (medians of 10 pairs, 2-core machine).
-The coefficients are those of exp on the interval [-a, 0]: eigenvalues
-well off the real axis, a bound below the spectral radius and strong
-non-normality all show as growth of |T_k y|, which ``propagate`` checks.
-A stack of states is propagated as one array, with the growth and error
-checks taken per member.
+applications of A. The coefficients are those of exp on the interval
+[-a, 0]: eigenvalues well off the real axis, a bound below the spectral
+radius and strong non-normality all show as growth of |T_k y|, which
+``propagate`` checks. A stack of states is propagated as one array, with
+the growth and error checks taken per member.
 """
 
 from __future__ import annotations

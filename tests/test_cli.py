@@ -31,6 +31,26 @@ class TestExitCodes:
         assert main(["single-spin", "--squeezing-m", "huge"]) == EXIT_CONFIG
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["steady-state", "--squeezing-n", "nan"], ["steady-state", "--squeezing-n", "inf"],
+        ["steady-state", "--squeezing-n", "1", "--squeezing-m", "nan"],
+        ["single-spin", "--squeezing-n", "nan"],
+        ["single-spin", "--squeezing-n=-inf", "--squeezing-m", "0"],
+        ["oscillator", "--squeezing-n", "nan"],
+        ["oscillator", "--squeezing-n", "1", "--squeezing-m", "inf"],
+        ["fig3a", "--squeezing-n", "inf"], ["fig4b", "--squeezing-n", "nan"]])
+    def test_non_finite_bath_is_config_error(self, argv, capsys):
+        assert main(argv) == EXIT_CONFIG
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["fig3a"], ["fig3b", "--phi", "0"], ["fig4a"], ["fig4b"],
+                                      ["single-spin"]])
+    def test_empty_theta_list_is_config_error(self, argv, capsys, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--theta", ",", "--out", str(out)]) == EXIT_CONFIG
+        assert "--theta must name at least one angle" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["single-spin", "oscillator"])
     @pytest.mark.parametrize("t_final", ["0", "-1", "nan", "inf"])
     def test_output_times_not_increasing_or_not_finite_are_config_errors(

@@ -211,13 +211,44 @@ class TestLiouvillianApply:
 
     def test_dense_operators_built_only_when_read(self):
         liouv = spin_liouvillian(build_collective_ops(DickeSpace(3)), BATHS["mixed"])
-        assert "_normal_form" not in vars(liouv) and "_banded" not in vars(liouv)
+        assert "_normal_form" not in vars(liouv) and "_coefficients" not in vars(liouv)
         evolve(liouv, np.eye(4, dtype=complex) / 4, 0.1)
-        assert "_normal_form" not in vars(liouv) and "_banded" in vars(liouv)
+        assert "_normal_form" not in vars(liouv) and "_coefficients" in vars(liouv)
         steady_state(liouv)
         assert "_normal_form" not in vars(liouv)
         liouv.superoperator()
         assert "_normal_form" in vars(liouv)
+
+    @pytest.mark.parametrize("kind, size", [("spins", 6), ("oscillator", 12)])
+    def test_apply_multiplies_by_the_one_copy_of_the_coefficients(self, kind, size, monkeypatch):
+        liouv = _generator(kind, size, BATHS["mixed"])
+        dim = liouv.dim
+        steady_state(liouv)
+        coefs = list(liouv._coefficients.values())
+        assert len(coefs) == 9
+        for coef in coefs:  # interleaved, aligned, each value in both halves of an entry
+            assert coef.shape == (2 * dim * dim,) and coef.ctypes.data % 64 == 0
+            assert np.array_equal(coef[0::2], coef[1::2])
+        factors, multiply = [], np.multiply
+
+        def spy(*args, **kwargs):
+            factors.append(args[0])
+            return multiply(*args, **kwargs)
+
+        rho = random_pure(np.random.default_rng(38), dim).density()
+        monkeypatch.setattr(np, "multiply", spy)
+        liouv.apply(rho)
+        monkeypatch.undo()
+        assert len(factors) >= 3
+        for factor in factors:
+            assert any(np.shares_memory(factor, coef) for coef in coefs)
+
+    @pytest.mark.parametrize("kind, size", [("spins", 1), ("spins", 6), ("oscillator", 12)])
+    @pytest.mark.parametrize("bath", BATHS)
+    def test_coefficients_hold_no_negative_zero(self, kind, size, bath):
+        liouv = _generator(kind, size, BATHS[bath])
+        for coef in liouv._coefficients.values():
+            assert not np.any(np.signbit(coef[coef == 0.0]))
 
     @pytest.mark.parametrize("bath", BATHS)
     def test_superoperator_matches_direct_application(self, bath):
@@ -244,7 +275,7 @@ class TestLiouvillianApply:
         # the row of rho[0, 0] becomes Tr rho = 1, as the solver reads it
         sup[0] = 0.0
         sup[0, ::dim + 1] = 1.0
-        coefs = lindblad._block_coefficients(liouv)
+        coefs = liouv._coefficients
         position = np.arange(dim * dim)
         for parity in (0, 1):
             orders = lindblad._orders(dim, parity)
@@ -522,7 +553,7 @@ class TestEvolve:
         finally:
             tracemalloc.stop()
         assert peak < len(times) * record / 1000  # a thousandth of what was refused
-        assert "_banded" not in vars(liouv)  # refused before the first RHS call
+        assert "_coefficients" not in vars(liouv)  # refused before the stencil is built
 
 
 def _dense_sector_solve(sup: np.ndarray, index: np.ndarray, rng):
@@ -563,7 +594,7 @@ class TestSteadyState:
                 assert set(level // dim - level % dim) == {k} and len(level) == dim - abs(k)
             assert np.array_equal(np.sort(np.concatenate(levels)), index)
             sigma, s0, _, _ = lindblad._solve_sector(
-                rho, orders, lindblad._block_coefficients(liouv), sums, block_rng)
+                rho, orders, liouv._coefficients, sums, block_rng)
             x, dense_sigma, dense_s0 = _dense_sector_solve(sup, index, dense_rng)
             assert np.max(np.abs(rho[index] - x)) <= 1e-13
             assert s0 == pytest.approx(dense_s0, rel=1e-12)

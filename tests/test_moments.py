@@ -38,6 +38,13 @@ class TestSqueezingParams:
         with pytest.raises(ValueError):
             SqueezingParams(nbar=0.0, m_corr=0.0, gamma_p=0.0)
 
+    @pytest.mark.parametrize("field", ["nbar", "m_corr", "gamma_p"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, field, value):
+        values = {"nbar": 1.0, "m_corr": 0.3, "gamma_p": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SqueezingParams(**values)
+
 
 class TestInputFieldVariances:
     def test_reference_squeezing(self):
