@@ -99,9 +99,19 @@ def _thetas(args) -> list[float]:
     return [t * math.pi for t in values]
 
 
+def _phi(args, default: float | None = None) -> float | None:
+    """The --phi angle, or ``default`` when it is not given; a non-finite angle is a configuration error."""
+    if args.phi is None:
+        return default
+    if not math.isfinite(args.phi):
+        raise ConfigError(f"--phi must be finite, got {args.phi}")
+    return args.phi
+
+
 def _phi_grid(args, points: int) -> list[float]:
-    if args.phi is not None:
-        return [args.phi]
+    phi = _phi(args)
+    if phi is not None:
+        return [phi]
     return [2 * math.pi * k / points for k in range(points)]
 
 
@@ -138,7 +148,7 @@ def cmd_fig4a(args) -> int:
 def cmd_fig4b(args) -> int:
     n_values = _spins_list(args.spins, expand_single=True)
     thetas = _thetas(args)
-    phi = args.phi if args.phi is not None else 0.0
+    phi = _phi(args, 0.0)
     dataset = fig4b_variance_derivatives(n_values, args.squeezing_n, thetas, phi=phi)
     return _emit(dataset, args)
 
@@ -155,8 +165,11 @@ def _emit_trajectory(figure: str, columns: list[str], rhs, y0, metadata: dict,
 
 def cmd_single_spin(args) -> int:
     params = _squeezing(args)
-    theta = _thetas(args)[0]
-    phi = args.phi if args.phi is not None else 0.0
+    thetas = _thetas(args)
+    if len(thetas) != 1:
+        raise ConfigError("single-spin expects a single --theta value")
+    theta = thetas[0]
+    phi = _phi(args, 0.0)
     y0 = np.array([math.sin(theta) * math.cos(phi),
                    math.sin(theta) * math.sin(phi), math.cos(theta)])
 
@@ -171,7 +184,7 @@ def cmd_single_spin(args) -> int:
 
 def cmd_oscillator(args) -> int:
     params = _squeezing(args)
-    phi = args.phi if args.phi is not None else 0.0
+    phi = _phi(args, 0.0)
     y0 = np.array([2.0 * math.cos(phi), 2.0 * math.sin(phi), 1.0, 1.0, 0.0])
 
     def rhs(y, _t):

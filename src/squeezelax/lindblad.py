@@ -38,11 +38,12 @@ The coefficients are fixed once per generator and vanish wherever a shift
 would leave rho, so ``apply`` reads each shifted copy as one slice of the
 zero-padded, row-major flattened rho: O(dim^2) against the six O(dim^3)
 products of the normal form. Each coefficient is stored once, in the layout
-``apply`` streams: one aligned float64 array per shift with every value in
-both the real and the imaginary slot of its entry, as rho's interleaved
-float64 view needs. The steady-state blocks and the row sums read the real
-halves of the same arrays as strided views. ``Liouvillian`` refuses every
-other op; the dense P, Q and K of the normal form build only
+``apply`` streams: one aligned float64 array of dim^2 values per shift, one
+value per entry of rho. Every coefficient is real, so L maps Re rho and
+Im rho on their own, and ``apply`` works on real planes: a complex rho is
+the stack of its real and imaginary parts. The steady-state blocks and the
+row sums read the same arrays as strided views. ``Liouvillian`` refuses
+every other op; the dense P, Q and K of the normal form build only
 ``superoperator``, the dense reference.
 
 Parity sectors. A superdiagonal op is parity-odd (op[i, k] = 0 whenever
@@ -68,7 +69,10 @@ superoperator is never built. From the CLI, ``steady-state --spins 40``,
 
 Time evolution. ``evolve`` sums a Chebyshev series of exp(h L) in the
 rescaled generator (2/a) L + 1 (``ode.propagate``), over windows of degree
-up to 64, with ``apply`` as its only operation. The bound a is
+up to 64, with ``apply`` as its only operation, on the real planes of rho:
+the real part alone when the start has no imaginary part, as the vacuum
+and every real density matrix have, and the imaginary part stays exactly
+zero. The bound a is
 ``norm_bound()``, the largest absolute row sum of the superoperator, read
 from the stencil's coefficients in O(dim^2); every eigenvalue of L lies in
 |z| <= a. At Fock cutoff 59 (a = 658.6) the oscillator oracle reaches
@@ -87,7 +91,7 @@ from functools import cached_property
 import numpy as np
 
 from .moments import SqueezingParams
-from .ode import _check_memory, propagate
+from .ode import _check_memory, _output_times, propagate
 from .spin_algebra import CollectiveOps, QuantumState
 
 __all__ = [
@@ -150,15 +154,14 @@ def _stencil(s: np.ndarray, params: SqueezingParams) -> dict:
     """Coefficients of the nine-term stencil for the real superdiagonal s of op.
 
     Returns one array per shift of ``_SHIFTS``, in that order, laid out as
-    ``apply`` streams it: 2 dim^2 float64 entries starting on a 64-byte
-    boundary, in which the coefficient for the coherence at row-major
-    position p fills both slots 2p and 2p + 1, the real and imaginary
-    halves of that entry of rho. coef[(di, dj)][0::2].reshape(dim, dim)[i, j]
-    is the coefficient of rho[i + di, j + dj] in (L rho)[i, j], gamma_p
-    included, and it is zero wherever the shift would leave rho. Adding 0.0
-    makes every -0.0 a 0.0 and keeps every other value, so a coefficient
-    written into a block of zeros leaves it as the zero it replaces would.
-    See the module docstring for the terms.
+    ``apply`` streams it: dim^2 float64 entries starting on a 64-byte
+    boundary, one per entry of rho in row-major order.
+    coef[(di, dj)].reshape(dim, dim)[i, j] is the coefficient of
+    rho[i + di, j + dj] in (L rho)[i, j], gamma_p included, and it is zero
+    wherever the shift would leave rho. Adding 0.0 makes every -0.0 a 0.0
+    and keeps every other value, so a coefficient written into a block of
+    zeros leaves it as the zero it replaces would. See the module docstring
+    for the terms.
     """
     dim = len(s) + 1
     # s[k + 2] = s_k for k = -2 .. dim, zero outside 0 .. dim - 2, so that no
@@ -175,12 +178,9 @@ def _stencil(s: np.ndarray, params: SqueezingParams) -> dict:
              nbar * np.outer(sm1, sm1), cross, cross.T, dd, dd.T, uu, uu.T)
     out = {}
     for shift, coef in zip(_SHIFTS, coefs):
-        pairs = _aligned_empty((dim * dim, 2))
-        real = pairs[:, 0]
-        np.multiply(params.gamma_p, coef.ravel(), out=real)
-        real += 0.0
-        pairs[:, 1] = real
-        out[shift] = pairs.ravel()
+        flat = out[shift] = _aligned_empty((dim * dim,))
+        np.multiply(params.gamma_p, coef.ravel(), out=flat)
+        flat += 0.0
     return out
 
 
@@ -238,21 +238,20 @@ class Liouvillian:
     def _banded(self):
         """The stencil as ``apply`` reads it: (pad, center, pairs).
 
-        pad is the number of zeros put on both sides of the flattened
-        float64 view of rho, center the coefficient array of the unshifted
-        term, and pairs hold the shifted terms as pairs of (start,
-        coefficient array), where start locates the shifted copy of rho in
-        the padded array. The arrays are those of ``_coefficients``, not
+        pad is the number of zeros put on both sides of the flattened rho,
+        center the coefficient array of the unshifted term, and pairs hold
+        the shifted terms as pairs of (start, coefficient array), where
+        start locates the shifted copy of rho in the padded array. The arrays are those of ``_coefficients``, not
         copies, and a pair whose coefficients are zero everywhere is left
         out. A term and the transpose of its coefficient on the transposed
         shift are summed first, so a Hermitian rho gives an exactly
         Hermitian result.
         """
         dim, coefs = self.dim, self._coefficients
-        pad = 2 * 2 * dim  # the largest shift, (2, 0), in float64 entries
+        pad = 2 * dim  # the largest shift, (2, 0), in entries of the flattened rho
 
         def term(shift):
-            return pad + 2 * (shift[0] * dim + shift[1]), coefs[shift]
+            return pad + shift[0] * dim + shift[1], coefs[shift]
 
         pairs = [(term(a), term(b)) for a, b in zip(_SHIFTS[1::2], _SHIFTS[2::2])
                  if np.any(coefs[a]) or np.any(coefs[b])]
@@ -263,20 +262,27 @@ class Liouvillian:
 
         rho has shape (..., dim, dim); every matrix of the stack is mapped
         on its own, with the same arithmetic as when it is passed alone:
-        the nine-term stencil, O(dim^2) per matrix, on the (2 dim^2,)
-        float64 view of one matrix (or a stack of one) or the (B, 2 dim^2)
-        view of a stack. The stencil keeps its work arrays for the last
-        shape it was given, so one generator must not be applied from two
-        threads at once.
+        the nine-term stencil, O(dim^2) per matrix, on the (dim^2,) float64
+        flattening of one matrix (or a stack of one) or the (B, dim^2) one
+        of a stack. Every coefficient is real, so L maps Re rho and Im rho
+        on their own: a real rho gives a float64 result, and a complex one
+        is applied as the stack of its real and imaginary planes, which are
+        written into the real and imaginary parts of a complex result. The
+        stencil keeps its work arrays for the last shape it was given, so
+        one generator must not be applied from two threads at once.
         """
         rho = np.asarray(rho)
         if rho.ndim < 2 or rho.shape[-2:] != self.op.shape:
             raise ValueError("density matrix shape does not match the generator")
-        # interleaved (re, im) float64 view of one matrix, or one row per
-        # matrix of a stack, so every coefficient is real; a stack of one
-        # takes the 1-d slices, about 8 us less per call at dim 59
+        if np.iscomplexobj(rho):
+            planes = self.apply(np.stack((rho.real, rho.imag), axis=-3))
+            out = np.empty(rho.shape, dtype=complex)
+            out.real, out.imag = planes[..., 0, :, :], planes[..., 1, :, :]
+            return out
+        # one matrix, or one row per matrix of a stack; a stack of one takes
+        # the 1-d slices, about 8 us less per call at dim 59
         flat = (-1,) if rho.size == self.dim ** 2 else (-1, self.dim ** 2)
-        x = np.ascontiguousarray(rho, dtype=complex).reshape(flat).view(np.float64)
+        x = np.ascontiguousarray(rho, dtype=np.float64).reshape(flat)
         pad, center, pairs = self._banded
         n = x.shape[-1]
         # the zero-bordered copy of x and the two product arrays are kept for
@@ -296,7 +302,7 @@ class Liouvillian:
             np.multiply(cb, padded[..., b:b + n], out=tb)
             ta += tb
             out += ta
-        return out.view(complex).reshape(rho.shape)
+        return out.reshape(rho.shape)
 
     def superoperator(self) -> np.ndarray:
         """Dense dim^2 x dim^2 matrix acting on row-major vectorized rho.
@@ -332,11 +338,10 @@ class Liouvillian:
     def _row_sums(self) -> np.ndarray:
         """The absolute row sums of ``superoperator()``, one per coherence, as a (dim, dim) array.
 
-        Each row holds one coefficient per term of the stencil, read from the
-        real halves of ``_coefficients``; they are summed in the order of
-        ``_SHIFTS``.
+        Each row holds one coefficient per term of the stencil, read from
+        ``_coefficients``; they are summed in the order of ``_SHIFTS``.
         """
-        terms = (np.abs(coef[0::2]) for coef in self._coefficients.values())
+        terms = (np.abs(coef) for coef in self._coefficients.values())
         sums = next(terms)
         for magnitude in terms:
             sums += magnitude
@@ -411,6 +416,15 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
     member held to rtol and atol on its own; ``states`` has shape
     (len(times),) + rho0.shape.
 
+    rho0 is handed to ``ode.propagate`` as a real (B, P, dim, dim) stack of
+    planes, the generator's coefficients being real: P = 2 holds Re rho and
+    Im rho, and P = 1 the real part alone when every member's imaginary
+    part is exactly zero, which then stays zero. Each member's peak is
+    taken over its planes, as it would be over the complex entries, and
+    the planes are put back together into the complex ``states``. A memory
+    guard refuses, before anything of their size is allocated, records
+    that with those states would exceed physical memory.
+
     Every generator takes the same path: ``ode.propagate`` sums a Chebyshev
     series of exp(h L) over windows of length h, one ``liouv.apply`` per
     term, with the bound a = ``liouv.norm_bound()``, the largest absolute
@@ -425,7 +439,7 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
     global-error witness (the truncated series loses about its tail per
     window). The trace, hermiticity and eigenvalue witnesses read every
     member of every record, and only the records, and report the worst.
-    One DEBUG line per call logs the batch size, dim, the bound, the
+    One DEBUG line per call logs the batch size, dim, P, the bound, the
     windows and refused windows, the ``apply`` calls, the degree and window
     ranges, and the number of records and their bytes.
     """
@@ -437,15 +451,25 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
         raise ValueError("initial state shape does not match the generator: expected "
                          f"({dim}, {dim}) or (B, {dim}, {dim}), got {rho0.shape}")
     stack = rho0 if rho0.ndim == 3 else rho0[None]
-    result = propagate(liouv.apply, liouv.norm_bound, stack, times, rtol, atol)
-    states = result.states.reshape((-1,) + rho0.shape)
+    times = _output_times(times)
+    planes = 2 if np.any(stack.imag) else 1
+    # the real records and the complex states are held together at the end
+    _check_memory(len(times) * (8 * planes + 16) * stack.size,
+                  f"{len(times)} records of {stack.size} complex values")
+    y0 = np.stack((stack.real, stack.imag), axis=1) if planes == 2 else stack.real[:, None].copy()
+    result = propagate(liouv.apply, liouv.norm_bound, y0, times, rtol, atol)
+    states = np.empty((len(times),) + rho0.shape, dtype=complex)
+    by_member = states.reshape((len(times),) + stack.shape)  # a view
+    by_member.real = result.states[:, :, 0]
+    by_member.imag = result.states[:, :, 1] if planes == 2 else 0.0
     diagnostics = dict(result.diagnostics)
     diagnostics.update(_state_diagnostics(states))
-    logger.debug("evolve batch=%d dim=%d bound=%.6g windows=%d refused=%d rhs_evals=%d "
-                 "degree=[%d, %d] window=[%.3e, %.3e] records=%d bytes=%d", len(stack), dim,
-                 diagnostics["bound"], diagnostics["accepted"], diagnostics["rejected"],
-                 diagnostics["rhs_evals"], diagnostics["degree_min"], diagnostics["degree_max"],
-                 diagnostics["dt_min"], diagnostics["dt_max"], len(states), states.nbytes)
+    logger.debug("evolve batch=%d dim=%d planes=%d bound=%.6g windows=%d refused=%d "
+                 "rhs_evals=%d degree=[%d, %d] window=[%.3e, %.3e] records=%d bytes=%d",
+                 len(stack), dim, planes, diagnostics["bound"], diagnostics["accepted"],
+                 diagnostics["rejected"], diagnostics["rhs_evals"], diagnostics["degree_min"],
+                 diagnostics["degree_max"], diagnostics["dt_min"], diagnostics["dt_max"],
+                 len(states), states.nbytes)
     return Trajectory(times=result.times, states=states, diagnostics=diagnostics)
 
 
@@ -467,7 +491,7 @@ def _order_slice(dim: int, k: int) -> slice:
 def _block(coefs: dict, dim: int, k: int, k_next: int) -> np.ndarray:
     """The block coupling the coherences of order k to those of order k_next, k or k +- 2.
 
-    coefs are the generator's ``_coefficients``, whose entry 2q holds the
+    coefs are the generator's ``_coefficients``, whose entry q holds the
     coefficient for the coherence at row-major position q. Slot p of the
     level of order k holds rho[i, i - k], i = p + max(k, 0), at row-major
     position start + p (dim + 1) as in ``_order_slice``. The shift
@@ -476,9 +500,8 @@ def _block(coefs: dict, dim: int, k: int, k_next: int) -> np.ndarray:
     of the level of order k_next, with the coefficient at the position of
     rho[i, i - k] in coefs[(di, dj)]. So each shift fills one diagonal of
     the block: a strided slice of the flattened block, written from a
-    slice of its coefficients with twice the stride of ``_order_slice``,
-    which reads only their real halves. No two shifts fill the same
-    diagonal. The order-0 level holds the
+    slice of its coefficients with the stride dim + 1 of ``_order_slice``.
+    No two shifts fill the same diagonal. The order-0 level holds the
     diagonal of rho, and its first row, that of rho[0, 0], is replaced by
     Tr rho = 1: ones toward its own level, zeros toward any other.
     """
@@ -490,8 +513,7 @@ def _block(coefs: dict, dim: int, k: int, k_next: int) -> np.ndarray:
         first, last = max(0, -offset), min(rows, cols - offset)
         if first < last:
             out[first * (cols + 1) + offset:last * (cols + 1) + offset:cols + 1] = \
-                coefs[di, dj][2 * (start + first * (dim + 1)):2 * (start + last * (dim + 1)):
-                              2 * (dim + 1)]
+                coefs[di, dj][start + first * (dim + 1):start + last * (dim + 1):dim + 1]
     out = out.reshape(rows, cols)
     if k == 0:
         out[0] = 1.0 if k_next == 0 else 0.0
@@ -501,10 +523,10 @@ def _block(coefs: dict, dim: int, k: int, k_next: int) -> np.ndarray:
 def _trace_row_sums(liouv: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
     """Absolute row and column sums of the superoperator with the row of rho[0, 0] replaced by Tr rho = 1.
 
-    Both are flattened over the coherences and read from the real halves of
-    the generator's ``_coefficients``. A row holds one coefficient per
-    term, and the term on shift (di, dj) puts the coefficient for rho[i, j]
-    in the column of rho[i + di, j + dj]; the magnitudes are added shifted
+    Both are flattened over the coherences and read from the generator's
+    ``_coefficients``. A row holds one coefficient per term, and the term
+    on shift (di, dj) puts the coefficient for rho[i, j] in the column of
+    rho[i + di, j + dj]; the magnitudes are added shifted
     into an array with a border of 2, the largest shift, which takes only
     zeros, since the coefficients vanish wherever a shift would leave rho.
     Each sum is taken term by term in the order of ``_SHIFTS``. The row of
@@ -516,7 +538,7 @@ def _trace_row_sums(liouv: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
     rows[0, 0] = dim
     cols = np.zeros((dim + 4, dim + 4))
     for (di, dj), coef in liouv._coefficients.items():
-        magnitude = np.abs(coef[0::2]).reshape(dim, dim)
+        magnitude = np.abs(coef).reshape(dim, dim)
         magnitude[0, 0] = 0.0
         cols[2 + di:2 + di + dim, 2 + dj:2 + dj + dim] += magnitude
     cols = cols[2:-2, 2:-2].ravel()
@@ -654,13 +676,13 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     and the diagonal, coupling and Schur blocks in flight and the solver's
     copies hold at most 8 n^2 more, at 8 bytes an entry (the blocks are
     real), so at least 4 dim^3 bytes. 1 KiB per entry of rho covers the
-    O(dim^2) arrays: the stencil's coefficients (144 bytes per entry, the
+    O(dim^2) arrays: the stencil's coefficients (72 bytes per entry, the
     one copy that ``apply``, the blocks and the sums all read), the row and
-    column sums and the state, about 180 bytes held through the sweep,
-    with a sector's draw of b and its mask; then, at the residual,
-    ``apply``'s work arrays and the state's Hermitian part. Traced at
-    n = 160 and 320, the residual peaks at about 233 bytes per entry, and
-    the coefficients and work arrays left on the generator hold 192.
+    column sums and the state, with a sector's draw of b and its mask;
+    then, at the residual, ``apply``'s work arrays, the real and imaginary
+    planes of the state and the state's Hermitian part. Traced at n = 160
+    and 320, the residual peaks at about 168 bytes per entry, and the
+    coefficients and work arrays left on the generator hold 120.
 
     One DEBUG line gives each sector's size, level count, largest level and
     sigma / s0, the residual, the wall time, and within it the seconds
@@ -727,16 +749,24 @@ def oscillator_oracle(params: SqueezingParams, times,
     """Master-equation trajectory for the oscillator limit (d = a), recorded at ``times``.
 
     Starts from a (possibly displaced) vacuum and doubles the Fock cutoff,
-    up to 512 levels, until the top-level population stays below 1e-8 on
-    every record, which for a number t means t = 0 and t alone, as for ``evolve``'s witnesses.
+    up to 512 levels, until the coherent start fits and the top-level
+    population stays below 1e-8 on every record, which for a number t means
+    t = 0 and t alone, as for ``evolve``'s witnesses. An explicit
+    ``cutoff`` is never doubled: CutoffError is raised when either fails
+    there.
     """
     cut = cutoff if cutoff is not None else default_oscillator_cutoff(params)
     while True:
         if cut > _MAX_CUTOFF:
             raise CutoffError(f"required Fock cutoff exceeds the limit {_MAX_CUTOFF}")
-        liouv = oscillator_liouvillian(cut, params)
-        psi0 = QuantumState(coherent_state_vector(cut, alpha), "vector")
-        traj = evolve(liouv, psi0, times, rtol=rtol, atol=atol)
+        try:
+            psi0 = QuantumState(coherent_state_vector(cut, alpha), "vector")
+        except CutoffError:
+            if cutoff is not None:
+                raise
+            cut *= 2
+            continue
+        traj = evolve(oscillator_liouvillian(cut, params), psi0, times, rtol=rtol, atol=atol)
         top_pop = float(np.max(traj.states[:, -1, -1].real))
         traj.diagnostics["cutoff"] = cut
         traj.diagnostics["max_top_population"] = top_pop

@@ -75,6 +75,13 @@ class IntegrationError(RuntimeError):
         self.dt = dt
 
 
+def _check_positive(**values: float):
+    """Raise ValueError naming the first value that is not a positive finite number (NaN included)."""
+    for name, value in values.items():
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass
 class IntegratorConfig:
     """Initial step size and error control."""
@@ -84,8 +91,7 @@ class IntegratorConfig:
     atol: float = 1e-10
 
     def __post_init__(self):
-        if self.dt <= 0 or self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("dt, rtol and atol must be positive")
+        _check_positive(dt=self.dt, rtol=self.rtol, atol=self.atol)
 
 
 @dataclass
@@ -95,19 +101,23 @@ class IntegrationResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _records(y0: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
-    """Validated output times and the record array, with y0 in its first row.
-
-    times is a strictly increasing, finite sequence of two or more output
-    times, or a number t for (0, t). The (len(times),) + y0.shape array is
-    allocated after a memory guard.
-    """
-    if y0.size == 0 or not np.all(np.isfinite(y0)):
-        raise ValueError("initial state must be nonempty and finite")
+def _output_times(times) -> np.ndarray:
+    """times as a float array: a strictly increasing, finite sequence of two or more, or a number t for (0, t)."""
     times = np.array([0.0, times] if np.ndim(times) == 0 else times, dtype=float)
     if (times.ndim != 1 or len(times) < 2 or not np.all(np.isfinite(times))
             or not np.all(np.diff(times) > 0)):
         raise ValueError("times must be two or more finite times in strictly increasing order")
+    return times
+
+
+def _records(y0: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
+    """Validated output times (``_output_times``) and the record array, with y0 in its first row.
+
+    The (len(times),) + y0.shape array is allocated after a memory guard.
+    """
+    if y0.size == 0 or not np.all(np.isfinite(y0)):
+        raise ValueError("initial state must be nonempty and finite")
+    times = _output_times(times)
     _check_memory(len(times) * y0.nbytes, f"{len(times)} records of {y0.size} values")
     states = np.empty((len(times),) + y0.shape, dtype=y0.dtype)
     states[0] = y0
@@ -238,15 +248,22 @@ def _widest_beta(eps: float) -> float:
     """The largest beta, to 1e-3 from below, whose series of degree _DEGREE_MAX meets eps.
 
     Bisection on (0, 2 _DEGREE_MAX], about 1 ms; cached per tolerance and
-    never computed at import.
+    never computed at import. A series that ends at or before that degree
+    (beta below about 7.5) has cut its own tail at the recurrence's start,
+    so its tail there is unknown and is not taken to meet eps. Raises
+    ValueError when no beta the bisection tries meets eps.
     """
     low, high = 0.0, 2.0 * _DEGREE_MAX
     while high - low > 1e-3:
         mid = 0.5 * (low + high)
-        if _chebyshev_series.__wrapped__(mid)[1][_DEGREE_MAX] <= eps:
+        tails = _chebyshev_series.__wrapped__(mid)[1]
+        if _DEGREE_MAX < len(tails) - 1 and tails[_DEGREE_MAX] <= eps:
             low = mid
         else:
             high = mid
+    if low == 0.0:
+        raise ValueError(f"the truncation tolerance 0.1 min(rtol, atol) = {eps:.3g} is met by "
+                         f"no Chebyshev window of degree {_DEGREE_MAX}")
     return low
 
 
@@ -259,7 +276,9 @@ def propagate(apply, bound, y0, times, rtol: float, atol: float) -> IntegrationR
     once, after the record guard, so a generator that builds its structure
     when first read builds nothing for work that is refused. y0 is one
     state of shape (size,), or a stack of states along its first axis; the
-    result has y0's dtype. times are validated as for ``integrate``.
+    result has y0's dtype. times are validated as for ``integrate``; rtol
+    and atol must be positive and finite, and ValueError is raised, before
+    anything is allocated, when no window can meet their truncation rule.
 
     Windows. Each window starts at the last state reached and is as wide
     as the degree cap allows (beta = bound h / 2 at most the largest beta
@@ -279,7 +298,11 @@ def propagate(apply, bound, y0, times, rtol: float, atol: float) -> IntegrationR
     degree k <= m (A is far from normal, or bound is too small), or when
     the tail extrapolated from the last two terms, max |T_m y| times
     sum_{k > m} c_k r^(k - m) with r = max(1, max |T_m y| / max |T_{m-1} y|),
-    exceeds atol + rtol max |y|.
+    exceeds atol + rtol max |y|. Growth is checked once per block of up to
+    8 terms, with one max |.| over the block that gives every term's peak,
+    and the first term in the block past the bound decides as it would
+    term by term; so the same windows are accepted, and a refused one may
+    cost up to 7 more applications of A.
 
     Failure. The accepted estimates are summed per member over the run. A
     run whose windows keep their full width H cannot overspend, but halved
@@ -297,12 +320,12 @@ def propagate(apply, bound, y0, times, rtol: float, atol: float) -> IntegrationR
     """
     y0 = np.asarray(y0)
     y0 = y0.astype(np.result_type(y0, np.float64), copy=False)
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("rtol and atol must be positive")
+    _check_positive(rtol=rtol, atol=atol)
+    eps = 0.1 * min(rtol, atol)
+    beta_max = _widest_beta(eps)
     times, states = _records(y0, times)
     bound = float(bound() if callable(bound) else bound)
-    if not (bound > 0 and math.isfinite(bound)):
-        raise ValueError(f"bound must be positive and finite, got {bound!r}")
+    _check_positive(bound=bound)
     members = len(y0) if y0.ndim > 1 else 1
 
     def flat(a):
@@ -313,8 +336,7 @@ def propagate(apply, bound, y0, times, rtol: float, atol: float) -> IntegrationR
         # max |entry| of each member, over the real and imaginary parts
         return np.max(np.abs(y.reshape(members, -1).view(np.float64)), axis=1)
 
-    eps = 0.1 * min(rtol, atol)
-    widest = full = 2.0 * _widest_beta(eps) / bound
+    widest = full = 2.0 * beta_max / bound
     budget = atol + rtol * peak(y0)
     spent = np.zeros(members)
     scale = 2.0 / bound
@@ -351,40 +373,48 @@ def propagate(apply, bound, y0, times, rtol: float, atol: float) -> IntegrationR
         norms = [y_peak]
         prev = cur = y
         filled = 0
-        for k in range(1, degree + 1):
-            term = block[filled]
-            np.multiply(apply(cur), scale if k == 1 else 2.0 * scale, out=term)
-            calls += 1
-            term += cur
-            if k > 1:
+        # growth is checked once per block, so up to _BLOCK - 1 terms are made
+        # past one that grew beyond the ceiling, and they may overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, degree + 1):
+                term = block[filled]
+                np.multiply(apply(cur), scale if k == 1 else 2.0 * scale, out=term)
+                calls += 1
                 term += cur
-                term -= prev
-            norms.append(peak(term))
-            if not (norms[-1] <= ceiling).all():
-                if not np.isfinite(norms[-1]).all():
-                    raise IntegrationError("non-finite value returned by apply", t=t, dt=width)
-                break
-            prev, cur, filled = cur, term, filled + 1
-            if filled == _BLOCK or k == degree:
+                if k > 1:
+                    term += cur
+                    term -= prev
+                prev, cur, filled = cur, term, filled + 1
+                if filled < _BLOCK and k < degree:
+                    continue
+                # the peak of every member of every term in the block, from one max |.|
+                peaks = np.max(np.abs(flat(block[:filled]).reshape(filled, members, -1)), axis=2)
+                grown = ~np.all(peaks <= ceiling, axis=1)
+                if grown.any():
+                    # the first term past the ceiling decides, as if each were checked in turn
+                    if not np.isfinite(peaks[grown.argmax()]).all():
+                        raise IntegrationError("non-finite value returned by apply", t=t, dt=width)
+                    break
+                norms.extend(peaks)
                 flat(out)[...] += coef[:, k + 1 - filled:k + 1] @ flat(block[:filled])
                 filled = 0
-        else:
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                growth = np.fmax(1.0, norms[-1] / norms[-2])
-                powers = growth[:, None] ** np.arange(1, len(widest_row) - degree)
-                estimate = norms[-1] * (powers @ widest_row[degree + 1:])
-            if np.all(estimate <= atol + rtol * y_peak):
-                spent += estimate
-                if np.any(spent > budget * (1.0 + (end - grid[0]) / full)):
-                    raise IntegrationError(
-                        "the truncation error estimates add up past the tolerance (bound too "
-                        "small, or A far from normal)", t=end, dt=width)
-                accepted += 1
-                widths.append(width)
-                degrees.append(degree)
-                states[row:stop] = out[:stop - row]
-                t, y, row = end, out[-1], stop
-                continue
+            else:
+                with np.errstate(divide="ignore"):
+                    growth = np.fmax(1.0, norms[-1] / norms[-2])
+                    powers = growth[:, None] ** np.arange(1, len(widest_row) - degree)
+                    estimate = norms[-1] * (powers @ widest_row[degree + 1:])
+                if np.all(estimate <= atol + rtol * y_peak):
+                    spent += estimate
+                    if np.any(spent > budget * (1.0 + (end - grid[0]) / full)):
+                        raise IntegrationError(
+                            "the truncation error estimates add up past the tolerance (bound too "
+                            "small, or A far from normal)", t=end, dt=width)
+                    accepted += 1
+                    widths.append(width)
+                    degrees.append(degree)
+                    states[row:stop] = out[:stop - row]
+                    t, y, row = end, out[-1], stop
+                    continue
         rejected += 1
         widest *= 0.5
 

@@ -51,6 +51,32 @@ class TestExitCodes:
         assert "--theta must name at least one angle" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["single-spin", "--rtol", "nan"], "rtol must be positive and finite"),
+        (["single-spin", "--rtol", "inf"], "rtol must be positive and finite"),
+        (["oscillator", "--rtol", "-1"], "rtol must be positive and finite"),
+        (["fig3b", "--rtol", "nan"], "rtol must be positive and finite"),
+        (["fig3b", "--rtol", "0"], "rtol must be positive and finite"),
+        (["fig3b", "--rtol", "1e-60"], "truncation tolerance 0.1 min(rtol, atol) = 1e-61")])
+    def test_bad_tolerance_is_config_error(self, argv, message, capsys, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_several_single_spin_angles_are_a_config_error(self, capsys, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main(["single-spin", "--theta", "0.3,0.9", "--out", str(out)]) == EXIT_CONFIG
+        assert "single-spin expects a single --theta value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["oscillator", "--phi", "inf"], ["oscillator", "--phi", "nan"],
+                                      ["single-spin", "--phi=-inf"], ["fig3a", "--phi", "nan"],
+                                      ["fig3b", "--phi", "inf"], ["fig4b", "--phi", "nan"]])
+    def test_non_finite_phi_is_config_error(self, argv, capsys):
+        assert main(argv) == EXIT_CONFIG
+        assert "--phi must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["single-spin", "oscillator"])
     @pytest.mark.parametrize("t_final", ["0", "-1", "nan", "inf"])
     def test_output_times_not_increasing_or_not_finite_are_config_errors(

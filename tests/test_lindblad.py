@@ -201,6 +201,18 @@ class TestLiouvillianApply:
         with pytest.raises(ValueError):
             liouv.apply(stack[:, :, :-1])
 
+    @pytest.mark.parametrize("kind, size", [("spins", 6), ("oscillator", 30)])
+    @pytest.mark.parametrize("members", [None, 3])
+    def test_complex_rho_is_applied_as_its_real_and_imaginary_planes(self, kind, size, members):
+        liouv = _generator(kind, size, BATHS["mixed"])
+        rng = np.random.default_rng(37)
+        shape = (liouv.dim,) * 2 if members is None else (members,) + (liouv.dim,) * 2
+        rho = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        out = liouv.apply(rho)
+        real, imag = liouv.apply(rho.real), liouv.apply(rho.imag)
+        assert out.dtype == complex and real.dtype == imag.dtype == np.float64
+        assert np.array_equal(out.real, real) and np.array_equal(out.imag, imag)
+
     def test_work_arrays_follow_the_shape(self):
         ops, p = build_collective_ops(DickeSpace(6)), BATHS["mixed"]
         liouv = spin_liouvillian(ops, p)
@@ -226,9 +238,9 @@ class TestLiouvillianApply:
         steady_state(liouv)
         coefs = list(liouv._coefficients.values())
         assert len(coefs) == 9
-        for coef in coefs:  # interleaved, aligned, each value in both halves of an entry
-            assert coef.shape == (2 * dim * dim,) and coef.ctypes.data % 64 == 0
-            assert np.array_equal(coef[0::2], coef[1::2])
+        for coef in coefs:  # one aligned float64 value per entry of rho
+            assert coef.shape == (dim * dim,) and coef.dtype == np.float64
+            assert coef.ctypes.data % 64 == 0
         factors, multiply = [], np.multiply
 
         def spy(*args, **kwargs):
@@ -491,7 +503,7 @@ class TestEvolve:
         (record,) = caplog.records
         message = record.getMessage()
         assert record.levelno == logging.DEBUG
-        assert "batch=4 dim=7" in message and f"rhs_evals={diag['rhs_evals']}" in message
+        assert "batch=4 dim=7 planes=2" in message and f"rhs_evals={diag['rhs_evals']}" in message
         assert 0 < diag["dt_min"] <= diag["dt_max"] <= 0.1
         assert 1 <= diag["degree_min"] <= diag["degree_max"] <= 64
         assert diag["bound"] == liouv.norm_bound()
@@ -536,6 +548,53 @@ class TestEvolve:
         assert traj.diagnostics["max_trace_drift"] <= 1e-10
         assert traj.diagnostics["max_hermiticity_residual"] <= 1e-12
         assert traj.diagnostics["min_eigenvalue"] >= -1e-10
+
+    def test_real_start_propagates_one_real_plane(self, monkeypatch):
+        liouv = oscillator_liouvillian(12, BATHS["mixed"])
+        rho0 = np.zeros((12, 12), dtype=complex)
+        rho0[0, 0] = rho0[1, 1] = rho0[0, 1] = rho0[1, 0] = 0.5
+        handed, real_propagate = [], lindblad.propagate
+
+        def spy(apply, bound, y0, *rest):
+            handed.append(y0)
+            return real_propagate(apply, bound, y0, *rest)
+
+        monkeypatch.setattr(lindblad, "propagate", spy)
+        traj = evolve(liouv, rho0, np.linspace(0.0, 1.0, 5))
+        assert len(handed) == 1 and handed[0].dtype == np.float64
+        assert handed[0].shape == (1, 1, 12, 12)
+        assert traj.states.dtype == complex and traj.states.shape == (5, 12, 12)
+        assert np.all(traj.states.imag == 0.0) and not np.any(np.signbit(traj.states.imag))
+        # a float64 start takes the same path
+        assert np.array_equal(traj.states, evolve(liouv, rho0.real, np.linspace(0.0, 1.0, 5)).states)
+
+    @pytest.mark.parametrize("start", ["float64", "complex"])
+    def test_record_guard_counts_the_real_records_and_the_states(self, start, monkeypatch):
+        # physical memory taken as 64 MiB; the real records and the complex
+        # states each fit in it and together do not. A guard that counts only
+        # one of them lets the run allocate, in a single short window
+        dim, phys = 32, 2 ** 26
+        planes = 1 if start == "float64" else 2
+        times = np.linspace(0.0, 1e-3, phys // ((8 * planes + 12) * dim * dim))
+        assert 16 * len(times) * dim * dim <= phys < (8 * planes + 16) * len(times) * dim * dim
+        liouv = oscillator_liouvillian(dim, SqueezingParams(0.5, 0.0))
+        rho0 = np.zeros((dim, dim))
+        rho0[0, 0] = 1.0
+        if start == "complex":
+            rho0 = np.eye(dim, dtype=complex) / dim
+            rho0[0, 1], rho0[1, 0] = 0.01j, -0.01j
+        page, sysconf = os.sysconf("SC_PAGE_SIZE"), os.sysconf
+        monkeypatch.setattr(os, "sysconf",
+                            lambda name: phys // page if name == "SC_PHYS_PAGES" else sysconf(name))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="physical memory"):
+                evolve(liouv, rho0, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < phys / 100  # no record: the smaller set alone is over a third of phys
+        assert "_coefficients" not in vars(liouv)
 
     def test_record_guard_refuses_before_allocating(self):
         phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -761,6 +820,18 @@ class TestOscillatorOracle:
     def test_insufficient_cutoff_reported(self):
         with pytest.raises(CutoffError):
             oscillator_oracle(SqueezingParams.minimal(2.0), 5.0, cutoff=4)
+
+    def test_start_that_does_not_fit_doubles_the_default_cutoff(self):
+        alpha = 0.7 + 0.3j
+        with pytest.raises(CutoffError, match="does not fit in 10 Fock levels"):
+            lindblad.coherent_state_vector(10, alpha)  # the default cutoff in the vacuum bath
+        traj = oscillator_oracle(SqueezingParams(0.0, 0.0), 2.0, alpha=alpha)
+        assert traj.diagnostics["cutoff"] == 20
+        a = annihilation_operator(20)
+        # in the vacuum bath <a> decays at gamma_p / 2
+        assert traj.expectations(a)[-1] == pytest.approx(alpha.real * math.exp(-1.0), abs=1e-9)
+        assert traj.expectations(-1j * a)[-1] == pytest.approx(alpha.imag * math.exp(-1.0),
+                                                               abs=1e-9)
 
     def test_coherent_state_overflow_reported(self):
         with pytest.raises(CutoffError):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from squeezelax.moments import SpinMoments, SqueezingParams, gardiner_rhs
-from squeezelax.ode import IntegrationError, IntegratorConfig, integrate, propagate
+from squeezelax.ode import (IntegrationError, IntegratorConfig, _chebyshev_series, _widest_beta,
+                            integrate, propagate)
 
 
 def test_adaptive_exponential():
@@ -111,8 +112,10 @@ def test_nonfinite_rhs_reports_context():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(rtol=-1.0)
+    for name in ("dt", "rtol", "atol"):
+        for value in (-1.0, 0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                IntegratorConfig(**{name: value})
     with pytest.raises(ValueError):
         integrate(lambda y, t: -y, np.array([1.0]), (1.0, 0.5), IntegratorConfig())
     # one real state only: stacks and complex states are propagate's
@@ -126,9 +129,28 @@ def test_config_validation():
     for y0 in (np.ones(0), np.ones((0, 3)), np.array([1.0, math.nan])):
         with pytest.raises(ValueError):
             propagate(lambda y: -y, 1.0, y0, 1.0, 1e-10, 1e-12)
-    for rtol, atol in ((0.0, 1e-12), (1e-10, -1.0)):
-        with pytest.raises(ValueError):
+    for rtol, atol in ((0.0, 1e-12), (1e-10, -1.0), (math.nan, 1e-12), (1e-10, math.inf)):
+        with pytest.raises(ValueError, match="must be positive and finite"):
             propagate(lambda y: -y, 1.0, np.ones(2), 1.0, rtol, atol)
+
+
+def test_widest_beta_reads_no_term_past_a_short_series():
+    # below beta of about 7.5 the series ends at or before degree 64
+    assert len(_chebyshev_series(7.5)[1]) <= 65 < len(_chebyshev_series(7.6)[1])
+    assert 8.0 < _widest_beta(1e-54) < 71.0
+    for eps in (1e-55, 1e-61, 5e-324):
+        with pytest.raises(ValueError, match="met by no Chebyshev window of degree 64"):
+            _widest_beta(eps)
+    with pytest.raises(ValueError, match="met by no Chebyshev window"):
+        propagate(lambda y: -y, 1.0, np.ones(2), 1.0, 1e-60, 1e-12)
+
+
+def test_first_term_past_the_ceiling_decides_its_block():
+    # the first term is finite and far past the ceiling, and the next ones
+    # of its block overflow: the window is refused, as a term-by-term check
+    # would refuse it, until the width underflows; nothing non-finite is reported
+    with pytest.raises(IntegrationError, match="window underflow"):
+        propagate(lambda y: -1e200 * y, 1.0, np.ones(3), 1.0, 1e-10, 1e-12)
 
 
 def test_rhs_calls_match_the_reported_count():
