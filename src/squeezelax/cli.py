@@ -16,10 +16,9 @@ import numpy as np
 from .figures import (FigureDataset, check_dim, fig3a_vector_field, fig3b_ellipses,
                       fig4a_rates, fig4b_variance_derivatives)
 from .lindblad import CutoffError, DegenerateSteadyStateError, spin_liouvillian, steady_state
-from .moments import (OscillatorMoments, SpinMoments, SqueezingParams,
-                      gardiner_rhs, minimal_m, oscillator_cov_rhs,
-                      oscillator_mean_rhs)
-from .ode import IntegrationError, IntegratorConfig, integrate
+from .moments import (OscillatorMoments, SpinMoments, SqueezingParams, gardiner_solution,
+                      minimal_m, oscillator_solution)
+from .ode import IntegrationError, _output_times
 from .spin_algebra import DickeSpace, QuantumState, build_collective_ops, expectation
 from .verification import SCOPES, verify
 
@@ -134,8 +133,7 @@ def cmd_fig3a(args) -> int:
 def cmd_fig3b(args) -> int:
     n_list = _spins_list(args.spins)
     thetas = _thetas(args)
-    dataset = fig3b_ellipses(n_list, args.squeezing_n, thetas, _phi_grid(args, 12),
-                             rtol=args.rtol)
+    dataset = fig3b_ellipses(n_list, args.squeezing_n, thetas, _phi_grid(args, 12))
     return _emit(dataset, args)
 
 
@@ -153,13 +151,11 @@ def cmd_fig4b(args) -> int:
     return _emit(dataset, args)
 
 
-def _emit_trajectory(figure: str, columns: list[str], rhs, y0, metadata: dict,
-                     args) -> int:
-    """Integrate a moment system; emit one row per time of a 201-point grid on [0, --t-final]."""
-    with np.errstate(invalid="ignore"):  # integrate rejects the nan times of --t-final inf
-        times = np.linspace(0.0, args.t_final, 201)
-    result = integrate(rhs, y0, times, IntegratorConfig(rtol=args.rtol, atol=1e-14))
-    rows = [(t,) + tuple(state) for t, state in zip(result.times, result.states)]
+def _emit_trajectory(figure: str, columns: list[str], solution, metadata: dict, args) -> int:
+    """Emit solution(times), one row per time of a 201-point grid on [0, --t-final]."""
+    with np.errstate(invalid="ignore"):  # _output_times rejects the nan times of --t-final inf
+        times = _output_times(np.linspace(0.0, args.t_final, 201))
+    rows = [(t,) + tuple(state) for t, state in zip(times, solution(times))]
     return _emit(FigureDataset(figure, ["t"] + columns, rows, metadata), args)
 
 
@@ -170,14 +166,10 @@ def cmd_single_spin(args) -> int:
         raise ConfigError("single-spin expects a single --theta value")
     theta = thetas[0]
     phi = _phi(args, 0.0)
-    y0 = np.array([math.sin(theta) * math.cos(phi),
-                   math.sin(theta) * math.sin(phi), math.cos(theta)])
-
-    def rhs(y, _t):
-        d = gardiner_rhs(SpinMoments(*y), params)
-        return np.array([d.mean_x, d.mean_y, d.mean_z])
-
-    return _emit_trajectory("single-spin", ["mean_x", "mean_y", "mean_z"], rhs, y0,
+    m0 = SpinMoments(math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+                     math.cos(theta))
+    return _emit_trajectory("single-spin", ["mean_x", "mean_y", "mean_z"],
+                            lambda t: gardiner_solution(m0, params, t),
                             {"squeezing_nbar": params.nbar, "squeezing_m": params.m_corr,
                              "theta": theta, "phi": phi}, args)
 
@@ -185,15 +177,11 @@ def cmd_single_spin(args) -> int:
 def cmd_oscillator(args) -> int:
     params = _squeezing(args)
     phi = _phi(args, 0.0)
-    y0 = np.array([2.0 * math.cos(phi), 2.0 * math.sin(phi), 1.0, 1.0, 0.0])
-
-    def rhs(y, _t):
-        m = OscillatorMoments(*y)
-        return np.array(oscillator_mean_rhs(m, params) + oscillator_cov_rhs(m, params))
-
+    m0 = OscillatorMoments(2.0 * math.cos(phi), 2.0 * math.sin(phi))
     return _emit_trajectory("oscillator", ["mean_x", "mean_y", "var_x", "var_y", "cov_xy"],
-                            rhs, y0, {"squeezing_nbar": params.nbar,
-                                      "squeezing_m": params.m_corr, "phi": phi}, args)
+                            lambda t: oscillator_solution(m0, params, t),
+                            {"squeezing_nbar": params.nbar, "squeezing_m": params.m_corr,
+                             "phi": phi}, args)
 
 
 def cmd_steady_state(args) -> int:
@@ -234,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(sub, "fig3b", "uncertainty ellipses before/after a short evolution",
                     cmd_fig3b, 5.0, theta="0.55,0.75,0.87")
     p.add_argument("--spins", default="1,5,15")
-    p.add_argument("--rtol", type=float, default=1e-10)
 
     p = _subcommand(sub, "fig4a", "transverse decay rates versus spin count", cmd_fig4a,
                     0.05, theta="0.55,0.75,0.87", phi=False)
@@ -247,12 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(sub, "single-spin", "Gardiner mean-value trajectory", cmd_single_spin,
                     0.5, theta="0.5", squeezing_m=True)
     p.add_argument("--t-final", type=float, default=3.0)
-    p.add_argument("--rtol", type=float, default=1e-10)
 
     p = _subcommand(sub, "oscillator", "oscillator moment trajectory", cmd_oscillator,
                     1.0, squeezing_m=True)
     p.add_argument("--t-final", type=float, default=20.0)
-    p.add_argument("--rtol", type=float, default=1e-10)
 
     p = _subcommand(sub, "steady-state", "exact collective steady state", cmd_steady_state,
                     0.5, phi=False, squeezing_m=True, fmt=False)

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import __version__
 from .lindblad import evolve, spin_liouvillian
-from .moments import (SqueezingParams, collective_cov_rhs, decay_rates,
-                      input_field_variances, spin_moments_from_state)
+from .moments import (OscillatorMoments, SqueezingParams, collective_cov_rhs, decay_rates,
+                      input_field_variances, oscillator_solution, spin_moments_from_state)
 from .spin_algebra import (BlochAngles, DickeSpace, QuantumState, build_collective_ops,
                            spin_coherent_state)
 
@@ -146,15 +146,15 @@ def _ellipse(var_x: float, var_y: float, cov_xy: float) -> tuple[float, float, f
     return major, minor, tilt
 
 
-def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid,
-                   rtol: float = 1e-10) -> FigureDataset:
+def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid) -> FigureDataset:
     """Uncertainty ellipses of spin coherent states before and after a short evolution.
 
     The exact state is evolved under the master equation for
-    dt = 0.008 * n / gamma_p and the moment functionals are recorded on
-    both endpoints; the states of one (n, theta) on the phi grid are evolved
-    together, as one batch. The oscillator panel evolves a coherent state by
-    the closed-form quadrature solutions for 0.1 / gamma_p.
+    dt = 0.008 * n / gamma_p, at ``evolve``'s default tolerances, and the
+    moment functionals are recorded on both endpoints; the states of one
+    (n, theta) on the phi grid are evolved together, as one batch. The
+    oscillator panel reads a coherent state's moments at 0 and 0.1 / gamma_p
+    from ``oscillator_solution``.
     """
     params = SqueezingParams.minimal(nbar)
     gamma_p = params.gamma_p
@@ -177,7 +177,7 @@ def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid,
         for theta in theta_list:
             states = [spin_coherent_state(space, BlochAngles(theta, phi)) for phi in phi_grid]
             finals = evolve(liouv, np.stack([s.density() for s in states]),
-                            _DT_FACTOR * n / gamma_p, rtol=rtol).final_state
+                            _DT_FACTOR * n / gamma_p).final_state
             for phi, state, final in zip(phi_grid, states, finals):
                 post = QuantumState(final, "matrix")
                 for stage, at in (("pre", state), ("post", post)):
@@ -187,20 +187,14 @@ def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid,
                                  m.var_x, m.var_y, m.cov_xy, major, minor, tilt, scale))
 
     # oscillator panel: coherent state at unit radius, closed-form evolution
-    vx_in, vy_in = input_field_variances(params)
-    dt = _OSCILLATOR_DT / gamma_p
-    decay_mean = math.exp(-0.5 * gamma_p * dt)
-    decay_var = math.exp(-gamma_p * dt)
+    times = (0.0, _OSCILLATOR_DT / gamma_p)
     for phi in phi_grid:
-        mx, my = math.cos(phi), math.sin(phi)
-        for stage, (cx, cy, vx, vy) in (
-                ("pre", (mx, my, 1.0, 1.0)),
-                ("post", (mx * decay_mean, my * decay_mean,
-                          vx_in + (1.0 - vx_in) * decay_var,
-                          vy_in + (1.0 - vy_in) * decay_var))):
-            major, minor, tilt = _ellipse(vx, vy, 0.0)
+        start = OscillatorMoments(math.cos(phi), math.sin(phi))
+        for stage, moments in zip(("pre", "post"), oscillator_solution(start, params, times)):
+            cx, cy, vx, vy, cxy = moments.tolist()
+            major, minor, tilt = _ellipse(vx, vy, cxy)
             rows.append(("oscillator", 0, 0.0, phi, stage, cx, cy,
-                         vx, vy, 0.0, major, minor, tilt, 1.0))
+                         vx, vy, cxy, major, minor, tilt, 1.0))
 
     meta = _base_metadata(params, spins=",".join(str(n) for n in n_list),
                           dt_factor=_DT_FACTOR, oscillator_dt=_OSCILLATOR_DT)

@@ -1,15 +1,19 @@
 """Closed-form moment dynamics for spins and oscillators in a squeezed bath.
 
-Single-spin (Gardiner) mean equations, oscillator mean/covariance ODEs,
-collective-spin mean and covariance right-hand sides evaluated on an exact
-state, angle-dependent decay rates, and their split into field-fluctuation
-and self-reaction contributions.
+Single-spin (Gardiner) mean equations and oscillator mean/covariance ODEs,
+with their exact solutions: each moment relaxes exponentially to its fixed
+point, so a trajectory is evaluated in closed form at any times, not
+stepped. Collective-spin mean and covariance right-hand sides evaluated on
+an exact state, angle-dependent decay rates, and their split into
+field-fluctuation and self-reaction contributions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .spin_algebra import (CollectiveOps, QuantumState, expectation, product_expectation,
                            sym_covariance, third_moment)
@@ -21,9 +25,12 @@ __all__ = [
     "RateDecomposition",
     "minimal_m",
     "input_field_variances",
+    "relaxation",
     "gardiner_rhs",
+    "gardiner_solution",
     "oscillator_mean_rhs",
     "oscillator_cov_rhs",
+    "oscillator_solution",
     "collective_mean_rhs",
     "collective_cov_rhs",
     "decay_rates",
@@ -133,6 +140,15 @@ def input_field_variances(p: SqueezingParams) -> tuple[float, float]:
     return (2 * p.nbar + 2 * p.m_corr + 1.0, 2 * p.nbar - 2 * p.m_corr + 1.0)
 
 
+def relaxation(y0, y_inf, rate: float, t) -> np.ndarray:
+    """y_inf + (y0 - y_inf) e^(-rate t), the solution of dy/dt = -rate (y - y_inf), y(0) = y0.
+
+    Elementwise over t (and over y0, y_inf by broadcasting); exactly y0 at t = 0.
+    """
+    t = np.asarray(t, dtype=float)
+    return np.where(t == 0.0, y0, y_inf + (y0 - y_inf) * np.exp(-rate * t))
+
+
 def gardiner_rhs(m: SpinMoments, p: SqueezingParams) -> SpinMoments:
     """Mean-value derivatives for a single spin in a squeezed reservoir.
 
@@ -148,6 +164,20 @@ def gardiner_rhs(m: SpinMoments, p: SqueezingParams) -> SpinMoments:
     )
 
 
+def gardiner_solution(m0: SpinMoments, p: SqueezingParams, t) -> np.ndarray:
+    """The means solving ``gardiner_rhs`` from those of m0, at every time in t.
+
+    Columns (mean_x, mean_y, mean_z) along a last axis after t's shape: the
+    transverse means decay at gp (nbar +- m + 1/2), and <sz> relaxes at
+    gp (2 nbar + 1) to -1 / (2 nbar + 1) (Gardiner, PRL 56, 1917 (1986)).
+    """
+    gp, nb, mc = p.gamma_p, p.nbar, p.m_corr
+    return np.stack([relaxation(m0.mean_x, 0.0, gp * (nb + mc + 0.5), t),
+                     relaxation(m0.mean_y, 0.0, gp * (nb - mc + 0.5), t),
+                     relaxation(m0.mean_z, -1.0 / (2 * nb + 1.0), gp * (2 * nb + 1.0), t)],
+                    axis=-1)
+
+
 def oscillator_mean_rhs(m: OscillatorMoments, p: SqueezingParams) -> tuple[float, float]:
     """Quadrature mean derivatives: symmetric damping at gamma_p / 2, independent of squeezing."""
     return (-0.5 * p.gamma_p * m.mean_x, -0.5 * p.gamma_p * m.mean_y)
@@ -158,6 +188,21 @@ def oscillator_cov_rhs(m: OscillatorMoments, p: SqueezingParams) -> tuple[float,
     vx_in, vy_in = input_field_variances(p)
     gp = p.gamma_p
     return (-gp * (m.var_x - vx_in), -gp * (m.var_y - vy_in), -gp * m.cov_xy)
+
+
+def oscillator_solution(m0: OscillatorMoments, p: SqueezingParams, t) -> np.ndarray:
+    """The moments solving ``oscillator_mean_rhs`` and ``oscillator_cov_rhs`` from m0, at every time in t.
+
+    Columns (mean_x, mean_y, var_x, var_y, cov_xy) along a last axis after
+    t's shape: the means decay at gp / 2 and the covariances relax at gp to
+    the input-field variances, whatever the squeezing.
+    """
+    vx_in, vy_in = input_field_variances(p)
+    gp = p.gamma_p
+    return np.stack([relaxation(m0.mean_x, 0.0, 0.5 * gp, t),
+                     relaxation(m0.mean_y, 0.0, 0.5 * gp, t),
+                     relaxation(m0.var_x, vx_in, gp, t), relaxation(m0.var_y, vy_in, gp, t),
+                     relaxation(m0.cov_xy, 0.0, gp, t)], axis=-1)
 
 
 def collective_mean_rhs(state: QuantumState, ops: CollectiveOps,

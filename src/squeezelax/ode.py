@@ -1,4 +1,4 @@
-"""Deterministic time stepping: adaptive RK45 for real systems, Chebyshev series for exp(tA).
+"""Deterministic time stepping: Chebyshev series for exp(tA), and adaptive RK45 as its reference.
 
 Two engines share the validation of output times, the memory guard and the
 record array.
@@ -8,7 +8,8 @@ record array.
 Wanner, Solving ODEs I, II.5). Its last stage is the derivative at the
 step's 5th-order endpoint, so on an accepted step it is reused as the next
 step's first stage (first same as last) and every attempted step costs six
-RHS evaluations. It serves the moment ODEs of the CLI.
+RHS evaluations. It is the reference ``propagate`` is tested against, and
+runs on no production path.
 
 ``propagate`` computes exp(tA) y0 for a linear, time-independent A whose
 spectrum lies in the half disc |z| <= a, Re z <= 0, as a Chebyshev series
@@ -154,9 +155,8 @@ def integrate(rhs, y0, times, cfg: IntegratorConfig) -> IntegrationResult:
     cut. The records fill one (len(times), size) array, allocated after a
     memory guard. The error norm is the RMS over the state's entries.
 
-    Diagnostics: accepted and rejected steps, RHS evaluations, and the
-    smallest and largest accepted step the controller chose, dt_min and
-    dt_max; steps cut short to land on an output time count only if no other was.
+    It is the independent reference that ``propagate`` is tested against.
+    Diagnostics: accepted and rejected steps, and RHS evaluations.
     """
     y0 = np.asarray(y0)
     if y0.ndim != 1 or np.iscomplexobj(y0):
@@ -170,7 +170,6 @@ def integrate(rhs, y0, times, cfg: IntegratorConfig) -> IntegrationResult:
     grid = times.tolist()  # a numpy scalar times an array costs microseconds more per step
     t, y = grid[0], y0
     h = min(cfg.dt, grid[-1] - grid[0])
-    dt_min, dt_max = math.inf, 0.0
     accepted = rejected = 0
     k = np.empty((7, y0.size))
     k[0] = f(y, t)
@@ -197,8 +196,6 @@ def integrate(rhs, y0, times, cfg: IntegratorConfig) -> IntegrationResult:
                 accepted += 1
                 if last:
                     proposal = max(proposal, h)
-                else:
-                    dt_min, dt_max = min(dt_min, step), max(dt_max, step)
             else:
                 rejected += 1
             h = proposal
@@ -208,11 +205,8 @@ def integrate(rhs, y0, times, cfg: IntegratorConfig) -> IntegrationResult:
                 h = _DT_MIN
         states[row] = y
 
-    if dt_max == 0.0:  # every step was cut short: one per output interval
-        dt_min, dt_max = float(np.min(np.diff(times))), float(np.max(np.diff(times)))
     diagnostics = {"accepted": accepted, "rejected": rejected,
-                   "rhs_evals": 1 + 6 * (accepted + rejected),
-                   "dt_min": dt_min, "dt_max": dt_max}
+                   "rhs_evals": 1 + 6 * (accepted + rejected)}
     return IntegrationResult(times, states, diagnostics)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .lindblad import (annihilation_operator, evolve, oscillator_liouvillian,
                        oscillator_oracle, spin_liouvillian, steady_state)
 from .moments import (SqueezingParams, SpinMoments, collective_cov_rhs,
-                      collective_mean_rhs, decay_rates, gardiner_rhs,
+                      collective_mean_rhs, decay_rates, gardiner_rhs, gardiner_solution,
                       input_field_variances, rate_decomposition)
 from .spin_algebra import (BlochAngles, DickeSpace, QuantumState,
                            build_collective_ops, expectation, product_expectation,
@@ -55,25 +55,35 @@ def fit_decay_rate(times, values) -> float:
     return -np.polyfit(times, np.log(vals), 1, w=vals ** 2)[0]
 
 
+def _dark_amplitudes(s: np.ndarray, nbar: float) -> np.ndarray:
+    """The normalized psi with c|psi> = 0, c = sqrt(nbar + 1) d - sqrt(nbar) d+, in O(len(s)).
+
+    d lowers level k to k - 1 with the real amplitude s[k] (s[0] is not
+    read). Row j of c|psi> = 0 reads
+    sqrt(nbar + 1) s_{j+1} psi_{j+1} = sqrt(nbar) s_j psi_{j-1}, so from
+    psi_0 = 1 the even levels follow by one running product and the odd
+    levels stay empty.
+    """
+    amps = np.zeros(len(s))
+    amps[0] = 1.0
+    amps[2::2] = np.cumprod(math.sqrt(nbar / (nbar + 1.0)) * s[1:-1:2] / s[2::2])
+    return amps / np.linalg.norm(amps)
+
+
 def dark_state(n: int, nbar: float) -> np.ndarray:
     """Pure steady state of n spins (n even) in the minimum-uncertainty bath.
 
     With M = sqrt(nbar (nbar + 1)) the generator has the single jump
     operator c = sqrt(nbar + 1) S- - sqrt(nbar) S+, and the steady state is
-    the dark state c|psi> = 0 (Agarwal & Puri, PRA 41, 3782 (1990)). With
-    s_k = sqrt(k (n - k + 1)) the Dicke amplitudes obey
-    sqrt(nbar + 1) s_{j+1} psi_{j+1} = sqrt(nbar) s_j psi_{j-1}, which
-    leaves the odd levels empty, ends consistently only for even n, and
-    costs O(n).
+    the dark state c|psi> = 0 (Agarwal & Puri, PRA 41, 3782 (1990)): the
+    recursion of ``_dark_amplitudes`` on the Dicke ladder
+    s_k = sqrt(k (n - k + 1)), which ends consistently (c's top row,
+    s_n psi_{n-1} = 0) only for even n.
     """
     if n < 2 or n % 2:
         raise ValueError(f"the dark state needs an even spin count >= 2, got {n}")
-    j = np.arange(1, n, 2, dtype=float)
-    s_j, s_next = np.sqrt(j * (n - j + 1)), np.sqrt((j + 1) * (n - j))
-    amps = np.zeros(n + 1)
-    amps[0] = 1.0
-    amps[2::2] = np.cumprod(math.sqrt(nbar / (nbar + 1.0)) * s_j / s_next)
-    return amps / np.linalg.norm(amps)
+    k = np.arange(n + 1, dtype=float)
+    return _dark_amplitudes(np.sqrt(k * (n - k + 1)), nbar)
 
 
 def _d_cov(a: np.ndarray, b: np.ndarray, rho: np.ndarray, drho: np.ndarray) -> float:
@@ -302,24 +312,23 @@ def _single_spin_steady_state(rng) -> float:
 
 
 def _single_spin_closed_form_means(rng) -> float:
-    """Two Bloch vectors in four baths against Gardiner's means (PRL 56, 1917 (1986)).
+    """Two Bloch vectors in four baths against ``gardiner_solution``, the means the CLI prints.
 
     With gamma_p = 1: <sx> = x0 exp(-(nbar + m + 1/2) t), <sy> = y0 exp(-(nbar - m + 1/2) t)
-    and <sz> = z_inf + (z0 - z_inf) exp(-(2 nbar + 1) t), z_inf = -1/(2 nbar + 1).
+    and <sz> = z_inf + (z0 - z_inf) exp(-(2 nbar + 1) t), z_inf = -1/(2 nbar + 1)
+    (Gardiner, PRL 56, 1917 (1986)).
     """
     ops = build_collective_ops(DickeSpace(1))
-    x0, y0, z0 = bloch = np.array([(0.6, 0.0), (0.3, 0.8), (0.5, -0.4)])
+    bloch = np.array([(0.6, 0.0), (0.3, 0.8), (0.5, -0.4)])
     rho0 = 0.5 * (np.eye(2) + np.einsum("kb,kij->bij", bloch, np.stack([ops.sx, ops.sy, ops.sz])))
-    t = np.linspace(0.0, 3.0, 61)[:, None]
+    t = np.linspace(0.0, 3.0, 61)
     residual = 0.0
     for nbar, m in ((0.5, math.sqrt(0.75)), (0.5, 0.2), (2.0, 1.0), (0.0, 0.0)):
-        traj = evolve(spin_liouvillian(ops, SqueezingParams(nbar, m)), rho0, t[:, 0],
-                      rtol=1e-12, atol=1e-14)
-        z_inf = -1.0 / (2 * nbar + 1)
-        for op, want in ((ops.sx, x0 * np.exp(-(nbar + m + 0.5) * t)),
-                         (ops.sy, y0 * np.exp(-(nbar - m + 0.5) * t)),
-                         (ops.sz, z_inf + (z0 - z_inf) * np.exp(-(2 * nbar + 1) * t))):
-            residual = max(residual, float(np.max(np.abs(traj.expectations(op) - want))))
+        params = SqueezingParams(nbar, m)
+        traj = evolve(spin_liouvillian(ops, params), rho0, t, rtol=1e-12, atol=1e-14)
+        want = gardiner_solution(SpinMoments(*bloch), params, t[:, None])
+        for k, op in enumerate((ops.sx, ops.sy, ops.sz)):
+            residual = max(residual, float(np.max(np.abs(traj.expectations(op) - want[..., k]))))
     return residual
 
 
@@ -437,18 +446,15 @@ def _oscillator_squeezed_vacuum(rng) -> float:
     with sinh^2 r = nbar, and c|psi> = 0 gives
     sqrt(nbar + 1) sqrt(k + 1) psi_{k+1} = sqrt(nbar) sqrt(k) psi_{k-1}:
     the squeezed vacuum, psi_2k proportional to tanh(r)^k sqrt((2k)!) / (2^k k!),
-    with every amplitude positive for M >= 0. Checked at Fock cutoffs 120
-    (nbar = 0.05, 0.5) and 200 (nbar = 2), where the tail beyond the cutoff
-    is below 1e-17.
+    with every amplitude positive for M >= 0: the recursion of
+    ``_dark_amplitudes`` on the Fock ladder s_k = sqrt(k). Checked at Fock
+    cutoffs 120 (nbar = 0.05, 0.5) and 200 (nbar = 2), where the tail beyond
+    the cutoff is below 1e-17.
     """
     residual = 0.0
     for nbar, cutoff in ((0.05, 120), (0.5, 120), (2.0, 200)):
         rho = steady_state(oscillator_liouvillian(cutoff, SqueezingParams.minimal(nbar)))
-        k = np.arange(1, (cutoff - 1) // 2 + 1)
-        amps = np.zeros(cutoff)
-        amps[0] = 1.0
-        amps[2::2] = np.cumprod(math.sqrt(nbar / (nbar + 1.0)) * np.sqrt((2 * k - 1) / (2 * k)))
-        psi = amps / np.linalg.norm(amps)
+        psi = _dark_amplitudes(np.sqrt(np.arange(cutoff, dtype=float)), nbar)
         residual = max(residual, abs(1.0 - np.vdot(psi, rho @ psi).real))
     return residual
 

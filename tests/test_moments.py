@@ -6,9 +6,9 @@ import pytest
 
 from squeezelax.moments import (OscillatorMoments, SpinMoments, SqueezingParams,
                                 collective_cov_rhs, collective_mean_rhs,
-                                decay_rates, gardiner_rhs, input_field_variances,
-                                minimal_m, oscillator_cov_rhs,
-                                oscillator_mean_rhs,
+                                decay_rates, gardiner_rhs, gardiner_solution,
+                                input_field_variances, minimal_m, oscillator_cov_rhs,
+                                oscillator_mean_rhs, oscillator_solution,
                                 oscillator_rate_decomposition,
                                 rate_decomposition, spin_moments_from_state)
 from squeezelax.spin_algebra import (BlochAngles, DickeSpace, QuantumState,
@@ -110,6 +110,38 @@ class TestOscillatorRhs:
     def test_heisenberg_bound_enforced(self):
         with pytest.raises(ValueError):
             OscillatorMoments(0.0, 0.0, 0.5, 0.5, 0.0)
+
+
+# a vacuum, a minimum-uncertainty and a mixed bath
+BATHS = [SqueezingParams(0.0, 0.0), SqueezingParams.minimal(0.5, gamma_p=1.7),
+         SqueezingParams(1.0, 0.3, gamma_p=0.6)]
+
+
+class TestExactSolutions:
+    @pytest.mark.parametrize("p", BATHS)
+    def test_start_is_returned_bit_for_bit(self, p):
+        # z_inf + (z0 - z_inf) rounds away from z0 for these starts
+        spin = SpinMoments(0.1, -0.7, 0.1 + 1e-16)
+        osc = OscillatorMoments(-0.3, 1.9, 1.0 + 2e-16, 3.7, 0.1)
+        times = np.array([0.0, 0.5])
+        assert gardiner_solution(spin, p, 0.0).tolist() == [0.1, -0.7, 0.1 + 1e-16]
+        assert gardiner_solution(spin, p, times)[0].tolist() == [0.1, -0.7, 0.1 + 1e-16]
+        assert oscillator_solution(osc, p, times)[0].tolist() == [-0.3, 1.9, 1.0 + 2e-16, 3.7, 0.1]
+
+    @pytest.mark.parametrize("p", BATHS)
+    def test_central_difference_matches_the_rhs(self, p):
+        h = 1e-5
+        for t in (0.3, 1.1, 4.0):
+            spin = gardiner_solution(SpinMoments(0.6, -0.5, 0.4), p, (t - h, t, t + h))
+            d = gardiner_rhs(SpinMoments(*spin[1]), p)
+            assert np.allclose((spin[2] - spin[0]) / (2 * h), (d.mean_x, d.mean_y, d.mean_z),
+                               rtol=0.0, atol=1e-8)
+            osc = oscillator_solution(OscillatorMoments(2.0, -1.0, 1.5, 0.9, 0.3), p,
+                                      (t - h, t, t + h))
+            m = OscillatorMoments(*osc[1])
+            assert np.allclose((osc[2] - osc[0]) / (2 * h),
+                               oscillator_mean_rhs(m, p) + oscillator_cov_rhs(m, p),
+                               rtol=0.0, atol=1e-8)
 
 
 class TestCollectiveMeanRhs:
