@@ -24,5 +24,5 @@ from .lindblad import (CutoffError, DegenerateSteadyStateError, Liouvillian,
                        oscillator_liouvillian, oscillator_oracle,
                        spin_liouvillian, steady_state)
 from .figures import (FigureDataset, fig3a_vector_field, fig3b_ellipses,
-                      fig4a_rates, fig4b_variance_derivatives, max_hilbert_dim)
+                      fig4a_rates, fig4b_variance_derivatives)
 from .verification import verify

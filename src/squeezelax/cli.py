@@ -13,8 +13,8 @@ import sys
 
 import numpy as np
 
-from .figures import (FigureDataset, check_dim, fig3a_vector_field, fig3b_ellipses,
-                      fig4a_rates, fig4b_variance_derivatives)
+from .figures import (FigureDataset, fig3a_vector_field, fig3b_ellipses, fig4a_rates,
+                      fig4b_variance_derivatives)
 from .lindblad import CutoffError, DegenerateSteadyStateError, spin_liouvillian, steady_state
 from .moments import (OscillatorMoments, SpinMoments, SqueezingParams, gardiner_solution,
                       minimal_m, oscillator_solution)
@@ -190,7 +190,6 @@ def cmd_steady_state(args) -> int:
     if len(n_list) != 1:
         raise ConfigError("steady-state expects a single --spins value")
     n = n_list[0]
-    check_dim(n + 1)
     ops = build_collective_ops(DickeSpace(n))
     rho = steady_state(spin_liouvillian(ops, params))
     state = QuantumState(rho, "matrix")

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .lindblad import evolve, spin_liouvillian
+from .lindblad import _check_evolve_memory, evolve, spin_liouvillian
 from .moments import (OscillatorMoments, SqueezingParams, collective_cov_rhs, decay_rates,
                       input_field_variances, oscillator_solution, spin_moments_from_state)
 from .spin_algebra import (BlochAngles, DickeSpace, QuantumState, build_collective_ops,
@@ -23,8 +22,6 @@ from .spin_algebra import (BlochAngles, DickeSpace, QuantumState, build_collecti
 
 __all__ = [
     "FigureDataset",
-    "max_hilbert_dim",
-    "check_dim",
     "fig3a_vector_field",
     "fig3b_ellipses",
     "fig4a_rates",
@@ -35,19 +32,6 @@ __all__ = [
 _ELLIPSE_SCALES = {1: 0.12, 5: 0.25, 15: 0.4}
 _DT_FACTOR = 0.008
 _OSCILLATOR_DT = 0.1
-
-
-def max_hilbert_dim() -> int:
-    """Resource cap on Hilbert dimension, overridable via SQUEEZELAX_MAX_DIM."""
-    return int(os.environ.get("SQUEEZELAX_MAX_DIM", "512"))
-
-
-def check_dim(dim: int):
-    """Refuse a Hilbert dimension above max_hilbert_dim() with a ValueError."""
-    cap = max_hilbert_dim()
-    if dim > cap:
-        raise ValueError(f"Hilbert dimension {dim} exceeds the cap {cap} "
-                         f"(set SQUEEZELAX_MAX_DIM to raise it)")
 
 
 def _fmt(value) -> str:
@@ -116,7 +100,6 @@ def fig3a_vector_field(n_list, nbar: float, theta_grid, phi_grid) -> FigureDatas
                "dmean_x", "dmean_y", "rate_x", "rate_y"]
     rows = []
     for n in n_list:
-        check_dim(n + 1)
         for theta in theta_grid:
             gx, gy = decay_rates(n, theta, params)
             for phi in phi_grid:
@@ -155,6 +138,11 @@ def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid) -> FigureDataset:
     (n, theta) on the phi grid are evolved together, as one batch. The
     oscillator panel reads a coherent state's moments at 0 and 0.1 / gamma_p
     from ``oscillator_solution``.
+
+    ``evolve``'s memory estimate for the largest n (two planes and two
+    records per member of the phi grid) is checked before any ops are
+    built or densities stacked: ValueError refuses a run whose evolution
+    would not fit in physical memory.
     """
     params = SqueezingParams.minimal(nbar)
     gamma_p = params.gamma_p
@@ -167,7 +155,7 @@ def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid) -> FigureDataset:
                "var_x", "var_y", "cov_xy", "axis_major", "axis_minor",
                "tilt", "scale"]
 
-    check_dim(max(n_list, default=0) + 1)
+    _check_evolve_memory(len(phi_grid), max(n_list, default=0) + 1, records=2, planes=2)
     rows = []
     for n in n_list if phi_grid else ():
         space = DickeSpace(n)
@@ -227,7 +215,6 @@ def fig4b_variance_derivatives(n_values, nbar: float, theta_list,
     theta_list = [float(t) for t in theta_list]
     columns = ["system", "n", "theta", "phi", "dvar_x", "dvar_y", "dcov_xy"]
 
-    check_dim(max(n_values, default=0) + 1)
     rows = []
     for n in n_values:
         space = DickeSpace(n)

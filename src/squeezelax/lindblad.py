@@ -91,7 +91,7 @@ from functools import cached_property
 import numpy as np
 
 from .moments import SqueezingParams
-from .ode import _check_memory, _output_times, propagate
+from .ode import _BLOCK, _check_memory, _output_times, propagate
 from .spin_algebra import CollectiveOps, QuantumState
 
 __all__ = [
@@ -406,6 +406,29 @@ def _state_diagnostics(states: np.ndarray) -> dict:
     }
 
 
+def _check_evolve_memory(members: int, dim: int, records: int, planes: int):
+    """Refuse, with ValueError, an ``evolve`` whose arrays would not fit in physical memory.
+
+    The call propagates ``members`` dim x dim states, recorded at
+    ``records`` output times, as ``planes`` real planes each (``evolve``
+    takes one or two). With E = members dim^2, the estimate counts each
+    array at its largest, as if all were alive at once: the complex input
+    and states, 16 E (1 + records) bytes; 8 planes E bytes for each of the
+    real start, the records, the 8-term block of ``ode.propagate`` and the
+    |.| it takes of it at the growth check, a window's outputs and the
+    product added to them (up to one row per output time each), and
+    ``apply``'s padded copy (with 4 dim more entries per plane), two
+    products and result; and the stencil's 72 dim^2. Python objects and
+    the cached Chebyshev series are not counted. ``fig3b_ellipses`` calls
+    it before it stacks its densities.
+    """
+    entries = members * dim * dim
+    planes_bytes = 8 * planes * entries
+    _check_memory(16 * entries * (1 + records) + planes_bytes * (5 + 3 * records + 2 * _BLOCK)
+                  + 32 * planes * members * dim + 72 * dim * dim,
+                  f"evolving {members} states of dim {dim} to {records} records")
+
+
 def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
            rtol: float = 1e-10, atol: float = 1e-12) -> Trajectory:
     """Propagate the master equation from rho0 and record rho at ``times``.
@@ -421,9 +444,11 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
     Im rho, and P = 1 the real part alone when every member's imaginary
     part is exactly zero, which then stays zero. Each member's peak is
     taken over its planes, as it would be over the complex entries, and
-    the planes are put back together into the complex ``states``. A memory
-    guard refuses, before anything of their size is allocated, records
-    that with those states would exceed physical memory.
+    the planes are put back together into the complex ``states``. Before
+    anything of their size is allocated, ``_check_evolve_memory`` refuses
+    with ValueError a call whose input, planes, records, states and the
+    arrays ``ode.propagate`` and ``apply`` hold during a window would not
+    fit in physical memory.
 
     Every generator takes the same path: ``ode.propagate`` sums a Chebyshev
     series of exp(h L) over windows of length h, one ``liouv.apply`` per
@@ -453,9 +478,7 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
     stack = rho0 if rho0.ndim == 3 else rho0[None]
     times = _output_times(times)
     planes = 2 if np.any(stack.imag) else 1
-    # the real records and the complex states are held together at the end
-    _check_memory(len(times) * (8 * planes + 16) * stack.size,
-                  f"{len(times)} records of {stack.size} complex values")
+    _check_evolve_memory(len(stack), dim, len(times), planes)
     y0 = np.stack((stack.real, stack.imag), axis=1) if planes == 2 else stack.real[:, None].copy()
     result = propagate(liouv.apply, liouv.norm_bound, y0, times, rtol, atol)
     states = np.empty((len(times),) + rho0.shape, dtype=complex)
@@ -675,14 +698,15 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     for each coherence of the largest sector, where n is the largest level,
     and the diagonal, coupling and Schur blocks in flight and the solver's
     copies hold at most 8 n^2 more, at 8 bytes an entry (the blocks are
-    real), so at least 4 dim^3 bytes. 1 KiB per entry of rho covers the
-    O(dim^2) arrays: the stencil's coefficients (72 bytes per entry, the
-    one copy that ``apply``, the blocks and the sums all read), the row and
-    column sums and the state, with a sector's draw of b and its mask;
-    then, at the residual, ``apply``'s work arrays, the real and imaginary
-    planes of the state and the state's Hermitian part. Traced at n = 160
-    and 320, the residual peaks at about 168 bytes per entry, and the
-    coefficients and work arrays left on the generator hold 120.
+    real), so at least 4 dim^3 bytes. 168 bytes per entry of rho cover the
+    O(dim^2) arrays at the residual, where they peak: the stencil's
+    coefficients (72, the one copy that ``apply``, the blocks and the sums
+    all read), the state (16), its real and imaginary planes (16) and
+    ``apply``'s padded copy, two products and result (64). During the
+    sweep the coefficients, the row and column sums, the state and a
+    sector's draw of b and its scatter hold about 128. Traced at n = 160
+    and 320 (nbar = 0.5, m = 0.2), the peak is about 0.7 of the estimate;
+    the first dim refused on a 7.84 GiB machine is 1262.
 
     One DEBUG line gives each sector's size, level count, largest level and
     sigma / s0, the residual, the wall time, and within it the seconds
@@ -695,7 +719,7 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     sectors = [orders for orders in (_orders(dim, 0), _orders(dim, 1)) if orders]
     largest = dim  # the order-0 level, in the even sector, which is the larger
     _check_memory(8 * ((dim * dim + 1) // 2 * (largest + 3) + 8 * largest ** 2)
-                  + 1024 * dim ** 2, f"the steady-state solve at dim {dim}")
+                  + 168 * dim ** 2, f"the steady-state solve at dim {dim}")
     sums = _trace_row_sums(liouv)  # builds the stencil, if no call before did
     seconds = np.array([time.perf_counter() - start, 0.0])  # building, solving
     rng = np.random.default_rng(0)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ode import _check_memory
+
 __all__ = [
     "DickeSpace",
     "BlochAngles",
@@ -121,9 +123,14 @@ def build_collective_ops(space: DickeSpace) -> CollectiveOps:
     """Construct S-, S+, Sx, Sy, Sz as dense complex matrices.
 
     S- lowers the excitation number: S-|k> = sqrt(k (n-k+1)) |k-1>.
+    The five matrices hold 80 bytes per entry, and the build peaks at 88
+    while Sz is cast from its float diagonal; with 32 bytes per level for
+    the diagonals, a build whose 88 dim^2 + 32 dim bytes exceed physical
+    memory raises ValueError before anything is allocated.
     """
-    n = space.n
-    k = np.arange(space.dim, dtype=float)
+    n, dim = space.n, space.dim
+    _check_memory(88 * dim ** 2 + 32 * dim, f"building the collective operators at dim {dim}")
+    k = np.arange(dim, dtype=float)
     sm = np.diag(np.sqrt(k[1:] * (n - k[1:] + 1)), 1).astype(complex)
     sp = sm.conj().T
     sx = sm + sp

@@ -71,22 +71,10 @@ class TestExitCodes:
         assert main([command, "--t-final", t_final]) == EXIT_CONFIG
         assert "times must be" in capsys.readouterr().err
 
-    def test_dimension_cap_is_config_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("SQUEEZELAX_MAX_DIM", "8")
-        assert main(["fig3a", "--spins", "1,20", "--theta", "0.75",
-                     "--phi", "0.0"]) == EXIT_CONFIG
-        capsys.readouterr()
-
-    def test_steady_state_dimension_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("SQUEEZELAX_MAX_DIM", "8")
-        assert main(["steady-state", "--spins", "20"]) == EXIT_CONFIG
-        assert "exceeds the cap 8" in capsys.readouterr().err
-
-    def test_steady_state_memory_guard(self, capsys, monkeypatch):
+    def test_steady_state_memory_guard(self, capsys):
         # spins whose block solve (at least 4 dim^3 bytes) exceeds physical memory
         phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         n = max(400, int((phys / 4) ** (1 / 3)) + 1)
-        monkeypatch.setenv("SQUEEZELAX_MAX_DIM", str(max(1000, n + 1)))
         tracemalloc.start()
         try:
             assert main(["steady-state", "--spins", str(n)]) == EXIT_CONFIG
@@ -97,6 +85,31 @@ class TestExitCodes:
         # only the five dense collective ops (80 bytes per matrix entry) are
         # built before the guard
         assert peak < 160 * (n + 1) ** 2
+
+    @pytest.mark.parametrize("argv", [["fig4b", "--spins", "1000,1000"],
+                                      ["steady-state", "--spins", "300"],
+                                      ["fig3b", "--spins", "200", "--theta", "0.75"]])
+    def test_work_past_physical_memory_is_config_error(self, argv, capsys, monkeypatch,
+                                                       tmp_path):
+        # physical memory taken as 64 MiB: the collective ops (88 bytes per
+        # matrix entry) do not fit at n = 1000, and at n = 300 and 200 they
+        # fit but the steady-state solve and fig3b's evolution do not
+        phys, n = 2 ** 26, int(argv[2].split(",")[0])
+        page, sysconf = os.sysconf("SC_PAGE_SIZE"), os.sysconf
+        monkeypatch.setattr(os, "sysconf",
+                            lambda name: phys // page if name == "SC_PHYS_PAGES" else sysconf(name))
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "physical memory" in capsys.readouterr().err
+        assert not out.exists()
+        # at most the ops and the generator's copy of S-: refused before the
+        # solve, and before fig3b stacks its 12 densities (192 bytes per entry)
+        assert peak < 2 * 88 * (n + 1) ** 2
 
     def test_degenerate_steady_state_is_solver_failure(self, capsys, monkeypatch):
         def degenerate(_liouv):
@@ -149,6 +162,13 @@ class TestExitCodes:
         assert documented == accepted
 
 
+def _csv_rows(path) -> list[dict]:
+    """The data rows of a dataset CSV, as dicts keyed by column, values kept as written."""
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    columns = lines[0].split(",")
+    return [dict(zip(columns, line.split(","))) for line in lines[1:]]
+
+
 class TestFigureCommands:
     def test_fig4a_writes_csv(self, tmp_path):
         out = tmp_path / "fig4a.csv"
@@ -177,6 +197,19 @@ class TestFigureCommands:
         payload = json.loads(out.read_text())
         assert payload["figure"] == "fig3a"
         assert "rate_x" in payload["columns"]
+
+    def test_fig3a_builds_no_hilbert_space(self, tmp_path):
+        # its rates are fig4a's closed form, so any spin count runs
+        fig3a, fig4a = tmp_path / "fig3a.csv", tmp_path / "fig4a.csv"
+        assert main(["fig3a", "--spins", "600", "--theta", "0.75", "--phi", "0",
+                     "--out", str(fig3a)]) == EXIT_OK
+        assert main(["fig4a", "--spins", "600,601", "--squeezing-n", "0.5", "--theta", "0.75",
+                     "--out", str(fig4a)]) == EXIT_OK
+        spins = [row for row in _csv_rows(fig3a) if row["system"] == "spins"]
+        assert len(spins) == 1
+        expected = next(row for row in _csv_rows(fig4a) if row["n"] == "600")
+        assert (spins[0]["rate_x"], spins[0]["rate_y"]) == (expected["rate_x"],
+                                                            expected["rate_y"])
 
     def test_fig3b_runs_end_to_end(self, tmp_path):
         out = tmp_path / "fig3b.csv"

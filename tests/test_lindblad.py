@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from squeezelax import lindblad
+from squeezelax import lindblad, spin_algebra
 from squeezelax.lindblad import (CutoffError, DegenerateSteadyStateError,
                                  Liouvillian, annihilation_operator, dissipator,
                                  evolve, oscillator_liouvillian,
@@ -836,3 +836,63 @@ class TestOscillatorOracle:
     def test_coherent_state_overflow_reported(self):
         with pytest.raises(CutoffError):
             oscillator_oracle(SqueezingParams(0.0, 0.0), 1.0, cutoff=6, alpha=4.0)
+
+
+def _fig3b_batch(n: int):
+    """fig3b's batch at n: 12 coherent states on the phi grid, two planes, two records."""
+    space = DickeSpace(n)
+    liouv = spin_liouvillian(build_collective_ops(space), SqueezingParams.minimal(5.0))
+    densities = [spin_coherent_state(space, BlochAngles(0.75 * math.pi, 2 * math.pi * k / 12))
+                 .density() for k in range(12)]
+    # the stack is the complex input the estimate counts, so it is traced
+    return lambda: evolve(liouv, np.stack(densities), 1e-3)
+
+
+def _vacuum_start(cutoff: int, times):
+    """The oscillator oracle's real vacuum start (one plane) under N = 1, M = sqrt(2)."""
+    liouv = oscillator_liouvillian(cutoff, SqueezingParams(1.0, math.sqrt(2.0)))
+    rho0 = np.zeros((cutoff, cutoff))
+    rho0[0, 0] = 1.0
+    return lambda: evolve(liouv, rho0, times)
+
+
+def _mixed_steady_state(n: int):
+    liouv = spin_liouvillian(build_collective_ops(DickeSpace(n)), SqueezingParams(0.5, 0.2))
+    return lambda: steady_state(liouv)
+
+
+def _collective_ops(n: int):
+    return lambda: build_collective_ops(DickeSpace(n))
+
+
+# each case's set-up, and the arguments that give the call it returns
+GUARDED_CALLS = {
+    "evolve-fig3b-n60": (_fig3b_batch, 60),
+    "evolve-fig3b-n120": (_fig3b_batch, 120),
+    "evolve-vacuum-cutoff120-2-times": (_vacuum_start, 120, 1.0),
+    "evolve-vacuum-cutoff59-201-times": (_vacuum_start, 59, np.linspace(0.0, 2.0, 201)),
+    "collective-ops-n200": (_collective_ops, 200),
+    "collective-ops-n800": (_collective_ops, 800),
+    "steady-state-n160": (_mixed_steady_state, 160),
+    "steady-state-n320": (_mixed_steady_state, 320),
+}
+
+
+@pytest.mark.parametrize("case", GUARDED_CALLS)
+def test_memory_guard_bounds_the_traced_peak(case, monkeypatch):
+    # each guard counts what its call holds at its peak, and not far more
+    setup, *args = GUARDED_CALLS[case]
+    call = setup(*args)
+    guarded = []
+    check = lindblad._check_memory
+    for module in (lindblad, spin_algebra):
+        monkeypatch.setattr(module, "_check_memory",
+                            lambda nbytes, what: (guarded.append(nbytes), check(nbytes, what)))
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(guarded) == 1
+    assert peak <= guarded[0] <= 4 * peak
