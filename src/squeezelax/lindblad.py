@@ -414,17 +414,17 @@ def _check_evolve_memory(members: int, dim: int, records: int, planes: int):
     takes one or two). With E = members dim^2, the estimate counts each
     array at its largest, as if all were alive at once: the complex input
     and states, 16 E (1 + records) bytes; 8 planes E bytes for each of the
-    real start, the records, the 8-term block of ``ode.propagate`` and the
-    |.| it takes of it at the growth check, a window's outputs and the
-    product added to them (up to one row per output time each), and
-    ``apply``'s padded copy (with 4 dim more entries per plane), two
-    products and result; and the stencil's 72 dim^2. Python objects and
-    the cached Chebyshev series are not counted. ``fig3b_ellipses`` calls
-    it before it stacks its densities.
+    real start, the records, the 8-term block of ``ode.propagate`` (whose
+    growth check reads the block's max and min, with no |.| temporary), a
+    window's outputs and the product added to them (up to one row per
+    output time each), and ``apply``'s padded copy (with 4 dim more entries
+    per plane), two products and result; and the stencil's 72 dim^2.
+    Python objects and the cached Chebyshev series are not counted.
+    ``fig3b_ellipses`` calls it before it stacks its densities.
     """
     entries = members * dim * dim
     planes_bytes = 8 * planes * entries
-    _check_memory(16 * entries * (1 + records) + planes_bytes * (5 + 3 * records + 2 * _BLOCK)
+    _check_memory(16 * entries * (1 + records) + planes_bytes * (5 + 3 * records + _BLOCK)
                   + 32 * planes * members * dim + 72 * dim * dim,
                   f"evolving {members} states of dim {dim} to {records} records")
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_algebra import (CollectiveOps, QuantumState, expectation, product_expectation,
-                           sym_covariance, third_moment)
+from .spin_algebra import CollectiveOps, QuantumState, _collective_moments, expectation
 
 __all__ = [
     "SqueezingParams",
@@ -131,13 +130,26 @@ class RateDecomposition:
             raise ValueError("decomposition parts do not sum to the total rate")
 
 
+def _half_squeezed_variance(p: SqueezingParams) -> float:
+    """nbar - m + 1/2, half the squeezed input variance and the <sy> decay factor.
+
+    In the minimal bath, m = sqrt(nbar (nbar + 1)), it is exactly
+    1 / (4 (nbar + 1/2 + m)); that form is used whenever m_corr equals
+    ``minimal_m(nbar)``, since the difference loses every digit at large
+    nbar (it reads 0 at nbar = 1e8). Otherwise it is the difference itself.
+    """
+    if p.m_corr == minimal_m(p.nbar):
+        return 0.25 / (p.nbar + 0.5 + p.m_corr)
+    return p.nbar - p.m_corr + 0.5
+
+
 def input_field_variances(p: SqueezingParams) -> tuple[float, float]:
     """Variances (anti-squeezed, squeezed) of the input quadratures.
 
     (2 nbar + 2 m + 1, 2 nbar - 2 m + 1); their product is >= 1 with
     equality exactly at minimal uncertainty.
     """
-    return (2 * p.nbar + 2 * p.m_corr + 1.0, 2 * p.nbar - 2 * p.m_corr + 1.0)
+    return (2 * p.nbar + 2 * p.m_corr + 1.0, 2.0 * _half_squeezed_variance(p))
 
 
 def relaxation(y0, y_inf, rate: float, t) -> np.ndarray:
@@ -159,7 +171,7 @@ def gardiner_rhs(m: SpinMoments, p: SqueezingParams) -> SpinMoments:
     gp, nb, mc = p.gamma_p, p.nbar, p.m_corr
     return SpinMoments(
         mean_x=-gp * (nb + mc + 0.5) * m.mean_x,
-        mean_y=-gp * (nb - mc + 0.5) * m.mean_y,
+        mean_y=-gp * _half_squeezed_variance(p) * m.mean_y,
         mean_z=-gp * (2 * nb + 1.0) * m.mean_z - gp,
     )
 
@@ -173,7 +185,7 @@ def gardiner_solution(m0: SpinMoments, p: SqueezingParams, t) -> np.ndarray:
     """
     gp, nb, mc = p.gamma_p, p.nbar, p.m_corr
     return np.stack([relaxation(m0.mean_x, 0.0, gp * (nb + mc + 0.5), t),
-                     relaxation(m0.mean_y, 0.0, gp * (nb - mc + 0.5), t),
+                     relaxation(m0.mean_y, 0.0, gp * _half_squeezed_variance(p), t),
                      relaxation(m0.mean_z, -1.0 / (2 * nb + 1.0), gp * (2 * nb + 1.0), t)],
                     axis=-1)
 
@@ -211,15 +223,16 @@ def collective_mean_rhs(state: QuantumState, ops: CollectiveOps,
 
     Evaluates <S-Sz> and <S-S+> on the supplied state, which must be
     Hermitian: the equations also need <SzS+> = <S-Sz>*. No moment closure
-    is applied.
+    is applied. The moments come from ``_collective_moments``: on a vector
+    it applies S+, Sz, Sx and Sy once each, the S+ ket being the bra of S-;
+    on a matrix only Sz and S+, each mean being one inner product with the
+    operator and <S- B> one with the S+ matrix.
     """
     gp, nb, mc = p.gamma_p, p.nbar, p.m_corr
-    sm, sp, sz = ops.sm, ops.sp, ops.sz
-    sm_sz = product_expectation((sm, sz), state)
-    dx = gp * sm_sz.real - gp * (nb + mc + 1.0) * expectation(ops.sx, state).real
-    dy = -gp * sm_sz.imag - gp * (nb - mc + 1.0) * expectation(ops.sy, state).real
-    dz = -2.0 * gp * product_expectation((sm, sp), state).real \
-        - 2.0 * gp * (nb + 1.0) * expectation(sz, state).real
+    sm_sz, sm_sp, mx, my, mz = _collective_moments(state, ops, ("-z", "-+", "x", "y", "z"))
+    dx = gp * sm_sz.real - gp * (nb + mc + 1.0) * mx.real
+    dy = -gp * sm_sz.imag - gp * (nb - mc + 1.0) * my.real
+    dz = -2.0 * gp * sm_sp.real - 2.0 * gp * (nb + 1.0) * mz.real
     return (dx, dy, dz)
 
 
@@ -228,22 +241,26 @@ def collective_cov_rhs(state: QuantumState, ops: CollectiveOps,
     """Exact derivatives of (V_Sx, V_Sy, C_SxSy) on the supplied state.
 
     Involves <Sz^2> and symmetrized third moments, so the covariance system
-    is not closed; the state supplies the higher moments.
+    is not closed; the state supplies the higher moments. Every moment but
+    <Sz> comes from ``_collective_moments``, which applies five operators
+    per state (Sx, Sy, Sz, Sx Sz and Sy Sz; on a vector the Hermitian Sx
+    and Sy kets are their own bras) and forms each moment as one inner
+    product; <Sz> is read through ``expectation``, one application more.
+    The covariances and third moments are those of ``sym_covariance`` and
+    ``third_moment``.
     """
     gp, nb, mc = p.gamma_p, p.nbar, p.m_corr
-    sx, sy, sz = ops.sx, ops.sy, ops.sz
-    var_x = sym_covariance(sx, sx, state)
-    var_y = sym_covariance(sy, sy, state)
-    cov_xy = sym_covariance(sx, sy, state)
-    sz2 = product_expectation((sz, sz), state).real
-    mz = expectation(sz, state).real
-    dvx = -gp * ((2 * nb + 2 * mc + 1.0) * (var_x - sz2) + mz
-                 - third_moment(sx, sx, sz, state))
-    dvy = -gp * ((2 * nb - 2 * mc + 1.0) * (var_y - sz2) + mz
-                 - third_moment(sy, sy, sz, state))
+    (mx, my, xx, yy, xy, zz, xxz, yyz, xyz, yxz, xz, yz) = _collective_moments(
+        state, ops, ("x", "y", "xx", "yy", "xy", "zz", "xxz", "yyz", "xyz", "yxz", "xz", "yz"))
+    var_x = (xx - mx * mx).real
+    var_y = (yy - my * my).real
+    cov_xy = (xy - mx * my).real
+    sz2 = zz.real
+    mz = expectation(ops.sz, state).real
+    dvx = -gp * ((2 * nb + 2 * mc + 1.0) * (var_x - sz2) + mz - (xxz - mx * xz.real).real)
+    dvy = -gp * (2.0 * _half_squeezed_variance(p) * (var_y - sz2) + mz - (yyz - my * yz.real).real)
     dcxy = -gp * ((2 * nb + 1.0) * cov_xy
-                  - 0.5 * (third_moment(sx, sy, sz, state)
-                           + third_moment(sy, sx, sz, state)))
+                  - 0.5 * ((xyz - mx * yz.real).real + (yxz - my * xz.real).real))
     return (dvx, dvy, dcxy)
 
 
@@ -257,7 +274,7 @@ def decay_rates(n: int, theta: float, p: SqueezingParams) -> tuple[float, float]
         raise ValueError("spin count must be >= 1")
     gp = p.gamma_p
     sr = -(n - 1) * math.cos(theta) / 2.0
-    return (gp * (p.nbar + p.m_corr + 0.5 + sr), gp * (p.nbar - p.m_corr + 0.5 + sr))
+    return (gp * (p.nbar + p.m_corr + 0.5 + sr), gp * (_half_squeezed_variance(p) + sr))
 
 
 def rate_decomposition(n: int, theta: float, p: SqueezingParams,
@@ -283,12 +300,19 @@ def oscillator_rate_decomposition(p: SqueezingParams) -> RateDecomposition:
 
 
 def spin_moments_from_state(state: QuantumState, ops: CollectiveOps) -> SpinMoments:
-    """Collect first moments and transverse covariances of a state."""
+    """Collect first moments and transverse covariances of a state.
+
+    The moments come from ``_collective_moments``, which applies Sx, Sy
+    and Sz to a vector (Sx and Sy to a matrix, whose means are inner
+    products with the operators) once each; the covariances are those of
+    ``sym_covariance``.
+    """
+    mx, my, mz, xx, yy, xy = _collective_moments(state, ops, ("x", "y", "z", "xx", "yy", "xy"))
     return SpinMoments(
-        mean_x=expectation(ops.sx, state).real,
-        mean_y=expectation(ops.sy, state).real,
-        mean_z=expectation(ops.sz, state).real,
-        var_x=sym_covariance(ops.sx, ops.sx, state),
-        var_y=sym_covariance(ops.sy, ops.sy, state),
-        cov_xy=sym_covariance(ops.sx, ops.sy, state),
+        mean_x=mx.real,
+        mean_y=my.real,
+        mean_z=mz.real,
+        var_x=(xx - mx * mx).real,
+        var_y=(yy - my * my).real,
+        cov_xy=(xy - mx * my).real,
     )

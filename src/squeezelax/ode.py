@@ -293,10 +293,10 @@ def propagate(apply, bound, y0, times, rtol: float, atol: float) -> IntegrationR
     the tail extrapolated from the last two terms, max |T_m y| times
     sum_{k > m} c_k r^(k - m) with r = max(1, max |T_m y| / max |T_{m-1} y|),
     exceeds atol + rtol max |y|. Growth is checked once per block of up to
-    8 terms, with one max |.| over the block that gives every term's peak,
-    and the first term in the block past the bound decides as it would
-    term by term; so the same windows are accepted, and a refused one may
-    cost up to 7 more applications of A.
+    8 terms, with one max and one min over the block that give every
+    term's peak as max(max x, -min x), and the first term in the block past
+    the bound decides as it would term by term; so the same windows are
+    accepted, and a refused one may cost up to 7 more applications of A.
 
     Failure. The accepted estimates are summed per member over the run. A
     run whose windows keep their full width H cannot overspend, but halved
@@ -381,8 +381,10 @@ def propagate(apply, bound, y0, times, rtol: float, atol: float) -> IntegrationR
                 prev, cur, filled = cur, term, filled + 1
                 if filled < _BLOCK and k < degree:
                     continue
-                # the peak of every member of every term in the block, from one max |.|
-                peaks = np.max(np.abs(flat(block[:filled]).reshape(filled, members, -1)), axis=2)
+                # the peak of every member of every term in the block, as max(max x, -min x):
+                # the max |.| without a temporary of the block's size, NaN and inf included
+                rows = flat(block[:filled]).reshape(filled, members, -1)
+                peaks = np.maximum(np.max(rows, axis=2), -np.min(rows, axis=2))
                 grown = ~np.all(peaks <= ceiling, axis=1)
                 if grown.any():
                     # the first term past the ceiling decides, as if each were checked in turn

@@ -182,6 +182,52 @@ def product_expectation(ops, state: QuantumState) -> complex:
     return complex(np.trace(ket))
 
 
+_ADJOINT = {"-": "+", "+": "-", "x": "x", "y": "y", "z": "z"}
+
+
+def _collective_moments(state: QuantumState, ops: CollectiveOps, words) -> list[complex]:
+    """<w> for each word w of collective operators, applying each operator to the state once.
+
+    A word names an operator product left to right by the letters "-", "+",
+    "x", "y" and "z" for S-, S+, Sx, Sy and Sz: "-z" asks for <S- Sz>.
+    Every suffix the words read is made once, right to left, as a ket: the
+    vector w psi, or on a density matrix the product w rho (the empty
+    suffix being the state itself). A word A w is then one inner product of
+    that ket with the bra of A, whose adjoint is A': on a vector,
+    <A w> = vdot(A' psi, w psi), so S+ psi is the bra of S-, S- psi that of
+    S+, and Sx psi, Sy psi and Sz psi are their own; on a matrix,
+    Tr(A w rho) = vdot(A', w rho), an O(dim^2) sum with no product formed.
+    So one operator is applied per distinct nonempty suffix, plus on a
+    vector each ket a bra needs. ValueError if an operator read does not act
+    on the state's dimension.
+    """
+    named = {"-": ops.sm, "+": ops.sp, "x": ops.sx, "y": ops.sy, "z": ops.sz}
+    kets = {"": state.data}
+    vector = state.kind == "vector"
+
+    def op(letter):
+        a = named[letter]
+        if a.shape != (state.dim, state.dim):
+            raise ValueError(f"operator of shape {a.shape} does not act on dimension {state.dim}")
+        return a
+
+    def ket(word):
+        # right to left, each suffix once; not recursive, since a closure that
+        # calls itself is a reference cycle that would keep ops alive until
+        # the next garbage collection
+        if word not in kets:
+            for i in reversed(range(len(word))):
+                if word[i:] not in kets:
+                    kets[word[i:]] = op(word[i]) @ kets[word[i + 1:]]
+        return kets[word]
+
+    def bra(letter):
+        adjoint = _ADJOINT[letter]
+        return ket(adjoint) if vector else op(adjoint)
+
+    return [complex(np.vdot(bra(word[0]), ket(word[1:]))) for word in words]
+
+
 def expectation(op: np.ndarray, state: QuantumState) -> complex:
     """<psi|A|psi> for a vector state, Tr(A rho) for a density matrix."""
     return product_expectation((op,), state)

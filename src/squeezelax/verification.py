@@ -29,7 +29,7 @@ from .lindblad import (annihilation_operator, evolve, oscillator_liouvillian,
                        oscillator_oracle, spin_liouvillian, steady_state)
 from .moments import (SqueezingParams, SpinMoments, collective_cov_rhs,
                       collective_mean_rhs, decay_rates, gardiner_rhs, gardiner_solution,
-                      input_field_variances, rate_decomposition)
+                      input_field_variances, rate_decomposition, spin_moments_from_state)
 from .spin_algebra import (BlochAngles, DickeSpace, QuantumState,
                            build_collective_ops, expectation, product_expectation,
                            spin_coherent_state, sym_covariance, third_moment)
@@ -159,6 +159,52 @@ def _functionals_vs_products(rng) -> float:
             pairs += [(third_moment(a, b, c, state),
                        (0.5 * (tr(a @ b @ c + c @ b @ a) - tr(a) * tr(b @ c + c @ b))).real)
                       for a, b, c in ((sx, sx, sz), (sy, sy, sz), (sx, sy, sz), (sy, sx, sz))]
+            residual = max(residual, *(abs(got - ref) / max(1.0, abs(ref)) for got, ref in pairs))
+    return residual
+
+
+def _collective_functionals_vs_products(rng) -> float:
+    """The collective moment functions against traces of dense products, relative to max(1, |ref|).
+
+    Every output of ``collective_cov_rhs``, ``collective_mean_rhs`` (a mixed
+    and a minimal bath each) and ``spin_moments_from_state`` on random pure
+    and rank-3 mixed states, against the same expressions with each moment
+    a trace tr(a @ b @ rho) and the symmetrized moments written out.
+    """
+    residual = 0.0
+    for n in (1, 2, 7, 16):
+        ops = build_collective_ops(DickeSpace(n))
+        sm, sp, sx, sy, sz = ops.sm, ops.sp, ops.sx, ops.sy, ops.sz
+        g = rng.normal(size=(n + 1, 3)) + 1j * rng.normal(size=(n + 1, 3))
+        mixed = QuantumState.from_matrix(g @ g.conj().T / np.linalg.norm(g) ** 2)
+        for state in (random_pure(rng, n + 1), mixed):
+            rho = state.density()
+
+            def tr(*factors):
+                return np.trace(functools.reduce(np.matmul, factors + (rho,)))
+
+            def cov(a, b):
+                return (0.5 * tr(a @ b + b @ a) - tr(a) * tr(b)).real
+
+            def third(a, b, c):
+                return (0.5 * (tr(a @ b @ c + c @ b @ a) - tr(a) * tr(b @ c + c @ b))).real
+
+            mx, my, mz = (tr(a).real for a in (sx, sy, sz))
+            vx, vy, cxy, sz2 = cov(sx, sx), cov(sy, sy), cov(sx, sy), tr(sz, sz).real
+            m = spin_moments_from_state(state, ops)
+            pairs = list(zip((m.mean_x, m.mean_y, m.mean_z, m.var_x, m.var_y, m.cov_xy),
+                             (mx, my, mz, vx, vy, cxy)))
+            for p in (SqueezingParams(0.5, 0.2), SqueezingParams.minimal(0.4, gamma_p=1.3)):
+                gp, nb, mc = p.gamma_p, p.nbar, p.m_corr
+                sm_sz = tr(sm, sz)
+                pairs += zip(collective_mean_rhs(state, ops, p), (
+                    gp * sm_sz.real - gp * (nb + mc + 1) * mx,
+                    -gp * sm_sz.imag - gp * (nb - mc + 1) * my,
+                    -2 * gp * tr(sm, sp).real - 2 * gp * (nb + 1) * mz))
+                pairs += zip(collective_cov_rhs(state, ops, p), (
+                    -gp * ((2 * nb + 2 * mc + 1) * (vx - sz2) + mz - third(sx, sx, sz)),
+                    -gp * ((2 * nb - 2 * mc + 1) * (vy - sz2) + mz - third(sy, sy, sz)),
+                    -gp * ((2 * nb + 1) * cxy - 0.5 * (third(sx, sy, sz) + third(sy, sx, sz)))))
             residual = max(residual, *(abs(got - ref) / max(1.0, abs(ref)) for got, ref in pairs))
     return residual
 
@@ -485,6 +531,8 @@ CHECKS = (
     Check("spin-algebra/coherent-expectations", 1e-10 * 15, _coherent_expectations),
     Check("spin-algebra/variance-nonnegative", 1e-10, _variance_nonnegative),
     Check("spin-algebra/functionals-vs-products", 1e-12, _functionals_vs_products),
+    Check("moments/collective-functionals-vs-products", 1e-12,
+          _collective_functionals_vs_products),
     Check("moments/gardiner-equivalence", 1e-12, _gardiner_equivalence),
     Check("moments/decay-rates-vs-mean-rhs", 1e-9, _decay_rates_vs_mean_rhs),
     Check("moments/rate-decomposition-total", 1e-12, _rate_decomposition_total),

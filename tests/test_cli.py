@@ -310,6 +310,18 @@ class TestScenarioCommands:
         _, rows = _table(out)
         assert rows[-1, 3] == -1.0 / (2e6 + 1)
 
+    def test_single_spin_squeezed_mean_in_a_bright_minimal_bath(self, tmp_path):
+        # <sy> decays at N - M + 1/2 = 1 / (4 (N + 1/2 + M)), about 1.25e-11 at
+        # N = 1e10, which the difference N - M would lose entirely
+        out = tmp_path / "traj.csv"
+        assert main(["single-spin", "--squeezing-n", "1e10", "--phi", "1.5",
+                     "--t-final", "1e12", "--out", str(out)]) == EXIT_OK
+        _, rows = _table(out)
+        nbar = 1e10
+        rate = 0.25 / (nbar + 0.5 + math.sqrt(nbar * (nbar + 1.0)))
+        assert rows[-1, 2] / rows[0, 2] == pytest.approx(math.exp(-rate * 1e12), rel=1e-6)
+        assert rate * 1e12 == pytest.approx(12.5, rel=1e-9)
+
     def test_oscillator_reaches_input_variances(self, tmp_path):
         out = tmp_path / "osc.csv"
         assert main(["oscillator", "--squeezing-n", "1.0",

@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import math
 import tracemalloc
 
@@ -208,10 +210,80 @@ class TestCollectiveCovRhs:
         try:
             collective_cov_rhs(state, ops, p)
             collective_mean_rhs(state, ops, p)
+            spin_moments_from_state(state, ops)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * space.dim ** 2
+
+
+def _counting(ops):
+    """ops whose five arrays count the np.matmul calls they take part in, and that count."""
+    calls = []
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                calls.append(method)
+            plain = [x.view(np.ndarray) if isinstance(x, Counting) else x for x in inputs]
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    arrays = {name: getattr(ops, name).view(Counting) for name in ("sm", "sp", "sx", "sy", "sz")}
+    return dataclasses.replace(ops, **arrays), calls
+
+
+class TestOperatorApplications:
+    # each operator a collective moment function needs is applied to the
+    # state once. On a matrix a mean Tr(A rho) is an inner product with A',
+    # so it needs no application. The public <Sz> read of
+    # collective_cov_rhs goes through expectation, which takes plain arrays
+    # and so is not counted
+    @pytest.mark.parametrize("fn, kind, applications", [
+        (collective_cov_rhs, "vector", 5), (collective_cov_rhs, "matrix", 5),
+        (collective_mean_rhs, "vector", 4), (collective_mean_rhs, "matrix", 2),
+        (spin_moments_from_state, "vector", 3), (spin_moments_from_state, "matrix", 2)])
+    def test_applications_per_state(self, fn, kind, applications):
+        rng = np.random.default_rng(5)
+        ops = build_collective_ops(DickeSpace(6))
+        state = random_pure(rng, 7)
+        if kind == "matrix":
+            state = QuantumState.from_matrix(0.5 * state.density() + 0.5 * np.eye(7) / 7)
+        counted, calls = _counting(ops)
+        args = (state, counted) if fn is spin_moments_from_state else (
+            state, counted, SqueezingParams(0.5, 0.2))
+        got = fn(*args)
+        assert len(calls) == applications
+        assert got == fn(state, ops, *args[2:])
+
+    def test_leaves_no_reference_cycle(self):
+        # a cycle would keep the state's ops alive until the next collection,
+        # about 45 MB over fig4b's n = 1..150
+        ops = build_collective_ops(DickeSpace(6))
+        state = random_pure(np.random.default_rng(6), 7)
+        gc.collect()
+        gc.disable()
+        try:
+            collective_cov_rhs(state, ops, SqueezingParams(0.5, 0.2))
+            collective_mean_rhs(state, ops, SqueezingParams(0.5, 0.2))
+            spin_moments_from_state(state, ops)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestMinimalBathCancellation:
+    # in the minimal bath N - M + 1/2 = 1 / (4 (N + 1/2 + M)); the difference
+    # N - M loses 2.4e-4 of it at N = 1e6 and all of it at N = 1e8
+    @pytest.mark.parametrize("nbar", [1e6, 1e8])
+    def test_squeezed_decay_rate(self, nbar):
+        p = SqueezingParams.minimal(nbar)
+        _, gy = decay_rates(1, math.pi / 2, p)
+        assert gy == pytest.approx(0.25 / (nbar + 0.5 + p.m_corr), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("nbar", [1e6, 1e8])
+    def test_input_variance_product(self, nbar):
+        vx, vy = input_field_variances(SqueezingParams.minimal(nbar))
+        assert vx * vy == pytest.approx(1.0, rel=0.0, abs=1e-12)
 
 
 class TestDecayRates:
