@@ -18,9 +18,9 @@ from .moments import (OscillatorMoments, RateDecomposition, SpinMoments,
                       minimal_m, oscillator_cov_rhs, oscillator_mean_rhs,
                       oscillator_rate_decomposition, rate_decomposition,
                       spin_moments_from_state)
-from .ode import IntegrationError, IntegratorConfig, integrate, propagate
+from .ode import IntegrationError, propagate
 from .lindblad import (CutoffError, DegenerateSteadyStateError, Liouvillian,
-                       Trajectory, annihilation_operator, dissipator, evolve,
+                       Trajectory, annihilation_operator, evolve,
                        oscillator_liouvillian, oscillator_oracle,
                        spin_liouvillian, steady_state)
 from .figures import (FigureDataset, fig3a_vector_field, fig3b_ellipses,

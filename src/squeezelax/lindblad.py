@@ -99,7 +99,6 @@ __all__ = [
     "Trajectory",
     "DegenerateSteadyStateError",
     "CutoffError",
-    "dissipator",
     "spin_liouvillian",
     "oscillator_liouvillian",
     "annihilation_operator",
@@ -453,12 +452,13 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
     Every generator takes the same path: ``ode.propagate`` sums a Chebyshev
     series of exp(h L) over windows of length h, one ``liouv.apply`` per
     term, with the bound a = ``liouv.norm_bound()``, the largest absolute
-    row sum of the superoperator, read after the record guard. A series is
-    cut where its tail of coefficients falls to 0.1 min(rtol, atol), at
-    degree 64 at most; a window is refused and halved when a term grows
-    past 1e3 times the state or the extrapolated tail exceeds the
-    tolerance (see ``ode.propagate``). At Fock cutoff 59 (a = 658.6) the
-    oscillator oracle reaches t = 20 in 93 windows of degree 47 to 64.
+    row sum of the superoperator, read after ``_check_evolve_memory``, so a
+    refused call builds no stencil. A series is cut where its tail of
+    coefficients falls to 0.1 min(rtol, atol), at degree 64 at most; a
+    window is refused and halved when a term grows past 1e3 times the state
+    or the extrapolated tail exceeds the tolerance (see ``ode.propagate``).
+    At Fock cutoff 59 (a = 658.6) the oscillator oracle reaches t = 20 in
+    93 windows of degree 47 to 64.
 
     No trace renormalization is applied, so trace drift stays a genuine
     global-error witness (the truncated series loses about its tail per
@@ -480,7 +480,7 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
     planes = 2 if np.any(stack.imag) else 1
     _check_evolve_memory(len(stack), dim, len(times), planes)
     y0 = np.stack((stack.real, stack.imag), axis=1) if planes == 2 else stack.real[:, None].copy()
-    result = propagate(liouv.apply, liouv.norm_bound, y0, times, rtol, atol)
+    result = propagate(liouv.apply, liouv.norm_bound(), y0, times, rtol, atol)
     states = np.empty((len(times),) + rho0.shape, dtype=complex)
     by_member = states.reshape((len(times),) + stack.shape)  # a view
     by_member.real = result.states[:, :, 0]

@@ -226,12 +226,14 @@ def collective_mean_rhs(state: QuantumState, ops: CollectiveOps,
     is applied. The moments come from ``_collective_moments``: on a vector
     it applies S+, Sz, Sx and Sy once each, the S+ ket being the bra of S-;
     on a matrix only Sz and S+, each mean being one inner product with the
-    operator and <S- B> one with the S+ matrix.
+    operator and <S- B> one with the S+ matrix. The <Sy> factor
+    nbar - m + 1 is ``_half_squeezed_variance`` + 1/2, so the minimal bath
+    keeps its digits at large nbar.
     """
     gp, nb, mc = p.gamma_p, p.nbar, p.m_corr
     sm_sz, sm_sp, mx, my, mz = _collective_moments(state, ops, ("-z", "-+", "x", "y", "z"))
     dx = gp * sm_sz.real - gp * (nb + mc + 1.0) * mx.real
-    dy = -gp * sm_sz.imag - gp * (nb - mc + 1.0) * my.real
+    dy = -gp * sm_sz.imag - gp * (_half_squeezed_variance(p) + 0.5) * my.real
     dz = -2.0 * gp * sm_sp.real - 2.0 * gp * (nb + 1.0) * mz.real
     return (dx, dy, dz)
 
@@ -284,13 +286,14 @@ def rate_decomposition(n: int, theta: float, p: SqueezingParams,
     The bath-statistics-dependent damping gp (nbar +- m + 1) originates in
     the field-fluctuation channel; the remainder, gp [-1/2 - (n-1) cos(theta)/2],
     is radiation self-reaction and carries the collective n-enhancement.
+    The y part's nbar - m + 1 is ``_half_squeezed_variance`` + 1/2.
     """
     if component not in ("x", "y"):
         raise ValueError(f"component must be 'x' or 'y', got {component!r}")
     gx, gy = decay_rates(n, theta, p)
     total = gx if component == "x" else gy
-    sign = 1.0 if component == "x" else -1.0
-    ff = p.gamma_p * (p.nbar + sign * p.m_corr + 1.0)
+    ff = p.gamma_p * ((p.nbar + p.m_corr + 1.0) if component == "x"
+                      else _half_squeezed_variance(p) + 0.5)
     return RateDecomposition(total=total, ff_part=ff, sr_part=total - ff)
 
 

@@ -265,14 +265,12 @@ def propagate(apply, bound, y0, times, rtol: float, atol: float) -> IntegrationR
     """exp((t - times[0]) A) y0 at every time in ``times``, by Chebyshev windows.
 
     apply(y) returns A y for an array of y0's shape. A must be linear and
-    time independent, with its spectrum in |z| <= bound and Re z <= 0.
-    bound is that radius, or a callable returning it; a callable is called
-    once, after the record guard, so a generator that builds its structure
-    when first read builds nothing for work that is refused. y0 is one
-    state of shape (size,), or a stack of states along its first axis; the
-    result has y0's dtype. times are validated as for ``integrate``; rtol
-    and atol must be positive and finite, and ValueError is raised, before
-    anything is allocated, when no window can meet their truncation rule.
+    time independent, with its spectrum in |z| <= bound and Re z <= 0;
+    bound is that radius, a number. y0 is one state of shape (size,), or a
+    stack of states along its first axis; the result has y0's dtype. times
+    are validated as for ``integrate``; rtol and atol must be positive and
+    finite, and ValueError is raised, before anything is allocated, when no
+    window can meet their truncation rule.
 
     Windows. Each window starts at the last state reached and is as wide
     as the degree cap allows (beta = bound h / 2 at most the largest beta
@@ -318,7 +316,7 @@ def propagate(apply, bound, y0, times, rtol: float, atol: float) -> IntegrationR
     eps = 0.1 * min(rtol, atol)
     beta_max = _widest_beta(eps)
     times, states = _records(y0, times)
-    bound = float(bound() if callable(bound) else bound)
+    bound = float(bound)
     _check_positive(bound=bound)
     members = len(y0) if y0.ndim > 1 else 1
 

@@ -132,6 +132,31 @@ def _variance_nonnegative(rng) -> float:
     return residual
 
 
+def _dense_cases(rng):
+    """(ops, state, tr, cov, third) for a random pure and a rank-3 mixed state at n = 1, 2, 7, 16.
+
+    tr(a, b, ...) is tr(a @ b @ ... @ rho); cov and third are the
+    symmetrized covariance and third moment written out in such traces.
+    """
+    for n in (1, 2, 7, 16):
+        ops = build_collective_ops(DickeSpace(n))
+        g = rng.normal(size=(n + 1, 3)) + 1j * rng.normal(size=(n + 1, 3))
+        mixed = QuantumState.from_matrix(g @ g.conj().T / np.linalg.norm(g) ** 2)
+        for state in (random_pure(rng, n + 1), mixed):
+            rho = state.density()
+
+            def tr(*factors, rho=rho):
+                return np.trace(functools.reduce(np.matmul, factors + (rho,)))
+
+            def cov(a, b, tr=tr):
+                return (0.5 * tr(a @ b + b @ a) - tr(a) * tr(b)).real
+
+            def third(a, b, c, tr=tr):
+                return (0.5 * (tr(a @ b @ c + c @ b @ a) - tr(a) * tr(b @ c + c @ b))).real
+
+            yield ops, state, tr, cov, third
+
+
 def _functionals_vs_products(rng) -> float:
     """Moment functionals against traces of dense products, relative to max(1, |trace|).
 
@@ -139,27 +164,16 @@ def _functionals_vs_products(rng) -> float:
     non-Hermitian S- and S+ products of the collective mean equations.
     """
     residual = 0.0
-    for n in (1, 2, 7, 16):
-        ops = build_collective_ops(DickeSpace(n))
+    for ops, state, tr, cov, third in _dense_cases(rng):
         sm, sp, sx, sy, sz = ops.sm, ops.sp, ops.sx, ops.sy, ops.sz
-        g = rng.normal(size=(n + 1, 3)) + 1j * rng.normal(size=(n + 1, 3))
-        mixed = QuantumState.from_matrix(g @ g.conj().T / np.linalg.norm(g) ** 2)
-        for state in (random_pure(rng, n + 1), mixed):
-            rho = state.density()
-
-            def tr(*factors):
-                return np.trace(functools.reduce(np.matmul, factors + (rho,)))
-
-            pairs = [(product_expectation(chain, state), tr(*chain)) for chain in (
-                (sm, sz), (sz, sp), (sm, sp), (sp, sm, sz), (sx, sy, sz), (sm, sz, sp, sx))]
-            pairs += [(expectation(a, state), tr(a)) for a in (sx, sy, sz, sm)]
-            pairs += [(sym_covariance(a, b, state),
-                       (0.5 * tr(a @ b + b @ a) - tr(a) * tr(b)).real)
-                      for a, b in ((sx, sx), (sy, sy), (sx, sy), (sy, sz))]
-            pairs += [(third_moment(a, b, c, state),
-                       (0.5 * (tr(a @ b @ c + c @ b @ a) - tr(a) * tr(b @ c + c @ b))).real)
-                      for a, b, c in ((sx, sx, sz), (sy, sy, sz), (sx, sy, sz), (sy, sx, sz))]
-            residual = max(residual, *(abs(got - ref) / max(1.0, abs(ref)) for got, ref in pairs))
+        pairs = [(product_expectation(chain, state), tr(*chain)) for chain in (
+            (sm, sz), (sz, sp), (sm, sp), (sp, sm, sz), (sx, sy, sz), (sm, sz, sp, sx))]
+        pairs += [(expectation(a, state), tr(a)) for a in (sx, sy, sz, sm)]
+        pairs += [(sym_covariance(a, b, state), cov(a, b))
+                  for a, b in ((sx, sx), (sy, sy), (sx, sy), (sy, sz))]
+        pairs += [(third_moment(a, b, c, state), third(a, b, c))
+                  for a, b, c in ((sx, sx, sz), (sy, sy, sz), (sx, sy, sz), (sy, sx, sz))]
+        residual = max(residual, *(abs(got - ref) / max(1.0, abs(ref)) for got, ref in pairs))
     return residual
 
 
@@ -172,40 +186,25 @@ def _collective_functionals_vs_products(rng) -> float:
     a trace tr(a @ b @ rho) and the symmetrized moments written out.
     """
     residual = 0.0
-    for n in (1, 2, 7, 16):
-        ops = build_collective_ops(DickeSpace(n))
+    for ops, state, tr, cov, third in _dense_cases(rng):
         sm, sp, sx, sy, sz = ops.sm, ops.sp, ops.sx, ops.sy, ops.sz
-        g = rng.normal(size=(n + 1, 3)) + 1j * rng.normal(size=(n + 1, 3))
-        mixed = QuantumState.from_matrix(g @ g.conj().T / np.linalg.norm(g) ** 2)
-        for state in (random_pure(rng, n + 1), mixed):
-            rho = state.density()
-
-            def tr(*factors):
-                return np.trace(functools.reduce(np.matmul, factors + (rho,)))
-
-            def cov(a, b):
-                return (0.5 * tr(a @ b + b @ a) - tr(a) * tr(b)).real
-
-            def third(a, b, c):
-                return (0.5 * (tr(a @ b @ c + c @ b @ a) - tr(a) * tr(b @ c + c @ b))).real
-
-            mx, my, mz = (tr(a).real for a in (sx, sy, sz))
-            vx, vy, cxy, sz2 = cov(sx, sx), cov(sy, sy), cov(sx, sy), tr(sz, sz).real
-            m = spin_moments_from_state(state, ops)
-            pairs = list(zip((m.mean_x, m.mean_y, m.mean_z, m.var_x, m.var_y, m.cov_xy),
-                             (mx, my, mz, vx, vy, cxy)))
-            for p in (SqueezingParams(0.5, 0.2), SqueezingParams.minimal(0.4, gamma_p=1.3)):
-                gp, nb, mc = p.gamma_p, p.nbar, p.m_corr
-                sm_sz = tr(sm, sz)
-                pairs += zip(collective_mean_rhs(state, ops, p), (
-                    gp * sm_sz.real - gp * (nb + mc + 1) * mx,
-                    -gp * sm_sz.imag - gp * (nb - mc + 1) * my,
-                    -2 * gp * tr(sm, sp).real - 2 * gp * (nb + 1) * mz))
-                pairs += zip(collective_cov_rhs(state, ops, p), (
-                    -gp * ((2 * nb + 2 * mc + 1) * (vx - sz2) + mz - third(sx, sx, sz)),
-                    -gp * ((2 * nb - 2 * mc + 1) * (vy - sz2) + mz - third(sy, sy, sz)),
-                    -gp * ((2 * nb + 1) * cxy - 0.5 * (third(sx, sy, sz) + third(sy, sx, sz)))))
-            residual = max(residual, *(abs(got - ref) / max(1.0, abs(ref)) for got, ref in pairs))
+        mx, my, mz = (tr(a).real for a in (sx, sy, sz))
+        vx, vy, cxy, sz2 = cov(sx, sx), cov(sy, sy), cov(sx, sy), tr(sz, sz).real
+        m = spin_moments_from_state(state, ops)
+        pairs = list(zip((m.mean_x, m.mean_y, m.mean_z, m.var_x, m.var_y, m.cov_xy),
+                         (mx, my, mz, vx, vy, cxy)))
+        for p in (SqueezingParams(0.5, 0.2), SqueezingParams.minimal(0.4, gamma_p=1.3)):
+            gp, nb, mc = p.gamma_p, p.nbar, p.m_corr
+            sm_sz = tr(sm, sz)
+            pairs += zip(collective_mean_rhs(state, ops, p), (
+                gp * sm_sz.real - gp * (nb + mc + 1) * mx,
+                -gp * sm_sz.imag - gp * (nb - mc + 1) * my,
+                -2 * gp * tr(sm, sp).real - 2 * gp * (nb + 1) * mz))
+            pairs += zip(collective_cov_rhs(state, ops, p), (
+                -gp * ((2 * nb + 2 * mc + 1) * (vx - sz2) + mz - third(sx, sx, sz)),
+                -gp * ((2 * nb - 2 * mc + 1) * (vy - sz2) + mz - third(sy, sy, sz)),
+                -gp * ((2 * nb + 1) * cxy - 0.5 * (third(sx, sy, sz) + third(sy, sx, sz)))))
+        residual = max(residual, *(abs(got - ref) / max(1.0, abs(ref)) for got, ref in pairs))
     return residual
 
 

@@ -285,6 +285,22 @@ class TestMinimalBathCancellation:
         vx, vy = input_field_variances(SqueezingParams.minimal(nbar))
         assert vx * vy == pytest.approx(1.0, rel=0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("nbar", [1e6, 1e8])
+    def test_collective_mean_rhs_along_y(self, nbar):
+        p = SqueezingParams.minimal(nbar)
+        space = DickeSpace(1)
+        state = spin_coherent_state(space, BlochAngles(math.pi / 2, math.pi / 2))
+        _, dy, _ = collective_mean_rhs(state, build_collective_ops(space), p)
+        want = gardiner_rhs(SpinMoments(0.0, 1.0, 0.0), p).mean_y
+        assert dy == pytest.approx(want, rel=1e-7, abs=0.0)
+
+    @pytest.mark.parametrize("nbar", [1e6, 1e8])
+    def test_squeezed_field_fluctuation_part(self, nbar):
+        p = SqueezingParams.minimal(nbar)
+        dec = rate_decomposition(1, math.pi / 2, p, "y")
+        assert dec.ff_part - 0.5 == pytest.approx(0.25 / (nbar + 0.5 + p.m_corr), rel=1e-6,
+                                                  abs=0.0)
+
 
 class TestDecayRates:
     def test_single_spin_matches_gardiner(self):
