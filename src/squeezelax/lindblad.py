@@ -37,13 +37,15 @@ of rho, (L rho)[i, j] = gamma_p sum c[i, j] rho[i + di, j + dj]:
 The coefficients are fixed once per generator and vanish wherever a shift
 would leave rho, so ``apply`` reads each shifted copy as one slice of the
 zero-padded, row-major flattened rho: O(dim^2) against the six O(dim^3)
-products of the normal form. Each coefficient is stored once, in the layout
+products of the normal form. The coefficients are stored in the layout
 ``apply`` streams: one aligned float64 array of dim^2 values per shift, one
 value per entry of rho. Every coefficient is real, so L maps Re rho and
 Im rho on their own, and ``apply`` works on real planes: a complex rho is
 the stack of its real and imaginary parts. The steady-state blocks and the
-row sums read the same arrays as strided views. ``Liouvillian`` refuses
-every other op; the dense P, Q and K of the normal form build only
+row sums read the same arrays as strided views, and ``evolve`` a scaled
+copy of them packed by parity sector (below). ``apply`` and ``evolve`` run
+the one stencil loop, ``_sweep``, over these two layouts. ``Liouvillian``
+refuses every other op; the dense P, Q and K of the normal form build only
 ``superoperator``, the dense reference.
 
 Parity sectors. A superdiagonal op is parity-odd (op[i, k] = 0 whenever
@@ -68,16 +70,22 @@ superoperator is never built. From the CLI, ``steady-state --spins 40``,
 59 MB (2-core machine).
 
 Time evolution. ``evolve`` sums a Chebyshev series of exp(h L) in the
-rescaled generator (2/a) L + 1 (``ode.propagate``), over windows of degree
-up to 64, with ``apply`` as its only operation, on the real planes of rho:
-the real part alone when the start has no imaginary part, as the vacuum
-and every real density matrix have, and the imaginary part stays exactly
-zero. The bound a is
-``norm_bound()``, the largest absolute row sum of the superoperator, read
-from the stencil's coefficients in O(dim^2); every eigenvalue of L lies in
-|z| <= a. At Fock cutoff 59 (a = 658.6) the oscillator oracle reaches
-t = 20 in 93 windows and 5935 ``apply`` calls; an explicit stepper, held
-by stability to steps of about 3.3 / a, would need about 4000 steps.
+rescaled generator A~ = (2/a) L + 1 (``ode.propagate``), over windows of
+degree up to 64. No term links the two parity sectors, so it propagates
+only the sectors in which the start has a nonzero entry, each packed into
+a plane of about dim^2 / 2 values (``_sector_layout``), and of those only
+the real parts when the start has no imaginary part, as the vacuum and
+every real density matrix have: what it leaves out stays exactly zero.
+Its only operation is one pass of the stencil per term, with the
+coefficients scaled by 4/a and 2 added to the centre, which with T_{k-1}
+subtracted gives T_{k+1} = 2 A~ T_k - T_{k-1} in the row that holds it. The
+bound a is ``norm_bound()``, the largest absolute row sum of the
+superoperator, read from the stencil's coefficients in O(dim^2); every
+eigenvalue of L lies in |z| <= a. At Fock cutoff 59 (a = 658.6) the
+oscillator oracle reaches t = 20 in 93 windows and 5935 terms on the
+vacuum's one sector, a plane of 1799 values against 3481 entries of rho;
+an explicit stepper, held by stability to steps of about 3.3 / a, would
+need about 4000 steps.
 """
 
 from __future__ import annotations
@@ -91,7 +99,7 @@ from functools import cached_property
 import numpy as np
 
 from .moments import SqueezingParams
-from .ode import _BLOCK, _check_memory, _output_times, propagate
+from .ode import _BLOCK, _check_memory, _check_positive, _output_times, propagate
 from .spin_algebra import CollectiveOps, QuantumState
 
 __all__ = [
@@ -183,6 +191,72 @@ def _stencil(s: np.ndarray, params: SqueezingParams) -> dict:
     return out
 
 
+def _layout(coefs: dict, width: int) -> tuple:
+    """``_sweep``'s (pad, center, pairs) for coefficients by shift on rows of ``width`` entries.
+
+    pad is the number of zeros on each side of a row of values, as far as
+    the largest shift, (2, 0), reaches; center is the coefficient array of
+    the unshifted term, and pairs hold the shifted terms as pairs of
+    (start, coefficient array), where start locates the shifted copy in the
+    padded row: shift (di, dj) is the offset width di + dj. The arrays are
+    those of coefs, not copies, and a pair whose coefficients are zero
+    everywhere is left out. A term and the transpose of its coefficient on
+    the transposed shift are summed first, so a Hermitian rho gives an
+    exactly Hermitian result.
+    """
+    pad = 2 * width
+
+    def term(shift):
+        return pad + shift[0] * width + shift[1], coefs[shift]
+
+    pairs = [(term(a), term(b)) for a, b in zip(_SHIFTS[1::2], _SHIFTS[2::2])
+             if np.any(coefs[a]) or np.any(coefs[b])]
+    return pad, coefs[0, 0], pairs
+
+
+def _sweep(layout, padded: np.ndarray, out: np.ndarray, work) -> np.ndarray:
+    """The stencil's one loop: out = center x + sum over pairs (ca x_a + cb x_b), returned.
+
+    layout is ``_layout``'s (pad, center, pairs): x = padded[..., pad:pad + n]
+    for n = out.shape[-1], whose zero borders of pad entries each side hold
+    every shifted copy, and each pair's two terms are summed before they are
+    added to out. work holds two arrays of out's shape for the products.
+    out and work should be contiguous: numpy walks a strided operand row by
+    row, which at fig3b's batches of 24 short rows made a pass about a
+    quarter slower.
+    """
+    pad, center, pairs = layout
+    n = out.shape[-1]
+    ta, tb = work
+    np.multiply(center, padded[..., pad:pad + n], out=out)
+    for (a, ca), (b, cb) in pairs:
+        np.multiply(ca, padded[..., a:a + n], out=ta)
+        np.multiply(cb, padded[..., b:b + n], out=tb)
+        ta += tb
+        out += ta
+    return out
+
+
+def _sector_layout(dim: int) -> tuple[int, int, tuple]:
+    """(W, L, sectors): where each entry of rho sits in its parity sector's packed plane.
+
+    Sector s holds the entries rho[i, j] with (i - j) mod 2 = s. Entry
+    (i, j) sits at position W i + j of its sector's plane, with
+    W = 2 ceil(dim / 4), so each stencil shift (di, dj) is the one offset
+    W di + dj. Two entries of one sector at the same position would differ
+    by an even number of rows (W is even) and so by at least 2W >= dim
+    columns, so no two collide. A plane takes L = W (dim - 1) + dim
+    positions, about dim^2 / 2 (1799 against 3481 at dim 59); the positions
+    no entry takes are holes. sectors holds, per sector, the row-major
+    indices of its entries and their positions in its plane.
+    """
+    width = 2 * -(-dim // 4)
+    i, j = np.divmod(np.arange(dim * dim), dim)
+    sectors = tuple((index, width * i[index] + j[index])
+                    for index in (np.flatnonzero((i - j) % 2 == s) for s in (0, 1)))
+    return width, width * (dim - 1) + dim, sectors
+
+
 @dataclass(frozen=True, eq=False)
 class Liouvillian:
     """Squeezed-bath Lindblad generator for a lowering operator ``op``.
@@ -195,8 +269,9 @@ class Liouvillian:
     the argument, the superdiagonal s_k = op[k, k + 1] as a copy of its
     own, and assigning to ``op`` or ``params`` raises AttributeError.
     Generators compare equal only to themselves. The stencil is built on
-    the first ``apply``, ``norm_bound`` or ``steady_state``, and the dense
-    d+, P, Q and K only when ``superoperator`` reads them.
+    the first ``apply``, ``norm_bound`` or ``steady_state``, its scaled
+    and packed copy on the first ``evolve``, and the dense d+, P, Q and K
+    only when ``superoperator`` reads them.
     """
 
     op: np.ndarray
@@ -230,31 +305,42 @@ class Liouvillian:
 
     @cached_property
     def _coefficients(self) -> dict:
-        """The stencil's coefficients by shift, from ``_stencil``: the one copy every reader uses."""
+        """The stencil's coefficients by shift, from ``_stencil``: the copy every reader uses.
+
+        ``_packed`` scales its own copy from it.
+        """
         return _stencil(self._s, self.params)
 
     @cached_property
     def _banded(self):
-        """The stencil as ``apply`` reads it: (pad, center, pairs).
+        """The stencil as ``apply`` reads it: ``_layout`` of ``_coefficients`` on rows of dim."""
+        return _layout(self._coefficients, self.dim)
 
-        pad is the number of zeros put on both sides of the flattened rho,
-        center the coefficient array of the unshifted term, and pairs hold
-        the shifted terms as pairs of (start, coefficient array), where
-        start locates the shifted copy of rho in the padded array. The arrays are those of ``_coefficients``, not
-        copies, and a pair whose coefficients are zero everywhere is left
-        out. A term and the transpose of its coefficient on the transposed
-        shift are summed first, so a Hermitian rho gives an exactly
-        Hermitian result.
+    @cached_property
+    def _packed(self) -> tuple[int, int, tuple, dict]:
+        """(W, L, sectors, coefficients): the Chebyshev term's stencil on packed sector planes.
+
+        Each shift's coefficients, scaled by 4/a with a = ``norm_bound()``,
+        are written from ``_coefficients`` into one array of 2L values, the
+        plane of sector 0 then that of sector 1 (``_sector_layout``), and
+        the centre gains 2 at every entry: one ``_sweep`` less T_{k-1} then
+        gives T_{k+1} = 2 A~ T_k - T_{k-1}, A~ = (2/a) L + 1. A hole keeps
+        zero coefficients, so it stays zero. Within a plane a shift is the
+        offset W di + dj; a shift that leaves rho has a zero coefficient, so
+        what it reads across a plane's edge adds nothing. Built on the first
+        ``evolve`` and kept: about 72 dim^2 bytes, and 16 dim^2 of indices.
+        W, L and sectors are ``_sector_layout``'s.
         """
-        dim, coefs = self.dim, self._coefficients
-        pad = 2 * dim  # the largest shift, (2, 0), in entries of the flattened rho
-
-        def term(shift):
-            return pad + shift[0] * dim + shift[1], coefs[shift]
-
-        pairs = [(term(a), term(b)) for a, b in zip(_SHIFTS[1::2], _SHIFTS[2::2])
-                 if np.any(coefs[a]) or np.any(coefs[b])]
-        return pad, coefs[0, 0], pairs
+        dim, bound = self.dim, self.norm_bound()
+        width, length, sectors = _sector_layout(dim)
+        coefs = {}
+        for shift, coef in self._coefficients.items():
+            scaled = coef * (4.0 / bound) + (2.0 if shift == (0, 0) else 0.0)
+            flat = coefs[shift] = _aligned_empty((2 * length,))
+            flat.fill(0.0)
+            for s, (index, position) in enumerate(sectors):
+                flat[s * length + position] = scaled[index]
+        return width, length, sectors, coefs
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Evaluate drho/dt for a density matrix or a stack of them, as a new array.
@@ -282,7 +368,7 @@ class Liouvillian:
         # the 1-d slices, about 8 us less per call at dim 59
         flat = (-1,) if rho.size == self.dim ** 2 else (-1, self.dim ** 2)
         x = np.ascontiguousarray(rho, dtype=np.float64).reshape(flat)
-        pad, center, pairs = self._banded
+        pad = self._banded[0]
         n = x.shape[-1]
         # the zero-bordered copy of x and the two product arrays are kept for
         # the last shape applied: a stack's arrays can pass the size above which
@@ -295,13 +381,7 @@ class Liouvillian:
             self._work[0].fill(0.0)
         padded, ta, tb = self._work
         padded[..., pad:pad + n] = x
-        out = np.multiply(center, x, out=_aligned_empty(x.shape))
-        for (a, ca), (b, cb) in pairs:
-            np.multiply(ca, padded[..., a:a + n], out=ta)
-            np.multiply(cb, padded[..., b:b + n], out=tb)
-            ta += tb
-            out += ta
-        return out.reshape(rho.shape)
+        return _sweep(self._banded, padded, _aligned_empty(x.shape), (ta, tb)).reshape(rho.shape)
 
     def superoperator(self) -> np.ndarray:
         """Dense dim^2 x dim^2 matrix acting on row-major vectorized rho.
@@ -405,26 +485,35 @@ def _state_diagnostics(states: np.ndarray) -> dict:
     }
 
 
-def _check_evolve_memory(members: int, dim: int, records: int, planes: int):
+def _check_evolve_memory(members: int, dim: int, records: int, planes: int, sectors: int):
     """Refuse, with ValueError, an ``evolve`` whose arrays would not fit in physical memory.
 
     The call propagates ``members`` dim x dim states, recorded at
-    ``records`` output times, as ``planes`` real planes each (``evolve``
-    takes one or two). With E = members dim^2, the estimate counts each
-    array at its largest, as if all were alive at once: the complex input
-    and states, 16 E (1 + records) bytes; 8 planes E bytes for each of the
-    real start, the records, the 8-term block of ``ode.propagate`` (whose
-    growth check reads the block's max and min, with no |.| temporary), a
-    window's outputs and the product added to them (up to one row per
-    output time each), and ``apply``'s padded copy (with 4 dim more entries
-    per plane), two products and result; and the stencil's 72 dim^2.
+    ``records`` output times, as ``planes`` real planes (``evolve`` takes
+    one or two) of ``sectors`` live parity sectors each (one or two). A
+    plane's row holds the live sectors' packed planes, n = sectors L
+    values (``_sector_layout``), with 4W border zeros. With
+    E = members dim^2 and N = members planes rows of R = n + 4W values,
+    the estimate counts each array at its largest, as if all were alive at
+    once: the complex input and states, 16 E (1 + records) bytes; 8 N R
+    bytes for each of the packed start, the records, the 8 terms of
+    ``ode.propagate``'s block (whose growth check reads the block's max and
+    min, with no |.| temporary), and a window's outputs and the product
+    added to them (up to one row per output time each); the kernel's sum
+    and two products, 24 N n; the values of one sector's entries moved out
+    of the records, 4 E records; the stencil's 72 dim^2, and the scaled
+    packed copy of it, 144 L, with its 32 dim^2 of indices and their build.
     Python objects and the cached Chebyshev series are not counted.
     ``fig3b_ellipses`` calls it before it stacks its densities.
     """
+    width = 2 * -(-dim // 4)
+    length = width * (dim - 1) + dim
+    interior = sectors * length
     entries = members * dim * dim
-    planes_bytes = 8 * planes * entries
-    _check_memory(16 * entries * (1 + records) + planes_bytes * (5 + 3 * records + _BLOCK)
-                  + 32 * planes * members * dim + 72 * dim * dim,
+    rows = members * planes
+    _check_memory(16 * entries * (1 + records) + 8 * rows * (interior + 4 * width) * (
+        1 + 3 * records + _BLOCK) + 24 * rows * interior + 4 * entries * records
+                  + 104 * dim * dim + 144 * length,
                   f"evolving {members} states of dim {dim} to {records} records")
 
 
@@ -438,35 +527,45 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
     member held to rtol and atol on its own; ``states`` has shape
     (len(times),) + rho0.shape.
 
-    rho0 is handed to ``ode.propagate`` as a real (B, P, dim, dim) stack of
-    planes, the generator's coefficients being real: P = 2 holds Re rho and
-    Im rho, and P = 1 the real part alone when every member's imaginary
-    part is exactly zero, which then stays zero. Each member's peak is
-    taken over its planes, as it would be over the complex entries, and
-    the planes are put back together into the complex ``states``. Before
-    anything of their size is allocated, ``_check_evolve_memory`` refuses
-    with ValueError a call whose input, planes, records, states and the
-    arrays ``ode.propagate`` and ``apply`` hold during a window would not
-    fit in physical memory.
+    No term of the generator links the parity sectors of rho (i - j even
+    and i - j odd), and its coefficients are real. So rho0 is handed to
+    ``ode.propagate`` as P real planes of S live sectors: P = 2 holds
+    Re rho and Im rho, and P = 1 the real part alone when every member's
+    imaginary part is exactly zero; S = 1 holds the one sector in which
+    some member has a nonzero entry (the even one for the vacuum), and
+    S = 2 both. A plane is one zero-bordered row of the live sectors'
+    packed planes (``_sector_layout``), and the stack is (B, P, row),
+    with B = 1 and P = 1 dropped as far as they lead. What is not
+    propagated stays exactly +0.0 in ``states``. Each member's peak is
+    taken over its planes, as it would be over the complex entries.
+    Before anything of their size is allocated, ``_check_evolve_memory``
+    refuses with ValueError a call whose input, rows, records, states and
+    the arrays ``ode.propagate`` and the kernel hold during a window would
+    not fit in physical memory.
 
     Every generator takes the same path: ``ode.propagate`` sums a Chebyshev
-    series of exp(h L) over windows of length h, one ``liouv.apply`` per
-    term, with the bound a = ``liouv.norm_bound()``, the largest absolute
-    row sum of the superoperator, read after ``_check_evolve_memory``, so a
-    refused call builds no stencil. A series is cut where its tail of
-    coefficients falls to 0.1 min(rtol, atol), at degree 64 at most; a
-    window is refused and halved when a term grows past 1e3 times the state
-    or the extrapolated tail exceeds the tolerance (see ``ode.propagate``).
-    At Fock cutoff 59 (a = 658.6) the oscillator oracle reaches t = 20 in
-    93 windows of degree 47 to 64.
+    series of exp(h L) over windows of length h, with the bound
+    a = ``liouv.norm_bound()``, the largest absolute row sum of the
+    superoperator, read after ``_check_evolve_memory``, so a refused call
+    builds no stencil. Each term T_{k+1} = 2 A~ T_k - T_{k-1} is one
+    ``_sweep`` of the stencil scaled by 4/a with 2 added to its centre
+    (``Liouvillian._packed``), summed in a contiguous work array and
+    written, less T_{k-1}, into the row that holds it. A series is cut
+    where its tail of coefficients falls to 0.1 min(rtol, atol), at degree
+    64 at most; a window is refused and halved when a term grows past 1e3
+    times the state or the extrapolated tail exceeds the tolerance (see
+    ``ode.propagate``). At Fock cutoff 59 (a = 658.6) the oscillator oracle
+    reaches t = 20 in 93 windows of degree 47 to 64, on one sector of 1799
+    values.
 
     No trace renormalization is applied, so trace drift stays a genuine
     global-error witness (the truncated series loses about its tail per
     window). The trace, hermiticity and eigenvalue witnesses read every
     member of every record, and only the records, and report the worst.
-    One DEBUG line per call logs the batch size, dim, P, the bound, the
-    windows and refused windows, the ``apply`` calls, the degree and window
-    ranges, and the number of records and their bytes.
+    The diagnostics add ``sectors``, S. One DEBUG line per call logs the
+    batch size, dim, P, S, the bound, the windows and refused windows, the
+    terms (``rhs_evals``), the degree and window ranges, and the number of
+    records and their bytes.
     """
     if isinstance(rho0, QuantumState):
         rho0 = rho0.density()
@@ -476,23 +575,58 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
         raise ValueError("initial state shape does not match the generator: expected "
                          f"({dim}, {dim}) or (B, {dim}, {dim}), got {rho0.shape}")
     stack = rho0 if rho0.ndim == 3 else rho0[None]
+    members = len(stack)
     times = _output_times(times)
     planes = 2 if np.any(stack.imag) else 1
-    _check_evolve_memory(len(stack), dim, len(times), planes)
-    y0 = np.stack((stack.real, stack.imag), axis=1) if planes == 2 else stack.real[:, None].copy()
-    result = propagate(liouv.apply, liouv.norm_bound(), y0, times, rtol, atol)
-    states = np.empty((len(times),) + rho0.shape, dtype=complex)
-    by_member = states.reshape((len(times),) + stack.shape)  # a view
-    by_member.real = result.states[:, :, 0]
-    by_member.imag = result.states[:, :, 1] if planes == 2 else 0.0
-    diagnostics = dict(result.diagnostics)
+    # sector s holds the entries with i + j = s (mod 2): the even rows' columns of parity s
+    # and the odd rows' columns of the other parity
+    live = [s for s in (0, 1)
+            if np.any(stack[:, 0::2, s::2]) or np.any(stack[:, 1::2, 1 - s::2])] or [0]
+    _check_evolve_memory(members, dim, len(times), planes, len(live))
+    bound = liouv.norm_bound()
+    _check_positive(bound=bound)
+    width, length, sectors, coefs = liouv._packed
+    # the live sectors' planes end to end, with 2W zeros on each side
+    first, interior = (0, 2 * length) if len(live) == 2 else (live[0] * length, length)
+    layout = _layout({shift: coef[first:first + interior] for shift, coef in coefs.items()},
+                     width)
+    pad = layout[0]
+    row = interior + 2 * pad
+    y0 = np.zeros((members, planes, row))
+    for plane, part in enumerate((stack.real, stack.imag)[:planes]):
+        part = part.reshape(members, dim * dim)
+        for slot, s in enumerate(live):
+            index, position = sectors[s]
+            y0[:, plane, pad + slot * length + position] = part[:, index]
+    lead = (members, planes) if planes > 1 else (members,) if members > 1 else ()
+    y0 = y0.reshape(lead + (row,))
+    acc, *work = (_aligned_empty(y0.shape[:-1] + (interior,)) for _ in range(3))
+
+    def term(cur, prev, out):
+        # the sweep sums into the contiguous acc; the row of the block is written once
+        _sweep(layout, cur, acc, work)
+        if prev is None:
+            out[..., pad:pad + interior] = acc
+        else:
+            np.subtract(acc, prev[..., pad:pad + interior], out=out[..., pad:pad + interior])
+
+    result = propagate(term, bound, y0, times, rtol, atol)
+    del y0, acc, work
+    records = result.states.reshape(len(times), members, planes, row)
+    states = np.zeros((len(times),) + rho0.shape, dtype=complex)
+    by_member = states.reshape(len(times), members, dim * dim)  # a view
+    for plane, part in enumerate((by_member.real, by_member.imag)[:planes]):
+        for slot, s in enumerate(live):
+            index, position = sectors[s]
+            part[..., index] = records[:, :, plane, pad + slot * length + position]
+    diagnostics = dict(result.diagnostics, sectors=len(live))
     diagnostics.update(_state_diagnostics(states))
-    logger.debug("evolve batch=%d dim=%d planes=%d bound=%.6g windows=%d refused=%d "
-                 "rhs_evals=%d degree=[%d, %d] window=[%.3e, %.3e] records=%d bytes=%d",
-                 len(stack), dim, planes, diagnostics["bound"], diagnostics["accepted"],
-                 diagnostics["rejected"], diagnostics["rhs_evals"], diagnostics["degree_min"],
-                 diagnostics["degree_max"], diagnostics["dt_min"], diagnostics["dt_max"],
-                 len(states), states.nbytes)
+    logger.debug("evolve batch=%d dim=%d planes=%d sectors=%d bound=%.6g windows=%d "
+                 "refused=%d rhs_evals=%d degree=[%d, %d] window=[%.3e, %.3e] records=%d "
+                 "bytes=%d", members, dim, planes, len(live), diagnostics["bound"],
+                 diagnostics["accepted"], diagnostics["rejected"], diagnostics["rhs_evals"],
+                 diagnostics["degree_min"], diagnostics["degree_max"], diagnostics["dt_min"],
+                 diagnostics["dt_max"], len(states), states.nbytes)
     return Trajectory(times=result.times, states=states, diagnostics=diagnostics)
 
 

@@ -19,16 +19,19 @@ Phys. 81, 3967 (1984)). Over a window of length h, with beta = a h / 2,
     exp(hA) = sum_k c_k T_k(A~),  c_0 = e^-beta I_0(beta),  c_k = 2 e^-beta I_k(beta),
 
 and T_k(A~) y follows from the three-term recurrence T_{k+1} = 2 A~ T_k -
-T_{k-1}, one application of A per term. The series converges faster than
-any power of beta, so one window of degree up to 64 spans what an explicit
+T_{k-1}. The caller hands ``propagate`` that recurrence as one function,
+``term``, so each term is one pass of the caller's kernel written straight
+into the array that holds it (``lindblad.evolve`` folds the 4/a and the 2
+into the stencil's coefficients). The series converges faster than any
+power of beta, so one window of degree up to 64 spans what an explicit
 stepper, held to |h lambda| of order one by stability, needs hundreds of
-steps for. It serves the master equation (``lindblad.evolve``): at Fock
-cutoff 59 the oscillator oracle reaches t = 20 in 93 windows and 5935
-applications of A. The coefficients are those of exp on the interval
-[-a, 0]: eigenvalues well off the real axis, a bound below the spectral
-radius and strong non-normality all show as growth of |T_k y|, which
-``propagate`` checks. A stack of states is propagated as one array, with
-the growth and error checks taken per member.
+steps for. It serves the master equation: at Fock cutoff 59 the oscillator
+oracle reaches t = 20 in 93 windows and 5935 terms. The coefficients are
+those of exp on the interval [-a, 0]: eigenvalues well off the real axis,
+a bound below the spectral radius and strong non-normality all show as
+growth of |T_k y|, which ``propagate`` checks. A stack of states is
+propagated as one array, with the growth and error checks taken per
+member.
 """
 
 from __future__ import annotations
@@ -261,12 +264,18 @@ def _widest_beta(eps: float) -> float:
     return low
 
 
-def propagate(apply, bound, y0, times, rtol: float, atol: float) -> IntegrationResult:
+def propagate(term, bound, y0, times, rtol: float, atol: float) -> IntegrationResult:
     """exp((t - times[0]) A) y0 at every time in ``times``, by Chebyshev windows.
 
-    apply(y) returns A y for an array of y0's shape. A must be linear and
-    time independent, with its spectrum in |z| <= bound and Re z <= 0;
-    bound is that radius, a number. y0 is one state of shape (size,), or a
+    term(cur, prev, out) writes the next Chebyshev term 2 A~ cur - prev into
+    out, with A~ = (2 / bound) A + 1, and 2 A~ cur when prev is None; cur,
+    prev and out have y0's shape, and out never shares memory with cur or
+    prev. The first term, A~ y, is that pass halved, which is exact. A must
+    be linear and time independent, with its spectrum in |z| <= bound and
+    Re z <= 0; bound is that radius, a number. The arrays that receive the
+    terms start as zeros, so an entry that term never writes, and that y0
+    holds as zero, stays zero (``lindblad.evolve`` writes only the
+    interior of zero-bordered rows). y0 is one state of shape (size,), or a
     stack of states along its first axis; the result has y0's dtype. times
     are validated as for ``integrate``; rtol and atol must be positive and
     finite, and ValueError is raised, before anything is allocated, when no
@@ -277,7 +286,7 @@ def propagate(apply, bound, y0, times, rtol: float, atol: float) -> IntegrationR
     whose series of degree 64 meets the truncation rule), or ends at the
     last output time. Every output time inside a window gets its own row of
     coefficients over the same T_k vectors, so output times cost no extra
-    applications of A.
+    terms.
 
     Truncation rule. With eps = 0.1 min(rtol, atol), a row of the series
     is cut at the smallest degree m whose tail sum_{k > m} c_k is at most
@@ -294,7 +303,7 @@ def propagate(apply, bound, y0, times, rtol: float, atol: float) -> IntegrationR
     8 terms, with one max and one min over the block that give every
     term's peak as max(max x, -min x), and the first term in the block past
     the bound decides as it would term by term; so the same windows are
-    accepted, and a refused one may cost up to 7 more applications of A.
+    accepted, and a refused one may cost up to 7 more terms.
 
     Failure. The accepted estimates are summed per member over the run. A
     run whose windows keep their full width H cannot overspend, but halved
@@ -302,10 +311,10 @@ def propagate(apply, bound, y0, times, rtol: float, atol: float) -> IntegrationR
     (atol + rtol max |y0|) (1 + (t - times[0]) / H), the tolerance of one
     full window per full width elapsed, as when the bound is well below the
     spectral radius. It is also raised when the width falls below 1e-13 or
-    A returns non-finite values.
+    term writes non-finite values.
 
     Diagnostics: accepted windows, refused windows (``rejected``), calls to
-    apply (``rhs_evals``), the range of accepted window widths (``dt_min``,
+    term (``rhs_evals``), the range of accepted window widths (``dt_min``,
     ``dt_max``), the range of their degrees (``degree_min``,
     ``degree_max``), ``bound``, and the largest member's summed truncation
     estimate (``truncation_estimate``).
@@ -331,8 +340,7 @@ def propagate(apply, bound, y0, times, rtol: float, atol: float) -> IntegrationR
     widest = full = 2.0 * beta_max / bound
     budget = atol + rtol * peak(y0)
     spent = np.zeros(members)
-    scale = 2.0 / bound
-    block = np.empty((_BLOCK,) + y0.shape, dtype=y0.dtype)
+    block = np.zeros((_BLOCK,) + y0.shape, dtype=y0.dtype)
     grid = times.tolist()
     t, y, row = grid[0], states[0], 1
     accepted = rejected = calls = 0
@@ -369,14 +377,12 @@ def propagate(apply, bound, y0, times, rtol: float, atol: float) -> IntegrationR
         # past one that grew beyond the ceiling, and they may overflow
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, degree + 1):
-                term = block[filled]
-                np.multiply(apply(cur), scale if k == 1 else 2.0 * scale, out=term)
+                t_k = block[filled]
+                term(cur, prev if k > 1 else None, t_k)
                 calls += 1
-                term += cur
-                if k > 1:
-                    term += cur
-                    term -= prev
-                prev, cur, filled = cur, term, filled + 1
+                if k == 1:
+                    t_k *= 0.5
+                prev, cur, filled = cur, t_k, filled + 1
                 if filled < _BLOCK and k < degree:
                     continue
                 # the peak of every member of every term in the block, as max(max x, -min x):
@@ -387,7 +393,7 @@ def propagate(apply, bound, y0, times, rtol: float, atol: float) -> IntegrationR
                 if grown.any():
                     # the first term past the ceiling decides, as if each were checked in turn
                     if not np.isfinite(peaks[grown.argmax()]).all():
-                        raise IntegrationError("non-finite value returned by apply", t=t, dt=width)
+                        raise IntegrationError("non-finite value written by term", t=t, dt=width)
                     break
                 norms.extend(peaks)
                 flat(out)[...] += coef[:, k + 1 - filled:k + 1] @ flat(block[:filled])

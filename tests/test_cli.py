@@ -13,8 +13,7 @@ import pytest
 
 import squeezelax
 from squeezelax import cli, verification
-from squeezelax.cli import (EXIT_CONFIG, EXIT_INTEGRATOR, EXIT_OK, EXIT_VERIFY,
-                            main)
+from squeezelax.cli import EXIT_CONFIG, EXIT_INTEGRATOR, EXIT_OK, main
 from squeezelax.lindblad import DegenerateSteadyStateError
 
 

@@ -1,14 +1,13 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from squeezelax.figures import (FigureDataset, fig3a_vector_field,
                                 fig3b_ellipses, fig4a_rates,
                                 fig4b_variance_derivatives)
 from squeezelax.lindblad import evolve, spin_liouvillian
-from squeezelax.moments import SqueezingParams, decay_rates, minimal_m
+from squeezelax.moments import SqueezingParams, minimal_m
 from squeezelax.spin_algebra import (BlochAngles, DickeSpace,
                                      build_collective_ops, spin_coherent_state)
 

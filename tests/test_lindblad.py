@@ -49,6 +49,13 @@ def _generator(kind: str, size, params: SqueezingParams) -> Liouvillian:
     return Liouvillian(op=np.diag([float(digit) for digit in size], 1), params=params)
 
 
+def _even_coherences(dim: int) -> np.ndarray:
+    """A pure state of levels 1, 3 and 7: every coherence i - j is even, so it fills one sector."""
+    psi = np.zeros(dim, dtype=complex)
+    psi[[1, 3, 7]] = 0.6, 0.48j, 0.64
+    return np.outer(psi, psi.conj())
+
+
 class TestDissipator:
     def test_zero_operators(self):
         rho = np.diag([0.5, 0.5]).astype(complex)
@@ -394,6 +401,25 @@ class TestLiouvillianApply:
         assert guarded[0] <= peak <= 1.01 * guarded[0]
 
 
+def test_sector_layout_packs_each_sector_without_collisions():
+    rng = np.random.default_rng(3)
+    for dim in range(1, 65):
+        width, length, sectors = lindblad._sector_layout(dim)
+        assert width % 2 == 0 and 2 * width >= dim and length == width * (dim - 1) + dim
+        rho = rng.normal(size=dim * dim)
+        planes, back = np.zeros((2, length)), np.full(dim * dim, np.nan)
+        for s, (index, position) in enumerate(sectors):
+            i, j = np.divmod(index, dim)
+            assert np.all((i - j) % 2 == s) and np.array_equal(position, width * i + j)
+            assert len(np.unique(position)) == len(position)  # no two entries collide
+            assert 0 <= position.min(initial=0) and position.max(initial=0) < length
+            planes[s, position] = rho[index]
+        for s, (index, position) in enumerate(sectors):
+            back[index] = planes[s, position]
+        assert np.array_equal(back, rho)  # every entry is in one sector, and comes back
+    assert lindblad._sector_layout(59)[:2] == (30, 1799)
+
+
 class TestEvolve:
     def test_single_spin_exponential_rate(self):
         p = SqueezingParams.minimal(0.5)
@@ -435,6 +461,10 @@ class TestEvolve:
         for rho0 in (stack[None], stack[:, :, :-1], stack[:0]):  # bad stacks
             with pytest.raises(ValueError):
                 evolve(liouv, rho0, 1.0)
+        # a zero op has the bound 0, which no Chebyshev window can be scaled by
+        zero = Liouvillian(op=np.zeros((3, 3)), params=SqueezingParams(0.5, 0.0))
+        with pytest.raises(ValueError, match="bound must be positive"):
+            evolve(zero, np.eye(3, dtype=complex) / 3, 1.0)
 
     @pytest.fixture(scope="class")
     def phi_batch(self):
@@ -475,7 +505,8 @@ class TestEvolve:
         (record,) = caplog.records
         message = record.getMessage()
         assert record.levelno == logging.DEBUG
-        assert "batch=4 dim=7 planes=2" in message and f"rhs_evals={diag['rhs_evals']}" in message
+        assert "batch=4 dim=7 planes=2 sectors=2" in message and diag["sectors"] == 2
+        assert f"rhs_evals={diag['rhs_evals']}" in message
         assert 0 < diag["dt_min"] <= diag["dt_max"] <= 0.1
         assert 1 <= diag["degree_min"] <= diag["degree_max"] <= 64
         assert diag["bound"] == liouv.norm_bound()
@@ -489,6 +520,7 @@ class TestEvolve:
 
     @pytest.mark.parametrize("kind, size, bath", [
         ("oscillator", 59, "squeezed-vacuum"), ("oscillator", 80, "coherent"),
+        ("oscillator-even", 40, "mixed"), ("spins-even", 8, "minimal"),
         *(("spins", n, bath) for n in (8, 15, 40, 80) for bath in BATHS)])
     def test_matches_rk45_at_tight_tolerance(self, kind, size, bath):
         """Default tolerances against Dormand-Prince at rtol 1e-12, atol 1e-14, on output grids."""
@@ -503,10 +535,15 @@ class TestEvolve:
             psi = lindblad.coherent_state_vector(80, 1.0)
             rho0 = np.outer(psi, psi.conj()).astype(complex)
             times = np.linspace(0.0, 2.0, 121)
+        elif kind == "oscillator-even":
+            liouv = oscillator_liouvillian(size, BATHS[bath])
+            rho0 = _even_coherences(size)
+            times = np.linspace(0.0, 2.0, 41)
         else:
             space = DickeSpace(size)
             liouv = spin_liouvillian(build_collective_ops(space), BATHS[bath])
-            rho0 = spin_coherent_state(space, BlochAngles(0.75 * math.pi, 0.3)).density()
+            rho0 = (_even_coherences(size + 1) if kind == "spins-even" else
+                    spin_coherent_state(space, BlochAngles(0.75 * math.pi, 0.3)).density())
             times = np.linspace(0.0, 2.0 / size, 31)  # about three collective decay times
 
         def rhs(y, _t):  # the complex state as interleaved real and imaginary parts
@@ -520,6 +557,26 @@ class TestEvolve:
         assert traj.diagnostics["max_trace_drift"] <= 1e-10
         assert traj.diagnostics["max_hermiticity_residual"] <= 1e-12
         assert traj.diagnostics["min_eigenvalue"] >= -1e-10
+        one_sector = kind.endswith("-even") or size == 59
+        assert traj.diagnostics["sectors"] == (1 if one_sector else 2)
+
+    def test_sectors_propagate_apart(self, phi_batch):
+        # each sector of a start alone (the odd one is traceless, not a
+        # state) is propagated on its own plane; together they give the run
+        # of the whole start, up to the order of the blocked sums
+        liouv, stack = phi_batch
+        odd = np.indices(stack.shape[1:]).sum(axis=0) % 2 == 1
+        times = np.linspace(0.0, 0.3, 4)
+        whole = evolve(liouv, stack, times)
+        parts = [evolve(liouv, np.where(mask, stack, 0.0), times) for mask in (~odd, odd)]
+        assert [part.diagnostics["sectors"] for part in parts] == [1, 1]
+        assert whole.diagnostics["sectors"] == 2
+        assert all(part.diagnostics["rhs_evals"] == whole.diagnostics["rhs_evals"]
+                   for part in parts)
+        assert np.all(parts[0].states[:, :, odd] == 0.0)
+        assert np.all(parts[1].states[:, :, ~odd] == 0.0)
+        total = parts[0].states + parts[1].states
+        assert np.max(np.abs(total - whole.states)) <= 1e-14
 
     def test_real_start_propagates_one_real_plane(self, monkeypatch):
         liouv = oscillator_liouvillian(12, BATHS["mixed"])
@@ -527,18 +584,31 @@ class TestEvolve:
         rho0[0, 0] = rho0[1, 1] = rho0[0, 1] = rho0[1, 0] = 0.5
         handed, real_propagate = [], lindblad.propagate
 
-        def spy(apply, bound, y0, *rest):
+        def spy(term, bound, y0, *rest):
             handed.append(y0)
-            return real_propagate(apply, bound, y0, *rest)
+            return real_propagate(term, bound, y0, *rest)
 
         monkeypatch.setattr(lindblad, "propagate", spy)
         traj = evolve(liouv, rho0, np.linspace(0.0, 1.0, 5))
         assert len(handed) == 1 and handed[0].dtype == np.float64
-        assert handed[0].shape == (1, 1, 12, 12)
+        # one member, one real plane: both sectors' packed planes (W = 6, L = 6 * 11 + 12)
+        # end to end, with 2W border zeros on each side
+        assert handed[0].shape == (2 * 78 + 4 * 6,)
+        assert traj.diagnostics["sectors"] == 2
         assert traj.states.dtype == complex and traj.states.shape == (5, 12, 12)
         assert np.all(traj.states.imag == 0.0) and not np.any(np.signbit(traj.states.imag))
         # a float64 start takes the same path
         assert np.array_equal(traj.states, evolve(liouv, rho0.real, np.linspace(0.0, 1.0, 5)).states)
+
+    def test_one_sector_start_leaves_the_other_sector_zero(self):
+        traj = evolve(oscillator_liouvillian(16, BATHS["mixed"]), _even_coherences(16),
+                      np.linspace(0.0, 1.0, 6))
+        assert traj.diagnostics["sectors"] == 1
+        odd = np.indices((16, 16)).sum(axis=0) % 2 == 1
+        other = traj.states[:, odd]
+        assert np.all(other == 0.0) and not np.any(np.signbit(other.real))
+        assert not np.any(np.signbit(other.imag))
+        assert np.any(traj.states[-1][~odd].imag)
 
     @pytest.mark.parametrize("start", ["float64", "complex"])
     def test_record_guard_counts_the_real_records_and_the_states(self, start, monkeypatch):
@@ -546,9 +616,12 @@ class TestEvolve:
         # states each fit in it and together do not. A guard that counts only
         # one of them lets the run allocate, in a single short window
         dim, phys = 32, 2 ** 26
-        planes = 1 if start == "float64" else 2
-        times = np.linspace(0.0, 1e-3, phys // ((8 * planes + 12) * dim * dim))
-        assert 16 * len(times) * dim * dim <= phys < (8 * planes + 16) * len(times) * dim * dim
+        planes, sectors = (1, 1) if start == "float64" else (2, 2)
+        # bytes per output time: the live sectors' packed planes (W = 16,
+        # L = 16 * 31 + 32) with their borders, and one complex state
+        record, state = 8 * planes * (sectors * 528 + 4 * 16), 16 * dim * dim
+        times = np.linspace(0.0, 1e-3, phys // (record + 12 * dim * dim))
+        assert max(record, state) * len(times) <= phys < (record + state) * len(times)
         liouv = oscillator_liouvillian(dim, SqueezingParams(0.5, 0.0))
         rho0 = np.zeros((dim, dim))
         rho0[0, 0] = 1.0
@@ -565,8 +638,13 @@ class TestEvolve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < phys / 100  # no record: the smaller set alone is over a third of phys
+        assert peak < phys / 100  # no record: the smaller set alone is over a quarter of phys
         assert "_coefficients" not in vars(liouv)
+
+    def test_reports_the_live_sectors(self):
+        vacuum = oscillator_oracle(SqueezingParams(1.0, math.sqrt(2.0)), 0.5)
+        assert vacuum.diagnostics["sectors"] == 1
+        assert _fig3b_batch(10)().diagnostics["sectors"] == 2
 
     def test_record_guard_refuses_before_allocating(self):
         phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")

@@ -8,6 +8,19 @@ from squeezelax.ode import (IntegrationError, IntegratorConfig, _chebyshev_serie
                             integrate, propagate)
 
 
+def _propagate(apply, bound, *rest):
+    """``propagate`` for a plain y -> A y, through the term it takes: out = 2 A~ cur - prev."""
+
+    def term(cur, prev, out):
+        np.multiply(apply(cur), 4.0 / bound, out=out)  # read after propagate checks bound
+        out += cur
+        out += cur
+        if prev is not None:
+            out -= prev
+
+    return propagate(term, bound, *rest)
+
+
 def test_adaptive_exponential():
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-14)
     result = integrate(lambda y, t: -y, np.array([1.0]), (0.0, 1.0), cfg)
@@ -39,7 +52,7 @@ def test_rejects_output_times_not_increasing_or_not_finite(times):
     with pytest.raises(ValueError):
         integrate(lambda y, t: -y, np.array([1.0]), times, IntegratorConfig())
     with pytest.raises(ValueError):
-        propagate(lambda y: -y, 1.0, np.array([1.0]), times, 1e-10, 1e-12)
+        _propagate(lambda y: -y, 1.0, np.array([1.0]), times, 1e-10, 1e-12)
 
 
 def test_gardiner_means_match_analytic_exponentials():
@@ -94,8 +107,8 @@ def test_complex_state_propagation():
     # d/dt z = i z: rotation in the complex plane at unit speed. The
     # eigenvalue i lies off the negative real axis, where T_k(A~) grows, so
     # windows are refused until the series converges
-    result = propagate(lambda y: 1j * y, 2.0, np.array([1.0 + 0j]), (0.0, math.pi),
-                       1e-11, 1e-13)
+    result = _propagate(lambda y: 1j * y, 2.0, np.array([1.0 + 0j]), (0.0, math.pi),
+                        1e-11, 1e-13)
     assert abs(result.states[-1, 0] - (-1.0)) < 1e-9
     assert np.iscomplexobj(result.states)
     assert result.diagnostics["rejected"] > 0
@@ -108,7 +121,7 @@ def test_nonfinite_rhs_reports_context():
     with pytest.raises(IntegrationError):
         integrate(rhs, np.array([1.0]), (0.0, 1.0), IntegratorConfig())
     with pytest.raises(IntegrationError, match="non-finite"):
-        propagate(lambda y: rhs(y, 0.0), 1.0, np.array([1.0]), 1.0, 1e-10, 1e-12)
+        _propagate(lambda y: rhs(y, 0.0), 1.0, np.array([1.0]), 1.0, 1e-10, 1e-12)
 
 
 def test_config_validation():
@@ -125,13 +138,13 @@ def test_config_validation():
             integrate(lambda y, t: -y, y0, (0.0, 1.0), IntegratorConfig())
     for bound in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
-            propagate(lambda y: -y, bound, np.ones(2), 1.0, 1e-10, 1e-12)
+            _propagate(lambda y: -y, bound, np.ones(2), 1.0, 1e-10, 1e-12)
     for y0 in (np.ones(0), np.ones((0, 3)), np.array([1.0, math.nan])):
         with pytest.raises(ValueError):
-            propagate(lambda y: -y, 1.0, y0, 1.0, 1e-10, 1e-12)
+            _propagate(lambda y: -y, 1.0, y0, 1.0, 1e-10, 1e-12)
     for rtol, atol in ((0.0, 1e-12), (1e-10, -1.0), (math.nan, 1e-12), (1e-10, math.inf)):
         with pytest.raises(ValueError, match="must be positive and finite"):
-            propagate(lambda y: -y, 1.0, np.ones(2), 1.0, rtol, atol)
+            _propagate(lambda y: -y, 1.0, np.ones(2), 1.0, rtol, atol)
 
 
 def test_widest_beta_reads_no_term_past_a_short_series():
@@ -142,7 +155,7 @@ def test_widest_beta_reads_no_term_past_a_short_series():
         with pytest.raises(ValueError, match="met by no Chebyshev window of degree 64"):
             _widest_beta(eps)
     with pytest.raises(ValueError, match="met by no Chebyshev window"):
-        propagate(lambda y: -y, 1.0, np.ones(2), 1.0, 1e-60, 1e-12)
+        _propagate(lambda y: -y, 1.0, np.ones(2), 1.0, 1e-60, 1e-12)
 
 
 def test_first_term_past_the_ceiling_decides_its_block():
@@ -150,7 +163,7 @@ def test_first_term_past_the_ceiling_decides_its_block():
     # of its block overflow: the window is refused, as a term-by-term check
     # would refuse it, until the width underflows; nothing non-finite is reported
     with pytest.raises(IntegrationError, match="window underflow"):
-        propagate(lambda y: -1e200 * y, 1.0, np.ones(3), 1.0, 1e-10, 1e-12)
+        _propagate(lambda y: -1e200 * y, 1.0, np.ones(3), 1.0, 1e-10, 1e-12)
 
 
 def test_rhs_calls_match_the_reported_count():
@@ -240,7 +253,7 @@ def _exact(times, y0):
 def test_propagate_is_exact_on_a_diagonal_generator(shape):
     y0 = np.random.default_rng(7).normal(size=shape)
     times = np.linspace(0.0, 3.0, 7)
-    result = propagate(_decay, RATES[-1], y0, times, 1e-12, 1e-14)
+    result = _propagate(_decay, RATES[-1], y0, times, 1e-12, 1e-14)
     assert result.states.shape == (7,) + shape
     assert result.times.tolist() == times.tolist()
     assert np.max(np.abs(result.states - _exact(times, y0))) <= 1e-13 * np.max(np.abs(y0))
@@ -250,10 +263,10 @@ def test_propagate_is_exact_on_a_diagonal_generator(shape):
 def test_output_times_inside_one_window_equal_separate_calls():
     y0 = np.random.default_rng(8).normal(size=12)
     grid = (0.0, 0.1, 0.25, 0.4)
-    shared = propagate(_decay, RATES[-1], y0, grid, 1e-10, 1e-12)
+    shared = _propagate(_decay, RATES[-1], y0, grid, 1e-10, 1e-12)
     assert shared.diagnostics["accepted"] == 1
     for row, t in enumerate(grid[1:], start=1):
-        alone = propagate(_decay, RATES[-1], y0, t, 1e-10, 1e-12)
+        alone = _propagate(_decay, RATES[-1], y0, t, 1e-10, 1e-12)
         # the same series; the earlier times also sum the terms their own
         # truncation would have left out
         assert np.max(np.abs(alone.states[-1] - shared.states[row])) <= 1e-13
@@ -270,15 +283,15 @@ def test_low_bound_is_refused_or_raises():
     y0 = np.random.default_rng(9).normal(size=12)
     times = np.linspace(0.0, 1.0, 11)
     rtol, atol = 1e-10, 1e-12
-    result = propagate(_decay, 190.0, y0, times, rtol, atol)
+    result = _propagate(_decay, 190.0, y0, times, rtol, atol)
     exact = _exact(times, y0)
     assert result.diagnostics["rejected"] > 0
     assert np.max(np.abs(result.states - exact) / (atol + rtol * np.abs(exact))) <= 1.0
     for bound in (150.0, 100.0, 20.0):
         with pytest.raises(IntegrationError, match="add up past the tolerance"):
-            propagate(_decay, bound, y0, times, rtol, atol)
+            _propagate(_decay, bound, y0, times, rtol, atol)
     with pytest.raises(IntegrationError, match="window underflow"):
-        propagate(lambda y: -1e6 * y, 1.0, y0, times, rtol, atol)
+        _propagate(lambda y: -1e6 * y, 1.0, y0, times, rtol, atol)
 
 
 def test_propagate_reports_every_apply_call():
@@ -292,15 +305,38 @@ def test_propagate_reports_every_apply_call():
     y0 = np.random.default_rng(10).normal(size=(3, 12))
     for bound, times in ((200.0, 2.0), (200.0, np.linspace(0.0, 1.0, 9)), (190.0, 1.0)):
         calls = 0
-        diag = propagate(apply, bound, y0, times, 1e-10, 1e-12).diagnostics
+        diag = _propagate(apply, bound, y0, times, 1e-10, 1e-12).diagnostics
         assert calls == diag["rhs_evals"] > 0
     assert diag["rejected"] > 0  # refused windows count their calls too
 
 
+def test_entries_term_never_writes_stay_zero():
+    # the term writes only the interior of each row, as evolve's kernel
+    # does: the zero borders of y0 stay zero, and the interior decays
+    y0 = np.zeros((2, 14))
+    y0[:, 1:-1] = np.random.default_rng(13).normal(size=(2, 12))
+    seen = []
+
+    def term(cur, prev, out):
+        seen.append(np.shares_memory(out, cur)
+                    or (prev is not None and np.shares_memory(out, prev)))
+        np.multiply(-RATES * cur[:, 1:-1], 4.0 / RATES[-1], out=out[:, 1:-1])
+        out[:, 1:-1] += 2.0 * cur[:, 1:-1]
+        if prev is not None:
+            out[:, 1:-1] -= prev[:, 1:-1]
+
+    result = propagate(term, RATES[-1], y0, np.linspace(0.0, 1.0, 5), 1e-10, 1e-12)
+    assert not any(seen)
+    assert np.all(result.states[:, :, [0, -1]] == 0.0)
+    assert not np.any(np.signbit(result.states[:, :, [0, -1]]))
+    exact = _exact(np.linspace(0.0, 1.0, 5), y0[:, 1:-1])
+    assert np.max(np.abs(result.states[:, :, 1:-1] - exact)) <= 1e-12
+
+
 def test_propagated_batch_of_one_equals_the_single_state():
     y0 = np.random.default_rng(11).normal(size=12)
-    single = propagate(_decay, RATES[-1], y0, np.linspace(0.0, 1.0, 5), 1e-10, 1e-12)
-    batch = propagate(_decay, RATES[-1], y0[None], np.linspace(0.0, 1.0, 5), 1e-10, 1e-12)
+    single = _propagate(_decay, RATES[-1], y0, np.linspace(0.0, 1.0, 5), 1e-10, 1e-12)
+    batch = _propagate(_decay, RATES[-1], y0[None], np.linspace(0.0, 1.0, 5), 1e-10, 1e-12)
     assert batch.diagnostics == single.diagnostics
     assert batch.states.shape == (5, 1, 12)
     assert np.array_equal(batch.states[:, 0], single.states)
@@ -314,13 +350,13 @@ def test_propagated_stack_holds_every_member_to_its_own_tolerance():
     y0 = np.array([[1.0, 0.0], [0.0, 1e-6]])
     times = np.linspace(0.0, 1.0, 11)
     rtol, atol = 1e-8, 1e-15
-    result = propagate(lambda y: -rates * y, 90.0, y0, times, rtol, atol)
+    result = _propagate(lambda y: -rates * y, 90.0, y0, times, rtol, atol)
     exact = np.exp(-times[:, None, None] * rates) * y0
     assert result.diagnostics["rejected"] > 0
     assert np.max(np.abs(result.states - exact) / (atol + rtol * np.abs(exact))) <= 1.0
     # the member alone is propagated in the same windows, to the same values
     # up to the order of the blocked sums
-    alone = propagate(lambda y: -rates * y, 90.0, y0[1], times, rtol, atol)
+    alone = _propagate(lambda y: -rates * y, 90.0, y0[1], times, rtol, atol)
     assert alone.diagnostics["rhs_evals"] == result.diagnostics["rhs_evals"]
     assert np.allclose(alone.states, result.states[:, 1], rtol=1e-14, atol=0.0)
 
@@ -328,7 +364,7 @@ def test_propagated_stack_holds_every_member_to_its_own_tolerance():
 def test_complex_stack_propagation():
     phases = np.exp(1j * np.array([[0.3], [1.1], [2.5]]))
     y0 = phases * np.random.default_rng(12).normal(size=(3, 12))
-    result = propagate(_decay, RATES[-1], y0, (0.0, 0.5), 1e-11, 1e-13)
+    result = _propagate(_decay, RATES[-1], y0, (0.0, 0.5), 1e-11, 1e-13)
     assert np.iscomplexobj(result.states) and result.states.shape == (2, 3, 12)
     assert np.max(np.abs(result.states - _exact((0.0, 0.5), y0))) <= 1e-12
     diag = result.diagnostics
