@@ -139,7 +139,7 @@ def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid) -> FigureDataset:
     oscillator panel reads a coherent state's moments at 0 and 0.1 / gamma_p
     from ``oscillator_solution``.
 
-    ``evolve``'s memory estimate for the largest n (two planes of both
+    ``evolve``'s memory estimate for the largest n (one real row of both
     parity sectors and two records per member of the phi grid) is checked
     before any ops are built or densities stacked: ValueError refuses a run
     whose evolution would not fit in physical memory.
@@ -155,8 +155,7 @@ def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid) -> FigureDataset:
                "var_x", "var_y", "cov_xy", "axis_major", "axis_minor",
                "tilt", "scale"]
 
-    _check_evolve_memory(len(phi_grid), max(n_list, default=0) + 1, records=2, planes=2,
-                         sectors=2)
+    _check_evolve_memory(len(phi_grid), max(n_list, default=0) + 1, records=2, sectors=2)
     rows = []
     for n in n_list if phi_grid else ():
         space = DickeSpace(n)

@@ -71,14 +71,16 @@ superoperator is never built. From the CLI, ``steady-state --spins 40``,
 
 Time evolution. ``evolve`` sums a Chebyshev series of exp(h L) in the
 rescaled generator A~ = (2/a) L + 1 (``ode.propagate``), over windows of
-degree up to 64. No term links the two parity sectors, so it propagates
-only the sectors in which the start has a nonzero entry, each packed into
-a plane of about dim^2 / 2 values (``_sector_layout``), and of those only
-the real parts when the start has no imaginary part, as the vacuum and
-every real density matrix have: what it leaves out stays exactly zero.
-Its only operation is one pass of the stencil per term, with the
-coefficients scaled by 4/a and 2 added to the centre, which with T_{k-1}
-subtracted gives T_{k+1} = 2 A~ T_k - T_{k-1} in the row that holds it. The
+degree up to 64. It propagates each Hermitian state as one real matrix,
+X = Re rho + Im rho, from which the symmetric Re rho and the antisymmetric
+Im rho are read back exactly Hermitian. No term links the two parity
+sectors, so it propagates only the sectors in which the start has a
+nonzero entry, each packed into a plane of about dim^2 / 2 values
+(``_sector_layout``): what it leaves out stays exactly zero. Its only
+operation is one pass of the stencil per term over the whole batch as one
+contiguous run, with the coefficients scaled by 4/a, 2 added to the centre
+and tiled once per member, which with T_{k-1} subtracted gives
+T_{k+1} = 2 A~ T_k - T_{k-1} in the rows that hold it. The
 bound a is ``norm_bound()``, the largest absolute row sum of the
 superoperator, read from the stencil's coefficients in O(dim^2); every
 eigenvalue of L lies in |z| <= a. At Fock cutoff 59 (a = 658.6) the
@@ -100,7 +102,7 @@ import numpy as np
 
 from .moments import SqueezingParams
 from .ode import _BLOCK, _check_memory, _check_positive, _output_times, propagate
-from .spin_algebra import CollectiveOps, QuantumState
+from .spin_algebra import CollectiveOps, QuantumState, _check_hermitian
 
 __all__ = [
     "Liouvillian",
@@ -485,35 +487,36 @@ def _state_diagnostics(states: np.ndarray) -> dict:
     }
 
 
-def _check_evolve_memory(members: int, dim: int, records: int, planes: int, sectors: int):
+def _check_evolve_memory(members: int, dim: int, records: int, sectors: int):
     """Refuse, with ValueError, an ``evolve`` whose arrays would not fit in physical memory.
 
     The call propagates ``members`` dim x dim states, recorded at
-    ``records`` output times, as ``planes`` real planes (``evolve`` takes
-    one or two) of ``sectors`` live parity sectors each (one or two). A
-    plane's row holds the live sectors' packed planes, n = sectors L
-    values (``_sector_layout``), with 4W border zeros. With
-    E = members dim^2 and N = members planes rows of R = n + 4W values,
-    the estimate counts each array at its largest, as if all were alive at
+    ``records`` output times, as one real row per member that holds
+    ``sectors`` live parity sectors (one or two): n = sectors L values of
+    packed planes (``_sector_layout``), with 4W border zeros. With
+    E = members dim^2 and N = members rows of R = n + 4W values, the
+    estimate counts each array at its largest, as if all were alive at
     once: the complex input and states, 16 E (1 + records) bytes; 8 N R
     bytes for each of the packed start, the records, the 8 terms of
     ``ode.propagate``'s block (whose growth check reads the block's max and
     min, with no |.| temporary), and a window's outputs and the product
-    added to them (up to one row per output time each); the kernel's sum
-    and two products, 24 N n; the values of one sector's entries moved out
-    of the records, 4 E records; the stencil's 72 dim^2, and the scaled
-    packed copy of it, 144 L, with its 32 dim^2 of indices and their build.
-    Python objects and the cached Chebyshev series are not counted.
-    ``fig3b_ellipses`` calls it before it stacks its densities.
+    added to them (up to one row per output time each); the batch's run
+    of N R - 4W values, which holds the kernel's sum and two products,
+    24 N R, and the nine shifts' coefficients tiled once per member, 72 N R;
+    the read-back's real dim x dim records and the values of one sector's
+    entries moved into them, 12 E records, more than the 12 E of packing the
+    start; the stencil's 72 dim^2, the scaled packed copy of it, 144 L,
+    with its 32 dim^2 of indices and their build, and the 32 dim^2 of
+    checking one member's Hermiticity. Python objects and the cached
+    Chebyshev series are not counted. ``fig3b_ellipses`` calls it before it
+    stacks its densities.
     """
     width = 2 * -(-dim // 4)
     length = width * (dim - 1) + dim
-    interior = sectors * length
     entries = members * dim * dim
-    rows = members * planes
-    _check_memory(16 * entries * (1 + records) + 8 * rows * (interior + 4 * width) * (
-        1 + 3 * records + _BLOCK) + 24 * rows * interior + 4 * entries * records
-                  + 104 * dim * dim + 144 * length,
+    row_bytes = 8 * members * (sectors * length + 4 * width)
+    _check_memory(16 * entries * (1 + records) + row_bytes * (1 + 3 * records + _BLOCK + 3 + 9)
+                  + 12 * entries * records + 136 * dim * dim + 144 * length,
                   f"evolving {members} states of dim {dim} to {records} records")
 
 
@@ -525,19 +528,28 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
     times[0]; a number t means (0, t). rho0 is one density matrix
     (dim, dim) or a batch (B, dim, dim), propagated as one stack with each
     member held to rtol and atol on its own; ``states`` has shape
-    (len(times),) + rho0.shape.
+    (len(times),) + rho0.shape. Every member must be Hermitian, by the
+    rule of ``QuantumState.from_matrix`` (max |rho0 - rho0+| <= 1e-12), or
+    ValueError is raised before the stencil is built.
 
-    No term of the generator links the parity sectors of rho (i - j even
-    and i - j odd), and its coefficients are real. So rho0 is handed to
-    ``ode.propagate`` as P real planes of S live sectors: P = 2 holds
-    Re rho and Im rho, and P = 1 the real part alone when every member's
-    imaginary part is exactly zero; S = 1 holds the one sector in which
-    some member has a nonzero entry (the even one for the vacuum), and
-    S = 2 both. A plane is one zero-bordered row of the live sectors'
-    packed planes (``_sector_layout``), and the stack is (B, P, row),
-    with B = 1 and P = 1 dropped as far as they lead. What is not
-    propagated stays exactly +0.0 in ``states``. Each member's peak is
-    taken over its planes, as it would be over the complex entries.
+    One real plane. The generator's coefficients are real, so it maps
+    Re rho and Im rho on their own, and their sum X = Re rho + Im rho as
+    it maps each. For a Hermitian rho, Re rho is symmetric and Im rho
+    antisymmetric, so X holds both: Re rho = (X + X^T) / 2 and
+    Im rho = (X - X^T) / 2. ``evolve`` propagates X and reads each record
+    back that way, halving X first, so every recorded state is exactly
+    Hermitian; a real start has X = Re rho and reads back bit for bit.
+    Read back, an entry carries the rounding of Re rho +- Im rho, at most
+    about eps max(|Re rho|, |Im rho|). No term links the parity sectors of
+    rho (i - j even and i - j odd), and (i, j) and (j, i) share one, so X
+    is handed to ``ode.propagate`` as S live sectors: S = 1 holds the one
+    sector in which some member has a nonzero entry (the even one for the
+    vacuum), and S = 2 both. A member's row is its live sectors' packed
+    planes (``_sector_layout``) end to end with 2W zeros on each side, and
+    the stack is (B, row), or (row,) for one state. What is not propagated
+    stays exactly +0.0 in ``states``. Each member's peak is taken over X,
+    and max(|X_ij|, |X_ji|) = |Re rho_ij| + |Im rho_ij| lies between
+    |rho_ij| and sqrt(2) |rho_ij|, so rtol and atol keep their meaning.
     Before anything of their size is allocated, ``_check_evolve_memory``
     refuses with ValueError a call whose input, rows, records, states and
     the arrays ``ode.propagate`` and the kernel hold during a window would
@@ -549,11 +561,15 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
     superoperator, read after ``_check_evolve_memory``, so a refused call
     builds no stencil. Each term T_{k+1} = 2 A~ T_k - T_{k-1} is one
     ``_sweep`` of the stencil scaled by 4/a with 2 added to its centre
-    (``Liouvillian._packed``), summed in a contiguous work array and
-    written, less T_{k-1}, into the row that holds it. A series is cut
-    where its tail of coefficients falls to 0.1 min(rtol, atol), at degree
-    64 at most; a window is refused and halved when a term grows past 1e3
-    times the state or the extrapolated tail exceeds the tolerance (see
+    (``Liouvillian._packed``), over the batch's rows as one contiguous run:
+    the coefficients are tiled once per member, with zeros on the 4W
+    border values between two members' planes, so a border stays zero, and
+    since a shift that leaves rho has a zero coefficient, no member reads
+    another. The sum, made in a contiguous work array, is written, less
+    T_{k-1}, into the run of the row that holds it. A series is cut where
+    its tail of coefficients falls to 0.1 min(rtol, atol), at degree 64 at
+    most; a window is refused and halved when a term grows past 1e3 times
+    the state or the extrapolated tail exceeds the tolerance (see
     ``ode.propagate``). At Fock cutoff 59 (a = 658.6) the oscillator oracle
     reaches t = 20 in 93 windows of degree 47 to 64, on one sector of 1799
     values.
@@ -561,11 +577,12 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
     No trace renormalization is applied, so trace drift stays a genuine
     global-error witness (the truncated series loses about its tail per
     window). The trace, hermiticity and eigenvalue witnesses read every
-    member of every record, and only the records, and report the worst.
-    The diagnostics add ``sectors``, S. One DEBUG line per call logs the
-    batch size, dim, P, S, the bound, the windows and refused windows, the
-    terms (``rhs_evals``), the degree and window ranges, and the number of
-    records and their bytes.
+    member of every record, and only the records, and report the worst;
+    the hermiticity residual is zero by construction of the read-back, not
+    by renormalization. The diagnostics add ``sectors``, S. One DEBUG line
+    per call logs the batch size, dim, S, the bound, the windows and
+    refused windows, the terms (``rhs_evals``), the degree and window
+    ranges, and the number of records and their bytes.
     """
     if isinstance(rho0, QuantumState):
         rho0 = rho0.density()
@@ -577,57 +594,73 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
     stack = rho0 if rho0.ndim == 3 else rho0[None]
     members = len(stack)
     times = _output_times(times)
-    planes = 2 if np.any(stack.imag) else 1
     # sector s holds the entries with i + j = s (mod 2): the even rows' columns of parity s
     # and the odd rows' columns of the other parity
     live = [s for s in (0, 1)
             if np.any(stack[:, 0::2, s::2]) or np.any(stack[:, 1::2, 1 - s::2])] or [0]
-    _check_evolve_memory(members, dim, len(times), planes, len(live))
+    _check_evolve_memory(members, dim, len(times), len(live))
+    for number, member in enumerate(stack):
+        _check_hermitian(member, f"initial state {number}" if rho0.ndim == 3 else "initial state")
     bound = liouv.norm_bound()
     _check_positive(bound=bound)
     width, length, sectors, coefs = liouv._packed
     # the live sectors' planes end to end, with 2W zeros on each side
     first, interior = (0, 2 * length) if len(live) == 2 else (live[0] * length, length)
-    layout = _layout({shift: coef[first:first + interior] for shift, coef in coefs.items()},
-                     width)
-    pad = layout[0]
+    pad = 2 * width
     row = interior + 2 * pad
-    y0 = np.zeros((members, planes, row))
-    for plane, part in enumerate((stack.real, stack.imag)[:planes]):
-        part = part.reshape(members, dim * dim)
-        for slot, s in enumerate(live):
-            index, position = sectors[s]
-            y0[:, plane, pad + slot * length + position] = part[:, index]
-    lead = (members, planes) if planes > 1 else (members,) if members > 1 else ()
-    y0 = y0.reshape(lead + (row,))
-    acc, *work = (_aligned_empty(y0.shape[:-1] + (interior,)) for _ in range(3))
+    # the batch's rows back to back, from the first member's interior to the last one's
+    run = members * row - 2 * pad
+
+    def tiled(coef):
+        # the live sectors' coefficients once per member, zeros on the borders between them
+        out = _aligned_empty((members, row))
+        out[:, :interior] = coef[first:first + interior]
+        out[:, interior:] = 0.0
+        return out.reshape(-1)[:run]
+
+    layout = _layout({shift: tiled(coef) for shift, coef in coefs.items()}, width)
+    y0 = np.zeros((members, row))
+    real, imag = (part.reshape(members, dim * dim) for part in (stack.real, stack.imag))
+    for slot, s in enumerate(live):
+        index, position = sectors[s]
+        y0[:, pad + slot * length + position] = real[:, index] + imag[:, index]
+    y0 = y0.reshape((members, row) if members > 1 else (row,))
+    acc, *work = (_aligned_empty((run,)) for _ in range(3))
 
     def term(cur, prev, out):
-        # the sweep sums into the contiguous acc; the row of the block is written once
-        _sweep(layout, cur, acc, work)
+        # propagate's arrays are contiguous, so ravel views each as the batch's rows back
+        # to back; the sweep sums into the contiguous acc, and the block's run is written once
+        _sweep(layout, cur.ravel(), acc, work)
+        into = out.ravel()[pad:pad + run]
         if prev is None:
-            out[..., pad:pad + interior] = acc
+            into[...] = acc
         else:
-            np.subtract(acc, prev[..., pad:pad + interior], out=out[..., pad:pad + interior])
+            np.subtract(acc, prev.ravel()[pad:pad + run], out=into)
 
     result = propagate(term, bound, y0, times, rtol, atol)
-    del y0, acc, work
-    records = result.states.reshape(len(times), members, planes, row)
-    states = np.zeros((len(times),) + rho0.shape, dtype=complex)
-    by_member = states.reshape(len(times), members, dim * dim)  # a view
-    for plane, part in enumerate((by_member.real, by_member.imag)[:planes]):
-        for slot, s in enumerate(live):
-            index, position = sectors[s]
-            part[..., index] = records[:, :, plane, pad + slot * length + position]
-    diagnostics = dict(result.diagnostics, sectors=len(live))
+    records, diagnostics = result.states, dict(result.diagnostics, sectors=len(live))
+    del result, y0, acc, work, layout
+    records = records.reshape(len(times), members, row)
+    x = np.zeros((len(times), members, dim * dim))
+    for slot, s in enumerate(live):
+        index, position = sectors[s]
+        x[..., index] = records[..., pad + slot * length + position]
+    del records
+    x *= 0.5
+    x = x.reshape(len(times), members, dim, dim)
+    states = np.empty((len(times),) + rho0.shape, dtype=complex)
+    by_member = states.reshape(x.shape)  # a view
+    np.add(x, x.swapaxes(-1, -2), out=by_member.real)
+    np.subtract(x, x.swapaxes(-1, -2), out=by_member.imag)
+    del x
     diagnostics.update(_state_diagnostics(states))
-    logger.debug("evolve batch=%d dim=%d planes=%d sectors=%d bound=%.6g windows=%d "
-                 "refused=%d rhs_evals=%d degree=[%d, %d] window=[%.3e, %.3e] records=%d "
-                 "bytes=%d", members, dim, planes, len(live), diagnostics["bound"],
-                 diagnostics["accepted"], diagnostics["rejected"], diagnostics["rhs_evals"],
-                 diagnostics["degree_min"], diagnostics["degree_max"], diagnostics["dt_min"],
-                 diagnostics["dt_max"], len(states), states.nbytes)
-    return Trajectory(times=result.times, states=states, diagnostics=diagnostics)
+    logger.debug("evolve batch=%d dim=%d sectors=%d bound=%.6g windows=%d refused=%d "
+                 "rhs_evals=%d degree=[%d, %d] window=[%.3e, %.3e] records=%d bytes=%d",
+                 members, dim, len(live), diagnostics["bound"], diagnostics["accepted"],
+                 diagnostics["rejected"], diagnostics["rhs_evals"], diagnostics["degree_min"],
+                 diagnostics["degree_max"], diagnostics["dt_min"], diagnostics["dt_max"],
+                 len(states), states.nbytes)
+    return Trajectory(times=times, states=states, diagnostics=diagnostics)
 
 
 def _orders(dim: int, parity: int) -> range:

@@ -71,6 +71,18 @@ class CollectiveOps:
     sz: np.ndarray
 
 
+def _check_hermitian(rho: np.ndarray, what: str = "density matrix"):
+    """Raise ValueError naming ``what`` when max |rho - rho+| over the square rho exceeds 1e-12.
+
+    The one rule every density matrix is held to: ``QuantumState.from_matrix``
+    and ``lindblad.evolve`` (for each member of its start) read it here.
+    """
+    residual = float(np.max(np.abs(rho - rho.conj().T)))
+    if residual > 1e-12:
+        raise ValueError(f"{what} is not Hermitian: max |rho - rho+| = {residual:.3g} "
+                         "exceeds 1e-12")
+
+
 class QuantumState:
     """Pure state vector or density matrix over a Dicke (or Fock) basis."""
 
@@ -97,8 +109,7 @@ class QuantumState:
         rho = np.asarray(rho, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError("density matrix must be square")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
-            raise ValueError("density matrix is not Hermitian")
+        _check_hermitian(rho)
         if abs(np.trace(rho).real - 1.0) > 1e-12:
             raise ValueError("density matrix trace deviates from 1")
         if np.min(np.linalg.eigvalsh(rho)) < -1e-10:

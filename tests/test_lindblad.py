@@ -475,9 +475,12 @@ class TestEvolve:
         return liouv, np.stack([s.density() for s in states])
 
     def test_batch_matches_each_member_alone(self, phi_batch):
+        # a real member (phi = 0) shares the batch's run with three complex ones
         liouv, stack = phi_batch
+        assert not np.any(stack[0].imag) and np.all(np.any(stack[1:].imag, axis=(1, 2)))
         batch = evolve(liouv, stack, np.linspace(0.0, 0.3, 31))
         assert batch.states.shape == (31,) + stack.shape
+        assert not np.any(batch.states[:, 0].imag)
         ops = build_collective_ops(DickeSpace(6))
         for b, rho0 in enumerate(stack):
             alone = evolve(liouv, rho0, 0.3)
@@ -490,13 +493,40 @@ class TestEvolve:
         assert batch.diagnostics["max_hermiticity_residual"] < 1e-12
 
     def test_batch_witness_reads_every_member(self, phi_batch):
+        # a Hermitian perturbation of member 2 alone: its trace is 1 + 1e-6, which
+        # the generator keeps, so only a witness that reads member 2 sees it
         liouv, stack = phi_batch
         bad = stack.copy()
-        bad[2, 0, 1] += 1e-6
+        bad[2, 0, 0] += 1e-6
         diag = evolve(liouv, bad, 0.3).diagnostics
-        assert diag["max_hermiticity_residual"] == pytest.approx(1e-6, rel=1e-6)
+        assert diag["max_trace_drift"] == pytest.approx(1e-6, rel=1e-4)
+        assert evolve(liouv, stack, 0.3).diagnostics["max_trace_drift"] < 1e-9
         grid = np.linspace(0.0, 0.3, 151)
-        assert evolve(liouv, stack[2], grid).diagnostics["max_hermiticity_residual"] < 1e-12
+        assert evolve(liouv, stack[2], grid).diagnostics["max_hermiticity_residual"] == 0.0
+
+    def test_refuses_a_non_hermitian_member_before_allocating(self):
+        # X = Re rho + Im rho holds only the Hermitian part of rho, so a start with
+        # an anti-Hermitian part past the rule of QuantumState.from_matrix is refused
+        space = DickeSpace(47)
+        liouv = spin_liouvillian(build_collective_ops(space), SqueezingParams.minimal(0.5))
+        bad = np.stack([spin_coherent_state(space, BlochAngles(0.7 * math.pi, 0.4 * b)).density()
+                        for b in range(8)])
+        bad[5, 3, 4] += 2e-12
+        with pytest.raises(ValueError, match="density matrix is not Hermitian"):
+            QuantumState.from_matrix(bad[5])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="initial state 5 is not Hermitian"):
+                evolve(liouv, bad, np.linspace(0.0, 0.01, 101))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bad.nbytes  # no record, row or temporary the size of the start
+        assert "_coefficients" not in vars(liouv)  # refused before the stencil is built
+        with pytest.raises(ValueError, match="initial state is not Hermitian"):
+            evolve(liouv, bad[5], 0.01)
+        bad[5, 3, 4] -= 1.5e-12  # within the rule: propagated, and read back Hermitian
+        assert evolve(liouv, bad, 0.01).diagnostics["max_hermiticity_residual"] == 0.0
 
     def test_logs_one_debug_line(self, phi_batch, caplog):
         liouv, stack = phi_batch
@@ -505,7 +535,7 @@ class TestEvolve:
         (record,) = caplog.records
         message = record.getMessage()
         assert record.levelno == logging.DEBUG
-        assert "batch=4 dim=7 planes=2 sectors=2" in message and diag["sectors"] == 2
+        assert "batch=4 dim=7 sectors=2 " in message and "planes" not in message and diag["sectors"] == 2
         assert f"rhs_evals={diag['rhs_evals']}" in message
         assert 0 < diag["dt_min"] <= diag["dt_max"] <= 0.1
         assert 1 <= diag["degree_min"] <= diag["degree_max"] <= 64
@@ -578,27 +608,54 @@ class TestEvolve:
         total = parts[0].states + parts[1].states
         assert np.max(np.abs(total - whole.states)) <= 1e-14
 
-    def test_real_start_propagates_one_real_plane(self, monkeypatch):
+    def test_every_start_propagates_one_real_row_per_member(self, monkeypatch):
         liouv = oscillator_liouvillian(12, BATHS["mixed"])
-        rho0 = np.zeros((12, 12), dtype=complex)
-        rho0[0, 0] = rho0[1, 1] = rho0[0, 1] = rho0[1, 0] = 0.5
-        handed, real_propagate = [], lindblad.propagate
+        real = np.zeros((12, 12), dtype=complex)
+        real[0, 0] = real[1, 1] = real[0, 1] = real[1, 0] = 0.5
+        complex_ = real.copy()
+        complex_[0, 1], complex_[1, 0] = 0.5j, -0.5j
+        handed, records, real_propagate = [], [], lindblad.propagate
 
         def spy(term, bound, y0, *rest):
             handed.append(y0)
-            return real_propagate(term, bound, y0, *rest)
+            result = real_propagate(term, bound, y0, *rest)
+            records.append(result.states)
+            return result
 
         monkeypatch.setattr(lindblad, "propagate", spy)
-        traj = evolve(liouv, rho0, np.linspace(0.0, 1.0, 5))
-        assert len(handed) == 1 and handed[0].dtype == np.float64
-        # one member, one real plane: both sectors' packed planes (W = 6, L = 6 * 11 + 12)
+        times = np.linspace(0.0, 1.0, 5)
+        runs = [evolve(liouv, start, times)
+                for start in (real, complex_, np.stack([real, complex_, real]))]
+        # one real row per member: both sectors' packed planes (W = 6, L = 6 * 11 + 12)
         # end to end, with 2W border zeros on each side
-        assert handed[0].shape == (2 * 78 + 4 * 6,)
-        assert traj.diagnostics["sectors"] == 2
+        row = 2 * 78 + 4 * 6
+        assert [y0.shape for y0 in handed] == [(row,), (row,), (3, row)]
+        assert all(y0.dtype == np.float64 for y0 in handed)
+        # the batch is swept as one run, and the borders between its rows stay zero
+        assert np.all(records[2][..., :12] == 0.0) and np.all(records[2][..., -12:] == 0.0)
+        assert all(traj.diagnostics["sectors"] == 2 for traj in runs)
+        traj = runs[0]
         assert traj.states.dtype == complex and traj.states.shape == (5, 12, 12)
         assert np.all(traj.states.imag == 0.0) and not np.any(np.signbit(traj.states.imag))
         # a float64 start takes the same path
-        assert np.array_equal(traj.states, evolve(liouv, rho0.real, np.linspace(0.0, 1.0, 5)).states)
+        assert np.array_equal(traj.states, evolve(liouv, real.real, times).states)
+        assert np.any(runs[1].states[-1].imag)
+
+    def test_complex_batch_reads_back_its_start_at_record_0(self, phi_batch):
+        # entries whose Re rho +- Im rho are exact in floating point (here multiples
+        # of 1/8) come back bit for bit; any other entry within a rounding of
+        # max(|Re rho|, |Im rho|)
+        psi = 0.5 * np.array([[1, 1j, -1, 1, 0, 0], [1j, 0, 1, 1, 0, -1], [0, 1, 0, 1j, -1j, 1]])
+        pure = np.einsum("bi,bj->bij", psi, psi.conj())
+        dyadic = np.concatenate([pure, 0.5 * (pure[:2] + pure[1:])])
+        liouv = spin_liouvillian(build_collective_ops(DickeSpace(5)), BATHS["minimal"])
+        states = evolve(liouv, dyadic, 0.1).states
+        assert np.array_equal(states[0], dyadic) and np.any(dyadic.imag)
+        liouv, stack = phi_batch
+        start = evolve(liouv, stack, 0.1).states[0]
+        bound = np.finfo(float).eps * np.maximum(np.abs(stack.real), np.abs(stack.imag))
+        assert np.all(np.abs(start - stack) <= bound)
+        assert np.array_equal(start, start.conj().swapaxes(-1, -2))
 
     def test_one_sector_start_leaves_the_other_sector_zero(self):
         traj = evolve(oscillator_liouvillian(16, BATHS["mixed"]), _even_coherences(16),
@@ -616,10 +673,10 @@ class TestEvolve:
         # states each fit in it and together do not. A guard that counts only
         # one of them lets the run allocate, in a single short window
         dim, phys = 32, 2 ** 26
-        planes, sectors = (1, 1) if start == "float64" else (2, 2)
-        # bytes per output time: the live sectors' packed planes (W = 16,
-        # L = 16 * 31 + 32) with their borders, and one complex state
-        record, state = 8 * planes * (sectors * 528 + 4 * 16), 16 * dim * dim
+        sectors = 1 if start == "float64" else 2
+        # bytes per output time: the one real row of the live sectors' packed
+        # planes (W = 16, L = 16 * 31 + 32) with its borders, and one complex state
+        record, state = 8 * (sectors * 528 + 4 * 16), 16 * dim * dim
         times = np.linspace(0.0, 1e-3, phys // (record + 12 * dim * dim))
         assert max(record, state) * len(times) <= phys < (record + state) * len(times)
         liouv = oscillator_liouvillian(dim, SqueezingParams(0.5, 0.0))
@@ -745,12 +802,6 @@ class TestSteadyState:
         assert sym_covariance(ops.sx, ops.sx, state) == pytest.approx(1.0, abs=1e-9)
         assert sym_covariance(ops.sy, ops.sy, state) == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("nbar", [0.5, 2.0])
-    def test_pure_pair_steady_state(self, nbar):
-        ops = build_collective_ops(DickeSpace(2))
-        rho = steady_state(spin_liouvillian(ops, SqueezingParams.minimal(nbar)))
-        assert np.trace(rho @ rho).real >= 1.0 - 1e-6
-
     def test_vacuum_ground_state(self):
         ops = build_collective_ops(DickeSpace(4))
         rho = steady_state(spin_liouvillian(ops, SqueezingParams(0.0, 0.0)))
@@ -852,8 +903,13 @@ class TestOscillatorOracle:
         assert traj.sym_covariances(x, x)[-1] == pytest.approx(1.0, abs=1e-9)
 
     def test_displaced_start_is_exactly_hermitian(self):
-        traj = oscillator_oracle(SqueezingParams.minimal(0.5), 0.5, alpha=0.8 + 0.5j)
-        assert np.array_equal(traj.states[0], traj.states[0].conj().T)
+        # every record, not the start alone: each is read back from X = Re rho + Im rho
+        traj = oscillator_oracle(SqueezingParams(1.0, math.sqrt(2.0)), np.linspace(0.0, 0.4, 5),
+                                 alpha=0.7 + 0.3j)
+        assert traj.diagnostics["cutoff"] == 59 and np.any(traj.states[-1].imag)
+        # exact equality: conj turns a +0.0 imaginary part into -0.0, which compares equal
+        assert np.array_equal(traj.states, traj.states.conj().swapaxes(-1, -2))
+        assert traj.diagnostics["max_hermiticity_residual"] == 0.0
 
     def test_insufficient_cutoff_reported(self):
         with pytest.raises(CutoffError):
@@ -877,7 +933,7 @@ class TestOscillatorOracle:
 
 
 def _fig3b_batch(n: int):
-    """fig3b's batch at n: 12 coherent states on the phi grid, two planes, two records."""
+    """fig3b's batch at n: 12 coherent states on the phi grid, both sectors, two records."""
     space = DickeSpace(n)
     liouv = spin_liouvillian(build_collective_ops(space), SqueezingParams.minimal(5.0))
     densities = [spin_coherent_state(space, BlochAngles(0.75 * math.pi, 2 * math.pi * k / 12))
@@ -887,7 +943,7 @@ def _fig3b_batch(n: int):
 
 
 def _vacuum_start(cutoff: int, times):
-    """The oscillator oracle's real vacuum start (one plane) under N = 1, M = sqrt(2)."""
+    """The oscillator oracle's real vacuum start (one sector) under N = 1, M = sqrt(2)."""
     liouv = oscillator_liouvillian(cutoff, SqueezingParams(1.0, math.sqrt(2.0)))
     rho0 = np.zeros((cutoff, cutoff))
     rho0[0, 0] = 1.0
