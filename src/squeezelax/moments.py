@@ -224,11 +224,12 @@ def collective_mean_rhs(state: QuantumState, ops: CollectiveOps,
     Evaluates <S-Sz> and <S-S+> on the supplied state, which must be
     Hermitian: the equations also need <SzS+> = <S-Sz>*. No moment closure
     is applied. The moments come from ``_collective_moments``: on a vector
-    it applies S+, Sz, Sx and Sy once each, the S+ ket being the bra of S-;
-    on a matrix only Sz and S+, each mean being one inner product with the
-    operator and <S- B> one with the S+ matrix. The <Sy> factor
-    nbar - m + 1 is ``_half_squeezed_variance`` + 1/2, so the minimal bath
-    keeps its digits at large nbar.
+    from its five O(dim) applications, <S-Sz> being (<SxSz> - i <SySz>) / 2
+    and <S-S+> = |S+ psi|^2 read from S-'s superdiagonal; on a matrix it
+    applies only Sz and S+, each mean being one inner product with the
+    operator and <S- B> one with the S+ matrix. The <Sy>
+    factor nbar - m + 1 is ``_half_squeezed_variance`` + 1/2, so the
+    minimal bath keeps its digits at large nbar.
     """
     gp, nb, mc = p.gamma_p, p.nbar, p.m_corr
     sm_sz, sm_sp, mx, my, mz = _collective_moments(state, ops, ("-z", "-+", "x", "y", "z"))
@@ -245,9 +246,12 @@ def collective_cov_rhs(state: QuantumState, ops: CollectiveOps,
     Involves <Sz^2> and symmetrized third moments, so the covariance system
     is not closed; the state supplies the higher moments. Every moment but
     <Sz> comes from ``_collective_moments``, which applies five operators
-    per state (Sx, Sy, Sz, Sx Sz and Sy Sz; on a vector the Hermitian Sx
-    and Sy kets are their own bras) and forms each moment as one inner
-    product; <Sz> is read through ``expectation``, one application more.
+    per state (Sx, Sy, Sz, Sx Sz and Sy Sz). On a vector each application
+    is O(dim), from S-'s superdiagonal and Sz's diagonal, and the moments
+    are the entries of one Gram product of the bras psi, Sx psi, Sy psi
+    and Sz psi with those kets; no dense transverse matrix is read. On a
+    matrix each moment is one inner product with a dense operator. <Sz> is
+    read through ``expectation`` on the dense Sz, one application more.
     The covariances and third moments are those of ``sym_covariance`` and
     ``third_moment``.
     """
@@ -305,10 +309,10 @@ def oscillator_rate_decomposition(p: SqueezingParams) -> RateDecomposition:
 def spin_moments_from_state(state: QuantumState, ops: CollectiveOps) -> SpinMoments:
     """Collect first moments and transverse covariances of a state.
 
-    The moments come from ``_collective_moments``, which applies Sx, Sy
-    and Sz to a vector (Sx and Sy to a matrix, whose means are inner
-    products with the operators) once each; the covariances are those of
-    ``sym_covariance``.
+    The moments come from ``_collective_moments``: on a vector from its
+    five O(dim) applications, on a matrix from the dense products of Sx
+    and Sy with it (its means are inner products with the operators); the
+    covariances are those of ``sym_covariance``.
     """
     mx, my, mz, xx, yy, xy = _collective_moments(state, ops, ("x", "y", "z", "xx", "yy", "xy"))
     return SpinMoments(

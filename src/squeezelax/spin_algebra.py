@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,14 +62,54 @@ class BlochAngles:
 
 @dataclass(frozen=True)
 class CollectiveOps:
-    """Dense collective spin matrices over a Dicke space."""
+    """Collective spin operators over a Dicke space, held by their diagonals.
+
+    ``s`` is S-'s one real superdiagonal, s_k = <k|S-|k+1> = sqrt((k+1)(n-k))
+    for k < n, and ``sz`` the dense complex Sz, whose diagonal is 2k - n.
+    S-, S+, Sx and Sy are dense complex matrices built from ``s`` together,
+    on the first read of any of them, and kept; the vector-state moments of
+    ``_collective_moments`` apply the operators from ``s`` and Sz's
+    diagonal and never read them.
+    """
 
     space: DickeSpace
-    sm: np.ndarray
-    sp: np.ndarray
-    sx: np.ndarray
-    sy: np.ndarray
+    s: np.ndarray
     sz: np.ndarray
+
+    @cached_property
+    def _transverse(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(S-, S+, Sx, Sy) as dense complex matrices.
+
+        They hold 64 bytes per matrix entry, and the build peaks there (Sy
+        is scaled by i in place), plus the 128 KiB buffer, 8192 complex
+        values, that numpy's ufuncs take to add the C-ordered S- to the
+        transposed S+. A build whose 64 dim^2 + 32 dim + 2^17 bytes exceed
+        physical memory raises ValueError before anything is allocated.
+        """
+        dim = self.space.dim
+        _check_memory(64 * dim ** 2 + 32 * dim + 2 ** 17,
+                      f"building the transverse collective operators at dim {dim}")
+        sm = np.diag(self.s, 1).astype(complex)
+        sp = sm.conj().T
+        sy = sm - sp
+        sy *= 1j
+        return sm, sp, sm + sp, sy
+
+    @property
+    def sm(self) -> np.ndarray:
+        return self._transverse[0]
+
+    @property
+    def sp(self) -> np.ndarray:
+        return self._transverse[1]
+
+    @property
+    def sx(self) -> np.ndarray:
+        return self._transverse[2]
+
+    @property
+    def sy(self) -> np.ndarray:
+        return self._transverse[3]
 
 
 def _check_hermitian(rho: np.ndarray, what: str = "density matrix"):
@@ -131,23 +172,20 @@ class QuantumState:
 
 
 def build_collective_ops(space: DickeSpace) -> CollectiveOps:
-    """Construct S-, S+, Sx, Sy, Sz as dense complex matrices.
+    """S-'s superdiagonal and the dense complex Sz; the transverse matrices wait for a read.
 
-    S- lowers the excitation number: S-|k> = sqrt(k (n-k+1)) |k-1>.
-    The five matrices hold 80 bytes per entry, and the build peaks at 88
-    while Sz is cast from its float diagonal; with 32 bytes per level for
-    the diagonals, a build whose 88 dim^2 + 32 dim bytes exceed physical
-    memory raises ValueError before anything is allocated.
+    S- lowers the excitation number: S-|k> = sqrt(k (n-k+1)) |k-1>, so its
+    superdiagonal is s_k = sqrt((k+1)(n-k)), k < n. Sz holds 16 bytes per
+    matrix entry; with 32 bytes per level for the diagonals, a build whose
+    16 dim^2 + 32 dim bytes exceed physical memory raises ValueError before
+    anything is allocated.
     """
     n, dim = space.n, space.dim
-    _check_memory(88 * dim ** 2 + 32 * dim, f"building the collective operators at dim {dim}")
-    k = np.arange(dim, dtype=float)
-    sm = np.diag(np.sqrt(k[1:] * (n - k[1:] + 1)), 1).astype(complex)
-    sp = sm.conj().T
-    sx = sm + sp
-    sy = 1j * (sm - sp)
-    sz = np.diag(2.0 * k - n).astype(complex)
-    return CollectiveOps(space=space, sm=sm, sp=sp, sx=sx, sy=sy, sz=sz)
+    _check_memory(16 * dim ** 2 + 32 * dim, f"building the collective operators at dim {dim}")
+    s = np.sqrt(np.arange(1, dim) * np.arange(n, 0, -1), dtype=float)
+    sz = np.zeros((dim, dim), dtype=complex)
+    sz.ravel()[::dim + 1] = np.arange(-n, n + 1, 2)  # the diagonal 2k - n, in place
+    return CollectiveOps(space=space, s=s, sz=sz)
 
 
 def spin_coherent_state(space: DickeSpace, angles: BlochAngles) -> QuantumState:
@@ -159,19 +197,19 @@ def spin_coherent_state(space: DickeSpace, angles: BlochAngles) -> QuantumState:
     n = space.n
     c = math.cos(angles.theta / 2.0)
     s = math.sin(angles.theta / 2.0)
-    amps = np.zeros(space.dim, dtype=complex)
-    if c == 0.0:
-        amps[0] = 1.0  # south pole: all spins in the ground state
-    elif s == 0.0:
-        amps[n] = 1.0  # north pole: all spins excited
-    else:
-        # log-space magnitudes avoid under/overflow of binomials at large n;
-        # log C(n, k) = sum over j <= k of log((n - j + 1) / j)
-        k = np.arange(n + 1)
-        log_binom = np.concatenate(([0.0], np.cumsum(np.log((n - k[1:] + 1) / k[1:]))))
-        log_mag = 0.5 * log_binom + k * math.log(c) + (n - k) * math.log(s)
-        amps = np.exp(log_mag) * np.exp(1j * (n - k) * angles.phi)
-        amps /= np.linalg.norm(amps)
+    if c == 0.0 or s == 0.0:
+        # a pole: all spins in the ground state (c = 0) or all excited (s = 0)
+        amps = np.zeros(space.dim, dtype=complex)
+        amps[0 if c == 0.0 else n] = 1.0
+        return QuantumState.from_vector(amps)
+    # log-space magnitudes avoid under/overflow of binomials at large n;
+    # log C(n, k) = sum over j <= k of log((n - j + 1) / j), and k reversed
+    # is n - k. The phase (n - k) phi rides as the imaginary part of the
+    # same exponent, so one complex exp gives the amplitudes
+    k = np.arange(n + 1)
+    log_binom = np.concatenate(([0.0], np.cumsum(np.log(k[:0:-1] / k[1:]))))
+    amps = np.exp(0.5 * log_binom + k * math.log(c) + k[::-1] * complex(math.log(s), angles.phi))
+    amps /= np.linalg.norm(amps)
     return QuantumState.from_vector(amps)
 
 
@@ -194,6 +232,59 @@ def product_expectation(ops, state: QuantumState) -> complex:
 
 
 _ADJOINT = {"-": "+", "+": "-", "x": "x", "y": "y", "z": "z"}
+# a vector state's kets, by the word each applies to psi, as rows of one
+# array; the first four, psi, Sx psi, Sy psi and Sz psi, are also the bras,
+# Sx psi, Sy psi and Sz psi those of "x", "y" and "z" at the same rows
+_KET_ROWS = {"": 0, "x": 1, "y": 2, "z": 3, "xz": 4, "yz": 5}
+
+
+def _banded_apply(ops: CollectiveOps, rows: np.ndarray, out: np.ndarray):
+    """Write Sx v and Sy v into out[i, 0] and out[i, 1] for each row v = rows[i], in O(dim).
+
+    With s = ``ops.s``, (S- v)_k = s_k v_{k+1} and (S+ v)_{k+1} = s_k v_k
+    for k < n; Sx = S- + S+ and Sy = i (S- - S+). ``out`` must hold zeros
+    in its last column. No dense matrix is read.
+    """
+    np.multiply(ops.s, rows[:, None, 1:], out=out[:, :, :-1])
+    raised = ops.s * rows[:, :-1]
+    out[:, 0, 1:] += raised
+    out[:, 1, 1:] -= raised
+    out[:, 1] *= 1j
+
+
+def _vector_moments(psi: np.ndarray, ops: CollectiveOps, words) -> list[complex]:
+    """``_collective_moments`` on a state vector, from ``ops.s`` and Sz's diagonal.
+
+    The kets psi, Sx psi, Sy psi, Sz psi, Sx Sz psi and Sy Sz psi are the
+    rows of one array: Sz psi is psi scaled by Sz's diagonal, and one
+    ``_banded_apply`` makes the Sx and Sy kets of psi and of Sz psi. Every
+    inner product is an entry of one Gram product of the first four rows,
+    the bras, with all six. A word
+    A w is <bra of A | w psi>: Sx, Sy and Sz are their own bras, and
+    S- = (Sx - i Sy) / 2 has the bra S+ psi = (Sx psi + i Sy psi) / 2, so
+    <S- w> = (<Sx w> - i <Sy w>) / 2 (and S+ the conjugate weights).
+    <S- S+> is |S+ psi|^2, read from s.
+    """
+    kets = np.zeros((2, 3, psi.size), dtype=complex)
+    kets[0, 0] = psi
+    np.multiply(ops.sz.diagonal().real, psi, out=kets[1, 0])
+    _banded_apply(ops, kets[:, 0], kets[:, 1:])
+    kets = kets.reshape(6, psi.size)
+    gram = (kets[:4].conj() @ kets.T).tolist()
+    moments = []
+    for word in words:
+        head, rest = word[0], word[1:]
+        if word == "-+":
+            raised = ops.s * psi[:-1]
+            moments.append(complex(np.vdot(raised, raised)))
+        elif rest not in _KET_ROWS or head not in "xyz-+":
+            raise ValueError(f"no vector-state moment for the word {word!r}")
+        elif head in "xyz":
+            moments.append(gram[_KET_ROWS[head]][_KET_ROWS[rest]])
+        else:
+            ax, ay = gram[1][_KET_ROWS[rest]], gram[2][_KET_ROWS[rest]]
+            moments.append(0.5 * (ax - 1j * ay) if head == "-" else 0.5 * (ax + 1j * ay))
+    return moments
 
 
 def _collective_moments(state: QuantumState, ops: CollectiveOps, words) -> list[complex]:
@@ -201,26 +292,28 @@ def _collective_moments(state: QuantumState, ops: CollectiveOps, words) -> list[
 
     A word names an operator product left to right by the letters "-", "+",
     "x", "y" and "z" for S-, S+, Sx, Sy and Sz: "-z" asks for <S- Sz>.
-    Every suffix the words read is made once, right to left, as a ket: the
-    vector w psi, or on a density matrix the product w rho (the empty
-    suffix being the state itself). A word A w is then one inner product of
-    that ket with the bra of A, whose adjoint is A': on a vector,
-    <A w> = vdot(A' psi, w psi), so S+ psi is the bra of S-, S- psi that of
-    S+, and Sx psi, Sy psi and Sz psi are their own; on a matrix,
-    Tr(A w rho) = vdot(A', w rho), an O(dim^2) sum with no product formed.
-    So one operator is applied per distinct nonempty suffix, plus on a
-    vector each ket a bra needs. ValueError if an operator read does not act
-    on the state's dimension.
+    ValueError if ``ops`` does not act on the state's dimension.
+
+    A vector state is read by ``_vector_moments`` in O(dim) per operator,
+    from S-'s superdiagonal and Sz's diagonal: five banded applications
+    and one small Gram product, for the words A, AB and ABz with A, B
+    among Sx, Sy, Sz (or A = S+-), and "-+". The dense transverse matrices
+    are not read.
+
+    A density matrix keeps the dense products, which at fig3b's dim <= 16
+    are faster than banded ones: every suffix the words read is made once,
+    right to left, as the product w rho (the empty suffix being the state
+    itself), and a word A w is the inner product Tr(A w rho) =
+    vdot(A', w rho), an O(dim^2) sum with no product formed. So one
+    operator is applied per distinct nonempty suffix.
     """
+    if ops.space.dim != state.dim:
+        raise ValueError(f"operators of dimension {ops.space.dim} do not act on "
+                         f"dimension {state.dim}")
+    if state.kind == "vector":
+        return _vector_moments(state.data, ops, words)
     named = {"-": ops.sm, "+": ops.sp, "x": ops.sx, "y": ops.sy, "z": ops.sz}
     kets = {"": state.data}
-    vector = state.kind == "vector"
-
-    def op(letter):
-        a = named[letter]
-        if a.shape != (state.dim, state.dim):
-            raise ValueError(f"operator of shape {a.shape} does not act on dimension {state.dim}")
-        return a
 
     def ket(word):
         # right to left, each suffix once; not recursive, since a closure that
@@ -229,14 +322,10 @@ def _collective_moments(state: QuantumState, ops: CollectiveOps, words) -> list[
         if word not in kets:
             for i in reversed(range(len(word))):
                 if word[i:] not in kets:
-                    kets[word[i:]] = op(word[i]) @ kets[word[i + 1:]]
+                    kets[word[i:]] = named[word[i]] @ kets[word[i + 1:]]
         return kets[word]
 
-    def bra(letter):
-        adjoint = _ADJOINT[letter]
-        return ket(adjoint) if vector else op(adjoint)
-
-    return [complex(np.vdot(bra(word[0]), ket(word[1:]))) for word in words]
+    return [complex(np.vdot(named[_ADJOINT[word[0]]], ket(word[1:]))) for word in words]
 
 
 def expectation(op: np.ndarray, state: QuantumState) -> complex:

@@ -85,14 +85,15 @@ class TestExitCodes:
         # built before the guard
         assert peak < 160 * (n + 1) ** 2
 
-    @pytest.mark.parametrize("argv", [["fig4b", "--spins", "1000,1000"],
+    @pytest.mark.parametrize("argv", [["fig4b", "--spins", "3000,3000"],
                                       ["steady-state", "--spins", "300"],
                                       ["fig3b", "--spins", "200", "--theta", "0.75"]])
     def test_work_past_physical_memory_is_config_error(self, argv, capsys, monkeypatch,
                                                        tmp_path):
-        # physical memory taken as 64 MiB: the collective ops (88 bytes per
-        # matrix entry) do not fit at n = 1000, and at n = 300 and 200 they
-        # fit but the steady-state solve and fig3b's evolution do not
+        # physical memory taken as 64 MiB: fig4b's collective ops (the dense
+        # Sz, 16 bytes per matrix entry) do not fit at n = 3000, and at n =
+        # 300 and 200 the ops fit but the steady-state solve and fig3b's
+        # evolution do not
         phys, n = 2 ** 26, int(argv[2].split(",")[0])
         page, sysconf = os.sysconf("SC_PAGE_SIZE"), os.sysconf
         monkeypatch.setattr(os, "sysconf",

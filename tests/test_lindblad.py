@@ -959,6 +959,11 @@ def _collective_ops(n: int):
     return lambda: build_collective_ops(DickeSpace(n))
 
 
+def _transverse_ops(n: int):
+    ops = build_collective_ops(DickeSpace(n))
+    return lambda: ops.sx  # the first read builds S-, S+, Sx and Sy
+
+
 # each case's set-up, and the arguments that give the call it returns
 GUARDED_CALLS = {
     "evolve-fig3b-n60": (_fig3b_batch, 60),
@@ -967,6 +972,8 @@ GUARDED_CALLS = {
     "evolve-vacuum-cutoff59-201-times": (_vacuum_start, 59, np.linspace(0.0, 2.0, 201)),
     "collective-ops-n200": (_collective_ops, 200),
     "collective-ops-n800": (_collective_ops, 800),
+    "transverse-ops-n200": (_transverse_ops, 200),
+    "transverse-ops-n800": (_transverse_ops, 800),
     "steady-state-n160": (_mixed_steady_state, 160),
     "steady-state-n320": (_mixed_steady_state, 320),
 }

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from squeezelax import spin_algebra
 from squeezelax.moments import (OscillatorMoments, SpinMoments, SqueezingParams,
                                 collective_cov_rhs, collective_mean_rhs,
                                 decay_rates, gardiner_rhs, gardiner_solution,
@@ -217,42 +218,59 @@ class TestCollectiveCovRhs:
         assert peak < 16 * space.dim ** 2
 
 
-def _counting(ops):
-    """ops whose five arrays count the np.matmul calls they take part in, and that count."""
+def _counting(ops, monkeypatch):
+    """A copy of ops that counts its operator applications, and the list of counts.
+
+    A dense matrix counts the np.matmul calls it takes part in; Sz scaling
+    a vector by its diagonal (an np.multiply) and each row ``_banded_apply``
+    applies Sx and Sy to count as banded applications.
+    """
     calls = []
 
     class Counting(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            if ufunc is np.matmul:
-                calls.append(method)
+            if ufunc in (np.matmul, np.multiply):
+                calls.append("dense" if ufunc is np.matmul else "banded")
             plain = [x.view(np.ndarray) if isinstance(x, Counting) else x for x in inputs]
             return getattr(ufunc, method)(*plain, **kwargs)
 
-    arrays = {name: getattr(ops, name).view(Counting) for name in ("sm", "sp", "sx", "sy", "sz")}
-    return dataclasses.replace(ops, **arrays), calls
+    counted = dataclasses.replace(ops, sz=ops.sz.view(Counting))
+    # the cache that S-, S+, Sx and Sy are read from, filled with counting views
+    vars(counted)["_transverse"] = tuple(a.view(Counting) for a in ops._transverse)
+    banded = spin_algebra._banded_apply
+
+    def counting_apply(ops, rows, out):
+        calls.extend(["banded"] * (2 * len(rows)))
+        banded(ops, rows, out)
+
+    monkeypatch.setattr(spin_algebra, "_banded_apply", counting_apply)
+    return counted, calls
 
 
 class TestOperatorApplications:
     # each operator a collective moment function needs is applied to the
-    # state once. On a matrix a mean Tr(A rho) is an inner product with A',
-    # so it needs no application. The public <Sz> read of
-    # collective_cov_rhs goes through expectation, which takes plain arrays
-    # and so is not counted
+    # state once. A vector takes the same five O(dim) banded applications in
+    # every function, Sz, Sx and Sy to psi and Sx and Sy to Sz psi, and no
+    # dense product; <S- Sz> is a sum of Gram entries and <S- S+> =
+    # |S+ psi|^2 a sum over the superdiagonal. A matrix takes dense
+    # products; a mean Tr(A rho) there is an inner product with A', so it
+    # needs no application. The public <Sz> read of collective_cov_rhs goes
+    # through expectation, which takes plain arrays and so is not counted
     @pytest.mark.parametrize("fn, kind, applications", [
         (collective_cov_rhs, "vector", 5), (collective_cov_rhs, "matrix", 5),
-        (collective_mean_rhs, "vector", 4), (collective_mean_rhs, "matrix", 2),
-        (spin_moments_from_state, "vector", 3), (spin_moments_from_state, "matrix", 2)])
-    def test_applications_per_state(self, fn, kind, applications):
+        (collective_mean_rhs, "vector", 5), (collective_mean_rhs, "matrix", 2),
+        (spin_moments_from_state, "vector", 5), (spin_moments_from_state, "matrix", 2)])
+    def test_applications_per_state(self, fn, kind, applications, monkeypatch):
         rng = np.random.default_rng(5)
         ops = build_collective_ops(DickeSpace(6))
         state = random_pure(rng, 7)
         if kind == "matrix":
             state = QuantumState.from_matrix(0.5 * state.density() + 0.5 * np.eye(7) / 7)
-        counted, calls = _counting(ops)
+        counted, calls = _counting(ops, monkeypatch)
         args = (state, counted) if fn is spin_moments_from_state else (
             state, counted, SqueezingParams(0.5, 0.2))
         got = fn(*args)
-        assert len(calls) == applications
+        assert calls == ["banded" if kind == "vector" else "dense"] * applications
         assert got == fn(state, ops, *args[2:])
 
     def test_leaves_no_reference_cycle(self):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squeezelax.spin_algebra import (BlochAngles, DickeSpace, QuantumState,
-                                     build_collective_ops, expectation,
-                                     hpa_residual, spin_coherent_state,
+                                     _collective_moments, build_collective_ops, expectation,
+                                     hpa_residual, product_expectation, spin_coherent_state,
                                      sym_covariance, third_moment)
 from squeezelax.verification import random_pure
 
@@ -48,6 +48,54 @@ class TestCollectiveOps:
             DickeSpace(0)
         with pytest.raises(ValueError):
             DickeSpace(-3)
+
+    def test_superdiagonal_and_lazy_transverse_matrices(self):
+        n = 5
+        ops = build_collective_ops(DickeSpace(n))
+        k = np.arange(n)
+        assert np.array_equal(ops.s, np.sqrt((k + 1.0) * (n - k)))
+        assert "_transverse" not in vars(ops)
+        sm = ops.sm  # the first read builds all four, once
+        assert "_transverse" in vars(ops) and ops.sm is sm
+        assert np.array_equal(sm, np.diag(ops.s, 1))
+        assert np.array_equal(ops.sp, sm.T)
+        assert np.array_equal(ops.sx, sm + sm.T)
+        assert np.array_equal(ops.sy, 1j * (sm - sm.T))
+
+
+# every word collective_cov_rhs, collective_mean_rhs and spin_moments_from_state read
+MOMENT_WORDS = ("x", "y", "z", "xx", "yy", "xy", "zz", "xz", "yz",
+                "xxz", "yyz", "xyz", "yxz", "-z", "-+")
+
+
+def _vector_state(n: int, label: str) -> QuantumState:
+    """A state at a pole (theta = 0 or pi), or random complex amplitudes."""
+    space = DickeSpace(n)
+    if label in ("north", "south"):
+        return spin_coherent_state(space, BlochAngles(0.0 if label == "north" else math.pi, 0.4))
+    return random_pure(np.random.default_rng([n, int(label[-1])]), n + 1)
+
+
+class TestBandedMoments:
+    # the vector-state moments are read from S-'s superdiagonal and Sz's
+    # diagonal; the dense matrices are the reference
+    @pytest.mark.parametrize("label", ["north", "south", "random0", "random1"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_matches_dense_products(self, n, label):
+        state = _vector_state(n, label)
+        ops = build_collective_ops(DickeSpace(n))
+        got = _collective_moments(state, ops, MOMENT_WORDS)
+        assert "_transverse" not in vars(ops)
+        dense = {"-": ops.sm, "+": ops.sp, "x": ops.sx, "y": ops.sy, "z": ops.sz}
+        for word, value in zip(MOMENT_WORDS, got):
+            ref = product_expectation([dense[letter] for letter in word], state)
+            # each factor has norm <= n + 1
+            assert abs(value - ref) <= 1e-14 * (n + 1) ** len(word), word
+
+    def test_unknown_word_is_refused(self):
+        ops = build_collective_ops(DickeSpace(3))
+        with pytest.raises(ValueError, match="word"):
+            _collective_moments(random_pure(np.random.default_rng(0), 4), ops, ("zx+",))
 
 
 class TestSpinCoherentState:
