@@ -17,8 +17,7 @@ from . import __version__
 from .lindblad import _check_evolve_memory, evolve, spin_liouvillian
 from .moments import (OscillatorMoments, SqueezingParams, collective_cov_rhs, decay_rates,
                       input_field_variances, oscillator_solution, spin_moments_from_state)
-from .spin_algebra import (BlochAngles, DickeSpace, QuantumState, build_collective_ops,
-                           spin_coherent_state)
+from .spin_algebra import BlochAngles, DickeSpace, build_collective_ops, spin_coherent_state
 
 __all__ = [
     "FigureDataset",
@@ -120,7 +119,12 @@ def fig3a_vector_field(n_list, nbar: float, theta_grid, phi_grid) -> FigureDatas
 
 
 def _ellipse(var_x: float, var_y: float, cov_xy: float) -> tuple[float, float, float]:
-    """(major axis, minor axis, tilt) of the one-sigma covariance ellipse."""
+    """(major axis, minor axis, tilt) of the one-sigma covariance ellipse, by ``eigh``.
+
+    The tilt, of the major axis's eigenvector, lies in (-pi, pi]; a circle
+    reads pi/2. fig3b's "pre" rows and oscillator panel read it, one row at
+    a time; the batched "post" rows read ``_ellipses``.
+    """
     cov = np.array([[var_x, cov_xy], [cov_xy, var_y]])
     vals, vecs = np.linalg.eigh(cov)
     major = math.sqrt(max(vals[1], 0.0))
@@ -129,20 +133,104 @@ def _ellipse(var_x: float, var_y: float, cov_xy: float) -> tuple[float, float, f
     return major, minor, tilt
 
 
+def _ellipses(var_x: np.ndarray, var_y: np.ndarray, cov_xy: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(major axes, minor axes, tilts) of a batch of one-sigma ellipses, in closed form.
+
+    The eigenvalues of [[vx, c], [c, vy]] are (vx + vy) / 2 +- hypot((vx - vy) / 2, c),
+    and the major axis lies at tilt = atan2(2 c, vx - vy) / 2, in (-pi/2, pi/2];
+    a circular ellipse reads tilt 0. Adding +0.0 turns a -0.0 covariance into
+    +0.0, so tilt never reads -pi/2.
+    """
+    mid = 0.5 * (var_x + var_y)
+    radius = np.hypot(0.5 * (var_x - var_y), cov_xy)
+    major = np.sqrt(np.maximum(mid + radius, 0.0))
+    minor = np.sqrt(np.maximum(mid - radius, 0.0))
+    return major, minor, 0.5 * np.arctan2(2.0 * cov_xy + 0.0, var_x - var_y)
+
+
+# the azimuthal symmetries of the spin generator, as phi -> shift + sign phi: phi -> phi + pi
+# maps rho to P rho P with P = diag((-1)^k) (flip), and phi -> -phi maps rho to conj rho
+_AZIMUTH_MAPS = ((0.0, 1.0, False, False), (math.pi, 1.0, True, False),
+                 (0.0, -1.0, False, True), (math.pi, -1.0, True, True))
+
+
+def _folds_onto(phi: float, base: float) -> tuple[bool, bool] | None:
+    """(flip, conjugate) of the first map that takes ``base`` to ``phi``, else None.
+
+    An image matches when it lies within 4 ulps of phi modulo 2 pi, the ulp
+    taken of the larger of |phi|, |image| and 2 pi.
+    """
+    for shift, sign, flip, conj in _AZIMUTH_MAPS:
+        image = shift + sign * base
+        if abs(math.remainder(phi - image, 2 * math.pi)) <= 4 * math.ulp(
+                max(abs(phi), abs(image), 2 * math.pi)):
+            return flip, conj
+    return None
+
+
+def _azimuth_orbits(phi_grid) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """Fold a phi grid by the group {phi -> phi + pi, phi -> -phi}.
+
+    Returns the grid indices of the members to evolve, one per orbit, and
+    per grid member the slot of its evolved member among them and whether
+    its state is that member's flipped (P rho P) and conjugated. A member
+    folds only onto an earlier evolved member that one of ``_AZIMUTH_MAPS``
+    takes to its phi (``_folds_onto``), so the grid 2 pi k / 12 folds onto
+    k = 0, 1, 2, 3, and any other phi keeps its own member.
+    """
+    slot = np.zeros(len(phi_grid), dtype=int)
+    flip, conj = np.zeros((2, len(phi_grid)), dtype=bool)
+    evolved: list[int] = []
+    for index, phi in enumerate(phi_grid):
+        for k, member in enumerate(evolved):
+            fold = _folds_onto(phi, phi_grid[member])
+            if fold is not None:
+                slot[index], (flip[index], conj[index]) = k, fold
+                break
+        else:
+            slot[index] = len(evolved)
+            evolved.append(index)
+    return evolved, slot, flip, conj
+
+
+def _moment_operators(ops) -> np.ndarray:
+    """Sx, Sy, Sx^2, Sy^2 and Sx Sy as the rows of one complex (5, dim^2) array."""
+    sx, sy = ops.sx, ops.sy
+    return np.stack([sx, sy, sx @ sx, sy @ sy, sx @ sy]).reshape(5, -1)
+
+
+def _stacked_moments(states: np.ndarray, operators: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Means and symmetrized covariances (mx, my, vx, vy, cxy) of a stack of Hermitian states.
+
+    One product of the conjugated (B, dim^2) stack with ``_moment_operators``
+    gives, for a Hermitian rho, sum_ij conj(rho_ij) A_ij = Tr(A rho) for every
+    operator A at once; the real parts are <Sx>, <Sy>, <Sx^2>, <Sy^2> and
+    the symmetrized Re <Sx Sy>.
+    """
+    mx, my, xx, yy, xy = (states.reshape(len(states), -1).conj() @ operators.T).real.T
+    return mx, my, xx - mx * mx, yy - my * my, xy - mx * my
+
+
 def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid) -> FigureDataset:
     """Uncertainty ellipses of spin coherent states before and after a short evolution.
 
     The exact state is evolved under the master equation for
-    dt = 0.008 * n / gamma_p, at ``evolve``'s default tolerances, and the
-    moment functionals are recorded on both endpoints; the states of one
-    (n, theta) on the phi grid are evolved together, as one batch. The
-    oscillator panel reads a coherent state's moments at 0 and 0.1 / gamma_p
-    from ``oscillator_solution``.
+    dt = 0.008 * n / gamma_p, at ``evolve``'s default tolerances. Per
+    (n, theta), the phi grid is folded by ``_azimuth_orbits``: one member
+    per orbit is evolved, all in one batch, and every grid member's final
+    state is read back from its orbit's as conj rho and P rho P with
+    P = diag((-1)^k), exact operations with no stencil work. The "pre"
+    rows read each coherent state's moments one at a time (vector states)
+    and ``_ellipse``; the "post" rows read the whole grid's final states
+    in one contraction (``_stacked_moments``) and ``_ellipses``. The
+    oscillator panel reads a coherent state's moments at 0 and
+    0.1 / gamma_p from ``oscillator_solution``.
 
     ``evolve``'s memory estimate for the largest n (one real row of both
-    parity sectors and two records per member of the phi grid) is checked
-    before any ops are built or densities stacked: ValueError refuses a run
-    whose evolution would not fit in physical memory.
+    parity sectors and two records per evolved member), plus the 16 dim^2
+    bytes of each grid member's final state, is checked before any ops are
+    built or densities stacked: ValueError refuses a run whose evolution
+    would not fit in physical memory.
     """
     params = SqueezingParams.minimal(nbar)
     gamma_p = params.gamma_p
@@ -155,24 +243,32 @@ def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid) -> FigureDataset:
                "var_x", "var_y", "cov_xy", "axis_major", "axis_minor",
                "tilt", "scale"]
 
-    _check_evolve_memory(len(phi_grid), max(n_list, default=0) + 1, records=2, sectors=2)
+    evolved, slot, flip, conj = _azimuth_orbits(phi_grid)
+    _check_evolve_memory(len(evolved), max(n_list, default=0) + 1, records=2, sectors=2,
+                         images=len(phi_grid))
     rows = []
     for n in n_list if phi_grid else ():
         space = DickeSpace(n)
         ops = build_collective_ops(space)
         liouv = spin_liouvillian(ops, params)
+        operators = _moment_operators(ops)
+        parity = (-1.0) ** np.arange(space.dim)
         scale = _ELLIPSE_SCALES.get(n, 1.0)
         for theta in theta_list:
             states = [spin_coherent_state(space, BlochAngles(theta, phi)) for phi in phi_grid]
-            finals = evolve(liouv, np.stack([s.density() for s in states]),
+            finals = evolve(liouv, np.stack([states[i].density() for i in evolved]),
                             _DT_FACTOR * n / gamma_p).final_state
-            for phi, state, final in zip(phi_grid, states, finals):
-                post = QuantumState(final, "matrix")
-                for stage, at in (("pre", state), ("post", post)):
-                    m = spin_moments_from_state(at, ops)
-                    major, minor, tilt = _ellipse(m.var_x, m.var_y, m.cov_xy)
-                    rows.append(("spins", n, theta, phi, stage, m.mean_x, m.mean_y,
-                                 m.var_x, m.var_y, m.cov_xy, major, minor, tilt, scale))
+            posts = finals[slot]
+            posts[conj] = posts[conj].conj()
+            posts[flip] *= np.outer(parity, parity)
+            mx, my, vx, vy, cxy = _stacked_moments(posts, operators)
+            post_rows = zip(mx, my, vx, vy, cxy, *_ellipses(vx, vy, cxy))
+            for phi, state, post in zip(phi_grid, states, post_rows):
+                m = spin_moments_from_state(state, ops)
+                pre = (m.mean_x, m.mean_y, m.var_x, m.var_y, m.cov_xy,
+                       *_ellipse(m.var_x, m.var_y, m.cov_xy))
+                for stage, values in (("pre", pre), ("post", post)):
+                    rows.append(("spins", n, theta, phi, stage, *values, scale))
 
     # oscillator panel: coherent state at unit radius, closed-form evolution
     times = (0.0, _OSCILLATOR_DT / gamma_p)

@@ -488,7 +488,7 @@ def _state_diagnostics(states: np.ndarray) -> dict:
     }
 
 
-def _check_evolve_memory(members: int, dim: int, records: int, sectors: int):
+def _check_evolve_memory(members: int, dim: int, records: int, sectors: int, images: int = 0):
     """Refuse, with ValueError, an ``evolve`` whose arrays would not fit in physical memory.
 
     The call propagates ``members`` dim x dim states, recorded at
@@ -509,15 +509,18 @@ def _check_evolve_memory(members: int, dim: int, records: int, sectors: int):
     start; the stencil's 72 dim^2, the scaled packed copy of it, 144 L,
     with its 32 dim^2 of indices and their build, and the 32 dim^2 of
     checking one member's Hermiticity. Python objects and the cached
-    Chebyshev series are not counted. ``fig3b_ellipses`` calls it before it
-    stacks its densities.
+    Chebyshev series are not counted. A caller that holds ``images``
+    complex dim x dim matrices next to the call's arrays adds their
+    16 images dim^2 bytes: ``fig3b_ellipses`` calls it before it stacks its
+    densities, with one member per orbit of its phi grid and one image per
+    grid member, the final states it reads its moments from.
     """
     width = 2 * -(-dim // 4)
     length = width * (dim - 1) + dim
     entries = members * dim * dim
     row_bytes = 8 * members * (sectors * length + 4 * width)
     _check_memory(16 * entries * (1 + records) + row_bytes * (1 + 3 * records + _BLOCK + 3 + 9)
-                  + 12 * entries * records + 136 * dim * dim + 144 * length,
+                  + 12 * entries * records + (136 + 16 * images) * dim * dim + 144 * length,
                   f"evolving {members} states of dim {dim} to {records} records")
 
 

@@ -343,6 +343,35 @@ def _trajectory_witnesses(rng) -> dict[str, float]:
     }
 
 
+def _azimuthal_symmetry(rng) -> float:
+    """rho(phi + pi) = P rho(phi) P, rho(-phi) = conj rho(phi), rho(pi - phi) = P conj rho(phi) P.
+
+    P = diag((-1)^k). A rotation by pi about z maps S- to -S-, which leaves
+    every dissipator term as it was, and every coefficient of the generator
+    is real (M is real), so the evolution commutes with complex conjugation;
+    fig3b's fold relies on both. Coherent states at the four azimuths,
+    evolved as one batch for t = 0.05 at n = 5 and 15, in the minimal bath
+    (nbar = 5) and a mixed one (nbar = 0.5, M = 0.2); the residual is the
+    largest entry of the three differences.
+    """
+    residual = 0.0
+    for n in (5, 15):
+        space = DickeSpace(n)
+        ops = build_collective_ops(space)
+        parity = (-1.0) ** np.arange(space.dim)
+        flip = np.outer(parity, parity)
+        theta, phi = rng.uniform(0.0, math.pi), rng.uniform(0.0, 2 * math.pi)
+        starts = np.stack([spin_coherent_state(space, BlochAngles(theta, a)).density()
+                           for a in (phi, phi + math.pi, -phi, math.pi - phi)])
+        for params in (SqueezingParams.minimal(5.0), SqueezingParams(0.5, 0.2)):
+            rho, shifted, mirrored, both = evolve(spin_liouvillian(ops, params), starts,
+                                                  0.05).final_state
+            residual = max(residual, float(np.max(np.abs(shifted - flip * rho))),
+                           float(np.max(np.abs(mirrored - rho.conj()))),
+                           float(np.max(np.abs(both - flip * rho.conj()))))
+    return residual
+
+
 def _single_spin_steady_state(rng) -> float:
     """<sz> = -1/(2 nbar + 1) and unit transverse variances (Gardiner)."""
     ops = build_collective_ops(DickeSpace(1))
@@ -543,6 +572,7 @@ CHECKS = (
     Check("lindblad/trace-preservation", 1e-8, _trajectory_witnesses),
     Check("lindblad/hermiticity", 1e-8, _trajectory_witnesses),
     Check("lindblad/positivity", 1e-7, _trajectory_witnesses),
+    Check("lindblad/azimuthal-symmetry", 1e-12, _azimuthal_symmetry),
     Check("lindblad/single-spin-steady-state", 1e-9, _single_spin_steady_state),
     Check("lindblad/single-spin-closed-form-means", 1e-10, _single_spin_closed_form_means),
     Check("lindblad/dark-state-steady-state", 1e-10, _dark_state_steady_state),

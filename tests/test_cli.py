@@ -87,13 +87,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [["fig4b", "--spins", "3000,3000"],
                                       ["steady-state", "--spins", "300"],
-                                      ["fig3b", "--spins", "200", "--theta", "0.75"]])
+                                      ["fig3b", "--spins", "206", "--theta", "0.75"]])
     def test_work_past_physical_memory_is_config_error(self, argv, capsys, monkeypatch,
                                                        tmp_path):
         # physical memory taken as 64 MiB: fig4b's collective ops (the dense
         # Sz, 16 bytes per matrix entry) do not fit at n = 3000, and at n =
-        # 300 and 200 the ops fit but the steady-state solve and fig3b's
-        # evolution do not
+        # 300 and 206 the ops fit but the steady-state solve and fig3b's
+        # evolution do not (n = 206 is the smallest n at which fig3b's
+        # estimate, four evolved members and twelve final states, passes
+        # 64 MiB)
         phys, n = 2 ** 26, int(argv[2].split(",")[0])
         page, sysconf = os.sysconf("SC_PAGE_SIZE"), os.sysconf
         monkeypatch.setattr(os, "sysconf",
@@ -108,7 +110,8 @@ class TestExitCodes:
         assert "physical memory" in capsys.readouterr().err
         assert not out.exists()
         # at most the ops and the generator's copy of S-: refused before the
-        # solve, and before fig3b stacks its 12 densities (192 bytes per entry)
+        # solve, and before fig3b stacks the densities of its four evolved
+        # members
         assert peak < 2 * 88 * (n + 1) ** 2
 
     def test_degenerate_steady_state_is_solver_failure(self, capsys, monkeypatch):

@@ -1,14 +1,16 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from squeezelax import figures
 from squeezelax.figures import (FigureDataset, fig3a_vector_field,
                                 fig3b_ellipses, fig4a_rates,
                                 fig4b_variance_derivatives)
 from squeezelax.lindblad import evolve, spin_liouvillian
-from squeezelax.moments import SqueezingParams, minimal_m
-from squeezelax.spin_algebra import (BlochAngles, DickeSpace,
+from squeezelax.moments import SqueezingParams, minimal_m, spin_moments_from_state
+from squeezelax.spin_algebra import (BlochAngles, DickeSpace, QuantumState,
                                      build_collective_ops, spin_coherent_state)
 
 THETAS = [0.55 * math.pi, 0.75 * math.pi, 0.87 * math.pi]
@@ -134,6 +136,99 @@ class TestFig3b:
     def test_rejects_invalid_theta(self):
         with pytest.raises(ValueError):
             fig3b_ellipses([1], 5.0, [1.5 * math.pi], PHIS)
+
+
+GRID_12 = [2 * math.pi * k / 12 for k in range(12)]
+
+
+def _unfolded(phi_grid):
+    """``_azimuth_orbits`` with every member its own orbit."""
+    size = len(phi_grid)
+    return list(range(size)), np.arange(size), np.zeros(size, bool), np.zeros(size, bool)
+
+
+class TestFig3bFold:
+    def test_twelve_point_grid_folds_onto_four_members(self):
+        evolved, slot, flip, conj = figures._azimuth_orbits(GRID_12)
+        assert evolved == [0, 1, 2, 3]
+        assert slot.tolist() == [0, 1, 2, 3, 2, 1, 0, 1, 2, 3, 2, 1]
+        assert flip.tolist() == [k in (4, 5, 6, 7, 8, 9) for k in range(12)]
+        assert conj.tolist() == [k in (4, 5, 10, 11) for k in range(12)]
+        # a few ulps off an image still folds
+        nudged = GRID_12[:4] + [math.nextafter(math.nextafter(phi, 10.0), 10.0)
+                                for phi in GRID_12[4:]]
+        assert figures._azimuth_orbits(nudged)[0] == [0, 1, 2, 3]
+        assert figures._azimuth_orbits([0.4, -0.4 + 2 * math.pi, 0.4 + 9 * math.pi])[0] == [0]
+
+    def test_phi_off_by_1e_9_is_not_folded(self):
+        for partner in (0.4 + math.pi, -0.4, math.pi - 0.4, 0.4):
+            assert figures._azimuth_orbits([0.4, partner + 1e-9])[0] == [0, 1]
+
+    @pytest.mark.parametrize("phi_grid, batch", [([0.1, 0.7], 2), ([0.3], 1), (GRID_12, 4)])
+    def test_batch_that_reaches_evolve(self, phi_grid, batch, monkeypatch):
+        sizes = []
+
+        def spy(liouv, rho0, times):
+            sizes.append(len(rho0))
+            return evolve(liouv, rho0, times)
+
+        monkeypatch.setattr(figures, "evolve", spy)
+        ds = fig3b_ellipses([1, 5], 5.0, [0.75 * math.pi], phi_grid)
+        assert sizes == [batch, batch]
+        assert len(rows_by(ds, system="spins", stage="post")) == 2 * len(phi_grid)
+
+    @pytest.mark.parametrize("n", [5, 15])
+    def test_folded_post_rows_match_each_phi_evolved_alone(self, n, monkeypatch):
+        # to 1e-12 against each phi as its own member of one batch; evolved
+        # by itself, a member takes its own windows, so it agrees to rtol
+        thetas = [0.55 * math.pi, math.pi]
+        folded = fig3b_ellipses([n], 5.0, thetas, GRID_12)
+        monkeypatch.setattr(figures, "_azimuth_orbits", _unfolded)
+        unfolded = fig3b_ellipses([n], 5.0, thetas, GRID_12)
+        space = DickeSpace(n)
+        ops = build_collective_ops(space)
+        liouv = spin_liouvillian(ops, SqueezingParams.minimal(5.0))
+        keys = ("mean_x", "mean_y", "var_x", "var_y", "cov_xy", "axis_major", "axis_minor")
+        for theta in thetas:
+            rows = zip(GRID_12, *(rows_by(ds, system="spins", theta=theta, stage="post")
+                                  for ds in (folded, unfolded)))
+            for phi, row, own in rows:
+                start = spin_coherent_state(space, BlochAngles(theta, phi))
+                final = evolve(liouv, start, 0.008 * n).final_state
+                m = spin_moments_from_state(QuantumState(final, "matrix"), ops)
+                alone = (m.mean_x, m.mean_y, m.var_x, m.var_y, m.cov_xy,
+                         *figures._ellipse(m.var_x, m.var_y, m.cov_xy))
+                for key, want in zip(keys, alone):
+                    assert row[key] == pytest.approx(own[key], rel=1e-12, abs=1e-12)
+                    assert row[key] == pytest.approx(want, rel=1e-10, abs=1e-10)
+                assert abs(math.remainder(row["tilt"] - own["tilt"], math.pi)) < 1e-12
+                assert abs(math.remainder(row["tilt"] - alone[-1], math.pi)) < 1e-10
+
+    def test_pre_rows_byte_identical_to_an_unfolded_build(self, monkeypatch):
+        args = ([1, 5], 5.0, [0.55 * math.pi, math.pi], GRID_12)
+        folded = rows_by(fig3b_ellipses(*args), stage="pre")
+        monkeypatch.setattr(figures, "_azimuth_orbits", _unfolded)
+        unfolded = rows_by(fig3b_ellipses(*args), stage="pre")
+        assert len(folded) == 2 * 2 * 12 + 12
+        assert folded == unfolded
+
+    def test_closed_form_ellipses_match_eigh(self):
+        rng = np.random.default_rng(7)
+        vx, vy = rng.uniform(0.1, 5.0, (2, 200))
+        cxy = rng.uniform(-1.0, 1.0, 200) * np.sqrt(vx * vy)
+        major, minor, tilt = figures._ellipses(vx, vy, cxy)
+        for k in range(200):
+            want = figures._ellipse(vx[k], vy[k], cxy[k])
+            assert major[k] == pytest.approx(want[0], rel=1e-13)
+            assert minor[k] == pytest.approx(want[1], rel=1e-10, abs=1e-13)
+            assert abs(math.remainder(tilt[k] - want[2], math.pi)) < 1e-10
+        assert np.all((-math.pi / 2 < tilt) & (tilt <= math.pi / 2))
+        # a circle reads tilt 0, a y-long axis +pi/2 whatever the sign of a zero covariance
+        circle = figures._ellipses(np.array([2.0]), np.array([2.0]), np.array([0.0]))
+        assert [v[0] for v in circle] == [math.sqrt(2.0), math.sqrt(2.0), 0.0]
+        upright = figures._ellipses(np.array([1.0, 1.0]), np.array([4.0, 4.0]),
+                                    np.array([0.0, -0.0]))
+        assert upright[2].tolist() == [math.pi / 2, math.pi / 2]
 
 
 class TestFig4a:

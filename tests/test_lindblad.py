@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from squeezelax import lindblad, spin_algebra
+from squeezelax.figures import _azimuth_orbits
 from squeezelax.lindblad import (CutoffError, DegenerateSteadyStateError,
                                  Liouvillian, annihilation_operator, dissipator,
                                  evolve, oscillator_liouvillian,
@@ -933,11 +934,14 @@ class TestOscillatorOracle:
 
 
 def _fig3b_batch(n: int):
-    """fig3b's batch at n: 12 coherent states on the phi grid, both sectors, two records."""
+    """fig3b's batch at n: one coherent state per orbit of the 12-point phi grid, two records."""
     space = DickeSpace(n)
     liouv = spin_liouvillian(build_collective_ops(space), SqueezingParams.minimal(5.0))
-    densities = [spin_coherent_state(space, BlochAngles(0.75 * math.pi, 2 * math.pi * k / 12))
-                 .density() for k in range(12)]
+    grid = [2 * math.pi * k / 12 for k in range(12)]
+    evolved = _azimuth_orbits(grid)[0]
+    assert len(evolved) == 4
+    densities = [spin_coherent_state(space, BlochAngles(0.75 * math.pi, grid[k])).density()
+                 for k in evolved]
     # the stack is the complex input the estimate counts, so it is traced
     return lambda: evolve(liouv, np.stack(densities), 1e-3)
 
