@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error, 3 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -251,9 +252,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first ``main`` and kept: parsing never changes it.
+
+    Building every subcommand's parser takes about a millisecond, which a
+    caller that runs ``main`` once per operation would pay each time.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (DegenerateSteadyStateError, np.linalg.LinAlgError) as exc:

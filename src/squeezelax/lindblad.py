@@ -42,9 +42,12 @@ products of the normal form. The coefficients are stored in the layout
 value per entry of rho. Every coefficient is real, so L maps Re rho and
 Im rho on their own, and ``apply`` works on real planes: a complex rho is
 the stack of its real and imaginary parts. The steady-state blocks and the
-row sums read the same arrays as strided views, and ``evolve`` a scaled
-copy of them packed by parity sector (below). ``apply`` and ``evolve`` run
-the one stencil loop, ``_sweep``, over these two layouts. ``Liouvillian``
+row sums read the same arrays as strided views. ``apply`` sums them in
+``_sweep``, pair by transposed pair, so a Hermitian rho gives an exactly
+Hermitian result. ``evolve`` reads a scaled copy of them packed by parity
+sector (below), in which the nine shifts (di, dj) are the 3 x 3 box
+(u, v) = ((di + dj) / 2, (di - dj) / 2): one ``np.einsum`` of that box
+with a strided window of the state per Chebyshev term. ``Liouvillian``
 refuses every other op; the dense P, Q and K of the normal form build only
 ``superoperator``, the dense reference.
 
@@ -76,10 +79,12 @@ X = Re rho + Im rho, from which the symmetric Re rho and the antisymmetric
 Im rho are read back exactly Hermitian. No term links the two parity
 sectors, so it propagates only the sectors in which the start has a
 nonzero entry, each packed into a plane of about dim^2 / 2 values
-(``_sector_layout``): what it leaves out stays exactly zero. Its only
-operation is one pass of the stencil per term over the whole batch as one
-contiguous run, with the coefficients scaled by 4/a, 2 added to the centre
-and tiled once per member, which with T_{k-1} subtracted gives
+(``_sector_layout``): what it leaves out stays exactly zero. On a plane of
+row width W, shift (u, v) of the box is the offset u (W + 1) + v (W - 1),
+so the nine shifted copies of a term are one strided (3, 3, n) window of
+it. Its only operation is one ``np.einsum`` per term of that window with
+the box, scaled by 4/a with 2 added to the centre and broadcast over the
+batch's members, which with T_{k-1} subtracted gives
 T_{k+1} = 2 A~ T_k - T_{k-1} in the rows that hold it. The
 bound a is ``norm_bound()``, the largest absolute row sum of the
 superoperator, read from the stencil's coefficients in O(dim^2); every
@@ -319,30 +324,34 @@ class Liouvillian:
         return _layout(self._coefficients, self.dim)
 
     @cached_property
-    def _packed(self) -> tuple[int, int, tuple, dict]:
-        """(W, L, sectors, coefficients): the Chebyshev term's stencil on packed sector planes.
+    def _packed(self) -> tuple[int, int, tuple, np.ndarray]:
+        """(W, L, sectors, box): the Chebyshev term's stencil on packed sector planes.
 
         Each shift's coefficients, scaled by 4/a with a = ``norm_bound()``,
-        are written from ``_coefficients`` into one array of 2L values, the
+        are written from ``_coefficients`` into one row of 2L values, the
         plane of sector 0 then that of sector 1 (``_sector_layout``), and
-        the centre gains 2 at every entry: one ``_sweep`` less T_{k-1} then
-        gives T_{k+1} = 2 A~ T_k - T_{k-1}, A~ = (2/a) L + 1. A hole keeps
-        zero coefficients, so it stays zero. Within a plane a shift is the
-        offset W di + dj; a shift that leaves rho has a zero coefficient, so
+        the centre gains 2 at every entry: one stencil pass less T_{k-1}
+        then gives T_{k+1} = 2 A~ T_k - T_{k-1}, A~ = (2/a) L + 1. The nine
+        rows form one aligned (3, 3, 2L) box: shift (di, dj) is the cell
+        [u + 1, v + 1] with (u, v) = ((di + dj) / 2, (di - dj) / 2), and
+        within a plane it is the offset W di + dj = u (W + 1) + v (W - 1),
+        so the nine shifted copies of a term are one strided (3, 3, n)
+        window of it. A hole keeps zero coefficients,
+        so it stays zero; a shift that leaves rho has a zero coefficient, so
         what it reads across a plane's edge adds nothing. Built on the first
         ``evolve`` and kept: about 72 dim^2 bytes, and 16 dim^2 of indices.
         W, L and sectors are ``_sector_layout``'s.
         """
         dim, bound = self.dim, self.norm_bound()
         width, length, sectors = _sector_layout(dim)
-        coefs = {}
-        for shift, coef in self._coefficients.items():
-            scaled = coef * (4.0 / bound) + (2.0 if shift == (0, 0) else 0.0)
-            flat = coefs[shift] = _aligned_empty((2 * length,))
-            flat.fill(0.0)
+        box = _aligned_empty((3, 3, 2 * length))
+        box.fill(0.0)
+        for (di, dj), coef in self._coefficients.items():
+            scaled = coef * (4.0 / bound) + (2.0 if (di, dj) == (0, 0) else 0.0)
+            cell = box[(di + dj) // 2 + 1, (di - dj) // 2 + 1]
             for s, (index, position) in enumerate(sectors):
-                flat[s * length + position] = scaled[index]
-        return width, length, sectors, coefs
+                cell[s * length + position] = scaled[index]
+        return width, length, sectors, box
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Evaluate drho/dt for a density matrix or a stack of them, as a new array.
@@ -501,12 +510,12 @@ def _check_evolve_memory(members: int, dim: int, records: int, sectors: int, ima
     bytes for each of the packed start, the records, the 8 terms of
     ``ode.propagate``'s block (whose growth check reads the block's max and
     min, with no |.| temporary), and a window's outputs and the product
-    added to them (up to one row per output time each); the batch's run
-    of N R - 4W values, which holds the kernel's sum and two products,
-    24 N R, and the nine shifts' coefficients tiled once per member, 72 N R;
-    the read-back's real dim x dim records and the values of one sector's
-    entries moved into them, 12 E records, more than the 12 E of packing the
-    start; the stencil's 72 dim^2, the scaled packed copy of it, 144 L,
+    added to them (up to one row per output time each); the kernel writes
+    each term straight into its row, from a strided window of the last
+    one and the box of coefficients broadcast over the members, so it
+    holds no array of its own; the read-back's real dim x dim records and
+    the values of one sector's entries moved into them, 12 E records, more
+    than the 12 E of packing the start; the stencil's 72 dim^2, the scaled packed copy of it, 144 L,
     with its 32 dim^2 of indices and their build, and the 32 dim^2 of
     checking one member's Hermiticity. Python objects and the cached
     Chebyshev series are not counted. A caller that holds ``images``
@@ -519,7 +528,7 @@ def _check_evolve_memory(members: int, dim: int, records: int, sectors: int, ima
     length = width * (dim - 1) + dim
     entries = members * dim * dim
     row_bytes = 8 * members * (sectors * length + 4 * width)
-    _check_memory(16 * entries * (1 + records) + row_bytes * (1 + 3 * records + _BLOCK + 3 + 9)
+    _check_memory(16 * entries * (1 + records) + row_bytes * (1 + 3 * records + _BLOCK)
                   + 12 * entries * records + (136 + 16 * images) * dim * dim + 144 * length,
                   f"evolving {members} states of dim {dim} to {records} records")
 
@@ -544,8 +553,13 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
     back that way, halving X first, so every recorded state is exactly
     Hermitian; a real start has X = Re rho and reads back bit for bit.
     Read back, an entry carries the rounding of Re rho +- Im rho, at most
-    about eps max(|Re rho|, |Im rho|). No term links the parity sectors of
-    rho (i - j even and i - j odd), and (i, j) and (j, i) share one, so X
+    about eps max(|Re rho|, |Im rho|). A real generator keeps a real state
+    real, but the kernel's order of summation leaves X_ij and X_ji of a
+    real start apart by a rounding, so every member whose start has
+    Im rho = 0 exactly has Im rho set to +0.0 in every record: a
+    projection onto what the generator keeps, not a renormalization. No
+    term links the parity sectors of rho (i - j even and i - j odd), and
+    (i, j) and (j, i) share one, so X
     is handed to ``ode.propagate`` as S live sectors: S = 1 holds the one
     sector in which some member has a nonzero entry (the even one for the
     vacuum), and S = 2 both. A member's row is its live sectors' packed
@@ -556,21 +570,24 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
     |rho_ij| and sqrt(2) |rho_ij|, so rtol and atol keep their meaning.
     Before anything of their size is allocated, ``_check_evolve_memory``
     refuses with ValueError a call whose input, rows, records, states and
-    the arrays ``ode.propagate`` and the kernel hold during a window would
-    not fit in physical memory.
+    the arrays ``ode.propagate`` holds during a window would not fit in
+    physical memory; the kernel holds no array of its own.
 
     Every generator takes the same path: ``ode.propagate`` sums a Chebyshev
     series of exp(h L) over windows of length h, with the bound
     a = ``liouv.norm_bound()``, the largest absolute row sum of the
     superoperator, read after ``_check_evolve_memory``, so a refused call
     builds no stencil. Each term T_{k+1} = 2 A~ T_k - T_{k-1} is one
-    ``_sweep`` of the stencil scaled by 4/a with 2 added to its centre
-    (``Liouvillian._packed``), over the batch's rows as one contiguous run:
-    the coefficients are tiled once per member, with zeros on the 4W
-    border values between two members' planes, so a border stays zero, and
-    since a shift that leaves rho has a zero coefficient, no member reads
-    another. The sum, made in a contiguous work array, is written, less
-    T_{k-1}, into the run of the row that holds it. A series is cut where
+    ``np.einsum`` of the stencil scaled by 4/a with 2 added to its centre
+    (``Liouvillian._packed``'s (3, 3, 2L) box) against one strided
+    (3, 3, B, n) window of T_k, whose cell (u, v) is the shift
+    u (W + 1) + v (W - 1) of every member's interior of n values, written
+    straight into the interiors of the row that holds T_{k+1}; T_{k-1} is
+    then subtracted there. The live sectors' slice of the box broadcasts
+    over the members, so nothing is copied per member. Only interiors are
+    written, so the 2W border zeros on each side of a member stay zero,
+    and since a shift that leaves rho has a zero coefficient, no member
+    reads another. A series is cut where
     its tail of coefficients falls to 0.1 min(rtol, atol), at degree 64 at
     most; a window is refused and halved when a term grows past 1e3 times
     the state or the extrapolated tail exceeds the tolerance (see
@@ -607,43 +624,38 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
         _check_hermitian(member, f"initial state {number}" if rho0.ndim == 3 else "initial state")
     bound = liouv.norm_bound()
     _check_positive(bound=bound)
-    width, length, sectors, coefs = liouv._packed
+    width, length, sectors, box = liouv._packed
     # the live sectors' planes end to end, with 2W zeros on each side
     first, interior = (0, 2 * length) if len(live) == 2 else (live[0] * length, length)
+    box = box[..., first:first + interior]
     pad = 2 * width
     row = interior + 2 * pad
-    # the batch's rows back to back, from the first member's interior to the last one's
-    run = members * row - 2 * pad
-
-    def tiled(coef):
-        # the live sectors' coefficients once per member, zeros on the borders between them
-        out = _aligned_empty((members, row))
-        out[:, :interior] = coef[first:first + interior]
-        out[:, interior:] = 0.0
-        return out.reshape(-1)[:run]
-
-    layout = _layout({shift: tiled(coef) for shift, coef in coefs.items()}, width)
     y0 = np.zeros((members, row))
     real, imag = (part.reshape(members, dim * dim) for part in (stack.real, stack.imag))
     for slot, s in enumerate(live):
         index, position = sectors[s]
         y0[:, pad + slot * length + position] = real[:, index] + imag[:, index]
     y0 = y0.reshape((members, row) if members > 1 else (row,))
-    acc, *work = (_aligned_empty((run,)) for _ in range(3))
+    # the nine shifted copies of every member's interior, as one window of the term: cell
+    # [u + 1, v + 1] starts u (W + 1) + v (W - 1) >= -2W values from the interior, so the
+    # window starts at the row's first value and ends at the batch's last
+    batch = y0.shape[:-1]
+    window = (3, 3) + batch + (interior,)
+    strides = (8 * (width + 1), 8 * (width - 1)) + (8 * row,) * len(batch) + (8,)
+    inner = (..., slice(pad, pad + interior))
 
     def term(cur, prev, out):
-        # propagate's arrays are contiguous, so ravel views each as the batch's rows back
-        # to back; the sweep sums into the contiguous acc, and the block's run is written once
-        _sweep(layout, cur.ravel(), acc, work)
-        into = out.ravel()[pad:pad + run]
-        if prev is None:
-            into[...] = acc
-        else:
-            np.subtract(acc, prev.ravel()[pad:pad + run], out=into)
+        # propagate's arrays are contiguous, so each is the buffer of its window; the box
+        # broadcasts over the members, and only the interiors are written
+        shifted = np.ndarray(window, np.float64, cur, 0, strides)
+        into = out[inner]
+        np.einsum("uv...,uv...->...", box, shifted, out=into)
+        if prev is not None:
+            into -= prev[inner]
 
     result = propagate(term, bound, y0, times, rtol, atol)
     records, diagnostics = result.states, dict(result.diagnostics, sectors=len(live))
-    del result, y0, acc, work, layout
+    del result, y0
     records = records.reshape(len(times), members, row)
     x = np.zeros((len(times), members, dim * dim))
     for slot, s in enumerate(live):
@@ -657,6 +669,9 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
     np.add(x, x.swapaxes(-1, -2), out=by_member.real)
     np.subtract(x, x.swapaxes(-1, -2), out=by_member.imag)
     del x
+    # a real generator keeps a real start real; the sum's order leaves X's transposed
+    # entries apart by a rounding, which Im rho would show, so a real start's is set to +0.0
+    by_member.imag[:, ~np.any(stack.imag, axis=(1, 2))] = 0.0
     diagnostics.update(_state_diagnostics(states))
     logger.debug("evolve batch=%d dim=%d sectors=%d bound=%.6g windows=%d refused=%d "
                  "rhs_evals=%d degree=[%d, %d] window=[%.3e, %.3e] records=%d bytes=%d",

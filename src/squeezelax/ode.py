@@ -22,7 +22,9 @@ and T_k(A~) y follows from the three-term recurrence T_{k+1} = 2 A~ T_k -
 T_{k-1}. The caller hands ``propagate`` that recurrence as one function,
 ``term``, so each term is one pass of the caller's kernel written straight
 into the array that holds it (``lindblad.evolve`` folds the 4/a and the 2
-into the stencil's coefficients). The series converges faster than any
+into the stencil's coefficients, held as one 3 x 3 box of shifts, and
+makes each term one ``np.einsum`` of that box with a strided window of the
+last term, less the one before). The series converges faster than any
 power of beta, so one window of degree up to 64 spans what an explicit
 stepper, held to |h lambda| of order one by stability, needs hundreds of
 steps for. It serves the master equation: at Fock cutoff 59 the oscillator

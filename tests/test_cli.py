@@ -87,13 +87,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [["fig4b", "--spins", "3000,3000"],
                                       ["steady-state", "--spins", "300"],
-                                      ["fig3b", "--spins", "206", "--theta", "0.75"]])
+                                      ["fig3b", "--spins", "238", "--theta", "0.75"]])
     def test_work_past_physical_memory_is_config_error(self, argv, capsys, monkeypatch,
                                                        tmp_path):
         # physical memory taken as 64 MiB: fig4b's collective ops (the dense
         # Sz, 16 bytes per matrix entry) do not fit at n = 3000, and at n =
-        # 300 and 206 the ops fit but the steady-state solve and fig3b's
-        # evolution do not (n = 206 is the smallest n at which fig3b's
+        # 300 and 238 the ops fit but the steady-state solve and fig3b's
+        # evolution do not (n = 238 is the smallest n at which fig3b's
         # estimate, four evolved members and twelve final states, passes
         # 64 MiB)
         phys, n = 2 ** 26, int(argv[2].split(",")[0])
@@ -163,6 +163,24 @@ class TestExitCodes:
                            if flag not in ("-h", "--help")}
                     for name, parser in subparsers.choices.items()}
         assert documented == accepted
+
+
+    def test_main_builds_its_parser_once(self, tmp_path, monkeypatch):
+        # the parser is kept between calls, and a parse leaves nothing in it for the next
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            first, second = tmp_path / "first.json", tmp_path / "second.json"
+            assert main(["steady-state", "--spins", "3", "--squeezing-n", "1.5",
+                         "--squeezing-m", "0.5", "--out", str(first)]) == EXIT_OK
+            assert main(["steady-state", "--out", str(second)]) == EXIT_OK
+            assert built == [1]
+            for argv in (["steady-state"], ["fig3b"], ["fig4a", "--spins", "5"], ["verify"]):
+                assert vars(cli._parser().parse_args(argv)) == vars(build().parse_args(argv))
+        finally:
+            cli._parser.cache_clear()
+        assert json.loads(first.read_text()) != json.loads(second.read_text())
 
 
 def _csv_rows(path) -> list[dict]:

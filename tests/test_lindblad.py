@@ -421,6 +421,101 @@ def test_sector_layout_packs_each_sector_without_collisions():
     assert lindblad._sector_layout(59)[:2] == (30, 1799)
 
 
+def test_packed_box_holds_the_nine_shifts_as_a_3x3_box():
+    # shift (di, dj) is the cell (u, v) = ((di + dj) / 2, (di - dj) / 2) of the 3 x 3 box,
+    # and on rows of width W its offset W di + dj is u (W + 1) + v (W - 1)
+    cells = [((di + dj) // 2, (di - dj) // 2) for di, dj in lindblad._SHIFTS]
+    assert sorted(cells) == [(u, v) for u in (-1, 0, 1) for v in (-1, 0, 1)]
+    for dim in range(1, 41):
+        width = lindblad._sector_layout(dim)[0]
+        for (di, dj), (u, v) in zip(lindblad._SHIFTS, cells):
+            assert (di + dj) % 2 == 0
+            assert width * di + dj == u * (width + 1) + v * (width - 1)
+    generators = [_generator("oscillator", dim, BATHS["mixed"]) for dim in range(2, 41)]
+    generators += [_generator(kind, size, BATHS[bath]) for bath in BATHS
+                   for kind, size in (("spins", 1), ("spins", 15), ("superdiagonal", "101"))]
+    for liouv in generators:
+        width, length, sectors, box = liouv._packed
+        assert box.shape == (3, 3, 2 * length) and box.dtype == np.float64
+        assert box.ctypes.data % 64 == 0
+        scale = 4.0 / liouv.norm_bound()
+        expected = np.zeros((3, 3, 2 * length))
+        for ((di, dj), coef), (u, v) in zip(liouv._coefficients.items(), cells):
+            scaled = coef * scale + (2.0 if (di, dj) == (0, 0) else 0.0)
+            for s, (index, position) in enumerate(sectors):
+                expected[u + 1, v + 1, s * length + position] = scaled[index]
+        assert np.array_equal(box, expected)  # the holes of either plane hold zeros
+        assert not np.any(np.signbit(box[box == 0.0]))
+
+
+def _tiled_term(liouv: Liouvillian, live: list, members: int):
+    """Reference for evolve's term: ``_sweep`` over the batch's rows as one run, with the nine
+    shifts' packed coefficients tiled once per member and zero on the borders between
+    members. Returns term(cur, prev) -> the new term, borders zero."""
+    width, length, sectors = lindblad._sector_layout(liouv.dim)
+    scale = 4.0 / liouv.norm_bound()
+    first, interior = (0, 2 * length) if len(live) == 2 else (live[0] * length, length)
+    pad = 2 * width
+    row = interior + 2 * pad
+    run = members * row - 2 * pad
+    tiled = {}
+    for shift, coef in liouv._coefficients.items():
+        scaled = coef * scale + (2.0 if shift == (0, 0) else 0.0)
+        plane = np.zeros(2 * length)
+        for s, (index, position) in enumerate(sectors):
+            plane[s * length + position] = scaled[index]
+        tiled[shift] = np.tile(np.concatenate((plane[first:first + interior],
+                                               np.zeros(2 * pad))), members)[:run]
+    layout = lindblad._layout(tiled, width)
+
+    def term(cur, prev):
+        out = np.zeros(cur.size)
+        acc = lindblad._sweep(layout, cur.ravel(), np.empty(run), (np.empty(run), np.empty(run)))
+        out[pad:pad + run] = acc if prev is None else acc - prev.ravel()[pad:pad + run]
+        return out.reshape(cur.shape)
+
+    return term
+
+
+class _Handed(Exception):
+    """Raised by a spy on ``propagate`` with the term and the packed start ``evolve`` handed it."""
+
+
+@pytest.mark.parametrize("case", ["oscillator-59-vacuum", "spins-15-batch"])
+def test_box_term_matches_the_tiled_sweep(case, monkeypatch):
+    if case.startswith("oscillator"):
+        liouv = oscillator_liouvillian(59, SqueezingParams(1.0, math.sqrt(2.0)))
+        rho0 = np.zeros((59, 59), dtype=complex)
+        rho0[0, 0] = 1.0
+        live, members = [0], 1
+    else:
+        space = DickeSpace(15)
+        liouv = spin_liouvillian(build_collective_ops(space), BATHS["minimal"])
+        rho0 = np.stack([spin_coherent_state(space, BlochAngles(0.75 * math.pi, phi)).density()
+                         for phi in (0.0, 0.5, 1.0, 1.5)])
+        live, members = [0, 1], 4
+
+    def spy(term, bound, y0, *rest):
+        raise _Handed(term, y0)
+
+    monkeypatch.setattr(lindblad, "propagate", spy)
+    with pytest.raises(_Handed) as handed:
+        evolve(liouv, rho0, 0.1)
+    term, y0 = handed.value.args
+    reference = _tiled_term(liouv, live, members)
+    pad = 2 * lindblad._sector_layout(liouv.dim)[0]
+    rng = np.random.default_rng(41)
+    cur, prev = (np.where(y0 != 0.0, rng.normal(size=y0.shape), 0.0) for _ in range(2))
+    assert np.count_nonzero(cur) == np.count_nonzero(y0)
+    for last in (None, prev):
+        out = np.zeros_like(y0)
+        term(cur, last, out)
+        expected = reference(cur, last)
+        assert np.max(np.abs(out - expected)) <= 1e-15 * np.max(np.abs(expected))
+        rows = out.reshape(members, -1)
+        assert np.all(rows[:, :pad] == 0.0) and np.all(rows[:, -pad:] == 0.0)
+
+
 class TestEvolve:
     def test_single_spin_exponential_rate(self):
         p = SqueezingParams.minimal(0.5)
@@ -492,6 +587,35 @@ class TestEvolve:
             assert batch.sym_covariances(ops.sx, ops.sy)[-1, b] == pytest.approx(
                 alone.sym_covariances(ops.sx, ops.sy)[-1], rel=1e-9, abs=1e-12)
         assert batch.diagnostics["max_hermiticity_residual"] < 1e-12
+
+    def test_real_member_of_a_mixed_batch_reads_back_real(self, phi_batch):
+        # one real member (phi = 0) and two complex ones: the real one's Im rho is +0.0 in
+        # every record, every member is exactly Hermitian, and each equals its run alone
+        liouv, stack = phi_batch
+        mixed = stack[:3]
+        assert not np.any(mixed[0].imag) and np.all(np.any(mixed[1:].imag, axis=(1, 2)))
+        times = np.linspace(0.0, 0.3, 7)
+        batch = evolve(liouv, mixed, times)
+        real = batch.states[:, 0].imag
+        assert np.all(real == 0.0) and not np.any(np.signbit(real))
+        assert np.any(batch.states[-1, 1:].imag)
+        assert np.array_equal(batch.states, batch.states.conj().swapaxes(-1, -2))
+        for b, rho0 in enumerate(mixed):
+            alone = evolve(liouv, rho0, times)
+            assert alone.diagnostics["rhs_evals"] == batch.diagnostics["rhs_evals"]
+            # the same arithmetic, up to the order of the window's blocked sums
+            assert np.max(np.abs(alone.states - batch.states[:, b])) <= 2 * np.finfo(float).eps
+
+    def test_never_runs_apply_s_sweep(self, phi_batch, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("evolve called _sweep")
+
+        liouv, stack = phi_batch
+        monkeypatch.setattr(lindblad, "_sweep", refuse)
+        for start in (stack, stack[0], stack[1]):
+            assert evolve(liouv, start, 0.1).diagnostics["rhs_evals"] > 0
+        with pytest.raises(AssertionError, match="_sweep"):
+            liouv.apply(stack[0])
 
     def test_batch_witness_reads_every_member(self, phi_batch):
         # a Hermitian perturbation of member 2 alone: its trace is 1 + 1e-6, which
