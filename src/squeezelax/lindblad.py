@@ -22,8 +22,9 @@ form
 
 ``dissipator`` keeps the four-channel form as an independent reference.
 
-Stencil. S- in the Dicke basis and the truncated ``a`` have only a
-superdiagonal, s_k = op[k, k+1]. With s_k = 0 outside 0 <= k <= dim - 2,
+Stencil. S- in the Dicke basis and the truncated ``a`` have only a real
+superdiagonal, s_k = d[k, k+1], so the generator is fixed by s alone and
+``Liouvillian`` takes s, not d. With s_k = 0 outside 0 <= k <= dim - 2,
 the normal form is then a sum of nine shifted, elementwise-scaled copies
 of rho, (L rho)[i, j] = gamma_p sum c[i, j] rho[i + di, j + dj]:
 
@@ -35,26 +36,24 @@ of rho, (L rho)[i, j] = gamma_p sum c[i, j] rho[i + di, j + dj]:
     (0, +2), (0, -2)    (m/2) s_j s_{j+1}, (m/2) s_{j-2} s_{j-1}
 
 The coefficients are fixed once per generator and vanish wherever a shift
-would leave rho, so ``apply`` reads each shifted copy as one slice of the
-zero-padded, row-major flattened rho: O(dim^2) against the six O(dim^3)
-products of the normal form. The coefficients are stored in the layout
-``apply`` streams: one aligned float64 array of dim^2 values per shift, one
-value per entry of rho. Every coefficient is real, so L maps Re rho and
-Im rho on their own, and ``apply`` works on real planes: a complex rho is
-the stack of its real and imaginary parts. The steady-state blocks and the
-row sums read the same arrays as strided views. ``apply`` sums them in
-``_sweep``, pair by transposed pair, so a Hermitian rho gives an exactly
-Hermitian result. ``evolve`` reads a scaled copy of them packed by parity
-sector (below), in which the nine shifts (di, dj) are the 3 x 3 box
-(u, v) = ((di + dj) / 2, (di - dj) / 2): one ``np.einsum`` of that box
-with a strided window of the state per Chebyshev term. ``Liouvillian``
-refuses every other op; the dense P, Q and K of the normal form build only
-``superoperator``, the dense reference.
+would leave rho, so ``apply`` reads each shifted copy as one slice of rho
+bordered by two zeros on each side: O(dim^2) against the six O(dim^3)
+products of the normal form. They are stored once, as one aligned float64
+array of dim^2 values per shift, one value per entry of rho in row-major
+order; ``apply``, the steady-state blocks and the row sums read the same
+arrays. Every coefficient is real, so a complex rho is multiplied as it
+is, and ``apply`` sums the shifts pair by transposed pair, so a Hermitian
+rho gives an exactly Hermitian result. ``evolve`` reads a scaled copy of
+them packed by parity sector (below), in which the nine shifts (di, dj)
+are the 3 x 3 box (u, v) = ((di + dj) / 2, (di - dj) / 2): one
+``np.einsum`` of that box with a strided window of the state per
+Chebyshev term. The dense d = diag(s, 1) and the P, Q and K of the normal
+form build only ``superoperator``, the dense reference.
 
-Parity sectors. A superdiagonal op is parity-odd (op[i, k] = 0 whenever
-i - k is even), so d, d+, P and Q flip the parity of a basis index and K
-keeps it. Each term of the generator then moves the coherence rho[i, j]
-only to coherences of the same parity of i - j, so the dim^2 x dim^2
+Parity sectors. d, with only a superdiagonal, is parity-odd (d[i, k] = 0
+whenever i - k is even), so d, d+, P and Q flip the parity of a basis
+index and K keeps it. Each term of the generator then moves the coherence
+rho[i, j] only to coherences of the same parity of i - j, so the dim^2 x dim^2
 superoperator splits exactly into an even-(i - j) and an odd-(i - j)
 block with nothing between them.
 
@@ -145,10 +144,11 @@ def dissipator(u: np.ndarray, v: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def _aligned_empty(shape) -> np.ndarray:
     """An uninitialized float64 array whose data starts on a 64-byte (cache-line) boundary.
 
-    The stencil streams its coefficient, work and result arrays through SIMD
-    loads. Where the allocator happens to place them depends on the heap's
-    history, and at dim 59 ``apply`` took about 1.5 times as long with them
-    16 bytes off a cache line as with them aligned.
+    The stencil's coefficient arrays and ``evolve``'s box of them are read
+    through SIMD loads on every pass. Where the allocator places an array
+    depends on the heap's history, and a flat stencil pass at dim 59 took
+    about 1.5 times as long over arrays 16 bytes off a cache line as over
+    aligned ones.
     """
     size = math.prod(shape)
     buf = np.empty(size + 8)
@@ -165,11 +165,11 @@ _SHIFTS_BY_CHANGE = {change: [(di, dj) for di, dj in _SHIFTS if di - dj == chang
 
 
 def _stencil(s: np.ndarray, params: SqueezingParams) -> dict:
-    """Coefficients of the nine-term stencil for the real superdiagonal s of op.
+    """Coefficients of the nine-term stencil for the real superdiagonal s of d.
 
-    Returns one array per shift of ``_SHIFTS``, in that order, laid out as
-    ``apply`` streams it: dim^2 float64 entries starting on a 64-byte
-    boundary, one per entry of rho in row-major order.
+    Returns one array per shift of ``_SHIFTS``, in that order: dim^2
+    float64 entries starting on a 64-byte boundary, one per entry of rho in
+    row-major order.
     coef[(di, dj)].reshape(dim, dim)[i, j] is the coefficient of
     rho[i + di, j + dj] in (L rho)[i, j], gamma_p included, and it is zero
     wherever the shift would leave rho. Adding 0.0 makes every -0.0 a 0.0
@@ -198,52 +198,6 @@ def _stencil(s: np.ndarray, params: SqueezingParams) -> dict:
     return out
 
 
-def _layout(coefs: dict, width: int) -> tuple:
-    """``_sweep``'s (pad, center, pairs) for coefficients by shift on rows of ``width`` entries.
-
-    pad is the number of zeros on each side of a row of values, as far as
-    the largest shift, (2, 0), reaches; center is the coefficient array of
-    the unshifted term, and pairs hold the shifted terms as pairs of
-    (start, coefficient array), where start locates the shifted copy in the
-    padded row: shift (di, dj) is the offset width di + dj. The arrays are
-    those of coefs, not copies, and a pair whose coefficients are zero
-    everywhere is left out. A term and the transpose of its coefficient on
-    the transposed shift are summed first, so a Hermitian rho gives an
-    exactly Hermitian result.
-    """
-    pad = 2 * width
-
-    def term(shift):
-        return pad + shift[0] * width + shift[1], coefs[shift]
-
-    pairs = [(term(a), term(b)) for a, b in zip(_SHIFTS[1::2], _SHIFTS[2::2])
-             if np.any(coefs[a]) or np.any(coefs[b])]
-    return pad, coefs[0, 0], pairs
-
-
-def _sweep(layout, padded: np.ndarray, out: np.ndarray, work) -> np.ndarray:
-    """The stencil's one loop: out = center x + sum over pairs (ca x_a + cb x_b), returned.
-
-    layout is ``_layout``'s (pad, center, pairs): x = padded[..., pad:pad + n]
-    for n = out.shape[-1], whose zero borders of pad entries each side hold
-    every shifted copy, and each pair's two terms are summed before they are
-    added to out. work holds two arrays of out's shape for the products.
-    out and work should be contiguous: numpy walks a strided operand row by
-    row, which at fig3b's batches of 24 short rows made a pass about a
-    quarter slower.
-    """
-    pad, center, pairs = layout
-    n = out.shape[-1]
-    ta, tb = work
-    np.multiply(center, padded[..., pad:pad + n], out=out)
-    for (a, ca), (b, cb) in pairs:
-        np.multiply(ca, padded[..., a:a + n], out=ta)
-        np.multiply(cb, padded[..., b:b + n], out=tb)
-        ta += tb
-        out += ta
-    return out
-
-
 def _sector_layout(dim: int) -> tuple[int, int, tuple]:
     """(W, L, sectors): where each entry of rho sits in its parity sector's packed plane.
 
@@ -266,47 +220,42 @@ def _sector_layout(dim: int) -> tuple[int, int, tuple]:
 
 @dataclass(frozen=True, eq=False)
 class Liouvillian:
-    """Squeezed-bath Lindblad generator for a lowering operator ``op``.
+    """Squeezed-bath Lindblad generator for the lowering operator d with real superdiagonal ``s``.
 
-    ``op`` must be a nonempty square matrix whose only nonzero entries are
-    real and on the superdiagonal, as S- in the Dicke basis and the
-    truncated ``a`` are; an op with a diagonal entry, a complex or rotated
-    superdiagonal or dense entries raises ValueError here. The generator is
-    fixed at construction: ``op`` is kept as a read-only complex copy of
-    the argument, the superdiagonal s_k = op[k, k + 1] as a copy of its
-    own, and assigning to ``op`` or ``params`` raises AttributeError.
-    Generators compare equal only to themselves. The stencil is built on
-    the first ``apply``, ``norm_bound`` or ``steady_state``, its scaled
-    and packed copy on the first ``evolve``, and the dense d+, P, Q and K
-    only when ``superoperator`` reads them.
+    d = diag(s, 1) has dim = len(s) + 1 levels and no other nonzero entry,
+    as S- in the Dicke basis (``CollectiveOps.s``) and the truncated ``a``
+    have; an ``s`` that is not one-dimensional, or is complex, raises
+    ValueError here. The generator is fixed at construction: ``s`` is kept
+    as a read-only float64 copy of the argument, and assigning to ``s`` or
+    ``params`` raises AttributeError. Generators compare equal only to
+    themselves. The stencil is built on the first ``apply``,
+    ``norm_bound`` or ``steady_state``, its scaled and packed copy on the
+    first ``evolve``, and the dense d, d+, P, Q and K only when
+    ``superoperator`` reads them.
     """
 
-    op: np.ndarray
+    s: np.ndarray
     params: SqueezingParams
 
     def __post_init__(self):
-        op = np.array(self.op, dtype=complex)  # a copy, never a view of the caller's array
-        if op.ndim != 2 or op.shape[0] != op.shape[1] or op.size == 0:
-            raise ValueError("system operator must be a nonempty square matrix")
-        s = np.diag(op, 1)
-        if np.count_nonzero(op) != np.count_nonzero(s) or np.any(s.imag):
-            raise ValueError("system operator must have only a real superdiagonal "
-                             "(a lowering operator such as S- or a)")
-        op.flags.writeable = False
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "_s", s.real.copy())
-        object.__setattr__(self, "_work", None)
+        if np.iscomplexobj(self.s) or np.ndim(self.s) != 1:
+            raise ValueError("the superdiagonal s must be a one-dimensional real array "
+                             "(S-'s or a's, not the matrix)")
+        s = np.array(self.s, dtype=np.float64)  # a copy, never a view of the caller's array
+        s.flags.writeable = False
+        object.__setattr__(self, "s", s)
 
     @property
     def dim(self) -> int:
-        return self.op.shape[0]
+        return len(self.s) + 1
 
     @cached_property
-    def _normal_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The dense (d+, P, Q, K) of the normal form."""
+    def _normal_form(self) -> tuple[np.ndarray, ...]:
+        """The dense (d, d+, P, Q, K) of the normal form, d = diag(s, 1) as a complex matrix."""
         p = self.params
-        d, dag = self.op, self.op.conj().T
-        return (dag, (p.nbar + 1.0) * dag - p.m_corr * d, p.nbar * d - p.m_corr * dag,
+        d = np.diag(self.s, 1).astype(complex)
+        dag = d.conj().T
+        return (d, dag, (p.nbar + 1.0) * dag - p.m_corr * d, p.nbar * d - p.m_corr * dag,
                 (p.nbar + 1.0) * (dag @ d) + p.nbar * (d @ dag)
                 - p.m_corr * (dag @ dag + d @ d))
 
@@ -316,12 +265,7 @@ class Liouvillian:
 
         ``_packed`` scales its own copy from it.
         """
-        return _stencil(self._s, self.params)
-
-    @cached_property
-    def _banded(self):
-        """The stencil as ``apply`` reads it: ``_layout`` of ``_coefficients`` on rows of dim."""
-        return _layout(self._coefficients, self.dim)
+        return _stencil(self.s, self.params)
 
     @cached_property
     def _packed(self) -> tuple[int, int, tuple, np.ndarray]:
@@ -358,41 +302,37 @@ class Liouvillian:
 
         rho has shape (..., dim, dim); every matrix of the stack is mapped
         on its own, with the same arithmetic as when it is passed alone:
-        the nine-term stencil, O(dim^2) per matrix, on the (dim^2,) float64
-        flattening of one matrix (or a stack of one) or the (B, dim^2) one
-        of a stack. Every coefficient is real, so L maps Re rho and Im rho
-        on their own: a real rho gives a float64 result, and a complex one
-        is applied as the stack of its real and imaginary planes, which are
-        written into the real and imaginary parts of a complex result. The
-        stencil keeps its work arrays for the last shape it was given, so
-        one generator must not be applied from two threads at once.
+        the nine-term stencil, O(dim^2) per matrix. rho is copied into a
+        zero-bordered (..., dim + 4, dim + 4) array of its own type (float64
+        at least), and each shift's coefficients, as a dim x dim view, are
+        multiplied by one slice of that copy, so each pass reads 2 zeros
+        past every edge of rho, as far as the largest shift reaches. Every
+        coefficient is real, so a real rho gives a float64 result and a
+        complex one a complex result whose real and imaginary parts are
+        those of its two planes applied alone. Each shift is summed with
+        its transposed partner before it is added, so a Hermitian rho gives
+        an exactly Hermitian result. Nothing is kept between calls.
         """
         rho = np.asarray(rho)
-        if rho.ndim < 2 or rho.shape[-2:] != self.op.shape:
+        dim = self.dim
+        if rho.ndim < 2 or rho.shape[-2:] != (dim, dim):
             raise ValueError("density matrix shape does not match the generator")
-        if np.iscomplexobj(rho):
-            planes = self.apply(np.stack((rho.real, rho.imag), axis=-3))
-            out = np.empty(rho.shape, dtype=complex)
-            out.real, out.imag = planes[..., 0, :, :], planes[..., 1, :, :]
-            return out
-        # one matrix, or one row per matrix of a stack; a stack of one takes
-        # the 1-d slices, about 8 us less per call at dim 59
-        flat = (-1,) if rho.size == self.dim ** 2 else (-1, self.dim ** 2)
-        x = np.ascontiguousarray(rho, dtype=np.float64).reshape(flat)
-        pad = self._banded[0]
-        n = x.shape[-1]
-        # the zero-bordered copy of x and the two product arrays are kept for
-        # the last shape applied: a stack's arrays can pass the size above which
-        # glibc's allocator maps memory from the OS (128 KiB), and allocated on
-        # every call they would be mapped and unmapped each time; they are a
-        # cache, not part of the frozen generator
-        if self._work is None or self._work[1].shape != x.shape:
-            object.__setattr__(self, "_work", (_aligned_empty(x.shape[:-1] + (n + 2 * pad,)),
-                                               _aligned_empty(x.shape), _aligned_empty(x.shape)))
-            self._work[0].fill(0.0)
-        padded, ta, tb = self._work
-        padded[..., pad:pad + n] = x
-        return _sweep(self._banded, padded, _aligned_empty(x.shape), (ta, tb)).reshape(rho.shape)
+        padded = np.zeros(rho.shape[:-2] + (dim + 4, dim + 4), np.result_type(rho, float))
+        padded[..., 2:-2, 2:-2] = rho
+        coefs = self._coefficients
+
+        def term(di, dj, out=None):
+            shifted = padded[..., 2 + di:2 + di + dim, 2 + dj:2 + dj + dim]
+            return np.multiply(coefs[di, dj].reshape(dim, dim), shifted, out=out)
+
+        out = term(0, 0)
+        ta, tb = np.empty_like(out), np.empty_like(out)
+        for a, b in zip(_SHIFTS[1::2], _SHIFTS[2::2]):
+            term(*a, out=ta)
+            term(*b, out=tb)
+            ta += tb
+            out += ta
+        return out
 
     def superoperator(self) -> np.ndarray:
         """Dense dim^2 x dim^2 matrix acting on row-major vectorized rho.
@@ -405,7 +345,7 @@ class Liouvillian:
         dim = self.dim
         _check_memory(48 * dim ** 4, f"the dense superoperator at dim {dim}")
         eye = np.eye(dim, dtype=complex)  # the cast np.kron makes of a real one
-        dag, p, q, k = self._normal_form
+        d, dag, p, q, k = self._normal_form
         out, half, term = (np.empty((dim,) * 4, dtype=complex) for _ in range(3))
 
         def kron(a, b, into):
@@ -416,7 +356,7 @@ class Liouvillian:
             return into
 
         # gamma_p (A + B - 0.5 (C + D)), summed in place in the order of that expression
-        kron(self.op, p.T, out)
+        kron(d, p.T, out)
         out += kron(dag, q.T, term)
         kron(k, eye, half)
         half += kron(eye, k.T, term)
@@ -446,18 +386,24 @@ class Liouvillian:
 
 
 def spin_liouvillian(ops: CollectiveOps, params: SqueezingParams) -> Liouvillian:
-    return Liouvillian(op=ops.sm, params=params)
+    """The generator for S-, from its superdiagonal ``ops.s``: no dense operator is read."""
+    return Liouvillian(ops.s, params)
+
+
+def _fock_ladder(cutoff: int) -> np.ndarray:
+    """The superdiagonal of ``a`` on ``cutoff`` Fock levels: sqrt(k) for k = 1 .. cutoff - 1."""
+    if cutoff < 2:
+        raise ValueError("Fock cutoff must be >= 2")
+    return np.sqrt(np.arange(1, cutoff))
 
 
 def annihilation_operator(cutoff: int) -> np.ndarray:
     """Truncated bosonic annihilation operator on ``cutoff`` Fock levels."""
-    if cutoff < 2:
-        raise ValueError("Fock cutoff must be >= 2")
-    return np.diag(np.sqrt(np.arange(1, cutoff)), 1).astype(complex)
+    return np.diag(_fock_ladder(cutoff), 1).astype(complex)
 
 
 def oscillator_liouvillian(cutoff: int, params: SqueezingParams) -> Liouvillian:
-    return Liouvillian(op=annihilation_operator(cutoff), params=params)
+    return Liouvillian(_fock_ladder(cutoff), params)
 
 
 @dataclass
@@ -884,15 +830,17 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     for each coherence of the largest sector, where n is the largest level,
     and the diagonal, coupling and Schur blocks in flight and the solver's
     copies hold at most 8 n^2 more, at 8 bytes an entry (the blocks are
-    real), so at least 4 dim^3 bytes. 168 bytes per entry of rho cover the
+    real), so at least 4 dim^3 bytes. 184 bytes per entry of rho cover the
     O(dim^2) arrays at the residual, where they peak: the stencil's
     coefficients (72, the one copy that ``apply``, the blocks and the sums
-    all read), the state (16), its real and imaginary planes (16) and
-    ``apply``'s padded copy, two products and result (64). During the
-    sweep the coefficients, the row and column sums, the state and a
-    sector's draw of b and its scatter hold about 128. Traced at n = 160
+    all read), the state (16), ``apply``'s complex zero-bordered copy, the
+    two products of a pair and the result (64), and the two buffers in
+    which numpy casts the real coefficients to complex for the products
+    (32, up to 8192 complex values each). During the sweep the
+    coefficients, the row and column sums, the state and a sector's draw
+    of b and its scatter hold about 128. Traced at n = 160
     and 320 (nbar = 0.5, m = 0.2), the peak is about 0.7 of the estimate;
-    the first dim refused on a 7.84 GiB machine is 1262.
+    the first dim refused on a 7.84 GiB machine is 1261.
 
     One DEBUG line gives each sector's size, level count, largest level and
     sigma / s0, the residual, the wall time, and within it the seconds
@@ -905,7 +853,7 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     sectors = [orders for orders in (_orders(dim, 0), _orders(dim, 1)) if orders]
     largest = dim  # the order-0 level, in the even sector, which is the larger
     _check_memory(8 * ((dim * dim + 1) // 2 * (largest + 3) + 8 * largest ** 2)
-                  + 168 * dim ** 2, f"the steady-state solve at dim {dim}")
+                  + 184 * dim ** 2, f"the steady-state solve at dim {dim}")
     sums = _trace_row_sums(liouv)  # builds the stencil, if no call before did
     seconds = np.array([time.perf_counter() - start, 0.0])  # building, solving
     rng = np.random.default_rng(0)
@@ -917,7 +865,7 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
         s0_max = max(s0_max, s0)
         sizes = [dim - abs(k) for k in orders]
         conditioning.append(f"{sum(sizes)}:{len(orders)}:{max(sizes)}:{sigma / s0:.3e}")
-    del sums  # freed before the residual's apply allocates its work arrays
+    del sums  # freed before the residual's apply allocates its arrays
     rho = rho.reshape(dim, dim)
     rho = 0.5 * (rho + rho.conj().T)
     residual = float(np.max(np.abs(liouv.apply(rho))))

@@ -67,9 +67,10 @@ class CollectiveOps:
     ``s`` is S-'s one real superdiagonal, s_k = <k|S-|k+1> = sqrt((k+1)(n-k))
     for k < n, and ``sz`` the dense complex Sz, whose diagonal is 2k - n.
     S-, S+, Sx and Sy are dense complex matrices built from ``s`` together,
-    on the first read of any of them, and kept; the vector-state moments of
+    on the first read of any of them, and kept; ``lindblad.spin_liouvillian``
+    builds its generator from ``s``, and the vector-state moments of
     ``_collective_moments`` apply the operators from ``s`` and Sz's
-    diagonal and never read them.
+    diagonal, so neither reads them.
     """
 
     space: DickeSpace

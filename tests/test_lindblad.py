@@ -33,7 +33,7 @@ BATHS = {
 
 def _four_channel(liouv: Liouvillian, rho: np.ndarray) -> np.ndarray:
     """The generator as its four dissipators, independent of Liouvillian.apply."""
-    p, d = liouv.params, liouv.op
+    p, d = liouv.params, np.diag(liouv.s, 1).astype(complex)
     dag = d.conj().T
     return p.gamma_p * ((p.nbar + 1.0) * dissipator(dag, d, rho)
                         + p.nbar * dissipator(d, dag, rho)
@@ -42,12 +42,12 @@ def _four_channel(liouv: Liouvillian, rho: np.ndarray) -> np.ndarray:
 
 
 def _generator(kind: str, size, params: SqueezingParams) -> Liouvillian:
-    """n spins, an oscillator at cutoff size, or the op whose superdiagonal the digits of size spell."""
+    """n spins, an oscillator at cutoff size, or the superdiagonal the digits of size spell."""
     if kind == "spins":
         return spin_liouvillian(build_collective_ops(DickeSpace(size)), params)
     if kind == "oscillator":
         return oscillator_liouvillian(size, params)
-    return Liouvillian(op=np.diag([float(digit) for digit in size], 1), params=params)
+    return Liouvillian([float(digit) for digit in size], params)
 
 
 def _even_coherences(dim: int) -> np.ndarray:
@@ -221,7 +221,7 @@ class TestLiouvillianApply:
         assert out.dtype == complex and real.dtype == imag.dtype == np.float64
         assert np.array_equal(out.real, real) and np.array_equal(out.imag, imag)
 
-    def test_work_arrays_follow_the_shape(self):
+    def test_apply_keeps_no_state_between_shapes(self):
         ops, p = build_collective_ops(DickeSpace(6)), BATHS["mixed"]
         liouv = spin_liouvillian(ops, p)
         rng = np.random.default_rng(36)
@@ -238,6 +238,15 @@ class TestLiouvillianApply:
         assert "_normal_form" not in vars(liouv)
         liouv.superoperator()
         assert "_normal_form" in vars(liouv)
+
+    def test_spin_generator_never_reads_the_dense_transverse_operators(self):
+        # the generator is built from ops.s, so S-, S+, Sx and Sy (64 dim^2 bytes) stay unbuilt
+        ops = build_collective_ops(DickeSpace(3))
+        liouv = spin_liouvillian(ops, BATHS["mixed"])
+        evolve(liouv, np.eye(4, dtype=complex) / 4, 0.1)
+        steady_state(liouv)
+        liouv.superoperator()
+        assert "_transverse" not in vars(ops)
 
     @pytest.mark.parametrize("kind, size", [("spins", 6), ("oscillator", 12)])
     def test_apply_multiplies_by_the_one_copy_of_the_coefficients(self, kind, size, monkeypatch):
@@ -309,36 +318,46 @@ class TestLiouvillianApply:
         # nothing links the two parities, or two levels more than 2 apart in order
         assert np.max(np.abs(sup)) <= tol
 
-    @pytest.mark.parametrize("op", [
-        "sigma_x", "dense_complex", "rotated_a", "rotated_dark_levels", "one_level_nonzero",
-        "a_plus_diagonal", "complex_superdiagonal", "not_square", "empty"])
-    def test_refuses_an_op_off_the_real_superdiagonal(self, op):
-        rng = np.random.default_rng(37)
-        u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        a = annihilation_operator(4)
-        op = {
-            "sigma_x": np.array([[0.0, 1.0], [1.0, 0.0]]),
-            "dense_complex": rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)),
-            "rotated_a": u @ a @ u.conj().T,
-            "rotated_dark_levels": u @ np.diag([1.0, 0.0, 1.0], 1) @ u.conj().T,
-            "one_level_nonzero": np.array([[2.0]]),
-            "a_plus_diagonal": a + np.diag([0.0, 0.0, 1e-3, 0.0]),
-            "complex_superdiagonal": a * np.exp(0.3j),
-            "not_square": a[:, :-1],
-            "empty": np.zeros((0, 0)),
-        }[op]
-        with pytest.raises(ValueError, match="system operator"):
-            Liouvillian(op=op, params=BATHS["mixed"])
+    @pytest.mark.parametrize("s", ["dense_sm", "real_matrix", "row", "complex",
+                                   "complex_zero_imag", "complex_list", "scalar"])
+    def test_refuses_an_s_that_is_not_a_real_vector(self, s):
+        ops = build_collective_ops(DickeSpace(3))
+        s = {
+            "dense_sm": ops.sm,  # the matrix passed where its superdiagonal belongs
+            "real_matrix": np.diag(ops.s, 1),
+            "row": ops.s[None],
+            "complex": ops.s * np.exp(0.3j),
+            "complex_zero_imag": ops.s.astype(complex),
+            "complex_list": [1.0, 2.0j],
+            "scalar": np.float64(1.0),
+        }[s]
+        with pytest.raises(ValueError, match="superdiagonal"):
+            Liouvillian(s, BATHS["mixed"])
+
+    @pytest.mark.parametrize("cutoff", [0, 1])
+    def test_refuses_a_fock_cutoff_below_two(self, cutoff):
+        with pytest.raises(ValueError, match="Fock cutoff"):
+            annihilation_operator(cutoff)
+        with pytest.raises(ValueError, match="Fock cutoff"):
+            oscillator_liouvillian(cutoff, BATHS["mixed"])
+
+    @pytest.mark.parametrize("cutoff", [2, 59])
+    def test_oscillator_generator_reads_the_ladder_of_a(self, cutoff):
+        a = annihilation_operator(cutoff)
+        liouv = oscillator_liouvillian(cutoff, BATHS["mixed"])
+        assert liouv.dim == cutoff and a.dtype == complex
+        assert np.array_equal(liouv.s, np.sqrt(np.arange(1, cutoff)))
+        assert np.array_equal(a, np.diag(liouv.s, 1))
 
     def test_reassigning_a_field_raises(self):
         liouv = oscillator_liouvillian(4, BATHS["mixed"])
         rho = random_pure(np.random.default_rng(38), 4).density()
         before = liouv.apply(rho)
         with pytest.raises(AttributeError):
-            liouv.op = np.ones((4, 4))
+            liouv.s = np.ones(3)
         with pytest.raises(AttributeError):
             liouv.params = BATHS["vacuum"]
-        assert np.array_equal(liouv.op, annihilation_operator(4))
+        assert np.array_equal(liouv.s, np.sqrt([1.0, 2.0, 3.0]))
         assert liouv.params is BATHS["mixed"]
         assert np.array_equal(liouv.apply(rho), before)
 
@@ -348,22 +367,22 @@ class TestLiouvillianApply:
         assert a == a and a != b
         assert len({a, b}) == 2
 
-    def test_superdiagonal_is_a_copy_of_a_read_only_op(self):
+    def test_superdiagonal_is_a_read_only_float_copy(self):
         liouv = oscillator_liouvillian(4, BATHS["mixed"])
         with pytest.raises(ValueError, match="read-only"):
-            liouv.op[0, 1] = 5.0
-        assert not liouv.op.flags.writeable
-        assert not np.shares_memory(liouv._s, liouv.op)
-        assert np.array_equal(liouv._s, np.sqrt([1.0, 2.0, 3.0]))
+            liouv.s[0] = 5.0
+        assert not liouv.s.flags.writeable and liouv.s.dtype == np.float64
+        assert liouv.dim == 4 and np.array_equal(liouv.s, np.sqrt([1.0, 2.0, 3.0]))
+        assert Liouvillian([1, 2], BATHS["mixed"]).s.dtype == np.float64
 
-    def test_op_does_not_alias_the_callers_array(self):
+    def test_s_does_not_alias_the_callers_array(self):
         ops = build_collective_ops(DickeSpace(3))
         liouv = spin_liouvillian(ops, BATHS["mixed"])
         rho = random_pure(np.random.default_rng(39), 4).density()
-        before, sm = liouv.apply(rho), ops.sm.copy()
-        assert not np.shares_memory(liouv.op, ops.sm)
-        ops.sm[0, 1] = 5.0
-        assert np.array_equal(liouv.op, sm)
+        before, s = liouv.apply(rho), ops.s.copy()
+        assert not np.shares_memory(liouv.s, ops.s)
+        ops.s[0] = 5.0
+        assert np.array_equal(liouv.s, s)
         assert np.array_equal(liouv.apply(rho), before)
 
     def test_memory_guard_refuses_before_allocating(self):
@@ -448,30 +467,29 @@ def test_packed_box_holds_the_nine_shifts_as_a_3x3_box():
         assert not np.any(np.signbit(box[box == 0.0]))
 
 
-def _tiled_term(liouv: Liouvillian, live: list, members: int):
-    """Reference for evolve's term: ``_sweep`` over the batch's rows as one run, with the nine
-    shifts' packed coefficients tiled once per member and zero on the borders between
-    members. Returns term(cur, prev) -> the new term, borders zero."""
-    width, length, sectors = lindblad._sector_layout(liouv.dim)
-    scale = 4.0 / liouv.norm_bound()
-    first, interior = (0, 2 * length) if len(live) == 2 else (live[0] * length, length)
+def _unpacked_term(liouv: Liouvillian, live: list, members: int):
+    """Reference for evolve's term, on the unpacked members: each row's live sectors are read
+    into a dim x dim X, mapped to (4/a) apply(X) + 2 X - T_{k-1}, and packed back into a row
+    of zeros. Returns term(cur, prev) -> the new term, borders zero."""
+    dim = liouv.dim
+    width, length, sectors = lindblad._sector_layout(dim)
     pad = 2 * width
-    row = interior + 2 * pad
-    run = members * row - 2 * pad
-    tiled = {}
-    for shift, coef in liouv._coefficients.items():
-        scaled = coef * scale + (2.0 if shift == (0, 0) else 0.0)
-        plane = np.zeros(2 * length)
-        for s, (index, position) in enumerate(sectors):
-            plane[s * length + position] = scaled[index]
-        tiled[shift] = np.tile(np.concatenate((plane[first:first + interior],
-                                               np.zeros(2 * pad))), members)[:run]
-    layout = lindblad._layout(tiled, width)
+    slots = [(pad + slot * length + sectors[s][1], sectors[s][0]) for slot, s in enumerate(live)]
+
+    def unpack(rows):
+        x = np.zeros((members, dim * dim))
+        for position, index in slots:
+            x[:, index] = rows.reshape(members, -1)[:, position]
+        return x.reshape(members, dim, dim)
 
     def term(cur, prev):
-        out = np.zeros(cur.size)
-        acc = lindblad._sweep(layout, cur.ravel(), np.empty(run), (np.empty(run), np.empty(run)))
-        out[pad:pad + run] = acc if prev is None else acc - prev.ravel()[pad:pad + run]
+        x = unpack(cur)
+        new = (4.0 / liouv.norm_bound()) * liouv.apply(x) + 2.0 * x
+        if prev is not None:
+            new -= unpack(prev)
+        out = np.zeros((members, cur.size // members))
+        for position, index in slots:
+            out[:, position] = new.reshape(members, -1)[:, index]
         return out.reshape(cur.shape)
 
     return term
@@ -482,7 +500,7 @@ class _Handed(Exception):
 
 
 @pytest.mark.parametrize("case", ["oscillator-59-vacuum", "spins-15-batch"])
-def test_box_term_matches_the_tiled_sweep(case, monkeypatch):
+def test_box_term_matches_the_stencil_apply(case, monkeypatch):
     if case.startswith("oscillator"):
         liouv = oscillator_liouvillian(59, SqueezingParams(1.0, math.sqrt(2.0)))
         rho0 = np.zeros((59, 59), dtype=complex)
@@ -502,7 +520,7 @@ def test_box_term_matches_the_tiled_sweep(case, monkeypatch):
     with pytest.raises(_Handed) as handed:
         evolve(liouv, rho0, 0.1)
     term, y0 = handed.value.args
-    reference = _tiled_term(liouv, live, members)
+    reference = _unpacked_term(liouv, live, members)
     pad = 2 * lindblad._sector_layout(liouv.dim)[0]
     rng = np.random.default_rng(41)
     cur, prev = (np.where(y0 != 0.0, rng.normal(size=y0.shape), 0.0) for _ in range(2))
@@ -558,7 +576,7 @@ class TestEvolve:
             with pytest.raises(ValueError):
                 evolve(liouv, rho0, 1.0)
         # a zero op has the bound 0, which no Chebyshev window can be scaled by
-        zero = Liouvillian(op=np.zeros((3, 3)), params=SqueezingParams(0.5, 0.0))
+        zero = Liouvillian(np.zeros(2), SqueezingParams(0.5, 0.0))
         with pytest.raises(ValueError, match="bound must be positive"):
             evolve(zero, np.eye(3, dtype=complex) / 3, 1.0)
 
@@ -606,15 +624,15 @@ class TestEvolve:
             # the same arithmetic, up to the order of the window's blocked sums
             assert np.max(np.abs(alone.states - batch.states[:, b])) <= 2 * np.finfo(float).eps
 
-    def test_never_runs_apply_s_sweep(self, phi_batch, monkeypatch):
+    def test_never_runs_apply(self, phi_batch, monkeypatch):
         def refuse(*args):
-            raise AssertionError("evolve called _sweep")
+            raise AssertionError("evolve called apply")
 
         liouv, stack = phi_batch
-        monkeypatch.setattr(lindblad, "_sweep", refuse)
+        monkeypatch.setattr(Liouvillian, "apply", refuse)
         for start in (stack, stack[0], stack[1]):
             assert evolve(liouv, start, 0.1).diagnostics["rhs_evals"] > 0
-        with pytest.raises(AssertionError, match="_sweep"):
+        with pytest.raises(AssertionError, match="apply"):
             liouv.apply(stack[0])
 
     def test_batch_witness_reads_every_member(self, phi_batch):
@@ -943,13 +961,13 @@ class TestSteadyState:
 
     def test_degenerate_generator_reported(self):
         # a zero system operator leaves every state stationary
-        liouv = Liouvillian(op=np.zeros((3, 3)), params=SqueezingParams(0.5, 0.0))
+        liouv = Liouvillian(np.zeros(2), SqueezingParams(0.5, 0.0))
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(liouv)
 
     def test_two_dark_levels_reported(self):
         # a zero on the superdiagonal: levels 0 and 2 both decay to nothing
-        liouv = Liouvillian(op=np.diag([1.0, 0.0, 1.0], 1), params=SqueezingParams(0.0, 0.0))
+        liouv = Liouvillian([1.0, 0.0, 1.0], SqueezingParams(0.0, 0.0))
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(liouv)
 
@@ -959,7 +977,7 @@ class TestSteadyState:
         # chains of three, each with a steady state of its own; in the mixed
         # bath no LU pivot is exactly zero, so only the smallest-singular-value
         # estimate sees the degeneracy
-        liouv = Liouvillian(op=np.diag([1.0, 1.0, 0.0, 1.0, 1.0], 1), params=BATHS[bath])
+        liouv = Liouvillian([1.0, 1.0, 0.0, 1.0, 1.0], BATHS[bath])
         with pytest.raises(DegenerateSteadyStateError) as raised:
             steady_state(liouv)
         if bath == "mixed":
@@ -968,9 +986,8 @@ class TestSteadyState:
         else:
             assert isinstance(raised.value.__cause__, np.linalg.LinAlgError)
 
-    @pytest.mark.parametrize("op", [[[0.0]]])
-    def test_one_level_system(self, op):
-        liouv = Liouvillian(op=np.array(op), params=SqueezingParams(0.5, 0.0))
+    def test_one_level_system(self):
+        liouv = Liouvillian(np.zeros(0), SqueezingParams(0.5, 0.0))
         assert np.array_equal(steady_state(liouv), np.ones((1, 1)))
 
     def test_dark_state_at_fifty_spins(self):
