@@ -16,8 +16,10 @@ import numpy as np
 from . import __version__
 from .lindblad import _check_evolve_memory, evolve, spin_liouvillian
 from .moments import (OscillatorMoments, SqueezingParams, collective_cov_rhs, decay_rates,
-                      input_field_variances, oscillator_solution, spin_moments_from_state)
-from .spin_algebra import BlochAngles, DickeSpace, build_collective_ops, spin_coherent_state
+                      input_field_variances, oscillator_rate_decomposition,
+                      oscillator_solution)
+from .spin_algebra import (BlochAngles, DickeSpace, _matrix_moments, build_collective_ops,
+                           spin_coherent_state)
 
 __all__ = [
     "FigureDataset",
@@ -87,7 +89,6 @@ def fig3a_vector_field(n_list, nbar: float, theta_grid, phi_grid) -> FigureDatas
     angle-dependent rate formula, plus a symmetric oscillator reference panel.
     """
     params = SqueezingParams.minimal(nbar)
-    gamma_p = params.gamma_p
     theta_grid = [float(t) for t in theta_grid]
     phi_grid = [float(p) for p in phi_grid]
     if not theta_grid or not phi_grid:
@@ -107,45 +108,36 @@ def fig3a_vector_field(n_list, nbar: float, theta_grid, phi_grid) -> FigureDatas
                 rows.append(("spins", n, theta, phi, mx, my,
                              -gx * mx, -gy * my, gx, gy))
     # oscillator panel: radial decay at gamma_p / 2, unit-n radius scale
+    rate = oscillator_rate_decomposition(params).total
     for theta in theta_grid:
         for phi in phi_grid:
             mx = math.sin(theta) * math.cos(phi)
             my = math.sin(theta) * math.sin(phi)
-            rows.append(("oscillator", 0, theta, phi, mx, my,
-                         -0.5 * gamma_p * mx, -0.5 * gamma_p * my,
-                         0.5 * gamma_p, 0.5 * gamma_p))
+            rows.append(("oscillator", 0, theta, phi, mx, my, -rate * mx, -rate * my,
+                         rate, rate))
     meta = _base_metadata(params, spins=",".join(str(n) for n in n_list))
     return FigureDataset("fig3a", columns, rows, meta)
-
-
-def _ellipse(var_x: float, var_y: float, cov_xy: float) -> tuple[float, float, float]:
-    """(major axis, minor axis, tilt) of the one-sigma covariance ellipse, by ``eigh``.
-
-    The tilt, of the major axis's eigenvector, lies in (-pi, pi]; a circle
-    reads pi/2. fig3b's "pre" rows and oscillator panel read it, one row at
-    a time; the batched "post" rows read ``_ellipses``.
-    """
-    cov = np.array([[var_x, cov_xy], [cov_xy, var_y]])
-    vals, vecs = np.linalg.eigh(cov)
-    major = math.sqrt(max(vals[1], 0.0))
-    minor = math.sqrt(max(vals[0], 0.0))
-    tilt = math.atan2(vecs[1, 1], vecs[0, 1])
-    return major, minor, tilt
 
 
 def _ellipses(var_x: np.ndarray, var_y: np.ndarray, cov_xy: np.ndarray) -> tuple[np.ndarray, ...]:
     """(major axes, minor axes, tilts) of a batch of one-sigma ellipses, in closed form.
 
-    The eigenvalues of [[vx, c], [c, vy]] are (vx + vy) / 2 +- hypot((vx - vy) / 2, c),
-    and the major axis lies at tilt = atan2(2 c, vx - vy) / 2, in (-pi/2, pi/2];
-    a circular ellipse reads tilt 0. Adding +0.0 turns a -0.0 covariance into
-    +0.0, so tilt never reads -pi/2.
+    With h = (vx - vy) / 2, the eigenvalues of [[vx, c], [c, vy]] are
+    (vx + vy) / 2 +- hypot(h, c), written as max(vx, vy) + g and
+    min(vx, vy) - g with g = hypot(h, c) - |h| >= 0, so a diagonal
+    covariance (c = 0, g = 0) gives its variances exactly. The major axis
+    lies at tilt = pi/2 - atan2(2 c, vy - vx) / 2, taken modulo pi into
+    [0, pi): an x-long axis reads 0, a y-long one and an exact circle pi/2.
+    The modulo folds the pi that, with vx > vy, a -0.0 covariance gives and
+    one below about -1e-16 (vx - vy) rounds to, so a zero covariance reads
+    0 or pi/2 whatever its sign.
     """
-    mid = 0.5 * (var_x + var_y)
-    radius = np.hypot(0.5 * (var_x - var_y), cov_xy)
-    major = np.sqrt(np.maximum(mid + radius, 0.0))
-    minor = np.sqrt(np.maximum(mid - radius, 0.0))
-    return major, minor, 0.5 * np.arctan2(2.0 * cov_xy + 0.0, var_x - var_y)
+    half = 0.5 * (var_x - var_y)
+    gap = np.hypot(half, cov_xy) - np.abs(half)
+    major = np.sqrt(np.maximum(var_x, var_y) + gap)
+    minor = np.sqrt(np.maximum(np.minimum(var_x, var_y) - gap, 0.0))
+    tilt = 0.5 * np.pi - 0.5 * np.arctan2(2.0 * cov_xy, var_y - var_x)
+    return major, minor, np.mod(tilt, np.pi)
 
 
 # the azimuthal symmetries of the spin generator, as phi -> shift + sign phi: phi -> phi + pi
@@ -193,22 +185,16 @@ def _azimuth_orbits(phi_grid) -> tuple[list[int], np.ndarray, np.ndarray, np.nda
     return evolved, slot, flip, conj
 
 
-def _moment_operators(ops) -> np.ndarray:
-    """Sx, Sy, Sx^2, Sy^2 and Sx Sy as the rows of one complex (5, dim^2) array."""
-    sx, sy = ops.sx, ops.sy
-    return np.stack([sx, sy, sx @ sx, sy @ sy, sx @ sy]).reshape(5, -1)
+def _ellipse_rows(states: np.ndarray, ops) -> list[tuple]:
+    """(mean_x, mean_y, var_x, var_y, cov_xy, axis_major, axis_minor, tilt) per member of a stack.
 
-
-def _stacked_moments(states: np.ndarray, operators: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Means and symmetrized covariances (mx, my, vx, vy, cxy) of a stack of Hermitian states.
-
-    One product of the conjugated (B, dim^2) stack with ``_moment_operators``
-    gives, for a Hermitian rho, sum_ij conj(rho_ij) A_ij = Tr(A rho) for every
-    operator A at once; the real parts are <Sx>, <Sy>, <Sx^2>, <Sy^2> and
-    the symmetrized Re <Sx Sy>.
+    The moments of the (B, dim, dim) stack are read in one pass of
+    ``_matrix_moments`` (Sx and Sy each applied once to the whole stack),
+    the ellipses by ``_ellipses``. ``<Sz>`` is in no column, so it is not read.
     """
-    mx, my, xx, yy, xy = (states.reshape(len(states), -1).conj() @ operators.T).real.T
-    return mx, my, xx - mx * mx, yy - my * my, xy - mx * my
+    mx, my, xx, yy, xy = _matrix_moments(states, ops, ("x", "y", "xx", "yy", "xy")).real
+    vx, vy, cxy = xx - mx * mx, yy - my * my, xy - mx * my
+    return list(zip(mx, my, vx, vy, cxy, *_ellipses(vx, vy, cxy)))
 
 
 def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid) -> FigureDataset:
@@ -216,19 +202,23 @@ def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid) -> FigureDataset:
 
     The exact state is evolved under the master equation for
     dt = 0.008 * n / gamma_p, at ``evolve``'s default tolerances. Per
-    (n, theta), the phi grid is folded by ``_azimuth_orbits``: one member
-    per orbit is evolved, all in one batch, and every grid member's final
-    state is read back from its orbit's as conj rho and P rho P with
-    P = diag((-1)^k), exact operations with no stencil work. The "pre"
-    rows read each coherent state's moments one at a time (vector states)
-    and ``_ellipse``; the "post" rows read the whole grid's final states
-    in one contraction (``_stacked_moments``) and ``_ellipses``. The
-    oscillator panel reads a coherent state's moments at 0 and
-    0.1 / gamma_p from ``oscillator_solution``.
+    (n, theta), the coherent states of the whole phi grid are stacked once
+    as densities, the "pre" stack. The grid is folded by
+    ``_azimuth_orbits``: one member per orbit is evolved, all in one batch,
+    and every grid member's final state is read back from its orbit's as
+    conj rho and P rho P with P = diag((-1)^k), exact operations with no
+    stencil work, the "post" stack. Each stack's rows come from one
+    ``_ellipse_rows``: its moments in one pass of ``_matrix_moments``, its
+    ellipses in closed form (``_ellipses``, tilt in [0, pi), an exact
+    circle at pi/2). The oscillator panel reads a coherent state's
+    moments at 0 and 0.1 / gamma_p from ``oscillator_solution``, and its
+    ellipses from ``_ellipses`` too. Rows run pre then post for each phi.
 
     ``evolve``'s memory estimate for the largest n (one real row of both
-    parity sectors and two records per evolved member), plus the 16 dim^2
-    bytes of each grid member's final state, is checked before any ops are
+    parity sectors and two records per evolved member), plus 16 dim^2
+    bytes for each of the 4 len(phi_grid) matrices fig3b holds at once
+    (the pre and post stacks, and the products Sx rho and Sy rho of one
+    of them while its moments are read), is checked before any ops are
     built or densities stacked: ValueError refuses a run whose evolution
     would not fit in physical memory.
     """
@@ -245,28 +235,22 @@ def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid) -> FigureDataset:
 
     evolved, slot, flip, conj = _azimuth_orbits(phi_grid)
     _check_evolve_memory(len(evolved), max(n_list, default=0) + 1, records=2, sectors=2,
-                         images=len(phi_grid))
+                         images=4 * len(phi_grid))
     rows = []
     for n in n_list if phi_grid else ():
         space = DickeSpace(n)
         ops = build_collective_ops(space)
         liouv = spin_liouvillian(ops, params)
-        operators = _moment_operators(ops)
         parity = (-1.0) ** np.arange(space.dim)
         scale = _ELLIPSE_SCALES.get(n, 1.0)
         for theta in theta_list:
-            states = [spin_coherent_state(space, BlochAngles(theta, phi)) for phi in phi_grid]
-            finals = evolve(liouv, np.stack([states[i].density() for i in evolved]),
-                            _DT_FACTOR * n / gamma_p).final_state
-            posts = finals[slot]
+            pres = np.stack([spin_coherent_state(space, BlochAngles(theta, phi)).density()
+                             for phi in phi_grid])
+            posts = evolve(liouv, pres[evolved], _DT_FACTOR * n / gamma_p).final_state[slot]
             posts[conj] = posts[conj].conj()
             posts[flip] *= np.outer(parity, parity)
-            mx, my, vx, vy, cxy = _stacked_moments(posts, operators)
-            post_rows = zip(mx, my, vx, vy, cxy, *_ellipses(vx, vy, cxy))
-            for phi, state, post in zip(phi_grid, states, post_rows):
-                m = spin_moments_from_state(state, ops)
-                pre = (m.mean_x, m.mean_y, m.var_x, m.var_y, m.cov_xy,
-                       *_ellipse(m.var_x, m.var_y, m.cov_xy))
+            for phi, pre, post in zip(phi_grid, _ellipse_rows(pres, ops),
+                                      _ellipse_rows(posts, ops)):
                 for stage, values in (("pre", pre), ("post", post)):
                     rows.append(("spins", n, theta, phi, stage, *values, scale))
 
@@ -274,11 +258,10 @@ def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid) -> FigureDataset:
     times = (0.0, _OSCILLATOR_DT / gamma_p)
     for phi in phi_grid:
         start = OscillatorMoments(math.cos(phi), math.sin(phi))
-        for stage, moments in zip(("pre", "post"), oscillator_solution(start, params, times)):
-            cx, cy, vx, vy, cxy = moments.tolist()
-            major, minor, tilt = _ellipse(vx, vy, cxy)
-            rows.append(("oscillator", 0, 0.0, phi, stage, cx, cy,
-                         vx, vy, cxy, major, minor, tilt, 1.0))
+        cx, cy, vx, vy, cxy = oscillator_solution(start, params, times).T
+        for stage, values in zip(("pre", "post"), zip(cx, cy, vx, vy, cxy,
+                                                      *_ellipses(vx, vy, cxy))):
+            rows.append(("oscillator", 0, 0.0, phi, stage, *values, 1.0))
 
     meta = _base_metadata(params, spins=",".join(str(n) for n in n_list),
                           dt_factor=_DT_FACTOR, oscillator_dt=_OSCILLATOR_DT)
@@ -290,11 +273,12 @@ def fig4a_rates(n_values, nbar: float, theta_list) -> FigureDataset:
     params = SqueezingParams.minimal(nbar)
     theta_list = [float(t) for t in theta_list]
     columns = ["n", "theta", "rate_x", "rate_y", "collective_ref", "oscillator_ref"]
+    oscillator_rate = oscillator_rate_decomposition(params).total
     rows = []
     for n in n_values:
         for theta in theta_list:
             gx, gy = decay_rates(n, theta, params)
-            rows.append((n, theta, gx, gy, 0.5 * n * params.gamma_p, 0.5 * params.gamma_p))
+            rows.append((n, theta, gx, gy, 0.5 * n * params.gamma_p, oscillator_rate))
     meta = _base_metadata(params)
     return FigureDataset("fig4a", columns, rows, meta)
 

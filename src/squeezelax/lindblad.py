@@ -20,8 +20,6 @@ form
     P = (nbar+1) d+ - m d,    Q = nbar d - m d+,
     K = (nbar+1) d+ d + nbar d d+ - m (d+ d+ + d d).
 
-``dissipator`` keeps the four-channel form as an independent reference.
-
 Stencil. S- in the Dicke basis and the truncated ``a`` have only a real
 superdiagonal, s_k = d[k, k+1], so the generator is fixed by s alone and
 ``Liouvillian`` takes s, not d. With s_k = 0 outside 0 <= k <= dim - 2,
@@ -133,14 +131,6 @@ class CutoffError(RuntimeError):
     """Fock-space truncation too small: population reached the top level."""
 
 
-def dissipator(u: np.ndarray, v: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """D[u, v] rho = v rho u - (1/2)(u v rho + rho u v)."""
-    if u.shape != v.shape or u.shape != rho.shape:
-        raise ValueError("dissipator operands must share one square shape")
-    uv = u @ v
-    return v @ rho @ u - 0.5 * (uv @ rho + rho @ uv)
-
-
 def _aligned_empty(shape) -> np.ndarray:
     """An uninitialized float64 array whose data starts on a 64-byte (cache-line) boundary.
 
@@ -198,24 +188,34 @@ def _stencil(s: np.ndarray, params: SqueezingParams) -> dict:
     return out
 
 
+def _plane_size(dim: int) -> tuple[int, int]:
+    """(W, L): the row width W = 2 ceil(dim / 4) and the length L = W (dim - 1) + dim of a plane.
+
+    Entry (i, j) of rho sits at position W i + j of its parity sector's
+    packed plane (``_sector_layout``), so a plane takes L positions, about
+    dim^2 / 2 (1799 against 3481 at dim 59).
+    """
+    width = 2 * -(-dim // 4)
+    return width, width * (dim - 1) + dim
+
+
 def _sector_layout(dim: int) -> tuple[int, int, tuple]:
     """(W, L, sectors): where each entry of rho sits in its parity sector's packed plane.
 
     Sector s holds the entries rho[i, j] with (i - j) mod 2 = s. Entry
-    (i, j) sits at position W i + j of its sector's plane, with
-    W = 2 ceil(dim / 4), so each stencil shift (di, dj) is the one offset
+    (i, j) sits at position W i + j of its sector's plane, with W and L
+    from ``_plane_size``, so each stencil shift (di, dj) is the one offset
     W di + dj. Two entries of one sector at the same position would differ
     by an even number of rows (W is even) and so by at least 2W >= dim
-    columns, so no two collide. A plane takes L = W (dim - 1) + dim
-    positions, about dim^2 / 2 (1799 against 3481 at dim 59); the positions
-    no entry takes are holes. sectors holds, per sector, the row-major
-    indices of its entries and their positions in its plane.
+    columns, so no two collide. The positions of a plane that no entry
+    takes are holes. sectors holds, per sector, the row-major indices of
+    its entries and their positions in its plane.
     """
-    width = 2 * -(-dim // 4)
+    width, length = _plane_size(dim)
     i, j = np.divmod(np.arange(dim * dim), dim)
     sectors = tuple((index, width * i[index] + j[index])
                     for index in (np.flatnonzero((i - j) % 2 == s) for s in (0, 1)))
-    return width, width * (dim - 1) + dim, sectors
+    return width, length, sectors
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,10 +224,10 @@ class Liouvillian:
 
     d = diag(s, 1) has dim = len(s) + 1 levels and no other nonzero entry,
     as S- in the Dicke basis (``CollectiveOps.s``) and the truncated ``a``
-    have; an ``s`` that is not one-dimensional, or is complex, raises
-    ValueError here. The generator is fixed at construction: ``s`` is kept
-    as a read-only float64 copy of the argument, and assigning to ``s`` or
-    ``params`` raises AttributeError. Generators compare equal only to
+    have; an ``s`` that is not one-dimensional, is complex or holds a NaN
+    or an infinity raises ValueError here. The generator is fixed at
+    construction: ``s`` is kept as a read-only float64 copy of the argument,
+    and assigning to ``s`` or ``params`` raises AttributeError. Generators compare equal only to
     themselves. The stencil is built on the first ``apply``,
     ``norm_bound`` or ``steady_state``, its scaled and packed copy on the
     first ``evolve``, and the dense d, d+, P, Q and K only when
@@ -242,6 +242,8 @@ class Liouvillian:
             raise ValueError("the superdiagonal s must be a one-dimensional real array "
                              "(S-'s or a's, not the matrix)")
         s = np.array(self.s, dtype=np.float64)  # a copy, never a view of the caller's array
+        if not np.all(np.isfinite(s)):
+            raise ValueError("the superdiagonal s must be finite")
         s.flags.writeable = False
         object.__setattr__(self, "s", s)
 
@@ -449,7 +451,7 @@ def _check_evolve_memory(members: int, dim: int, records: int, sectors: int, ima
     The call propagates ``members`` dim x dim states, recorded at
     ``records`` output times, as one real row per member that holds
     ``sectors`` live parity sectors (one or two): n = sectors L values of
-    packed planes (``_sector_layout``), with 4W border zeros. With
+    packed planes (``_plane_size``), with 4W border zeros. With
     E = members dim^2 and N = members rows of R = n + 4W values, the
     estimate counts each array at its largest, as if all were alive at
     once: the complex input and states, 16 E (1 + records) bytes; 8 N R
@@ -467,11 +469,11 @@ def _check_evolve_memory(members: int, dim: int, records: int, sectors: int, ima
     Chebyshev series are not counted. A caller that holds ``images``
     complex dim x dim matrices next to the call's arrays adds their
     16 images dim^2 bytes: ``fig3b_ellipses`` calls it before it stacks its
-    densities, with one member per orbit of its phi grid and one image per
-    grid member, the final states it reads its moments from.
+    densities, with one member per orbit of its phi grid and four images
+    per grid member, its pre and post stacks and the products Sx rho and
+    Sy rho of one of them that ``_matrix_moments`` makes.
     """
-    width = 2 * -(-dim // 4)
-    length = width * (dim - 1) + dim
+    width, length = _plane_size(dim)
     entries = members * dim * dim
     row_bytes = 8 * members * (sectors * length + 4 * width)
     _check_memory(16 * entries * (1 + records) + row_bytes * (1 + 3 * records + _BLOCK)

@@ -279,9 +279,11 @@ def propagate(term, bound, y0, times, rtol: float, atol: float) -> IntegrationRe
     holds as zero, stays zero (``lindblad.evolve`` writes only the
     interior of zero-bordered rows). y0 is one state of shape (size,), or a
     stack of states along its first axis; the result has y0's dtype. times
-    are validated as for ``integrate``; rtol and atol must be positive and
-    finite, and ValueError is raised, before anything is allocated, when no
-    window can meet their truncation rule.
+    is a strictly increasing, finite sequence of two or more output times,
+    or a number t for (0, t) (``_output_times``), and y0 must be nonempty and
+    finite; rtol and atol must be positive and finite, and ValueError is
+    raised, before anything is allocated, when no window can meet their
+    truncation rule.
 
     Windows. Each window starts at the last state reached and is as wide
     as the degree cap allows (beta = bound h / 2 at most the largest beta

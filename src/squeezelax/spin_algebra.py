@@ -288,6 +288,36 @@ def _vector_moments(psi: np.ndarray, ops: CollectiveOps, words) -> list[complex]
     return moments
 
 
+def _matrix_moments(rho: np.ndarray, ops: CollectiveOps, words) -> np.ndarray:
+    """<w> for each word w on a density matrix, or on each member of a stack of them.
+
+    rho is one (dim, dim) matrix or a (B, dim, dim) stack; the result has
+    shape (len(words),) + rho.shape[:-2], one value per word per member.
+    Every suffix the words read is made once, right to left, as the product
+    w rho of the whole stack (the empty suffix being rho itself), and a
+    word A w is then Tr(A w rho) = vdot(A', w rho), one batched inner
+    product of the flattened members with the adjoint letter's conjugate:
+    O(dim^2) per member, with no product formed. So one dense operator is
+    applied per distinct nonempty suffix, whatever the batch size.
+    """
+    named = {"-": ops.sm, "+": ops.sp, "x": ops.sx, "y": ops.sy, "z": ops.sz}
+    kets = {"": rho}
+
+    def ket(word):
+        # right to left, each suffix once; not recursive, since a closure that
+        # calls itself is a reference cycle that would keep ops alive until
+        # the next garbage collection
+        if word not in kets:
+            for i in reversed(range(len(word))):
+                if word[i:] not in kets:
+                    kets[word[i:]] = named[word[i]] @ kets[word[i + 1:]]
+        return kets[word]
+
+    flat = rho.shape[:-2] + (-1,)
+    return np.array([ket(word[1:]).reshape(flat) @ named[_ADJOINT[word[0]]].conj().ravel()
+                     for word in words])
+
+
 def _collective_moments(state: QuantumState, ops: CollectiveOps, words) -> list[complex]:
     """<w> for each word w of collective operators, applying each operator to the state once.
 
@@ -301,32 +331,15 @@ def _collective_moments(state: QuantumState, ops: CollectiveOps, words) -> list[
     among Sx, Sy, Sz (or A = S+-), and "-+". The dense transverse matrices
     are not read.
 
-    A density matrix keeps the dense products, which at fig3b's dim <= 16
-    are faster than banded ones: every suffix the words read is made once,
-    right to left, as the product w rho (the empty suffix being the state
-    itself), and a word A w is the inner product Tr(A w rho) =
-    vdot(A', w rho), an O(dim^2) sum with no product formed. So one
-    operator is applied per distinct nonempty suffix.
+    A density matrix is read by ``_matrix_moments``, which keeps the dense
+    products: at fig3b's dim <= 16 they are faster than banded ones.
     """
     if ops.space.dim != state.dim:
         raise ValueError(f"operators of dimension {ops.space.dim} do not act on "
                          f"dimension {state.dim}")
     if state.kind == "vector":
         return _vector_moments(state.data, ops, words)
-    named = {"-": ops.sm, "+": ops.sp, "x": ops.sx, "y": ops.sy, "z": ops.sz}
-    kets = {"": state.data}
-
-    def ket(word):
-        # right to left, each suffix once; not recursive, since a closure that
-        # calls itself is a reference cycle that would keep ops alive until
-        # the next garbage collection
-        if word not in kets:
-            for i in reversed(range(len(word))):
-                if word[i:] not in kets:
-                    kets[word[i:]] = named[word[i]] @ kets[word[i + 1:]]
-        return kets[word]
-
-    return [complex(np.vdot(named[_ADJOINT[word[0]]], ket(word[1:]))) for word in words]
+    return _matrix_moments(state.data, ops, words).tolist()
 
 
 def expectation(op: np.ndarray, state: QuantumState) -> complex:

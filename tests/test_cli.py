@@ -93,9 +93,8 @@ class TestExitCodes:
         # physical memory taken as 64 MiB: fig4b's collective ops (the dense
         # Sz, 16 bytes per matrix entry) do not fit at n = 3000, and at n =
         # 300 and 238 the ops fit but the steady-state solve and fig3b's
-        # evolution do not (n = 238 is the smallest n at which fig3b's
-        # estimate, four evolved members and twelve final states, passes
-        # 64 MiB)
+        # evolution do not (fig3b's estimate, four evolved members and four
+        # images per grid member, passes 64 MiB from n = 195)
         phys, n = 2 ** 26, int(argv[2].split(",")[0])
         page, sysconf = os.sysconf("SC_PAGE_SIZE"), os.sysconf
         monkeypatch.setattr(os, "sysconf",

@@ -141,6 +141,16 @@ class TestFig3b:
 GRID_12 = [2 * math.pi * k / 12 for k in range(12)]
 
 
+def _eigh_ellipse(var_x: float, var_y: float, cov_xy: float) -> tuple[float, float, float]:
+    """(major axis, minor axis, tilt) of one covariance ellipse by ``eigh``: the reference.
+
+    The tilt, of the major axis's eigenvector, lies in (-pi, pi].
+    """
+    vals, vecs = np.linalg.eigh(np.array([[var_x, cov_xy], [cov_xy, var_y]]))
+    return (math.sqrt(max(vals[1], 0.0)), math.sqrt(max(vals[0], 0.0)),
+            math.atan2(vecs[1, 1], vecs[0, 1]))
+
+
 def _unfolded(phi_grid):
     """``_azimuth_orbits`` with every member its own orbit."""
     size = len(phi_grid)
@@ -197,7 +207,7 @@ class TestFig3bFold:
                 final = evolve(liouv, start, 0.008 * n).final_state
                 m = spin_moments_from_state(QuantumState(final, "matrix"), ops)
                 alone = (m.mean_x, m.mean_y, m.var_x, m.var_y, m.cov_xy,
-                         *figures._ellipse(m.var_x, m.var_y, m.cov_xy))
+                         *_eigh_ellipse(m.var_x, m.var_y, m.cov_xy))
                 for key, want in zip(keys, alone):
                     assert row[key] == pytest.approx(own[key], rel=1e-12, abs=1e-12)
                     assert row[key] == pytest.approx(want, rel=1e-10, abs=1e-10)
@@ -212,23 +222,66 @@ class TestFig3bFold:
         assert len(folded) == 2 * 2 * 12 + 12
         assert folded == unfolded
 
+    def test_pre_rows_match_each_state_read_alone(self):
+        # the pre stack's rows against each coherent state's vector moments and eigh
+        thetas = [0.55 * math.pi, 0.87 * math.pi]
+        ds = fig3b_ellipses([1, 5, 15], 5.0, thetas, GRID_12)
+        keys = ("mean_x", "mean_y", "var_x", "var_y", "cov_xy", "axis_major", "axis_minor")
+        for n in (1, 5, 15):
+            space = DickeSpace(n)
+            ops = build_collective_ops(space)
+            for theta in thetas:
+                rows = rows_by(ds, system="spins", n=n, theta=theta, stage="pre")
+                assert [row["phi"] for row in rows] == GRID_12
+                for row in rows:
+                    m = spin_moments_from_state(
+                        spin_coherent_state(space, BlochAngles(theta, row["phi"])), ops)
+                    want = (m.mean_x, m.mean_y, m.var_x, m.var_y, m.cov_xy,
+                            *_eigh_ellipse(m.var_x, m.var_y, m.cov_xy))
+                    for key, value in zip(keys, want):
+                        assert row[key] == pytest.approx(value, rel=1e-13, abs=1e-13), key
+                    assert abs(math.remainder(row["tilt"] - want[-1], math.pi)) < 1e-12
+
     def test_closed_form_ellipses_match_eigh(self):
         rng = np.random.default_rng(7)
         vx, vy = rng.uniform(0.1, 5.0, (2, 200))
         cxy = rng.uniform(-1.0, 1.0, 200) * np.sqrt(vx * vy)
         major, minor, tilt = figures._ellipses(vx, vy, cxy)
         for k in range(200):
-            want = figures._ellipse(vx[k], vy[k], cxy[k])
+            want = _eigh_ellipse(vx[k], vy[k], cxy[k])
             assert major[k] == pytest.approx(want[0], rel=1e-13)
             assert minor[k] == pytest.approx(want[1], rel=1e-10, abs=1e-13)
             assert abs(math.remainder(tilt[k] - want[2], math.pi)) < 1e-10
-        assert np.all((-math.pi / 2 < tilt) & (tilt <= math.pi / 2))
-        # a circle reads tilt 0, a y-long axis +pi/2 whatever the sign of a zero covariance
-        circle = figures._ellipses(np.array([2.0]), np.array([2.0]), np.array([0.0]))
-        assert [v[0] for v in circle] == [math.sqrt(2.0), math.sqrt(2.0), 0.0]
-        upright = figures._ellipses(np.array([1.0, 1.0]), np.array([4.0, 4.0]),
-                                    np.array([0.0, -0.0]))
-        assert upright[2].tolist() == [math.pi / 2, math.pi / 2]
+
+    def test_tilt_lies_in_zero_to_pi_and_a_circle_reads_half_pi(self):
+        rng = np.random.default_rng(11)
+        vx, vy = rng.uniform(0.1, 5.0, (2, 1000))
+        cxy = rng.uniform(-1.0, 1.0, 1000) * np.sqrt(vx * vy)
+        # and the edges: zero covariances of either sign, and a covariance so
+        # small against vx - vy that pi/2 - atan2(2c, vy - vx) / 2 rounds to pi
+        vx = np.append(vx, [2.0, 1.0, 2.0, 1.0, 2.0, 2.0])
+        vy = np.append(vy, [1.0, 2.0, 1.0, 2.0, 1.0, 1.0])
+        cxy = np.append(cxy, [0.0, 0.0, -0.0, -0.0, -1e-17, -1e-300])
+        tilt = figures._ellipses(vx, vy, cxy)[2]
+        assert np.all((0.0 <= tilt) & (tilt < math.pi))
+        assert tilt[-6:].tolist() == [0.0, math.pi / 2, 0.0, math.pi / 2, 0.0, 0.0]
+        circle = figures._ellipses(np.array([2.0, 2.0]), np.array([2.0, 2.0]),
+                                   np.array([0.0, -0.0]))
+        assert [v.tolist() for v in circle] == [[math.sqrt(2.0)] * 2, [math.sqrt(2.0)] * 2,
+                                                [math.pi / 2] * 2]
+
+    def test_diagonal_covariance_reads_its_variances_exactly(self):
+        # as eigh does, so the oscillator panel's ellipses are eigh's to the bit
+        rng = np.random.default_rng(13)
+        vx, vy = rng.uniform(0.1, 5.0, (2, 200))
+        major, minor, _ = figures._ellipses(vx, vy, np.zeros(200))
+        for k in range(200):
+            assert (major[k], minor[k]) == _eigh_ellipse(vx[k], vy[k], 0.0)[:2]
+        ds = fig3b_ellipses([1], 5.0, [math.pi], GRID_12)
+        for row in rows_by(ds, system="oscillator"):
+            want = _eigh_ellipse(row["var_x"], row["var_y"], row["cov_xy"])
+            assert (row["axis_major"], row["axis_minor"]) == want[:2]
+            assert row["tilt"] == want[2] % math.pi
 
 
 class TestFig4a:

@@ -36,8 +36,8 @@ def test_no_module_reads_the_environment():
 
 
 def test_test_references_are_not_package_exports():
-    # the RK45 stepper and the four-channel dissipator are references the
-    # tests read from ``ode`` and ``lindblad``; no production path runs them
+    # the RK45 stepper is a reference the tests read from ``ode``, and the
+    # four-channel dissipator one they keep themselves; no production path runs them
     assert [name for name in ("integrate", "IntegratorConfig", "dissipator")
             if hasattr(squeezelax, name)] == []
 

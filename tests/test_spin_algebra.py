@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squeezelax.spin_algebra import (BlochAngles, DickeSpace, QuantumState,
-                                     _collective_moments, build_collective_ops, expectation,
+                                     _collective_moments, _matrix_moments,
+                                     build_collective_ops, expectation,
                                      hpa_residual, product_expectation, spin_coherent_state,
                                      sym_covariance, third_moment)
 from squeezelax.verification import random_pure
@@ -96,6 +97,25 @@ class TestBandedMoments:
         ops = build_collective_ops(DickeSpace(3))
         with pytest.raises(ValueError, match="word"):
             _collective_moments(random_pure(np.random.default_rng(0), 4), ops, ("zx+",))
+
+
+class TestMatrixMoments:
+    @pytest.mark.parametrize("n", [1, 6, 15])
+    def test_stack_matches_its_members_read_one_by_one(self, n):
+        rng = np.random.default_rng(n)
+        ops = build_collective_ops(DickeSpace(n))
+        members = [0.5 * random_pure(rng, n + 1).density() + 0.5 * np.eye(n + 1) / (n + 1)
+                   for _ in range(5)]
+        stack = _matrix_moments(np.stack(members), ops, MOMENT_WORDS)
+        assert stack.shape == (len(MOMENT_WORDS), 5)
+        dense = {"-": ops.sm, "+": ops.sp, "x": ops.sx, "y": ops.sy, "z": ops.sz}
+        for k, rho in enumerate(members):
+            state = QuantumState.from_matrix(rho)
+            alone = _collective_moments(state, ops, MOMENT_WORDS)
+            for word, got, value in zip(MOMENT_WORDS, stack[:, k], alone):
+                ref = product_expectation([dense[letter] for letter in word], state)
+                assert abs(got - value) <= 1e-14 * (n + 1) ** len(word), word
+                assert abs(got - ref) <= 1e-14 * (n + 1) ** len(word), word
 
 
 class TestSpinCoherentState:
