@@ -71,7 +71,7 @@ superoperator is never built. From the CLI, ``steady-state --spins 40``,
 
 Time evolution. ``evolve`` sums a Chebyshev series of exp(h L) in the
 rescaled generator A~ = (2/a) L + 1 (``ode.propagate``), over windows of
-degree up to 64. It propagates each Hermitian state as one real matrix,
+degree up to 88. It propagates each Hermitian state as one real matrix,
 X = Re rho + Im rho, from which the symmetric Re rho and the antisymmetric
 Im rho are read back exactly Hermitian. No term links the two parity
 sectors, so it propagates only the sectors in which the start has a
@@ -86,7 +86,7 @@ T_{k+1} = 2 A~ T_k - T_{k-1} in the rows that hold it. The
 bound a is ``norm_bound()``, the largest absolute row sum of the
 superoperator, read from the stencil's coefficients in O(dim^2); every
 eigenvalue of L lies in |z| <= a. At Fock cutoff 59 (a = 658.6) the
-oscillator oracle reaches t = 20 in 93 windows and 5935 terms on the
+oscillator oracle reaches t = 20 in 48 windows and 4222 terms on the
 vacuum's one sector, a plane of 1799 values against 3481 entries of rho;
 an explicit stepper, held by stability to steps of about 3.3 / a, would
 need about 4000 steps.
@@ -103,7 +103,7 @@ from functools import cached_property
 import numpy as np
 
 from .moments import SqueezingParams
-from .ode import _BLOCK, _check_memory, _check_positive, _output_times, propagate
+from .ode import _BLOCK, _FALLBACKS, _check_memory, _check_positive, _output_times, propagate
 from .spin_algebra import CollectiveOps, QuantumState, _check_hermitian
 
 __all__ = [
@@ -458,7 +458,8 @@ def _check_evolve_memory(members: int, dim: int, records: int, sectors: int, ima
     bytes for each of the packed start, the records, the 8 terms of
     ``ode.propagate``'s block (whose growth check reads the block's max and
     min, with no |.| temporary), and a window's outputs and the product
-    added to them (up to one row per output time each); the kernel writes
+    added to them (up to one row per output time and one per fallback
+    width each, 3 fallbacks); the kernel writes
     each term straight into its row, from a strided window of the last
     one and the box of coefficients broadcast over the members, so it
     holds no array of its own; the read-back's real dim x dim records and
@@ -476,7 +477,8 @@ def _check_evolve_memory(members: int, dim: int, records: int, sectors: int, ima
     width, length = _plane_size(dim)
     entries = members * dim * dim
     row_bytes = 8 * members * (sectors * length + 4 * width)
-    _check_memory(16 * entries * (1 + records) + row_bytes * (1 + 3 * records + _BLOCK)
+    _check_memory(16 * entries * (1 + records)
+                  + row_bytes * (1 + 3 * records + 2 * _FALLBACKS + _BLOCK)
                   + 12 * entries * records + (136 + 16 * images) * dim * dim + 144 * length,
                   f"evolving {members} states of dim {dim} to {records} records")
 
@@ -536,12 +538,13 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
     written, so the 2W border zeros on each side of a member stay zero,
     and since a shift that leaves rho has a zero coefficient, no member
     reads another. A series is cut where
-    its tail of coefficients falls to 0.1 min(rtol, atol), at degree 64 at
-    most; a window is refused and halved when a term grows past 1e3 times
-    the state or the extrapolated tail exceeds the tolerance (see
-    ``ode.propagate``). At Fock cutoff 59 (a = 658.6) the oscillator oracle
-    reaches t = 20 in 93 windows of degree 47 to 64, on one sector of 1799
-    values.
+    its tail of coefficients falls to 0.1 min(rtol, atol), at degree 88 at
+    most (64 after a refusal); a window is refused when a term grows past
+    1e3 times the state or the extrapolated tail exceeds the tolerance, and
+    then ends at the widest narrower width whose own series passes over
+    the terms already made (see ``ode.propagate``). At Fock cutoff 59
+    (a = 658.6) the oscillator oracle reaches t = 20 in 48 windows of
+    degree 86 to 88, none refused, on one sector of 1799 values.
 
     No trace renormalization is applied, so trace drift stays a genuine
     global-error witness (the truncated series loses about its tail per
@@ -549,9 +552,10 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
     member of every record, and only the records, and report the worst;
     the hermiticity residual is zero by construction of the read-back, not
     by renormalization. The diagnostics add ``sectors``, S. One DEBUG line
-    per call logs the batch size, dim, S, the bound, the windows and
-    refused windows, the terms (``rhs_evals``), the degree and window
-    ranges, and the number of records and their bytes.
+    per call logs the batch size, dim, S, the bound, the windows, the
+    refused windows and those of them salvaged at a narrower width, the
+    terms (``rhs_evals``), the degree and window ranges, and the number of
+    records and their bytes.
     """
     if isinstance(rho0, QuantumState):
         rho0 = rho0.density()
@@ -622,9 +626,10 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
     by_member.imag[:, ~np.any(stack.imag, axis=(1, 2))] = 0.0
     diagnostics.update(_state_diagnostics(states))
     logger.debug("evolve batch=%d dim=%d sectors=%d bound=%.6g windows=%d refused=%d "
-                 "rhs_evals=%d degree=[%d, %d] window=[%.3e, %.3e] records=%d bytes=%d",
-                 members, dim, len(live), diagnostics["bound"], diagnostics["accepted"],
-                 diagnostics["rejected"], diagnostics["rhs_evals"], diagnostics["degree_min"],
+                 "salvaged=%d rhs_evals=%d degree=[%d, %d] window=[%.3e, %.3e] records=%d "
+                 "bytes=%d", members, dim, len(live), diagnostics["bound"],
+                 diagnostics["accepted"], diagnostics["rejected"], diagnostics["salvaged"],
+                 diagnostics["rhs_evals"], diagnostics["degree_min"],
                  diagnostics["degree_max"], diagnostics["dt_min"], diagnostics["dt_max"],
                  len(states), states.nbytes)
     return Trajectory(times=times, states=states, diagnostics=diagnostics)
@@ -840,9 +845,12 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     which numpy casts the real coefficients to complex for the products
     (32, up to 8192 complex values each). During the sweep the
     coefficients, the row and column sums, the state and a sector's draw
-    of b and its scatter hold about 128. Traced at n = 160
-    and 320 (nbar = 0.5, m = 0.2), the peak is about 0.7 of the estimate;
-    the first dim refused on a 7.84 GiB machine is 1261.
+    of b and its scatter hold about 128. A fixed 16 KiB covers the sweep's
+    Python objects, the random generator and numpy's small buffers, which
+    the traced peak at dim 2 (about 8.6 KB) is nearly all of. Traced at
+    n = 160 and 320 (nbar = 0.5, m = 0.2), the peak is about 0.7 of the
+    estimate, and from n = 1 to 80 between 0.5 and 0.7; the first dim
+    refused on a 7.84 GiB machine is 1261.
 
     One DEBUG line gives each sector's size, level count, largest level and
     sigma / s0, the residual, the wall time, and within it the seconds
@@ -855,7 +863,7 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     sectors = [orders for orders in (_orders(dim, 0), _orders(dim, 1)) if orders]
     largest = dim  # the order-0 level, in the even sector, which is the larger
     _check_memory(8 * ((dim * dim + 1) // 2 * (largest + 3) + 8 * largest ** 2)
-                  + 184 * dim ** 2, f"the steady-state solve at dim {dim}")
+                  + 184 * dim ** 2 + 16384, f"the steady-state solve at dim {dim}")
     sums = _trace_row_sums(liouv)  # builds the stencil, if no call before did
     seconds = np.array([time.perf_counter() - start, 0.0])  # building, solving
     rng = np.random.default_rng(0)

@@ -25,15 +25,17 @@ into the array that holds it (``lindblad.evolve`` folds the 4/a and the 2
 into the stencil's coefficients, held as one 3 x 3 box of shifts, and
 makes each term one ``np.einsum`` of that box with a strided window of the
 last term, less the one before). The series converges faster than any
-power of beta, so one window of degree up to 64 spans what an explicit
+power of beta, so one window of degree up to 88 spans what an explicit
 stepper, held to |h lambda| of order one by stability, needs hundreds of
 steps for. It serves the master equation: at Fock cutoff 59 the oscillator
-oracle reaches t = 20 in 93 windows and 5935 terms. The coefficients are
+oracle reaches t = 20 in 48 windows and 4222 terms. The coefficients are
 those of exp on the interval [-a, 0]: eigenvalues well off the real axis,
 a bound below the spectral radius and strong non-normality all show as
-growth of |T_k y|, which ``propagate`` checks. A stack of states is
-propagated as one array, with the growth and error checks taken per
-member.
+growth of |T_k y|, which ``propagate`` checks. The T_k y do not depend
+on the window's width, so a window that is refused for that growth ends
+at a narrower width whose own series passes over the terms already made.
+A stack of states is propagated as one array, with the growth and error
+checks taken per member.
 """
 
 from __future__ import annotations
@@ -52,10 +54,16 @@ import numpy as np
 # smallest window before the propagator gives up on a refused one.
 _DT_MIN = 1e-13
 
-# The highest degree of one Chebyshev window. With non-normal generators
-# |T_k(A~) y| can stay bounded for a hundred terms and then grow
+# The degree of the full width H, from which the rungs below a run's first
+# are halved and the overspend allowance is measured. With non-normal
+# generators |T_k(A~) y| can stay bounded for a hundred terms and then grow
 # geometrically (at Fock cutoff 59, about e^(0.35 k) beyond k = 100).
 _DEGREE_MAX = 64
+# The degree of a run's first rung, the widest window of that degree. A
+# cap of 88 alone, halved on every refusal, cost fig3b a third more terms.
+_DEGREE_FIRST = 88
+# The narrower rungs whose coefficient rows a window carries over its terms
+_FALLBACKS = 3
 # A window is refused once max |T_k(A~) y| exceeds this multiple of max |y|.
 _GROWTH_MAX = 1e3
 # T_k vectors held at once: they are summed into the outputs a block at a time
@@ -223,11 +231,14 @@ def _chebyshev_series(beta: float) -> tuple[tuple[float, ...], tuple[float, ...]
     q_k = I_k / I_{k-1} = 1 / (2k / beta + q_{k+1}), started from q_{K+1} = 0
     at K = beta + 10 sqrt(beta) + 30. Their running products I_k / I_0 are
     normalized by I_0 + 2 sum_k I_k = e^beta, so the c_k sum to one; every
-    c_k above 1e-30 matches e^-beta I_k(beta) to about 1e-13 relative for
-    beta in [1e-9, 128]. Ratios keep every value within floating-point
-    range. The tails are summed from the small end so they keep their
-    digits. Plain floats: one beta of 70 takes about 55 us, and the cache
-    serves the full-width windows of a run.
+    c_k above 1e-30 matches e^-beta I_k(beta) to 1e-13 relative for beta in
+    [1e-9, 275], twice the first rung's beta at the default tolerances
+    (tested against the trapezoid rule on the integral of I_k, and wider
+    than the 2 * 88 that ``_widest_beta``'s bisection reaches). Ratios keep
+    every value within floating-point range. The tails are summed from the
+    small end so they keep their digits. Plain floats: one beta of 70 takes
+    about 55 us, and the cache serves the windows of a run that take a
+    rung's width.
     """
     size = int(beta + 10.0 * math.sqrt(beta)) + 30
     two_over, q = 2.0 / beta, 0.0
@@ -242,27 +253,32 @@ def _chebyshev_series(beta: float) -> tuple[tuple[float, ...], tuple[float, ...]
     return coefficients, tails
 
 
-@functools.lru_cache(maxsize=32)
-def _widest_beta(eps: float) -> float:
-    """The largest beta, to 1e-3 from below, whose series of degree _DEGREE_MAX meets eps.
+def _degree(tails, eps: float) -> int:
+    """The truncation rule: the smallest m with tails[m] <= eps, and at least one."""
+    return max(1, bisect.bisect_left(tails, -eps, key=operator.neg))
 
-    Bisection on (0, 2 _DEGREE_MAX], about 1 ms; cached per tolerance and
-    never computed at import. A series that ends at or before that degree
-    (beta below about 7.5) has cut its own tail at the recurrence's start,
-    so its tail there is unknown and is not taken to meet eps. Raises
-    ValueError when no beta the bisection tries meets eps.
+
+@functools.lru_cache(maxsize=32)
+def _widest_beta(eps: float, degree: int = _DEGREE_MAX) -> float:
+    """The largest beta, to 1e-3 from below, whose series of the given degree meets eps.
+
+    Bisection on (0, 2 degree], 1 to 2 ms; cached per tolerance and degree
+    and never computed at import. A series that ends at or before that
+    degree (beta below about 7.5 for degree 64) has cut its own tail at the
+    recurrence's start, so its tail there is unknown and is not taken to
+    meet eps. Raises ValueError when no beta the bisection tries meets eps.
     """
-    low, high = 0.0, 2.0 * _DEGREE_MAX
+    low, high = 0.0, 2.0 * degree
     while high - low > 1e-3:
         mid = 0.5 * (low + high)
         tails = _chebyshev_series.__wrapped__(mid)[1]
-        if _DEGREE_MAX < len(tails) - 1 and tails[_DEGREE_MAX] <= eps:
+        if degree < len(tails) - 1 and tails[degree] <= eps:
             low = mid
         else:
             high = mid
     if low == 0.0:
         raise ValueError(f"the truncation tolerance 0.1 min(rtol, atol) = {eps:.3g} is met by "
-                         f"no Chebyshev window of degree {_DEGREE_MAX}")
+                         f"no Chebyshev window of degree {degree}")
     return low
 
 
@@ -285,12 +301,16 @@ def propagate(term, bound, y0, times, rtol: float, atol: float) -> IntegrationRe
     raised, before anything is allocated, when no window can meet their
     truncation rule.
 
-    Windows. Each window starts at the last state reached and is as wide
-    as the degree cap allows (beta = bound h / 2 at most the largest beta
-    whose series of degree 64 meets the truncation rule), or ends at the
-    last output time. Every output time inside a window gets its own row of
+    Windows. Each window starts at the last state reached and ends one
+    rung of widths later, or at the last output time. The rungs are the
+    widest window of degree 88 (beta = bound h / 2 at most the largest beta
+    whose series of degree 88 meets the truncation rule), which opens the
+    run, then the full width H of degree 64 halved again and again
+    (H, H / 2, H / 4, ...). A run stays on a rung until a window is
+    refused. Every output time inside a window gets its own row of
     coefficients over the same T_k vectors, so output times cost no extra
-    terms.
+    terms; so do the next three rungs that end inside the window, the
+    fallbacks, whose rows are each summed to their own degree.
 
     Truncation rule. With eps = 0.1 min(rtol, atol), a row of the series
     is cut at the smallest degree m whose tail sum_{k > m} c_k is at most
@@ -298,29 +318,40 @@ def propagate(term, bound, y0, times, rtol: float, atol: float) -> IntegrationRe
     While |T_k y| stays of order |y|, the truncation error is then about
     eps |y|.
 
-    Refusal. A window is refused, and the window width halved for the rest
-    of the run, when for some member max |T_k y| exceeds 1e3 max |y| at a
-    degree k <= m (A is far from normal, or bound is too small), or when
-    the tail extrapolated from the last two terms, max |T_m y| times
-    sum_{k > m} c_k r^(k - m) with r = max(1, max |T_m y| / max |T_{m-1} y|),
-    exceeds atol + rtol max |y|. Growth is checked once per block of up to
-    8 terms, with one max and one min over the block that give every
-    term's peak as max(max x, -min x), and the first term in the block past
-    the bound decides as it would term by term; so the same windows are
-    accepted, and a refused one may cost up to 7 more terms.
+    Refusal. A window is refused when for some member max |T_k y| exceeds
+    1e3 max |y| at a degree k <= m (A is far from normal, or bound is too
+    small), or when the tail extrapolated from the last two terms,
+    max |T_m y| times sum_{k > m} c_k r^(k - m) with
+    r = max(1, max |T_m y| / max |T_{m-1} y|), exceeds atol + rtol max |y|.
+    The T_k do not depend on the width, so a refused window is ended
+    instead at its widest fallback whose degree m' lies within the terms
+    made before the first that grew, and whose tail extrapolated from T_m'
+    and T_{m'-1} passes the same test: the window a fresh start at that
+    width would accept, with the output times inside it summed to at least
+    their own degree. The run goes on at that rung. When no fallback
+    passes, each width tried would be refused again from the same state,
+    so the window is made again at the rung below its narrowest fallback.
+    Growth is checked once per block of up to 8 terms, with one max and
+    one min over the block that give every term's peak as
+    max(max x, -min x), and the first term in the block past the bound
+    decides as it would term by term; so the same windows are accepted,
+    and a refused one may cost up to 7 more terms.
 
     Failure. The accepted estimates are summed per member over the run. A
-    run whose windows keep their full width H cannot overspend, but halved
-    windows can: IntegrationError is raised once the sum exceeds
-    (atol + rtol max |y0|) (1 + (t - times[0]) / H), the tolerance of one
-    full window per full width elapsed, as when the bound is well below the
-    spectral radius. It is also raised when the width falls below 1e-13 or
-    term writes non-finite values.
+    run whose windows are all at least H wide cannot overspend, but
+    narrower windows can: IntegrationError is
+    raised once the sum exceeds (atol + rtol max |y0|) (1 + (t - times[0]) / H),
+    the tolerance of one window of degree 64 per width H elapsed, as when
+    the bound is well below the spectral radius. It is also raised when the
+    width falls below 1e-13 or term writes non-finite values.
 
-    Diagnostics: accepted windows, refused windows (``rejected``), calls to
-    term (``rhs_evals``), the range of accepted window widths (``dt_min``,
-    ``dt_max``), the range of their degrees (``degree_min``,
-    ``degree_max``), ``bound``, and the largest member's summed truncation
+    Diagnostics: accepted windows, salvaged among them (``salvaged``, the
+    refused windows accepted at a fallback), refused windows (``rejected``,
+    every refusal, salvaged or not), calls to term (``rhs_evals``, every
+    term made, those of refused windows included), the range of accepted
+    window widths (``dt_min``, ``dt_max``), the range of their degrees
+    (``degree_min``, ``degree_max``; a salvaged window's is its
+    fallback's), ``bound``, and the largest member's summed truncation
     estimate (``truncation_estimate``).
     """
     y0 = np.asarray(y0)
@@ -328,6 +359,7 @@ def propagate(term, bound, y0, times, rtol: float, atol: float) -> IntegrationRe
     _check_positive(rtol=rtol, atol=atol)
     eps = 0.1 * min(rtol, atol)
     beta_max = _widest_beta(eps)
+    beta_first = _widest_beta(eps, _DEGREE_FIRST)
     times, states = _records(y0, times)
     bound = float(bound)
     _check_positive(bound=bound)
@@ -341,16 +373,29 @@ def propagate(term, bound, y0, times, rtol: float, atol: float) -> IntegrationRe
         # max |entry| of each member, over the real and imaginary parts
         return np.max(np.abs(y.reshape(members, -1).view(np.float64)), axis=1)
 
-    widest = full = 2.0 * beta_max / bound
+    # the rungs, widest first: the first rung, then the full width H halved until
+    # it falls below _DT_MIN, which no window takes. Each rung is exact, so
+    # its windows share one cached series
+    full = 2.0 * beta_max / bound
+    ladder = [2.0 * beta_first / bound, full]
+    while ladder[-1] >= _DT_MIN:
+        ladder.append(0.5 * ladder[-1])
     budget = atol + rtol * peak(y0)
     spent = np.zeros(members)
     block = np.zeros((_BLOCK,) + y0.shape, dtype=y0.dtype)
     grid = times.tolist()
-    t, y, row = grid[0], states[0], 1
-    accepted = rejected = calls = 0
+    t, y, row, rung = grid[0], states[0], 1, 0
+    accepted = rejected = salvaged = calls = 0
     widths, degrees = [], []
+
+    def estimate(c, m):
+        # the tail of series c cut at m, extrapolated from the window's last two terms
+        growth = np.fmax(1.0, norms[m] / norms[m - 1])
+        powers = growth[:, None] ** np.arange(1, len(c) - m)
+        return norms[m] * (powers @ c[m + 1:])
+
     while row < len(grid):
-        # the full width is kept exact, so full windows share one cached series
+        widest = ladder[rung]
         end, width = (t + widest, widest) if t + widest < grid[-1] else (grid[-1], grid[-1] - t)
         if widest < _DT_MIN or not width > 0.0:
             raise IntegrationError("window underflow", t=t, dt=widest)
@@ -360,26 +405,40 @@ def propagate(term, bound, y0, times, rtol: float, atol: float) -> IntegrationRe
             offsets[-1] = width
         else:
             offsets.append(width)
+        # the next _FALLBACKS rungs that end inside the window, one row each
+        first = rung + 1
+        while first < len(ladder) - 1 and not t + ladder[first] < end:
+            first += 1
+        fallbacks = range(first, min(first + _FALLBACKS, len(ladder) - 1))
+        main = len(offsets)
         series = [_chebyshev_series(0.5 * bound * offset) for offset in offsets]
-        widest_row, tails = series[-1]
-        # the truncation rule on the widest row; at least one term, so growth is always checked
-        degree = max(1, next(m for m, tail in enumerate(tails) if tail <= eps))
-        coef = np.zeros((len(offsets), degree + 1))
+        series += [_chebyshev_series(0.5 * bound * ladder[f]) for f in fallbacks]
+        # the last degree each row sums: the truncation rule on the widest row
+        # gives the window's degree (at least one, so growth is always checked),
+        # which every output row takes, and on each fallback row its own
+        cuts = [_degree(tails, eps) for _, tails in series[main - 1:]]
+        degree = cuts[0]
+        cuts[:0] = [degree] * (main - 1)
+        coef = np.zeros((len(series), degree + 1))
         for r, (c, _) in enumerate(series):
-            c = c[:degree + 1]
+            c = c[:cuts[r] + 1]
             coef[r, :len(c)] = c
         # out[r] = sum_k coef[r, k] T_k, with T_0 = y; the T_k fill the block's
-        # rows in turn, and each full block is added as one matrix product
-        out = np.empty((len(offsets),) + y.shape, dtype=y.dtype)
+        # rows in turn, and each block is added as one matrix product to the
+        # rows whose coefficients reach it: the fallbacks, narrowest last, drop out
+        out = np.empty((len(series),) + y.shape, dtype=y.dtype)
         np.outer(coef[:, 0], flat(y[None]), out=flat(out))
         y_peak = peak(y)
         ceiling = _GROWTH_MAX * y_peak
+        tolerance = atol + rtol * y_peak
         norms = [y_peak]
         prev = cur = y
         filled = 0
+        live = len(series)
+        ends = None  # the row that ends the window
         # growth is checked once per block, so up to _BLOCK - 1 terms are made
         # past one that grew beyond the ceiling, and they may overflow
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for k in range(1, degree + 1):
                 t_k = block[filled]
                 term(cur, prev if k > 1 else None, t_k)
@@ -391,39 +450,61 @@ def propagate(term, bound, y0, times, rtol: float, atol: float) -> IntegrationRe
                     continue
                 # the peak of every member of every term in the block, as max(max x, -min x):
                 # the max |.| without a temporary of the block's size, NaN and inf included
+                low = k + 1 - filled
                 rows = flat(block[:filled]).reshape(filled, members, -1)
                 peaks = np.maximum(np.max(rows, axis=2), -np.min(rows, axis=2))
                 grown = ~np.all(peaks <= ceiling, axis=1)
-                if grown.any():
-                    # the first term past the ceiling decides, as if each were checked in turn
-                    if not np.isfinite(peaks[grown.argmax()]).all():
+                stopped = grown.any()
+                if stopped:
+                    # the first term past the ceiling decides, as if each were checked
+                    # in turn; the terms before it are summed for the fallbacks
+                    filled = int(grown.argmax())
+                    if not np.isfinite(peaks[filled]).all():
                         raise IntegrationError("non-finite value written by term", t=t, dt=width)
+                while cuts[live - 1] < low:
+                    live -= 1
+                if filled:
+                    norms.extend(peaks[:filled])
+                    flat(out[:live])[...] += coef[:live, low:low + filled] @ flat(block[:filled])
+                if stopped:
                     break
-                norms.extend(peaks)
-                flat(out)[...] += coef[:, k + 1 - filled:k + 1] @ flat(block[:filled])
                 filled = 0
             else:
-                with np.errstate(divide="ignore"):
-                    growth = np.fmax(1.0, norms[-1] / norms[-2])
-                    powers = growth[:, None] ** np.arange(1, len(widest_row) - degree)
-                    estimate = norms[-1] * (powers @ widest_row[degree + 1:])
-                if np.all(estimate <= atol + rtol * y_peak):
-                    spent += estimate
-                    if np.any(spent > budget * (1.0 + (end - grid[0]) / full)):
-                        raise IntegrationError(
-                            "the truncation error estimates add up past the tolerance (bound too "
-                            "small, or A far from normal)", t=end, dt=width)
-                    accepted += 1
-                    widths.append(width)
-                    degrees.append(degree)
-                    states[row:stop] = out[:stop - row]
-                    t, y, row = end, out[-1], stop
+                taken = estimate(series[main - 1][0], degree)
+                if np.all(taken <= tolerance):
+                    ends, cut = main - 1, degree
+            if ends is None:
+                # refused: the widest fallback whose degree is within the terms summed
+                # and whose own tail estimate passes ends the window instead
+                rejected += 1
+                for ends in range(main, len(series)):
+                    cut = cuts[ends]
+                    if cut < len(norms):
+                        taken = estimate(series[ends][0], cut)
+                        if np.all(taken <= tolerance):
+                            break
+                else:
+                    # each width tried would be refused again from this start
+                    rung = fallbacks.stop
                     continue
-        rejected += 1
-        widest *= 0.5
+                salvaged += 1
+                rung = fallbacks[ends - main]
+                width = ladder[rung]
+                end = t + width
+                stop = bisect.bisect_right(grid, end, lo=row)
+        spent += taken
+        if np.any(spent > budget * (1.0 + (end - grid[0]) / full)):
+            raise IntegrationError(
+                "the truncation error estimates add up past the tolerance (bound too "
+                "small, or A far from normal)", t=end, dt=width)
+        accepted += 1
+        widths.append(width)
+        degrees.append(cut)
+        states[row:stop] = out[:stop - row]
+        t, y, row = end, out[ends], stop
 
-    diagnostics = {"accepted": accepted, "rejected": rejected, "rhs_evals": calls,
-                   "dt_min": min(widths), "dt_max": max(widths),
+    diagnostics = {"accepted": accepted, "rejected": rejected, "salvaged": salvaged,
+                   "rhs_evals": calls, "dt_min": min(widths), "dt_max": max(widths),
                    "degree_min": min(degrees), "degree_max": max(degrees), "bound": bound,
                    "truncation_estimate": float(np.max(spent))}
     return IntegrationResult(times, states, diagnostics)

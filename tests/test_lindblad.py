@@ -704,6 +704,18 @@ class TestEvolve:
         # two records of four 7 x 7 complex matrices
         assert "records=2 " in message and message.endswith(f"bytes={2 * 4 * 49 * 16}")
 
+    def test_logs_the_salvaged_windows(self, caplog):
+        # one spin coherent state at n = 15 in fig3b's bath, over its interval: the
+        # first window is refused and ended at a narrower width
+        space = DickeSpace(15)
+        liouv = spin_liouvillian(build_collective_ops(space), SqueezingParams.minimal(5.0))
+        rho0 = spin_coherent_state(space, BlochAngles(0.55 * math.pi, 0.3)).density()
+        with caplog.at_level(logging.DEBUG, logger="squeezelax.lindblad"):
+            diag = evolve(liouv, rho0, 0.12).diagnostics
+        (record,) = caplog.records
+        assert diag["salvaged"] == diag["rejected"] == 1
+        assert f"refused=1 salvaged=1 rhs_evals={diag['rhs_evals']} " in record.getMessage()
+
     @pytest.mark.parametrize("kind, size, bath", [
         ("oscillator", 59, "squeezed-vacuum"), ("oscillator", 80, "coherent"),
         ("oscillator-even", 40, "mixed"), ("spins-even", 8, "minimal"),
@@ -932,20 +944,22 @@ class TestSteadyState:
 
     @pytest.mark.parametrize("bath", BATHS)
     def test_memory_estimate_bounds_the_peak(self, bath, monkeypatch):
-        ops = build_collective_ops(DickeSpace(40))
-        steady_state(spin_liouvillian(ops, BATHS[bath]))  # lazy imports happen here
-        liouv = spin_liouvillian(ops, BATHS[bath])
-        guarded = []
+        # at small n the fixed costs of the sweep are most of the peak
         check = lindblad._check_memory
-        monkeypatch.setattr(lindblad, "_check_memory",
-                            lambda nbytes, what: (guarded.append(nbytes), check(nbytes, what)))
-        tracemalloc.start()
-        try:
-            steady_state(liouv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(guarded) == 1 and peak <= guarded[0]
+        for n in (2, 5, 40):
+            ops = build_collective_ops(DickeSpace(n))
+            steady_state(spin_liouvillian(ops, BATHS[bath]))  # lazy imports happen here
+            liouv = spin_liouvillian(ops, BATHS[bath])
+            guarded = []
+            monkeypatch.setattr(lindblad, "_check_memory",
+                                lambda nbytes, what: (guarded.append(nbytes), check(nbytes, what)))
+            tracemalloc.start()
+            try:
+                steady_state(liouv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(guarded) == 1 and peak <= guarded[0] <= 4 * peak, n
 
     def test_vacuum_ground_state(self):
         ops = build_collective_ops(DickeSpace(4))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from squeezelax.moments import SpinMoments, SqueezingParams, gardiner_rhs
-from squeezelax.ode import (IntegrationError, IntegratorConfig, _chebyshev_series, _widest_beta,
-                            integrate, propagate)
+from squeezelax.ode import (_DEGREE_FIRST, IntegrationError, IntegratorConfig, _chebyshev_series,
+                            _widest_beta, integrate, propagate)
 
 
 def _propagate(apply, bound, *rest):
@@ -158,6 +158,33 @@ def test_widest_beta_reads_no_term_past_a_short_series():
         _propagate(lambda y: -y, 1.0, np.ones(2), 1.0, 1e-60, 1e-12)
 
 
+def _bessel_reference(beta, ks):
+    """(2 - [k = 0]) e^-beta I_k(beta) by the trapezoid rule on 2048 points.
+
+    e^-beta I_k(beta) = (1/2 pi) int_0^2pi e^(beta (cos z - 1) + i k z) dt,
+    z = t + i s, for any s: the integrand is analytic and periodic. At
+    s = asinh(k / beta), the saddle point, its modulus peaks at t = 0 near
+    the value of the integral, so the sum keeps its digits where the c_k are
+    tiny, and the rule converges exponentially.
+    """
+    t = 2.0 * math.pi * np.arange(2048) / 2048
+    z = t[:, None] + 1j * np.arcsinh(ks / beta)
+    mean = np.exp(beta * (np.cos(z) - 1.0) + 1j * ks * z).real.mean(axis=0)
+    return np.where(ks == 0, 1.0, 2.0) * mean
+
+
+def test_chebyshev_series_matches_the_bessel_integral_past_the_first_rung():
+    # up to twice the first rung's beta at the default tolerances (about 275)
+    top = 2.0 * _widest_beta(0.1 * 1e-12, _DEGREE_FIRST)
+    assert top > 2.0 * _DEGREE_FIRST  # past every beta the bisection tries
+    for beta in (1e-9, 1e-3, 0.5, 3.0, 7.5, 30.0, 71.2, 128.0, 137.4, 180.0, 230.0, top):
+        c = np.array(_chebyshev_series(beta)[0])
+        reference = _bessel_reference(beta, np.arange(len(c)))
+        checked = c > 1e-30
+        assert np.count_nonzero(checked) >= 4
+        assert np.max(np.abs(c[checked] / reference[checked] - 1.0)) <= 1e-13, beta
+
+
 def test_first_term_past_the_ceiling_decides_its_block():
     # the first term is finite and far past the ceiling, and the next ones
     # of its block overflow: the window is refused, as a term-by-term check
@@ -257,7 +284,7 @@ def test_propagate_is_exact_on_a_diagonal_generator(shape):
     assert result.states.shape == (7,) + shape
     assert result.times.tolist() == times.tolist()
     assert np.max(np.abs(result.states - _exact(times, y0))) <= 1e-13 * np.max(np.abs(y0))
-    assert result.diagnostics["degree_max"] <= 64
+    assert result.diagnostics["degree_max"] <= _DEGREE_FIRST
 
 
 def test_output_times_inside_one_window_equal_separate_calls():
@@ -292,6 +319,30 @@ def test_low_bound_is_refused_or_raises():
             _propagate(_decay, bound, y0, times, rtol, atol)
     with pytest.raises(IntegrationError, match="window underflow"):
         _propagate(lambda y: -1e6 * y, 1.0, y0, times, rtol, atol)
+
+
+def test_a_run_opens_at_the_first_rung():
+    # no term grows, so every window but the last, cut at t = 3, takes the first rung's width
+    y0 = np.random.default_rng(14).normal(size=12)
+    diag = _propagate(_decay, RATES[-1], y0, (0.0, 3.0), 1e-10, 1e-12).diagnostics
+    first = 2.0 * _widest_beta(0.1 * 1e-12, _DEGREE_FIRST) / RATES[-1]
+    assert diag["rejected"] == diag["salvaged"] == 0 and diag["accepted"] == 3
+    assert diag["dt_max"] == first and diag["degree_max"] == _DEGREE_FIRST
+
+
+def test_a_refused_window_ends_at_a_narrower_rung():
+    # with the bound at 190, the T_k of the entries decaying at up to 200
+    # grow by about 1.6 per term: the first rung is refused, a fallback
+    # of few terms ends the window, and the run goes on at its width
+    y0 = np.random.default_rng(9).normal(size=12)
+    times = np.linspace(0.0, 1.0, 11)
+    rtol, atol = 1e-10, 1e-12
+    result = _propagate(_decay, 190.0, y0, times, rtol, atol)
+    diag = result.diagnostics
+    assert 0 < diag["salvaged"] <= diag["rejected"]
+    assert diag["dt_max"] < 2.0 * _widest_beta(0.1 * atol) / 190.0  # below the full width H
+    exact = _exact(times, y0)
+    assert np.max(np.abs(result.states - exact) / (atol + rtol * np.abs(exact))) <= 1.0
 
 
 def test_propagate_reports_every_apply_call():
