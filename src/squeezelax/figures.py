@@ -18,8 +18,8 @@ from .lindblad import _check_evolve_memory, evolve, spin_liouvillian
 from .moments import (OscillatorMoments, SqueezingParams, collective_cov_rhs, decay_rates,
                       input_field_variances, oscillator_rate_decomposition,
                       oscillator_solution)
-from .spin_algebra import (BlochAngles, DickeSpace, _matrix_moments, build_collective_ops,
-                           spin_coherent_state)
+from .spin_algebra import (BlochAngles, DickeSpace, _coherent_amplitudes, _matrix_moments,
+                           _pure_densities, build_collective_ops, spin_coherent_state)
 
 __all__ = [
     "FigureDataset",
@@ -202,8 +202,10 @@ def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid) -> FigureDataset:
 
     The exact state is evolved under the master equation for
     dt = 0.008 * n / gamma_p, at ``evolve``'s default tolerances. Per
-    (n, theta), the coherent states of the whole phi grid are stacked once
-    as densities, the "pre" stack. The grid is folded by
+    (n, theta), the coherent states of the whole phi grid are built as one
+    array of amplitudes, a row per phi normalized as one state alone is,
+    and one batched outer product gives their densities, the "pre" stack,
+    bit for bit those of ``spin_coherent_state``. The grid is folded by
     ``_azimuth_orbits``: one member per orbit is evolved, all in one batch,
     and every grid member's final state is read back from its orbit's as
     conj rho and P rho P with P = diag((-1)^k), exact operations with no
@@ -244,8 +246,7 @@ def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid) -> FigureDataset:
         parity = (-1.0) ** np.arange(space.dim)
         scale = _ELLIPSE_SCALES.get(n, 1.0)
         for theta in theta_list:
-            pres = np.stack([spin_coherent_state(space, BlochAngles(theta, phi)).density()
-                             for phi in phi_grid])
+            pres = _pure_densities(_coherent_amplitudes(space, theta, phi_grid))
             posts = evolve(liouv, pres[evolved], _DT_FACTOR * n / gamma_p).final_state[slot]
             posts[conj] = posts[conj].conj()
             posts[flip] *= np.outer(parity, parity)

@@ -455,14 +455,15 @@ def _check_evolve_memory(members: int, dim: int, records: int, sectors: int, ima
     E = members dim^2 and N = members rows of R = n + 4W values, the
     estimate counts each array at its largest, as if all were alive at
     once: the complex input and states, 16 E (1 + records) bytes; 8 N R
-    bytes for each of the packed start, the records, the 8 terms of
-    ``ode.propagate``'s block (whose growth check reads the block's max and
-    min, with no |.| temporary), and a window's outputs and the product
-    added to them (up to one row per output time and one per fallback
-    width each, 3 fallbacks); the kernel writes
-    each term straight into its row, from a strided window of the last
-    one and the box of coefficients broadcast over the members, so it
-    holds no array of its own; the read-back's real dim x dim records and
+    bytes for each of the packed start, the records, the 18 rows of
+    ``ode.propagate``'s ring (a block of 16 terms and the two before it;
+    the growth check reads the block's max and min, with no |.|
+    temporary), and a window's outputs and the product added to them (up
+    to one row per output time and one per fallback width each, 3
+    fallbacks); the kernel writes each term straight into its ring row,
+    from a strided window of the row before and the box of coefficients
+    broadcast over the members, through views of the ring built once, so
+    it holds no array of its own; the read-back's real dim x dim records and
     the values of one sector's entries moved into them, 12 E records, more
     than the 12 E of packing the start; the stencil's 72 dim^2, the scaled packed copy of it, 144 L,
     with its 32 dim^2 of indices and their build, and the 32 dim^2 of
@@ -478,7 +479,7 @@ def _check_evolve_memory(members: int, dim: int, records: int, sectors: int, ima
     entries = members * dim * dim
     row_bytes = 8 * members * (sectors * length + 4 * width)
     _check_memory(16 * entries * (1 + records)
-                  + row_bytes * (1 + 3 * records + 2 * _FALLBACKS + _BLOCK)
+                  + row_bytes * (1 + 3 * records + 2 * _FALLBACKS + _BLOCK + 2)
                   + 12 * entries * records + (136 + 16 * images) * dim * dim + 144 * length,
                   f"evolving {members} states of dim {dim} to {records} records")
 
@@ -532,9 +533,12 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
     (``Liouvillian._packed``'s (3, 3, 2L) box) against one strided
     (3, 3, B, n) window of T_k, whose cell (u, v) is the shift
     u (W + 1) + v (W - 1) of every member's interior of n values, written
-    straight into the interiors of the row that holds T_{k+1}; T_{k-1} is
-    then subtracted there. The live sectors' slice of the box broadcasts
-    over the members, so nothing is copied per member. Only interiors are
+    straight into the interiors of the ring row that holds T_{k+1}; T_{k-1}
+    is then subtracted there. The kernel builds the window of every row of
+    ``ode.propagate``'s ring, and the views of its interiors, once, when
+    the ring is handed to it, so a term makes no array. The live sectors'
+    slice of the box broadcasts over the members, so nothing is copied per
+    member. Only interiors are
     written, so the 2W border zeros on each side of a member stay zero,
     and since a shift that leaves rho has a zero coefficient, no member
     reads another. A series is cut where
@@ -596,16 +600,20 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray | QuantumState, times,
     strides = (8 * (width + 1), 8 * (width - 1)) + (8 * row,) * len(batch) + (8,)
     inner = (..., slice(pad, pad + interior))
 
-    def term(cur, prev, out):
-        # propagate's arrays are contiguous, so each is the buffer of its window; the box
-        # broadcasts over the members, and only the interiors are written
-        shifted = np.ndarray(window, np.float64, cur, 0, strides)
-        into = out[inner]
-        np.einsum("uv...,uv...->...", box, shifted, out=into)
-        if prev is not None:
-            into -= prev[inner]
+    def kernel(ring):
+        # propagate's ring is contiguous, so each row's window is a view of it at the row's
+        # offset; every view is built here once, and each step writes only an interior
+        rows = [(np.ndarray(window, np.float64, ring, r * ring[0].nbytes, strides), ring[r][inner])
+                for r in range(len(ring))]
 
-    result = propagate(term, bound, y0, times, rtol, atol)
+        def step(i):
+            into = rows[i][1]
+            np.einsum("uv...,uv...->...", box, rows[i - 1][0], out=into)
+            np.subtract(into, rows[i - 2][1], out=into)
+
+        return step
+
+    result = propagate(kernel, bound, y0, times, rtol, atol)
     records, diagnostics = result.states, dict(result.diagnostics, sectors=len(live))
     del result, y0
     records = records.reshape(len(times), members, row)

@@ -19,14 +19,16 @@ Phys. 81, 3967 (1984)). Over a window of length h, with beta = a h / 2,
     exp(hA) = sum_k c_k T_k(A~),  c_0 = e^-beta I_0(beta),  c_k = 2 e^-beta I_k(beta),
 
 and T_k(A~) y follows from the three-term recurrence T_{k+1} = 2 A~ T_k -
-T_{k-1}. The caller hands ``propagate`` that recurrence as one function,
-``term``, so each term is one pass of the caller's kernel written straight
-into the array that holds it (``lindblad.evolve`` folds the 4/a and the 2
-into the stencil's coefficients, held as one 3 x 3 box of shifts, and
-makes each term one ``np.einsum`` of that box with a strided window of the
-last term, less the one before). The series converges faster than any
-power of beta, so one window of degree up to 88 spans what an explicit
-stepper, held to |h lambda| of order one by stability, needs hundreds of
+T_{k-1}. The caller hands ``propagate`` that recurrence as a kernel:
+``propagate`` holds the terms in one ring of rows and hands it to the
+kernel once, which builds its views of the rows there and returns
+``step``, so each term is one pass of the caller's kernel written straight
+into the row that holds it, with nothing made per term (``lindblad.evolve``
+folds the 4/a and the 2 into the stencil's coefficients, held as one 3 x 3
+box of shifts, and makes each term one ``np.einsum`` of that box with a
+strided window of the last term, less the one before). The series
+converges faster than any power of beta, so one window of degree up to 88
+spans what an explicit stepper, held to |h lambda| of order one by stability, needs hundreds of
 steps for. It serves the master equation: at Fock cutoff 59 the oscillator
 oracle reaches t = 20 in 48 windows and 4222 terms. The coefficients are
 those of exp on the interval [-a, 0]: eigenvalues well off the real axis,
@@ -66,8 +68,9 @@ _DEGREE_FIRST = 88
 _FALLBACKS = 3
 # A window is refused once max |T_k(A~) y| exceeds this multiple of max |y|.
 _GROWTH_MAX = 1e3
-# T_k vectors held at once: they are summed into the outputs a block at a time
-_BLOCK = 8
+# T_k made between growth checks: they fill rows 2 on of propagate's ring, and are
+# summed into the outputs a block at a time. 32 cost fig3b more terms than 16
+_BLOCK = 16
 
 
 def _check_memory(nbytes: int, what: str):
@@ -282,18 +285,22 @@ def _widest_beta(eps: float, degree: int = _DEGREE_MAX) -> float:
     return low
 
 
-def propagate(term, bound, y0, times, rtol: float, atol: float) -> IntegrationResult:
+def propagate(kernel, bound, y0, times, rtol: float, atol: float) -> IntegrationResult:
     """exp((t - times[0]) A) y0 at every time in ``times``, by Chebyshev windows.
 
-    term(cur, prev, out) writes the next Chebyshev term 2 A~ cur - prev into
-    out, with A~ = (2 / bound) A + 1, and 2 A~ cur when prev is None; cur,
-    prev and out have y0's shape, and out never shares memory with cur or
-    prev. The first term, A~ y, is that pass halved, which is exact. A must
+    kernel(ring) is called once, with the ring of terms: a zeroed,
+    contiguous array of 18 rows (_BLOCK + 2) of y0's shape and dtype. It
+    returns step, and step(i) writes the next Chebyshev term
+    ring[i] = 2 A~ ring[i - 1] - ring[i - 2] into row i alone, with
+    A~ = (2 / bound) A + 1, for 2 <= i <= 17; rows are distinct, so the
+    output never shares memory with what it reads. A window opens with
+    rows 0 and 1 holding 0 and y, so the first term, A~ y, is that pass
+    halved, which is exact; the terms of each block fill rows 2 on, and a
+    full block's last two rows move to rows 0 and 1 before the next. A must
     be linear and time independent, with its spectrum in |z| <= bound and
-    Re z <= 0; bound is that radius, a number. The arrays that receive the
-    terms start as zeros, so an entry that term never writes, and that y0
-    holds as zero, stays zero (``lindblad.evolve`` writes only the
-    interior of zero-bordered rows). y0 is one state of shape (size,), or a
+    Re z <= 0; bound is that radius, a number. An entry that step never
+    writes, and that y0 holds as zero, stays zero (``lindblad.evolve``
+    writes only the interior of zero-bordered rows). y0 is one state of shape (size,), or a
     stack of states along its first axis; the result has y0's dtype. times
     is a strictly increasing, finite sequence of two or more output times,
     or a number t for (0, t) (``_output_times``), and y0 must be nonempty and
@@ -331,11 +338,11 @@ def propagate(term, bound, y0, times, rtol: float, atol: float) -> IntegrationRe
     their own degree. The run goes on at that rung. When no fallback
     passes, each width tried would be refused again from the same state,
     so the window is made again at the rung below its narrowest fallback.
-    Growth is checked once per block of up to 8 terms, with one max and
+    Growth is checked once per block of up to 16 terms, with one max and
     one min over the block that give every term's peak as
     max(max x, -min x), and the first term in the block past the bound
     decides as it would term by term; so the same windows are accepted,
-    and a refused one may cost up to 7 more terms.
+    and a refused one may cost up to 15 more terms.
 
     Failure. The accepted estimates are summed per member over the run. A
     run whose windows are all at least H wide cannot overspend, but
@@ -343,11 +350,11 @@ def propagate(term, bound, y0, times, rtol: float, atol: float) -> IntegrationRe
     raised once the sum exceeds (atol + rtol max |y0|) (1 + (t - times[0]) / H),
     the tolerance of one window of degree 64 per width H elapsed, as when
     the bound is well below the spectral radius. It is also raised when the
-    width falls below 1e-13 or term writes non-finite values.
+    width falls below 1e-13 or step writes non-finite values.
 
     Diagnostics: accepted windows, salvaged among them (``salvaged``, the
     refused windows accepted at a fallback), refused windows (``rejected``,
-    every refusal, salvaged or not), calls to term (``rhs_evals``, every
+    every refusal, salvaged or not), calls to step (``rhs_evals``, every
     term made, those of refused windows included), the range of accepted
     window widths (``dt_min``, ``dt_max``), the range of their degrees
     (``degree_min``, ``degree_max``; a salvaged window's is its
@@ -382,7 +389,11 @@ def propagate(term, bound, y0, times, rtol: float, atol: float) -> IntegrationRe
         ladder.append(0.5 * ladder[-1])
     budget = atol + rtol * peak(y0)
     spent = np.zeros(members)
-    block = np.zeros((_BLOCK,) + y0.shape, dtype=y0.dtype)
+    # rows 0 and 1 hold the two terms before the block's, rows 2 on the block's
+    ring = np.zeros((_BLOCK + 2,) + y0.shape, dtype=y0.dtype)
+    step = kernel(ring)
+    terms = flat(ring)
+    by_member = terms.reshape(len(ring), members, -1)
     grid = times.tolist()
     t, y, row, rung = grid[0], states[0], 1, 0
     accepted = rejected = salvaged = calls = 0
@@ -423,35 +434,34 @@ def propagate(term, bound, y0, times, rtol: float, atol: float) -> IntegrationRe
         for r, (c, _) in enumerate(series):
             c = c[:cuts[r] + 1]
             coef[r, :len(c)] = c
-        # out[r] = sum_k coef[r, k] T_k, with T_0 = y; the T_k fill the block's
-        # rows in turn, and each block is added as one matrix product to the
-        # rows whose coefficients reach it: the fallbacks, narrowest last, drop out
+        # out[r] = sum_k coef[r, k] T_k, with T_0 = y; each block of T_k is added
+        # as one matrix product to the rows whose coefficients reach it: the
+        # fallbacks, narrowest last, drop out
         out = np.empty((len(series),) + y.shape, dtype=y.dtype)
         np.outer(coef[:, 0], flat(y[None]), out=flat(out))
         y_peak = peak(y)
         ceiling = _GROWTH_MAX * y_peak
         tolerance = atol + rtol * y_peak
         norms = [y_peak]
-        prev = cur = y
-        filled = 0
         live = len(series)
         ends = None  # the row that ends the window
+        # T_1 = A~ y is the first pass halved, from rows 0 and 1 holding 0 and y
+        ring[0] = 0.0
+        ring[1] = y
+        low, start = 1, 3  # the degree of the term in ring row 2, the first row step writes
         # growth is checked once per block, so up to _BLOCK - 1 terms are made
         # past one that grew beyond the ceiling, and they may overflow
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for k in range(1, degree + 1):
-                t_k = block[filled]
-                term(cur, prev if k > 1 else None, t_k)
-                calls += 1
-                if k == 1:
-                    t_k *= 0.5
-                prev, cur, filled = cur, t_k, filled + 1
-                if filled < _BLOCK and k < degree:
-                    continue
+            step(2)
+            ring[2] *= 0.5
+            while True:
+                filled = min(_BLOCK, degree + 1 - low)
+                for i in range(start, filled + 2):
+                    step(i)
+                calls += filled
                 # the peak of every member of every term in the block, as max(max x, -min x):
                 # the max |.| without a temporary of the block's size, NaN and inf included
-                low = k + 1 - filled
-                rows = flat(block[:filled]).reshape(filled, members, -1)
+                rows = by_member[2:filled + 2]
                 peaks = np.maximum(np.max(rows, axis=2), -np.min(rows, axis=2))
                 grown = ~np.all(peaks <= ceiling, axis=1)
                 stopped = grown.any()
@@ -460,19 +470,23 @@ def propagate(term, bound, y0, times, rtol: float, atol: float) -> IntegrationRe
                     # in turn; the terms before it are summed for the fallbacks
                     filled = int(grown.argmax())
                     if not np.isfinite(peaks[filled]).all():
-                        raise IntegrationError("non-finite value written by term", t=t, dt=width)
+                        raise IntegrationError("non-finite value written by step", t=t, dt=width)
                 while cuts[live - 1] < low:
                     live -= 1
                 if filled:
                     norms.extend(peaks[:filled])
-                    flat(out[:live])[...] += coef[:live, low:low + filled] @ flat(block[:filled])
+                    flat(out[:live])[...] += coef[:live, low:low + filled] @ terms[2:filled + 2]
                 if stopped:
                     break
-                filled = 0
-            else:
-                taken = estimate(series[main - 1][0], degree)
-                if np.all(taken <= tolerance):
-                    ends, cut = main - 1, degree
+                low += filled
+                if low > degree:
+                    taken = estimate(series[main - 1][0], degree)
+                    if np.all(taken <= tolerance):
+                        ends, cut = main - 1, degree
+                    break
+                # the block's last two terms are the next block's T_{k-2} and T_{k-1}
+                ring[:2] = ring[_BLOCK:]
+                start = 2
             if ends is None:
                 # refused: the widest fallback whose degree is within the terms summed
                 # and whose own tail estimate passes ends the window instead

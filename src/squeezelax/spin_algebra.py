@@ -165,11 +165,18 @@ class QuantumState:
     def density(self) -> np.ndarray:
         """Return the state as a density matrix; a vector gives an exactly Hermitian one."""
         if self.kind == "vector":
-            # np.outer may round v_i v_j* and v_j v_i* differently, so the
-            # outer product is averaged with its conjugate transpose
-            rho = np.outer(self.data, self.data.conj())
-            return 0.5 * (rho + rho.conj().T)
+            return _pure_densities(self.data)
         return self.data
+
+
+def _pure_densities(vectors: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian density matrices |v><v| of a vector or a stack of them, (..., dim).
+
+    The outer product may round v_i v_j* and v_j v_i* differently, so it is
+    averaged with its conjugate transpose.
+    """
+    rho = vectors[..., :, None] * vectors.conj()[..., None, :]
+    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
 def build_collective_ops(space: DickeSpace) -> CollectiveOps:
@@ -195,23 +202,34 @@ def spin_coherent_state(space: DickeSpace, angles: BlochAngles) -> QuantumState:
     Amplitude at k excited spins: sqrt(C(n,k)) cos(theta/2)^k sin(theta/2)^(n-k)
     exp(i (n-k) phi). Expectation values are (n sin t cos p, n sin t sin p, n cos t).
     """
+    return QuantumState.from_vector(_coherent_amplitudes(space, angles.theta, [angles.phi])[0])
+
+
+def _coherent_amplitudes(space: DickeSpace, theta: float, phis) -> np.ndarray:
+    """The amplitudes of ``spin_coherent_state`` at polar angle theta, one row per azimuth in phis.
+
+    Each row is normalized on its own, as one state alone is, so a row of a
+    stack is that state's amplitudes bit for bit.
+    """
     n = space.n
-    c = math.cos(angles.theta / 2.0)
-    s = math.sin(angles.theta / 2.0)
+    c = math.cos(theta / 2.0)
+    s = math.sin(theta / 2.0)
     if c == 0.0 or s == 0.0:
         # a pole: all spins in the ground state (c = 0) or all excited (s = 0)
-        amps = np.zeros(space.dim, dtype=complex)
-        amps[0 if c == 0.0 else n] = 1.0
-        return QuantumState.from_vector(amps)
+        amps = np.zeros((len(phis), space.dim), dtype=complex)
+        amps[:, 0 if c == 0.0 else n] = 1.0
+        return amps
     # log-space magnitudes avoid under/overflow of binomials at large n;
     # log C(n, k) = sum over j <= k of log((n - j + 1) / j), and k reversed
     # is n - k. The phase (n - k) phi rides as the imaginary part of the
     # same exponent, so one complex exp gives the amplitudes
     k = np.arange(n + 1)
     log_binom = np.concatenate(([0.0], np.cumsum(np.log(k[:0:-1] / k[1:]))))
-    amps = np.exp(0.5 * log_binom + k * math.log(c) + k[::-1] * complex(math.log(s), angles.phi))
-    amps /= np.linalg.norm(amps)
-    return QuantumState.from_vector(amps)
+    exponents = np.array([complex(math.log(s), phi) for phi in phis])
+    amps = np.exp(0.5 * log_binom + k * math.log(c) + k[::-1] * exponents[:, None])
+    for row in amps:
+        row /= np.linalg.norm(row)
+    return amps
 
 
 def product_expectation(ops, state: QuantumState) -> complex:

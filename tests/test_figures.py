@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from squeezelax import figures
+from squeezelax import cli, figures
 from squeezelax.figures import (FigureDataset, fig3a_vector_field,
                                 fig3b_ellipses, fig4a_rates,
                                 fig4b_variance_derivatives)
@@ -132,6 +132,22 @@ class TestFig3b:
         for n, scale in ((1, 0.12), (5, 0.25), (15, 0.4)):
             rows = rows_by(fig3b_dataset, system="spins", n=n)
             assert all(r["scale"] == scale for r in rows)
+
+    def test_term_counts_at_the_cli_defaults(self, monkeypatch, capsys):
+        # the counts the growth check's block size must not move: 9 (n, theta)
+        # propagations, 3 of whose windows are refused and all 3 salvaged
+        diags = []
+
+        def spy(*args):
+            traj = evolve(*args)
+            diags.append(traj.diagnostics)
+            return traj
+
+        monkeypatch.setattr(figures, "evolve", spy)
+        assert cli.main(["fig3b"]) == 0
+        capsys.readouterr()
+        totals = [sum(d[key] for d in diags) for key in ("rhs_evals", "rejected", "salvaged")]
+        assert len(diags) == 9 and totals == [708, 3, 3]
 
     def test_rejects_invalid_theta(self):
         with pytest.raises(ValueError):

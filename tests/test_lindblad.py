@@ -14,7 +14,7 @@ from squeezelax.lindblad import (CutoffError, DegenerateSteadyStateError,
                                  evolve, oscillator_liouvillian,
                                  oscillator_oracle, spin_liouvillian,
                                  steady_state)
-from squeezelax.ode import IntegratorConfig, integrate
+from squeezelax.ode import _BLOCK, IntegratorConfig, integrate
 from squeezelax.moments import (SqueezingParams, SpinMoments, collective_cov_rhs,
                                 collective_mean_rhs, gardiner_rhs)
 from squeezelax.spin_algebra import (BlochAngles, DickeSpace, QuantumState,
@@ -481,12 +481,14 @@ def test_packed_box_holds_the_nine_shifts_as_a_3x3_box():
 
 
 def _unpacked_term(liouv: Liouvillian, live: list, members: int):
-    """Reference for evolve's term, on the unpacked members: each row's live sectors are read
+    """Reference for evolve's kernel, on the unpacked members: each row's live sectors are read
     into a dim x dim X, mapped to (4/a) apply(X) + 2 X - T_{k-1}, and packed back into a row
-    of zeros. Returns term(cur, prev) -> the new term, borders zero."""
+    of zeros. Returns term(cur, prev) -> the new term, borders zero, and pack(x) -> the rows
+    of (members, dim, dim) real matrices."""
     dim = liouv.dim
     width, length, sectors = lindblad._sector_layout(dim)
     pad = 2 * width
+    row = 2 * pad + len(live) * length
     slots = [(pad + slot * length + sectors[s][1], sectors[s][0]) for slot, s in enumerate(live)]
 
     def unpack(rows):
@@ -495,21 +497,22 @@ def _unpacked_term(liouv: Liouvillian, live: list, members: int):
             x[:, index] = rows.reshape(members, -1)[:, position]
         return x.reshape(members, dim, dim)
 
+    def pack(x):
+        out = np.zeros((members, row))
+        for position, index in slots:
+            out[:, position] = x.reshape(members, -1)[:, index]
+        return out
+
     def term(cur, prev):
         x = unpack(cur)
-        new = (4.0 / liouv.norm_bound()) * liouv.apply(x) + 2.0 * x
-        if prev is not None:
-            new -= unpack(prev)
-        out = np.zeros((members, cur.size // members))
-        for position, index in slots:
-            out[:, position] = new.reshape(members, -1)[:, index]
-        return out.reshape(cur.shape)
+        new = (4.0 / liouv.norm_bound()) * liouv.apply(x) + 2.0 * x - unpack(prev)
+        return pack(new).reshape(cur.shape)
 
-    return term
+    return term, pack
 
 
 class _Handed(Exception):
-    """Raised by a spy on ``propagate`` with the term and the packed start ``evolve`` handed it."""
+    """Raised by a spy on ``propagate`` with the kernel and packed start ``evolve`` handed it."""
 
 
 @pytest.mark.parametrize("case", ["oscillator-59-vacuum", "spins-15-batch"])
@@ -526,25 +529,51 @@ def test_box_term_matches_the_stencil_apply(case, monkeypatch):
                          for phi in (0.0, 0.5, 1.0, 1.5)])
         live, members = [0, 1], 4
 
-    def spy(term, bound, y0, *rest):
-        raise _Handed(term, y0)
+    def spy(kernel, bound, y0, *rest):
+        raise _Handed(kernel, y0)
 
     monkeypatch.setattr(lindblad, "propagate", spy)
     with pytest.raises(_Handed) as handed:
         evolve(liouv, rho0, 0.1)
-    term, y0 = handed.value.args
-    reference = _unpacked_term(liouv, live, members)
-    pad = 2 * lindblad._sector_layout(liouv.dim)[0]
+    kernel, y0 = handed.value.args
+    reference, pack = _unpacked_term(liouv, live, members)
+    width, length = lindblad._sector_layout(liouv.dim)[:2]
+    pad, interior = 2 * width, len(live) * length
     rng = np.random.default_rng(41)
-    cur, prev = (np.where(y0 != 0.0, rng.normal(size=y0.shape), 0.0) for _ in range(2))
-    assert np.count_nonzero(cur) == np.count_nonzero(y0)
-    for last in (None, prev):
-        out = np.zeros_like(y0)
-        term(cur, last, out)
-        expected = reference(cur, last)
-        assert np.max(np.abs(out - expected)) <= 1e-15 * np.max(np.abs(expected))
-        rows = out.reshape(members, -1)
-        assert np.all(rows[:, :pad] == 0.0) and np.all(rows[:, -pad:] == 0.0)
+    # a ring as propagate holds it: row 0 zero, as at a window's start, and the
+    # others random on every entry of the live sectors
+    ring = np.zeros((_BLOCK + 2,) + y0.shape)
+    for r in range(1, len(ring)):
+        ring[r] = pack(rng.normal(size=(members, liouv.dim, liouv.dim))).reshape(y0.shape)
+    start = ring[1].copy()
+    step = kernel(ring)
+    for i in range(2, len(ring)):
+        before = ring.copy()
+        step(i)
+        # step(i) writes row i alone, from rows i - 1 and i - 2, and only its interiors
+        others = np.arange(len(ring)) != i
+        assert np.array_equal(ring[others], before[others])
+        expected = reference(before[i - 1], before[i - 2])
+        assert np.max(np.abs(ring[i] - expected)) <= 1e-15 * np.max(np.abs(expected))
+        rows = ring[i].reshape(members, -1)
+        borders = np.concatenate([rows[:, :pad], rows[:, -pad:]])
+        assert np.all(borders == 0.0) and not np.any(np.signbit(borders))
+    # the first term, the pass from rows 0 and 1 holding 0 and y, halved, is
+    # (4/a) L y + 2 y halved bit for bit: less the zero row, the one einsum of
+    # the box with the strided window of y, sign bits included
+    box = liouv._packed[3]
+    box = box[..., live[0] * length:live[0] * length + interior] if len(live) == 1 else box
+    batch = y0.shape[:-1]
+    window = np.lib.stride_tricks.as_strided(
+        start, (3, 3) + batch + (interior,),
+        (8 * (width + 1), 8 * (width - 1)) + (8 * y0.shape[-1],) * len(batch) + (8,))
+    single = 0.5 * np.einsum("uv...,uv...->...", box, window)
+    first = np.zeros_like(ring)
+    first[1] = start
+    kernel(first)(2)
+    first[2] *= 0.5
+    got = first[2][..., pad:pad + interior]
+    assert np.array_equal(got, single) and np.array_equal(np.signbit(got), np.signbit(single))
 
 
 class TestEvolve:
@@ -1059,6 +1088,15 @@ class TestOscillatorOracle:
         a = annihilation_operator(8)
         x = a + a.conj().T
         assert traj.sym_covariances(x, x)[-1] == pytest.approx(1.0, abs=1e-9)
+
+    def test_term_counts_at_cutoff_59(self):
+        # the counts the growth check's block size must not move: every window
+        # opens at the first rung and none is refused
+        diag = oscillator_oracle(SqueezingParams(1.0, math.sqrt(2.0)), 20.0).diagnostics
+        assert diag["cutoff"] == 59 and diag["sectors"] == 1
+        assert (diag["rhs_evals"], diag["accepted"], diag["rejected"], diag["salvaged"]) == (
+            4222, 48, 0, 0)
+        assert (diag["degree_min"], diag["degree_max"]) == (86, 88)
 
     def test_displaced_start_is_exactly_hermitian(self):
         # every record, not the start alone: each is read back from X = Re rho + Im rho

@@ -4,21 +4,25 @@ import numpy as np
 import pytest
 
 from squeezelax.moments import SpinMoments, SqueezingParams, gardiner_rhs
-from squeezelax.ode import (_DEGREE_FIRST, IntegrationError, IntegratorConfig, _chebyshev_series,
-                            _widest_beta, integrate, propagate)
+from squeezelax.ode import (_BLOCK, _DEGREE_FIRST, IntegrationError, IntegratorConfig,
+                            _chebyshev_series, _widest_beta, integrate, propagate)
 
 
 def _propagate(apply, bound, *rest):
-    """``propagate`` for a plain y -> A y, through the term it takes: out = 2 A~ cur - prev."""
+    """``propagate`` for a plain y -> A y, through the kernel it takes: step(i) writes
+    ring[i] = 2 A~ ring[i - 1] - ring[i - 2]."""
 
-    def term(cur, prev, out):
-        np.multiply(apply(cur), 4.0 / bound, out=out)  # read after propagate checks bound
-        out += cur
-        out += cur
-        if prev is not None:
-            out -= prev
+    def kernel(ring):
+        def step(i):
+            out, cur = ring[i], ring[i - 1]
+            np.multiply(apply(cur), 4.0 / bound, out=out)  # read after propagate checks bound
+            out += cur
+            out += cur
+            out -= ring[i - 2]
 
-    return propagate(term, bound, *rest)
+        return step
+
+    return propagate(kernel, bound, *rest)
 
 
 def test_adaptive_exponential():
@@ -362,26 +366,75 @@ def test_propagate_reports_every_apply_call():
 
 
 def test_entries_term_never_writes_stay_zero():
-    # the term writes only the interior of each row, as evolve's kernel
+    # the kernel writes only the interior of each ring row, as evolve's
     # does: the zero borders of y0 stay zero, and the interior decays
     y0 = np.zeros((2, 14))
     y0[:, 1:-1] = np.random.default_rng(13).normal(size=(2, 12))
-    seen = []
+    rings, seen = [], []
 
-    def term(cur, prev, out):
-        seen.append(np.shares_memory(out, cur)
-                    or (prev is not None and np.shares_memory(out, prev)))
-        np.multiply(-RATES * cur[:, 1:-1], 4.0 / RATES[-1], out=out[:, 1:-1])
-        out[:, 1:-1] += 2.0 * cur[:, 1:-1]
-        if prev is not None:
-            out[:, 1:-1] -= prev[:, 1:-1]
+    def kernel(ring):
+        rings.append(ring)
 
-    result = propagate(term, RATES[-1], y0, np.linspace(0.0, 1.0, 5), 1e-10, 1e-12)
-    assert not any(seen)
+        def step(i):
+            out, cur, prev = ring[i][:, 1:-1], ring[i - 1][:, 1:-1], ring[i - 2][:, 1:-1]
+            seen.append(np.shares_memory(out, cur) or np.shares_memory(out, prev))
+            np.multiply(-RATES * cur, 4.0 / RATES[-1], out=out)
+            out += 2.0 * cur
+            out -= prev
+
+        return step
+
+    result = propagate(kernel, RATES[-1], y0, np.linspace(0.0, 1.0, 5), 1e-10, 1e-12)
+    assert len(rings) == 1 and seen and not any(seen)
+    assert np.all(rings[0][:, :, [0, -1]] == 0.0)
+    assert not np.any(np.signbit(rings[0][:, :, [0, -1]]))
     assert np.all(result.states[:, :, [0, -1]] == 0.0)
     assert not np.any(np.signbit(result.states[:, :, [0, -1]]))
     exact = _exact(np.linspace(0.0, 1.0, 5), y0[:, 1:-1])
     assert np.max(np.abs(result.states[:, :, 1:-1] - exact)) <= 1e-12
+
+
+def test_kernel_steps_the_rows_of_one_zeroed_ring():
+    # propagate hands the kernel one zeroed, contiguous ring of _BLOCK + 2
+    # rows; each step(i) of a block writes row i from rows i - 1 and i - 2,
+    # which hold 0 and y at a window's start, so T_1 is the first pass halved,
+    # and the last two rows of the block before it on every later block
+    y0 = np.random.default_rng(10).normal(size=(3, 12))
+
+    def kernel(ring):
+        rings.append(ring)
+        assert ring.shape == (_BLOCK + 2,) + y0.shape and ring.dtype == y0.dtype
+        assert ring.flags.c_contiguous and not np.any(ring)
+
+        def step(i):
+            assert 2 <= i <= _BLOCK + 1
+            if i == 2:
+                # a window opens on rows 0 and 1 holding 0 and y; a block goes on from
+                # the last two rows of the block before it
+                opened.append(not np.any(ring[0]))
+                if not opened[-1]:
+                    assert np.array_equal(ring[0], written[_BLOCK])
+                    assert np.array_equal(ring[1], written[_BLOCK + 1])
+                elif len(opened) == 1:
+                    assert np.array_equal(ring[1], y0)
+            elif i == 3 and steps[-1] == 2 and opened[-1]:
+                # T_1 in row 2 is the first pass halved, bit for bit
+                assert np.array_equal(ring[2], 0.5 * written[2])
+            np.multiply(_decay(ring[i - 1]), 4.0 / bound, out=ring[i])
+            ring[i] += 2.0 * ring[i - 1]
+            ring[i] -= ring[i - 2]
+            steps.append(i)
+            written[i] = ring[i].copy()
+
+        return step
+
+    for bound in (RATES[-1], 190.0):
+        rings, steps, written, opened = [], [], {}, []
+        diag = propagate(kernel, bound, y0, 1.0, 1e-10, 1e-12).diagnostics
+        assert len(rings) == 1 and len(steps) == diag["rhs_evals"]
+        # a full block is _BLOCK steps, rows 2 to _BLOCK + 1
+        assert max(steps) == _BLOCK + 1
+    assert diag["rejected"] > 0
 
 
 def test_propagated_batch_of_one_equals_the_single_state():

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squeezelax.spin_algebra import (BlochAngles, DickeSpace, QuantumState,
-                                     _collective_moments, _matrix_moments,
+                                     _coherent_amplitudes, _collective_moments,
+                                     _matrix_moments, _pure_densities,
                                      build_collective_ops, expectation,
                                      hpa_residual, product_expectation, spin_coherent_state,
                                      sym_covariance, third_moment)
@@ -142,6 +143,22 @@ class TestSpinCoherentState:
             n * math.sin(theta) * math.cos(phi), abs=1e-10 * n)
         assert expectation(ops.sz, state).real == pytest.approx(
             n * math.cos(theta), abs=1e-10 * n)
+
+    @pytest.mark.parametrize("n", [1, 15, 150])
+    @pytest.mark.parametrize("theta", [0.0, 0.75 * math.pi, math.pi])
+    def test_stack_rows_are_each_state_alone_bit_for_bit(self, n, theta):
+        # each row is normalized on its own, so the stack fig3b builds is the
+        # states' densities to the bit
+        space = DickeSpace(n)
+        phis = [2 * math.pi * k / 12 for k in range(12)] + [-0.4, 7.0]
+        amps = _coherent_amplitudes(space, theta, phis)
+        states = [spin_coherent_state(space, BlochAngles(theta, phi)) for phi in phis]
+        assert amps.shape == (len(phis), n + 1)
+        assert np.array_equal(amps, [state.data for state in states])
+        densities = _pure_densities(amps)
+        alone = np.stack([state.density() for state in states])
+        assert np.array_equal(densities.view(np.uint64), alone.view(np.uint64))
+        assert np.array_equal(densities, densities.conj().swapaxes(-1, -2))
 
     def test_random_angle_expectations(self):
         rng = np.random.default_rng(42)
