@@ -438,11 +438,14 @@ def propagate(kernel, bound, y0, times, rtol: float, atol: float) -> Integration
         # as one matrix product to the rows whose coefficients reach it: the
         # fallbacks, narrowest last, drop out
         out = np.empty((len(series),) + y.shape, dtype=y.dtype)
-        np.outer(coef[:, 0], flat(y[None]), out=flat(out))
+        sums = flat(out)
+        np.outer(coef[:, 0], flat(y[None]), out=sums)
         y_peak = peak(y)
         ceiling = _GROWTH_MAX * y_peak
         tolerance = atol + rtol * y_peak
-        norms = [y_peak]
+        # norms[k] = max |T_k y| per member, known for k < known (NaN past it)
+        norms = np.full((degree + 1, members), np.nan)
+        norms[0], known = y_peak, 1
         live = len(series)
         ends = None  # the row that ends the window
         # T_1 = A~ y is the first pass halved, from rows 0 and 1 holding 0 and y
@@ -462,8 +465,8 @@ def propagate(kernel, bound, y0, times, rtol: float, atol: float) -> Integration
                 # the peak of every member of every term in the block, as max(max x, -min x):
                 # the max |.| without a temporary of the block's size, NaN and inf included
                 rows = by_member[2:filled + 2]
-                peaks = np.maximum(np.max(rows, axis=2), -np.min(rows, axis=2))
-                grown = ~np.all(peaks <= ceiling, axis=1)
+                peaks = np.maximum(rows.max(axis=2), -rows.min(axis=2))
+                grown = ~(peaks <= ceiling).all(axis=1)
                 stopped = grown.any()
                 if stopped:
                     # the first term past the ceiling decides, as if each were checked
@@ -474,8 +477,9 @@ def propagate(kernel, bound, y0, times, rtol: float, atol: float) -> Integration
                 while cuts[live - 1] < low:
                     live -= 1
                 if filled:
-                    norms.extend(peaks[:filled])
-                    flat(out[:live])[...] += coef[:live, low:low + filled] @ terms[2:filled + 2]
+                    norms[low:low + filled] = peaks[:filled]
+                    known = low + filled
+                    sums[:live] += coef[:live, low:low + filled] @ terms[2:filled + 2]
                 if stopped:
                     break
                 low += filled
@@ -493,7 +497,7 @@ def propagate(kernel, bound, y0, times, rtol: float, atol: float) -> Integration
                 rejected += 1
                 for ends in range(main, len(series)):
                     cut = cuts[ends]
-                    if cut < len(norms):
+                    if cut < known:
                         taken = estimate(series[ends][0], cut)
                         if np.all(taken <= tolerance):
                             break
