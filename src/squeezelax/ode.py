@@ -28,12 +28,13 @@ folds the 4/a and the 2 into the stencil's coefficients, held as one 3 x 3
 box of shifts, and makes each term one ``np.einsum`` of that box with a
 strided window of the last term, less the one before). The series
 converges faster than any power of beta, so one window of degree up to 88
-spans what an explicit stepper, held to |h lambda| of order one by stability, needs hundreds of
-steps for. It serves the master equation: at Fock cutoff 59 the oscillator
-oracle reaches t = 20 in 48 windows and 4222 terms. The coefficients are
-those of exp on the interval [-a, 0]: eigenvalues well off the real axis,
-a bound below the spectral radius and strong non-normality all show as
-growth of |T_k y|, which ``propagate`` checks. The T_k y do not depend
+spans what an explicit stepper, held to |h lambda| of order one by
+stability, needs hundreds of steps for. It serves the master equation: at
+Fock cutoff 59 the oscillator oracle reaches t = 20 in 48 windows and
+4222 terms. The coefficients are those of exp on the interval [-a, 0]:
+eigenvalues well off the real axis, a bound below the spectral radius
+and strong non-normality all show as growth of |T_k y|, which
+``propagate`` checks. The T_k y do not depend
 on the window's width, so a window that is refused for that growth ends
 at a narrower width whose own series passes over the terms already made.
 A stack of states is propagated as one array, with the growth and error
@@ -300,8 +301,8 @@ def propagate(kernel, bound, y0, times, rtol: float, atol: float) -> Integration
     be linear and time independent, with its spectrum in |z| <= bound and
     Re z <= 0; bound is that radius, a number. An entry that step never
     writes, and that y0 holds as zero, stays zero (``lindblad.evolve``
-    writes only the interior of zero-bordered rows). y0 is one state of shape (size,), or a
-    stack of states along its first axis; the result has y0's dtype. times
+    writes only the interior of zero-bordered rows). y0 is one state of
+    shape (size,), or a stack of states along its first axis; the result has y0's dtype. times
     is a strictly increasing, finite sequence of two or more output times,
     or a number t for (0, t) (``_output_times``), and y0 must be nonempty and
     finite; rtol and atol must be positive and finite, and ValueError is
