@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .lindblad import _check_evolve_memory, evolve, spin_liouvillian
+from .lindblad import _check_evolve_memory, _plane_size, evolve, spin_liouvillian
 from .moments import (OscillatorMoments, SqueezingParams, collective_cov_rhs, decay_rates,
                       input_field_variances, oscillator_rate_decomposition,
                       oscillator_solution)
@@ -33,6 +33,10 @@ __all__ = [
 _ELLIPSE_SCALES = {1: 0.12, 5: 0.25, 15: 0.4}
 _DT_FACTOR = 0.008
 _OSCILLATOR_DT = 0.1
+# fig3b: the most packed values (members times their two-sector row, ``_plane_size``) one
+# evolve batch of theta may hold. Timed at n = 20, 30 and 40, three theta in one batch of
+# 6840, 13032 and 23160 values cost as much as or more than one batch per theta
+_BATCH_VALUES = 6144
 
 
 def _fmt(value) -> str:
@@ -43,6 +47,12 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+def _row_format(types: tuple) -> str:
+    """The printf-style format that writes a row of these cell types as ``_fmt`` writes each."""
+    return ",".join("%s" if issubclass(t, str) else "%d" if issubclass(t, (int, np.integer))
+                    else "%.17g" for t in types)
+
+
 @dataclass
 class FigureDataset:
     figure_id: str
@@ -51,20 +61,22 @@ class FigureDataset:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError("row length does not match the column schema")
-            for v in row:
-                if not isinstance(v, str) and not math.isfinite(float(v)):
-                    raise ValueError(f"non-finite value in dataset {self.figure_id}")
+        if any(len(row) != len(self.columns) for row in self.rows):
+            raise ValueError("row length does not match the column schema")
+        numbers = [v for row in self.rows for v in row if not isinstance(v, str)]
+        if not np.isfinite(np.array(numbers, dtype=float)).all():
+            raise ValueError(f"non-finite value in dataset {self.figure_id}")
 
     def to_csv(self) -> str:
         lines = [f"# figure = {self.figure_id}"]
         for key in sorted(self.metadata):
             lines.append(f"# {key} = {_fmt(self.metadata[key])}")
         lines.append(",".join(self.columns))
+        formats = {}
         for row in self.rows:
-            lines.append(",".join(_fmt(v) for v in row))
+            types = tuple(map(type, row))
+            form = formats.get(types) or formats.setdefault(types, _row_format(types))
+            lines.append(form % tuple(row))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -197,6 +209,16 @@ def _ellipse_rows(states: np.ndarray, ops) -> list[tuple]:
     return list(zip(mx, my, vx, vy, cxy, *_ellipses(vx, vy, cxy)))
 
 
+def _thetas_per_batch(members: int, dim: int) -> int:
+    """How many theta, ``members`` evolved states each, one ``evolve`` batch at dim takes.
+
+    As many as keep the batch's rows, each of both parity sectors
+    (``_plane_size``), within ``_BATCH_VALUES`` packed values, and at least one.
+    """
+    width, length = _plane_size(dim)
+    return max(1, _BATCH_VALUES // (members * (2 * length + 4 * width)))
+
+
 def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid) -> FigureDataset:
     """Uncertainty ellipses of spin coherent states before and after a short evolution.
 
@@ -206,23 +228,34 @@ def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid) -> FigureDataset:
     array of amplitudes, a row per phi normalized as one state alone is,
     and one batched outer product gives their densities, the "pre" stack,
     bit for bit those of ``spin_coherent_state``. The grid is folded by
-    ``_azimuth_orbits``: one member per orbit is evolved, all in one batch,
-    and every grid member's final state is read back from its orbit's as
-    conj rho and P rho P with P = diag((-1)^k), exact operations with no
-    stencil work, the "post" stack. Each stack's rows come from one
-    ``_ellipse_rows``: its moments in one pass of ``_matrix_moments``, its
-    ellipses in closed form (``_ellipses``, tilt in [0, pi), an exact
-    circle at pi/2). The oscillator panel reads a coherent state's
-    moments at 0 and 0.1 / gamma_p from ``oscillator_solution``, and its
-    ellipses from ``_ellipses`` too. Rows run pre then post for each phi.
+    ``_azimuth_orbits``: one member per orbit is evolved, and every grid
+    member's final state is read back from its orbit's as conj rho and
+    P rho P with P = diag((-1)^k), exact operations with no stencil work,
+    the "post" stack. The generator and dt depend on n alone, so the theta
+    of one n are evolved together: the theta list is split into
+    consecutive runs of ``_thetas_per_batch`` theta, whose evolved
+    members, as rows of both parity sectors, hold at most
+    ``_BATCH_VALUES`` packed values, and each run is one ``evolve`` batch.
+    With the 12-point grid and three theta, every n up to 19 (the CLI
+    defaults 1, 5 and 15 among them) is one batch of 12 members, n = 20 to
+    23 two batches, and from n = 24 on each theta is its own batch of 4.
+    A batch runs the windows of its slowest member, so a member's final
+    state moves within ``evolve``'s tolerance with the batch it is in.
+    Each batch's stacks are read by one ``_ellipse_rows``: its moments in
+    one pass of ``_matrix_moments``, its ellipses in closed form
+    (``_ellipses``, tilt in [0, pi), an exact circle at pi/2). The
+    oscillator panel reads a coherent state's moments at 0 and
+    0.1 / gamma_p from ``oscillator_solution``, and its ellipses from
+    ``_ellipses`` too. Rows run theta, then phi, then pre and post.
 
-    ``evolve``'s memory estimate for the largest n (one real row of both
-    parity sectors and two records per evolved member), plus 16 dim^2
-    bytes for each of the 4 len(phi_grid) matrices fig3b holds at once
-    (the pre and post stacks, and the products Sx rho and Sy rho of one
-    of them while its moments are read), is checked before any ops are
-    built or densities stacked: ValueError refuses a run whose evolution
-    would not fit in physical memory.
+    Per n, ``evolve``'s memory estimate for its largest batch (one real
+    row of both parity sectors and two records per evolved member), plus
+    16 dim^2 bytes for each of 4 len(phi_grid) matrices per theta of that
+    batch that fig3b holds at once (the pre and post stacks, and the
+    products Sx rho and Sy rho of one of them while its moments are read),
+    is checked for every n before any ops are built or densities stacked:
+    ValueError refuses a run whose evolution would not fit in physical
+    memory.
     """
     params = SqueezingParams.minimal(nbar)
     gamma_p = params.gamma_p
@@ -236,22 +269,33 @@ def fig3b_ellipses(n_list, nbar: float, theta_list, phi_grid) -> FigureDataset:
                "tilt", "scale"]
 
     evolved, slot, flip, conj = _azimuth_orbits(phi_grid)
-    _check_evolve_memory(len(evolved), max(n_list, default=0) + 1, records=2, sectors=2,
-                         images=4 * len(phi_grid))
+    spins = list(n_list) if phi_grid else []
+    for n in spins:
+        size = min(_thetas_per_batch(len(evolved), n + 1), len(theta_list))
+        _check_evolve_memory(size * len(evolved), n + 1, records=2, sectors=2,
+                             images=4 * len(phi_grid) * size)
     rows = []
-    for n in n_list if phi_grid else ():
+    for n in spins:
         space = DickeSpace(n)
         ops = build_collective_ops(space)
         liouv = spin_liouvillian(ops, params)
         parity = (-1.0) ** np.arange(space.dim)
         scale = _ELLIPSE_SCALES.get(n, 1.0)
-        for theta in theta_list:
-            pres = _pure_densities(_coherent_amplitudes(space, theta, phi_grid))
-            posts = evolve(liouv, pres[evolved], _DT_FACTOR * n / gamma_p).final_state[slot]
-            posts[conj] = posts[conj].conj()
-            posts[flip] *= np.outer(parity, parity)
-            for phi, pre, post in zip(phi_grid, _ellipse_rows(pres, ops),
-                                      _ellipse_rows(posts, ops)):
+        size = _thetas_per_batch(len(evolved), space.dim)
+        flat = (-1, space.dim, space.dim)
+        for first in range(0, len(theta_list), size):
+            thetas = theta_list[first:first + size]
+            # (theta, phi, dim, dim): the pre stack of each theta of the batch
+            pres = _pure_densities(np.stack([_coherent_amplitudes(space, theta, phi_grid)
+                                             for theta in thetas]))
+            posts = evolve(liouv, pres[:, evolved].reshape(flat),
+                           _DT_FACTOR * n / gamma_p).final_state
+            posts = posts.reshape(len(thetas), -1, space.dim, space.dim)[:, slot]
+            posts[:, conj] = posts[:, conj].conj()
+            posts[:, flip] *= np.outer(parity, parity)
+            labels = ((theta, phi) for theta in thetas for phi in phi_grid)
+            for (theta, phi), pre, post in zip(labels, _ellipse_rows(pres.reshape(flat), ops),
+                                               _ellipse_rows(posts.reshape(flat), ops)):
                 for stage, values in (("pre", pre), ("post", post)):
                     rows.append(("spins", n, theta, phi, stage, *values, scale))
 

@@ -470,10 +470,12 @@ def _check_evolve_memory(members: int, dim: int, records: int, sectors: int, ima
     checking one member's Hermiticity. Python objects and the cached
     Chebyshev series are not counted. A caller that holds ``images``
     complex dim x dim matrices next to the call's arrays adds their
-    16 images dim^2 bytes: ``fig3b_ellipses`` calls it before it stacks its
-    densities, with one member per orbit of its phi grid and four images
-    per grid member, its pre and post stacks and the products Sx rho and
-    Sy rho of one of them that ``_matrix_moments`` makes.
+    16 images dim^2 bytes: ``fig3b_ellipses`` calls it for every n before
+    it stacks its densities, with the members of its largest batch (one
+    per orbit of its phi grid for each theta of the batch) and four images
+    per grid member and theta of that batch, its pre and post stacks and
+    the products Sx rho and Sy rho of one of them that
+    ``_matrix_moments`` makes.
     """
     width, length = _plane_size(dim)
     entries = members * dim * dim

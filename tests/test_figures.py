@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from squeezelax import cli, figures
+from squeezelax import cli, figures, lindblad
 from squeezelax.figures import (FigureDataset, fig3a_vector_field,
                                 fig3b_ellipses, fig4a_rates,
                                 fig4b_variance_derivatives)
@@ -26,14 +28,61 @@ def rows_by(dataset, **filters):
     return out
 
 
-class TestFigureDataset:
-    def test_rejects_ragged_rows(self):
-        with pytest.raises(ValueError):
-            FigureDataset("x", ["a", "b"], [(1.0,)])
+def _per_value_csv(dataset) -> str:
+    """The CSV as written one ``_fmt`` call per value: the reference ``to_csv`` is held to."""
+    lines = [f"# figure = {dataset.figure_id}"]
+    lines += [f"# {key} = {figures._fmt(dataset.metadata[key])}"
+              for key in sorted(dataset.metadata)]
+    lines.append(",".join(dataset.columns))
+    lines += [",".join(figures._fmt(v) for v in row) for row in dataset.rows]
+    return "\n".join(lines) + "\n"
 
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            FigureDataset("x", ["a"], [(float("inf"),)])
+
+MIXED_ROWS = [
+    ("spins", True, 3, np.int64(-7), 0.1, np.float64(2.0 / 3.0)),
+    ("", False, -2, np.int32(0), -0.0, np.float64(-0.0)),
+    ("a b", 0, 10 ** 17 + 1, np.int64(2 ** 62), 1e-300, np.float64(1e300)),
+    ("x", 1, 0, np.uint8(255), 1e300, np.float64(-1e-300)),
+    ("spins", True, 3, np.int64(-7), math.pi, np.float64(5e-324)),
+    ("y", np.True_, np.uint64(2 ** 64 - 1), np.int8(-3), np.float32(0.1), 7),
+]
+
+
+class TestFigureDataset:
+    @pytest.mark.parametrize("row", [("spins", 2), ("spins", 2, 1.0, 0.5), ()],
+                             ids=["short", "long", "empty"])
+    def test_rejects_ragged_rows(self, row):
+        rows = [("spins", 1, 0.5), row, ("spins", 3, 1.5)]
+        with pytest.raises(ValueError, match="row length does not match the column schema"):
+            FigureDataset("x", ["system", "n", "v"], rows)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan"),
+                                     np.float64("inf"), np.float64("-inf")],
+                             ids=["nan", "inf", "-inf", "float64-nan", "float64-inf",
+                                  "float64--inf"])
+    def test_rejects_nonfinite(self, bad):
+        rows = [("spins", 1, 0.5), ("spins", 2, bad), ("spins", 3, 1.5)]
+        with pytest.raises(ValueError, match="non-finite value in dataset x"):
+            FigureDataset("x", ["system", "n", "v"], rows)
+
+    def test_a_string_cell_is_not_read_as_a_number(self):
+        ds = FigureDataset("x", ["a", "b"], [("nan", 1.0), ("inf", 2)])
+        assert ds.to_csv().splitlines()[-2:] == ["nan,1", "inf,2"]
+
+    def test_csv_matches_the_per_value_join_on_mixed_rows(self):
+        ds = FigureDataset("mixed", list("abcdef"), MIXED_ROWS, {"k": np.float64(0.1), "s": "v"})
+        assert ds.to_csv() == _per_value_csv(ds)
+        assert ds.to_csv().splitlines()[4:6] == [
+            "spins,1,3,-7,0.10000000000000001,0.66666666666666663", ",0,-2,0,-0,-0"]
+
+    @pytest.mark.parametrize("figure", ["fig3a", "fig3b", "fig4a", "fig4b"])
+    def test_csv_matches_the_per_value_join_at_the_cli_defaults(self, figure, monkeypatch):
+        datasets = []
+        monkeypatch.setattr(cli, "_emit", lambda dataset, args: datasets.append(dataset) or 0)
+        assert cli.main([figure]) == 0
+        (ds,) = datasets
+        assert len(ds.rows) > 100
+        assert ds.to_csv() == _per_value_csv(ds)
 
     def test_csv_roundtrip_structure(self):
         ds = FigureDataset("demo", ["a", "b"], [(1, 2.5)], {"k": 3})
@@ -134,8 +183,9 @@ class TestFig3b:
             assert all(r["scale"] == scale for r in rows)
 
     def test_term_counts_at_the_cli_defaults(self, monkeypatch, capsys):
-        # the counts the growth check's block size must not move: 9 (n, theta)
-        # propagations, 3 of whose windows are refused and all 3 salvaged
+        # the counts the growth check's block size must not move: one propagation
+        # per n, each batching the three theta, whose n = 15 batch has one
+        # window refused and salvaged
         diags = []
 
         def spy(*args):
@@ -147,7 +197,62 @@ class TestFig3b:
         assert cli.main(["fig3b"]) == 0
         capsys.readouterr()
         totals = [sum(d[key] for d in diags) for key in ("rhs_evals", "rejected", "salvaged")]
-        assert len(diags) == 9 and totals == [708, 3, 3]
+        assert len(diags) == 3 and totals == [274, 1, 1]
+
+    @pytest.mark.parametrize("n, sizes", [(15, [12]), (20, [8, 4]), (40, [4, 4, 4])])
+    def test_theta_batches_and_the_order_of_their_rows(self, n, sizes, monkeypatch):
+        # the theta of one n share a batch while its packed values fit the cap; the
+        # rows still run theta, then phi, then stage
+        batches = []
+
+        def start_as_final(liouv, rho0, times):
+            batches.append(len(rho0))
+            return SimpleNamespace(final_state=rho0.copy())
+
+        monkeypatch.setattr(figures, "evolve", start_as_final)
+        ds = fig3b_ellipses([n], 5.0, THETAS, GRID_12)
+        assert batches == sizes
+        labels = [(r["theta"], r["phi"], r["stage"]) for r in rows_by(ds, system="spins")]
+        assert labels == [(t, p, s) for t in THETAS for p in GRID_12 for s in ("pre", "post")]
+
+    def test_batched_rows_match_one_batch_per_theta(self, monkeypatch):
+        # a batch takes the windows of its slowest member, so its post rows move
+        # within evolve's tolerance (measured at most 2.3e-12 relative, n = 15)
+        args = ([1, 5, 15], 5.0, THETAS, GRID_12)
+        batched = fig3b_ellipses(*args)
+        monkeypatch.setattr(figures, "_BATCH_VALUES", 1)
+        per_theta = fig3b_ellipses(*args)
+        keys = ("mean_x", "mean_y", "var_x", "var_y", "cov_xy", "axis_major", "axis_minor")
+        assert len(batched.rows) == len(per_theta.rows) == 2 * 3 * 3 * 12 + 24
+        for row, own in zip(*(rows_by(ds) for ds in (batched, per_theta))):
+            assert [row[k] for k in ("system", "n", "theta", "phi", "stage", "scale")] \
+                == [own[k] for k in ("system", "n", "theta", "phi", "stage", "scale")]
+            if row["stage"] == "pre":
+                assert row == own
+            for key in keys:
+                assert row[key] == pytest.approx(own[key], rel=1e-11, abs=1e-12), key
+            assert abs(math.remainder(row["tilt"] - own["tilt"], math.pi)) < 1e-12
+
+    @pytest.mark.parametrize("n, states", [(15, 12), (20, 8), (24, 4)])
+    def test_memory_guard_counts_the_theta_batch(self, n, states, monkeypatch):
+        # fig3b's estimate, for the members and images of its largest batch,
+        # bounds the traced peak of the whole build, and not far more
+        guarded = []
+        check = lindblad._check_memory
+        monkeypatch.setattr(lindblad, "_check_memory",
+                            lambda nbytes, what: (guarded.append((nbytes, what)),
+                                                  check(nbytes, what)))
+        fig3b_ellipses([1], 5.0, THETAS, GRID_12)  # imports and caches outside the trace
+        guarded.clear()
+        tracemalloc.start()
+        try:
+            fig3b_ellipses([n], 5.0, THETAS, GRID_12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        estimate, what = guarded[0]
+        assert what == f"evolving {states} states of dim {n + 1} to 2 records"
+        assert peak <= estimate <= 4 * peak
 
     def test_rejects_invalid_theta(self):
         with pytest.raises(ValueError):

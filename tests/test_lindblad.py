@@ -1128,15 +1128,16 @@ class TestOscillatorOracle:
             oscillator_oracle(SqueezingParams(0.0, 0.0), 1.0, cutoff=6, alpha=4.0)
 
 
-def _fig3b_batch(n: int):
-    """fig3b's batch at n: one coherent state per orbit of the 12-point phi grid, two records."""
+def _fig3b_batch(n: int, thetas=(0.75,)):
+    """fig3b's batch at n: per theta (in units of pi), one coherent state per orbit of the
+    12-point phi grid; two records."""
     space = DickeSpace(n)
     liouv = spin_liouvillian(build_collective_ops(space), SqueezingParams.minimal(5.0))
     grid = [2 * math.pi * k / 12 for k in range(12)]
     evolved = _azimuth_orbits(grid)[0]
     assert len(evolved) == 4
-    densities = [spin_coherent_state(space, BlochAngles(0.75 * math.pi, grid[k])).density()
-                 for k in evolved]
+    densities = [spin_coherent_state(space, BlochAngles(theta * math.pi, grid[k])).density()
+                 for theta in thetas for k in evolved]
     # the stack is the complex input the estimate counts, so it is traced
     return lambda: evolve(liouv, np.stack(densities), 1e-3)
 
@@ -1167,6 +1168,8 @@ def _transverse_ops(n: int):
 GUARDED_CALLS = {
     "evolve-fig3b-n60": (_fig3b_batch, 60),
     "evolve-fig3b-n120": (_fig3b_batch, 120),
+    # the largest batch fig3b evolves at once: all three default theta at n = 19
+    "evolve-fig3b-n19-3-thetas": (_fig3b_batch, 19, (0.55, 0.75, 0.87)),
     "evolve-vacuum-cutoff120-2-times": (_vacuum_start, 120, 1.0),
     "evolve-vacuum-cutoff59-201-times": (_vacuum_start, 59, np.linspace(0.0, 2.0, 201)),
     "collective-ops-n200": (_collective_ops, 200),
